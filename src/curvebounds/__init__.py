@@ -70,6 +70,7 @@ from .errors import (
     NonpositiveGamma,
     NullCorrelationExcluded,
     ParseError,
+    RadicandTooLarge,
     UnboundedBox,
     UnsupportedDimension,
 )

@@ -22,6 +22,11 @@ class NegativeRadicand(CurveBoundsError):
     """Square root requested of a negative rational."""
 
 
+class RadicandTooLarge(CurveBoundsError):
+    """Radicand above the factoring cap ``scalar.MAX_RADICAND``: its
+    square-free split by trial division would stall the tool."""
+
+
 # --- intersection ring -------------------------------------------------
 
 class UnsupportedDimension(CurveBoundsError):

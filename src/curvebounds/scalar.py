@@ -5,17 +5,28 @@ Values are kept in a canonical form at all times:
 
 * ``Rational`` is :class:`fractions.Fraction` (already canonical:
   positive denominator, reduced).
-* :class:`QuadNumber` represents ``a + b*sqrt(m)``.  At construction the
-  radicand is split into ``core * k**2`` with ``core`` square-free; the
-  square factor is absorbed into ``b``.  Perfect-square radicands
-  collapse to the pure-rational form ``(a, 0, 0)``.  Consequently two
-  values are syntactically compatible exactly when their radicands are
-  equal or one side is rational.
+* :class:`QuadNumber` represents ``a + b*sqrt(m)`` with ``a`` and ``b``
+  Fractions, ``m`` square-free or 0, and ``b == 0`` exactly when
+  ``m == 0``.  The public constructor is the one place that sets this
+  form up: it splits the radicand into ``core * k**2`` with ``core``
+  square-free, absorbs ``k`` into ``b``, and collapses perfect squares
+  to the pure-rational form ``(a, 0, 0)``.  Arithmetic on canonical
+  operands yields canonical results directly, so it never re-splits a
+  radicand.  Consequently two values are syntactically compatible
+  exactly when their radicands are equal or one side is rational.
+
+Floats and bools are rejected with ``TypeError`` wherever a value
+enters: the constructor's components and its radicand (which must be an
+``int``), arithmetic and comparison operands, :func:`sqrt_rational` and
+the functional wrappers.  Radicands above :data:`MAX_RADICAND` raise
+:class:`RadicandTooLarge` before any factoring, so hostile input cannot
+stall the trial division.
 
 Every comparison is decided by exact integer sign analysis
 (case analysis on the signs of ``a`` and ``b``, then comparing ``a**2``
-against ``b**2 * m``).  Floating point is never consulted.  Decimal
-rendering exists for display and for non-certified cross-checks only.
+against ``b**2 * m``); ``floor`` and ``ceil`` are closed forms over
+``math.isqrt``.  Floating point is never consulted.  Decimal rendering
+exists for display and for non-certified cross-checks only.
 """
 
 from __future__ import annotations
@@ -26,22 +37,39 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
-from .errors import IncompatibleRadicand, NegativeRadicand
+from .errors import IncompatibleRadicand, NegativeRadicand, RadicandTooLarge
 
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadNumber"]
 
+# Trial division up to sqrt(MAX_RADICAND) = 10**5 takes at most ~0.1 s;
+# desk-scale radicands (3 * degree of a space curve) sit far below it.
+MAX_RADICAND = 10**10
+
+_ZERO = Fraction(0)
+
+
+def _reject_inexact(*values: object) -> None:
+    """TypeError for a float or a bool, neither of which may enter exact
+    arithmetic (``Fraction(0.2)`` is not 1/5, ``Fraction(True)`` is 1)."""
+    for v in values:
+        if isinstance(v, (float, bool)):
+            raise TypeError(
+                f"exact scalar expected (int or Fraction), got {type(v).__name__}")
+
 
 def _square_free_split(n: int) -> tuple[int, int]:
     """Write ``n = core * k**2`` with ``core`` square-free; return (core, k).
 
-    Trial division; intended for desk-scale radicands (degrees of
-    curves, not cryptographic integers).
+    Trial division, so ``n`` is capped at :data:`MAX_RADICAND`.
     """
     if n < 0:
         raise NegativeRadicand(f"radicand must be nonnegative, got {n}")
+    if n > MAX_RADICAND:
+        raise RadicandTooLarge(
+            f"radicand {n} exceeds the factoring cap {MAX_RADICAND}")
     if n == 0:
         return 0, 1
     core, k = 1, 1
@@ -73,8 +101,9 @@ class QuadNumber:
     __slots__ = ("_a", "_b", "_m")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, m: int = 0) -> None:
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("QuadNumber components must be exact (int or Fraction)")
+        _reject_inexact(a, b)
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError("QuadNumber radicand must be an int")
         a = Fraction(a)
         b = Fraction(b)
         if m < 0:
@@ -86,10 +115,10 @@ class QuadNumber:
             b *= k
             m = core
             if m == 0:
-                b = Fraction(0)
+                b = _ZERO
             elif m == 1:
                 a += b
-                b = Fraction(0)
+                b = _ZERO
                 m = 0
         self._a = a
         self._b = b
@@ -124,15 +153,6 @@ class QuadNumber:
 
     # -- radicand compatibility ------------------------------------------
 
-    def _coerce(self, other: QuadLike) -> "QuadNumber":
-        if isinstance(other, QuadNumber):
-            return other
-        if isinstance(other, float):
-            raise TypeError("QuadNumber does not mix with float")
-        if isinstance(other, (int, Fraction)):
-            return QuadNumber(other)
-        return NotImplemented  # type: ignore[return-value]
-
     def _common_radicand(self, other: "QuadNumber") -> int:
         if self._m == other._m:
             return self._m
@@ -166,7 +186,7 @@ class QuadNumber:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QuadNumber(other)
+            return self._b == 0 and self._a == other
         if not isinstance(other, QuadNumber):
             return NotImplemented
         # Distinct square-free radicands can never produce equal values,
@@ -174,7 +194,7 @@ class QuadNumber:
         return (self._a, self._b, self._m) == (other._a, other._b, other._m)
 
     def __lt__(self, other: QuadLike) -> bool:
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
         return (self - rhs).sign() < 0
@@ -187,34 +207,38 @@ class QuadNumber:
     # -- field arithmetic ------------------------------------------------
 
     def __add__(self, other: QuadLike) -> "QuadNumber":
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
         m = self._common_radicand(rhs)
-        return QuadNumber(self._a + rhs._a, self._b + rhs._b, m)
+        return _quad(self._a + rhs._a, self._b + rhs._b, m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNumber":
-        return QuadNumber(-self._a, -self._b, self._m)
+        return _quad(-self._a, -self._b, self._m)
 
     def __sub__(self, other: QuadLike) -> "QuadNumber":
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return self + (-rhs)
+        m = self._common_radicand(rhs)
+        return _quad(self._a - rhs._a, self._b - rhs._b, m)
 
     def __rsub__(self, other: QuadLike) -> "QuadNumber":
-        return (-self) + other
+        lhs = _coerce(other)
+        if lhs is NotImplemented:
+            return NotImplemented
+        return lhs - self
 
     def __mul__(self, other: QuadLike) -> "QuadNumber":
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
         m = self._common_radicand(rhs)
         a = self._a * rhs._a + self._b * rhs._b * m
         b = self._a * rhs._b + self._b * rhs._a
-        return QuadNumber(a, b, m)
+        return _quad(a, b, m)
 
     __rmul__ = __mul__
 
@@ -222,13 +246,13 @@ class QuadNumber:
         if self.sign() == 0:
             raise ZeroDivisionError("division by zero QuadNumber")
         if self._b == 0:
-            return QuadNumber(1 / self._a)
+            return _quad(1 / self._a, _ZERO, 0)
         # conjugate trick: norm a^2 - b^2 m is a nonzero rational
         norm = self._a * self._a - self._b * self._b * self._m
-        return QuadNumber(self._a / norm, -self._b / norm, self._m)
+        return _quad(self._a / norm, -self._b / norm, self._m)
 
     def __truediv__(self, other: QuadLike) -> "QuadNumber":
-        rhs = self._coerce(other)
+        rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
         return self * rhs.inverse()
@@ -239,7 +263,7 @@ class QuadNumber:
     def __pow__(self, n: int) -> "QuadNumber":
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadNumber(1)
+        out = _quad(Fraction(1), _ZERO, 0)
         base = self
         while n:
             if n & 1:
@@ -254,23 +278,21 @@ class QuadNumber:
     # -- exact rounding ----------------------------------------------------
 
     def __floor__(self) -> int:
-        if self._b == 0:
-            return math.floor(self._a)
-        # Scale to (A + B*sqrt(m)) / Q with integers, estimate with
-        # isqrt, then correct by exact comparison.
-        q = self._a.denominator * self._b.denominator // math.gcd(
-            self._a.denominator, self._b.denominator
-        )
-        big_a = self._a.numerator * (q // self._a.denominator)
-        big_b = self._b.numerator * (q // self._b.denominator)
+        a, b = self._a, self._b
+        if b == 0:
+            return math.floor(a)
+        # Scale to (A + B*sqrt(m)) / Q with integers A, B and Q > 0.
+        # m is square-free, m >= 2 and B != 0, so B*sqrt(m) is
+        # irrational: with r = isqrt(B**2 * m) = floor(|B|*sqrt(m)),
+        # r < |B|*sqrt(m) < r + 1, hence floor(B*sqrt(m)) is r for B > 0
+        # and -r - 1 for B < 0.  Since floor((A + t)/Q) equals
+        # (A + floor(t)) // Q for integers A and Q > 0, no correction
+        # step is needed.
+        q = math.lcm(a.denominator, b.denominator)
+        big_a = a.numerator * (q // a.denominator)
+        big_b = b.numerator * (q // b.denominator)
         root = math.isqrt(big_b * big_b * self._m)
-        irr = root if big_b > 0 else -(root + 1)
-        n = (big_a + irr) // q
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        return (big_a + (root if big_b > 0 else -root - 1)) // q
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
@@ -304,27 +326,58 @@ class QuadNumber:
         return f"{self._a} {op} {root}"
 
 
+def _quad(a: Fraction, b: Fraction, m: int) -> QuadNumber:
+    """Build a QuadNumber from parts that are already canonical.
+
+    The caller guarantees that ``a`` and ``b`` are Fractions and ``m`` is
+    square-free or 0 (as in the result of field arithmetic on canonical
+    operands); the only normalisation left is ``b == 0`` => ``m = 0``.
+    """
+    x = object.__new__(QuadNumber)
+    x._a = a
+    x._b = b
+    x._m = m if b else 0
+    return x
+
+
+def _coerce(other: QuadLike) -> QuadNumber:
+    """``other`` as a QuadNumber; NotImplemented for a foreign type."""
+    if isinstance(other, QuadNumber):
+        return other
+    _reject_inexact(other)
+    if isinstance(other, (int, Fraction)):
+        return _quad(Fraction(other), _ZERO, 0)
+    return NotImplemented  # type: ignore[return-value]
+
+
+def _operand(x: QuadLike) -> QuadNumber:
+    """``x`` as a QuadNumber; TypeError for anything but an exact scalar."""
+    q = _coerce(x)
+    if q is NotImplemented:
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return q
+
+
 # -- operation layer ---------------------------------------------------
 
 
 def quad_add(x: QuadLike, y: QuadLike) -> QuadNumber:
     """Exact sum in Q(sqrt(m)); radicands must be compatible."""
-    return QuadNumber(0) + x + y
+    return _operand(x) + y
 
 
 def quad_mul(x: QuadLike, y: QuadLike) -> QuadNumber:
     """Exact product in Q(sqrt(m)); radicands must be compatible."""
-    return (QuadNumber(1) * x) * y
+    return _operand(x) * y
 
 
 def quad_neg(x: QuadLike) -> QuadNumber:
-    return -(QuadNumber(0) + x)
+    return -_operand(x)
 
 
 def quad_cmp(x: QuadLike, y: QuadLike) -> int:
     """Exact three-way comparison: -1, 0 or 1 as x <, =, > y."""
-    diff = (QuadNumber(0) + x) - y
-    return diff.sign()
+    return (_operand(x) - y).sign()
 
 
 def quad_min(x: QuadNumber, y: QuadNumber) -> QuadNumber:
@@ -338,20 +391,23 @@ def quad_max(x: QuadNumber, y: QuadNumber) -> QuadNumber:
 def sqrt_rational(q: RationalLike) -> QuadNumber:
     """Exact square root of a nonnegative rational, with minimal
     integer radicand: sqrt(p/s) = sqrt(p*s)/s."""
+    _reject_inexact(q)
     q = Fraction(q)
     if q < 0:
         raise NegativeRadicand(f"cannot take sqrt of {q}")
-    n = q.numerator * q.denominator
-    core, k = _square_free_split(n)
-    return QuadNumber(0, Fraction(k, q.denominator), core)
+    core, k = _square_free_split(q.numerator * q.denominator)
+    root = Fraction(k, q.denominator)
+    if core <= 1:  # q is 0 or a perfect square
+        return _quad(root * core, _ZERO, 0)
+    return _quad(_ZERO, root, core)
 
 
 def floor_quad(x: QuadLike) -> int:
-    return math.floor(QuadNumber(0) + x)
+    return math.floor(_operand(x))
 
 
 def ceil_quad(x: QuadLike) -> int:
-    return math.ceil(QuadNumber(0) + x)
+    return math.ceil(_operand(x))
 
 
 # -- serialization -------------------------------------------------------
@@ -379,4 +435,4 @@ def quad_from_json(doc: dict) -> QuadNumber:
 
 def decimal_str(x: QuadLike, digits: int = 6) -> str:
     """Advisory decimal rendering (display only)."""
-    return str((QuadNumber(0) + x).to_decimal(digits))
+    return str(_operand(x).to_decimal(digits))

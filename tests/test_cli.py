@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, text output, JSON payloads."""
 
 import json
+import time
 
 import pytest
 
@@ -278,6 +279,18 @@ def test_domain_error_is_exit_1(capsys):
                        "--k", "1", "--eta", "2/3")
     assert code == 1
     assert "error:" in err
+
+
+def test_huge_degree_fails_fast_with_exit_1(capsys):
+    # a prime just below 10**14: trial division of sqrt(d) would take
+    # seconds, the radicand cap refuses it before factoring
+    doc = '{"name": "big", "kind": {"raw": {"d": 99999999999973, "g": 0}}}'
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gonality", doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "exceeds the factoring cap" in err
 
 
 def test_inconsistent_evidence_is_exit_1(capsys):

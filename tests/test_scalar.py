@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(sqrt(m)): construction, comparison, rounding."""
 
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvebounds.errors import IncompatibleRadicand, NegativeRadicand
+from curvebounds.errors import IncompatibleRadicand, NegativeRadicand, RadicandTooLarge
 from curvebounds.scalar import (
+    MAX_RADICAND,
     QuadNumber,
     ceil_quad,
     decimal_str,
@@ -66,22 +68,49 @@ def test_negative_radicand_rejected():
         QuadNumber(0, 1, -2)
 
 
-@pytest.mark.parametrize("bad", [1.5, 0.0, float("nan")])
+@pytest.mark.parametrize("bad", [1.5, 0.0, float("nan"), 2.0, 0.25, True, False])
 def test_float_components_rejected(bad):
     with pytest.raises(TypeError):
         QuadNumber(bad)
     with pytest.raises(TypeError):
         QuadNumber(0, bad, 2)
+    with pytest.raises(TypeError):
+        QuadNumber(0, 1, bad)
+    with pytest.raises(TypeError):
+        sqrt_rational(bad)
 
 
 def test_float_operands_rejected():
     x = QuadNumber(0, 1, 2)
-    with pytest.raises(TypeError):
-        x + 1.5
-    with pytest.raises(TypeError):
-        x * 0.5
-    with pytest.raises(TypeError):
-        x < 1.5
+    for bad in (1.5, 0.5, True, False):
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            bad - x
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            x < bad
+        with pytest.raises(TypeError):
+            quad_cmp(bad, x)
+        with pytest.raises(TypeError):
+            ceil_quad(bad)
+
+
+def test_radicand_cap():
+    prime_below_cap = 9_999_999_967
+    assert QuadNumber(0, 1, prime_below_cap).m == prime_below_cap
+    assert sqrt_rational(MAX_RADICAND) == 10**5
+    # trial division of this prime near 10**14 takes seconds; the cap
+    # refuses it before factoring
+    start = time.perf_counter()
+    for make in (lambda: QuadNumber(0, 1, 99_999_999_999_973),
+                 lambda: sqrt_rational(99_999_999_999_973),
+                 lambda: sqrt_rational(F(1, MAX_RADICAND + 1)),
+                 lambda: QuadNumber(0, 1, MAX_RADICAND + 1)):
+        with pytest.raises(RadicandTooLarge):
+            make()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_from_rational_and_back():
@@ -280,7 +309,15 @@ def test_str_rendering():
 # -- algebraic laws (property-based) ----------------------------------------
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=24)
-radicands = st.integers(min_value=0, max_value=80)
+radicands = st.one_of(
+    st.integers(min_value=0, max_value=80),
+    # the benchmark's range: sqrt(d) and sqrt(3d) with d <= 300
+    st.integers(min_value=0, max_value=1000),
+    # large square factors k**2 * m, absorbed into b by the constructor
+    st.builds(lambda k, m: k * k * m,
+              st.integers(min_value=2, max_value=40),
+              st.integers(min_value=0, max_value=80)),
+)
 
 
 @st.composite
@@ -386,3 +423,96 @@ def test_functional_wrappers_match_methods(xy):
     assert quad_add(x, y) == x + y
     assert quad_mul(x, y) == x * y
     assert quad_neg(x) == -x
+
+
+# -- canonical results and closed-form rounding ------------------------------
+
+
+def _square_free(m):
+    return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+
+def assert_canonical(r):
+    assert isinstance(r, QuadNumber)
+    assert type(r.a) is Fraction and type(r.b) is Fraction
+    assert type(r.m) is int
+    assert (r.b == 0) == (r.m == 0)
+    assert r.m == 0 or (r.m >= 2 and _square_free(r.m))
+    rebuilt = QuadNumber(r.a, r.b, r.m)
+    assert (rebuilt.a, rebuilt.b, rebuilt.m) == (r.a, r.b, r.m)
+
+
+@given(quad_tuples(n=2), rationals, st.integers(min_value=-4, max_value=4))
+def test_arithmetic_results_are_canonical(xy, q, n):
+    x, y = xy
+    conjugate = QuadNumber(x.a, -x.b, x.m)
+    results = [x + y, x - y, x * y, -x, abs(x), x - x, x + (-x),
+               x * conjugate, x + QuadNumber(0, -x.b, x.m),
+               x + q, q + x, x - q, q - x, x * q, q * x,
+               x + 3, 3 - x, x * -2]
+    if y != 0:
+        results.append(x / y)
+    if q != 0:
+        results += [x / q, 1 / QuadNumber(q)]
+    if x != 0:
+        results += [q / x, x.inverse()]
+    if n >= 0 or x != 0:
+        results.append(x ** n)
+    for r in results:
+        assert_canonical(r)
+
+
+@given(rationals.filter(lambda q: q >= 0))
+def test_sqrt_rational_is_canonical(q):
+    r = sqrt_rational(q)
+    assert_canonical(r)
+    assert r * r == q
+
+
+def _int_sign(p, q, m):
+    """Sign of p + q*sqrt(m) for integers p, q and m >= 0, by case
+    analysis on the two terms' signs and, when they differ, their squares."""
+    rad = (q > 0) - (q < 0) if m else 0
+    rat = (p > 0) - (p < 0)
+    if rad == 0 or rat == 0 or rad == rat:
+        return rat or rad
+    gap = p * p - q * q * m
+    return rat if gap > 0 else rad if gap < 0 else 0
+
+
+def _floor_of(a, b, m, q):
+    """floor((a + b*sqrt(m)) / q) for integers with q > 0, by bisection
+    on exact integer sign tests: n <= x iff a - n*q + b*sqrt(m) >= 0.
+    Independent of QuadNumber's own comparison and rounding code."""
+    reach = abs(b) * (math.isqrt(m) + 1)  # >= |b|*sqrt(m)
+    lo, hi = (a - reach) // q, (a + reach) // q + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _int_sign(a - mid * q, b, m) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _integer_form(x):
+    """(A, B, m, Q) with x = (A + B*sqrt(m)) / Q and Q > 0."""
+    q = math.lcm(x.a.denominator, x.b.denominator)
+    return (x.a.numerator * (q // x.a.denominator),
+            x.b.numerator * (q // x.b.denominator), x.m, q)
+
+
+# r - k*sqrt(m) with r = isqrt(k**2 * m) lies just below an integer;
+# scaled and shifted it puts floor/ceil right next to their boundaries
+near_integers = st.builds(
+    lambda k, m, shift, den: QuadNumber(
+        F(math.isqrt(k * k * m) + shift, den), F(-k, den), m),
+    st.integers(min_value=1, max_value=10**6), radicands,
+    st.integers(min_value=-2, max_value=2), st.integers(min_value=1, max_value=24))
+
+
+@given(st.one_of(quad_tuples(n=1).map(lambda xs: xs[0]), near_integers))
+def test_floor_ceil_match_sign_analysis_oracle(x):
+    a, b, m, q = _integer_form(x)
+    assert math.floor(x) == _floor_of(a, b, m, q)
+    assert math.ceil(x) == -_floor_of(-a, -b, m, q)
