@@ -17,15 +17,16 @@ that value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import record
 from .errors import ArityMismatch, UnsupportedDimension
 from .scalar import RationalLike
+from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 
 
-@dataclass(frozen=True)
+@record
 class CurveGeometry:
     """Ground facts of a smooth curve in P^r: ambient dimension,
     degree and genus, with the normal-bundle degree derived."""
@@ -35,6 +36,9 @@ class CurveGeometry:
     r: int = 3
 
     def __post_init__(self) -> None:
+        _exact_int(self.d)
+        _exact_int(self.g)
+        _exact_int(self.r)
         if self.r < 3:
             raise ValueError(f"ambient dimension must be >= 3, got {self.r}")
         if self.d < 1:
@@ -48,7 +52,7 @@ class CurveGeometry:
         return (self.r + 1) * self.d + 2 * self.g - 2
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClass:
     """Exact divisor class x*H + y*E on the blow-up."""
 
@@ -56,10 +60,8 @@ class DivisorClass:
     y: Fraction
 
     def __init__(self, x: RationalLike, y: RationalLike) -> None:
-        if isinstance(x, float) or isinstance(y, float):
-            raise TypeError("divisor coefficients must be exact (int or Fraction)")
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "x", _exact_rational(x))
+        object.__setattr__(self, "y", _exact_rational(y))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.x + other.x, self.y + other.y)
@@ -71,7 +73,7 @@ class DivisorClass:
         return DivisorClass(-self.x, -self.y)
 
     def scale(self, t: RationalLike) -> "DivisorClass":
-        t = Fraction(t)
+        t = _exact_rational(t)
         return DivisorClass(t * self.x, t * self.y)
 
     def __str__(self) -> str:
@@ -84,10 +86,10 @@ E = DivisorClass(0, 1)
 
 def h_eta(eta: RationalLike) -> DivisorClass:
     """The mixed polarization class H - eta*E."""
-    return DivisorClass(1, -Fraction(eta))
+    return DivisorClass(1, -_exact_rational(eta))
 
 
-@dataclass(frozen=True)
+@record
 class ChernData:
     """Chern data of a rank-two bundle on the blow-up (r = 3 only):
     ``c1`` a divisor class, plus a codimension-two class written as
@@ -104,8 +106,8 @@ class ChernData:
 
     def __init__(self, c1: DivisorClass, c2_h: RationalLike, c2_f: RationalLike) -> None:
         object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2_h", Fraction(c2_h))
-        object.__setattr__(self, "c2_f", Fraction(c2_f))
+        object.__setattr__(self, "c2_h", _exact_rational(c2_h))
+        object.__setattr__(self, "c2_f", _exact_rational(c2_f))
 
 
 def triple_product(c: CurveGeometry, A: DivisorClass, B: DivisorClass,
@@ -159,7 +161,7 @@ def delta_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
         raise UnsupportedDimension(
             "delta_eta is the r = 3 invariant; see delta_eta_compact / "
             "delta_eta_segre for r > 3")
-    return Fraction(eta) * c.deg_n - c.d
+    return _exact_rational(eta) * c.deg_n - c.d
 
 
 def delta_eta_compact(c: CurveGeometry, eta: RationalLike) -> Fraction:
@@ -168,7 +170,7 @@ def delta_eta_compact(c: CurveGeometry, eta: RationalLike) -> Fraction:
     For r > 3 this disagrees with the monomial-table value by a factor
     (r-2) on the degree term; see :func:`delta_eta_segre`.
     """
-    eta = Fraction(eta)
+    eta = _exact_rational(eta)
     return eta ** (c.r - 3) * (eta * c.deg_n - c.d)
 
 
@@ -185,14 +187,14 @@ def delta_eta_segre(c: CurveGeometry, eta: RationalLike) -> Fraction:
 def lambda_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
     """eta^2 d^2 - delta_eta; nonnegative whenever eta is at most the
     Seshadri constant (Hodge-index constraint)."""
-    eta = Fraction(eta)
+    eta = _exact_rational(eta)
     return eta ** 2 * c.d ** 2 - delta_eta(c, eta)
 
 
 def halphen_f(c: CurveGeometry, x: RationalLike) -> Fraction:
     """The quadratic x^2 - (4 + (2g-2)/d)*x + d whose value at x = eta*d
     equals lambda_eta.  Its discriminant controls the genus bound."""
-    x = Fraction(x)
+    x = _exact_rational(x)
     return x ** 2 - (4 + Fraction(2 * c.g - 2, c.d)) * x + c.d
 
 
@@ -215,15 +217,16 @@ def chern_of_kernel(c1_bundle: DivisorClass, c2_bundle_h: RationalLike,
     if kind not in ("pencil", "destabilizer"):
         raise ValueError(f"kind must be 'pencil' or 'destabilizer', got {kind!r}")
     c1 = c1_bundle - E
-    fiber = Fraction(degree) if kind == "pencil" else -Fraction(degree)
-    return ChernData(c1, Fraction(c2_bundle_h), fiber)
+    degree = _exact_rational(degree)
+    fiber = degree if kind == "pencil" else -degree
+    return ChernData(c1, c2_bundle_h, fiber)
 
 
 def discriminant_dot_heta(c: CurveGeometry, ch: ChernData,
                           eta: RationalLike) -> Fraction:
     """(c1^2 - 4c2) . (H - eta*E) for rank-two Chern data, using
     F.(H - eta*E) = eta and (pullback line).(H - eta*E) = 1."""
-    eta = Fraction(eta)
+    eta = _exact_rational(eta)
     c1_sq = triple_product(c, ch.c1, ch.c1, h_eta(eta))
     c2_part = ch.c2_h + ch.c2_f * eta
     return c1_sq - 4 * c2_part
@@ -241,7 +244,7 @@ def bogomolov_unstable(c: CurveGeometry, ch: ChernData,
 def genus_consistency(c: CurveGeometry, eps_lower: RationalLike) -> bool:
     """True iff g <= d^2 eps/2 + d(1/(2 eps) - 2) + 1; equivalently,
     lambda_eps >= 0.  A certified Seshadri lower bound must pass this."""
-    eps = Fraction(eps_lower)
+    eps = _exact_rational(eps_lower)
     if eps == 0:
         raise ZeroDivisionError("eps_lower must be nonzero")
     if eps < 0:

@@ -18,10 +18,10 @@ certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .blowup import (
     CurveGeometry,
     delta_eta,
@@ -40,6 +40,8 @@ from .scalar import (
     QuadLike,
     RationalLike,
     ceil_quad,
+    exact_int as _exact_int,
+    exact_rational as _exact_rational,
     quad_cmp,
     quad_min,
     sqrt_rational,
@@ -47,7 +49,7 @@ from .scalar import (
 from .seshadri import SeshadriInterval
 
 
-@dataclass(frozen=True)
+@record
 class Discrepancy:
     """A structured warning: two quantities that a sharpness claim or a
     convention choice says should agree, but do not."""
@@ -57,7 +59,7 @@ class Discrepancy:
     data: dict
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """One evaluated bound: the two competing terms, their minimum, a
     certified integer ceiling, and the evaluation trace."""
@@ -72,7 +74,7 @@ class BoundReport:
     discrepancies: tuple[Discrepancy, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class GeneralRGonalityReport:
     """Side-by-side evaluation of the gonality bound for r >= 3 under
     the two delta conventions; certified only when they are the same
@@ -84,7 +86,7 @@ class GeneralRGonalityReport:
     discrepancies: tuple[Discrepancy, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class StabilityConstant:
     """A certified lower bound on the stability constant gamma, from
     surfaces through the curve on which the bundle restricts stably."""
@@ -93,7 +95,7 @@ class StabilityConstant:
     trace: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CertificationResult:
     """Outcome of comparing c2 against the restriction threshold."""
 
@@ -135,7 +137,7 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     eps falls outside it."""
     if c.r != 3:
         raise UnsupportedDimension(f"gonality bound is certified for r = 3, got r = {c.r}")
-    eps = Fraction(eps)
+    eps = _exact_rational(eps)
     if eps <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
 
@@ -213,7 +215,7 @@ def gonality_bound_general_r(c: CurveGeometry, eps: RationalLike) -> GeneralRGon
     the intersection-table form eta^(r-2) deg_N - (r-2) eta^(r-3) d).
     They agree at r = 3, where the result matches gonality_bound and is
     certified; for r > 3 a disagreement is flagged, not resolved."""
-    eps = Fraction(eps)
+    eps = _exact_rational(eps)
     if eps <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
 
@@ -248,9 +250,10 @@ def pencil_degree_bound_subvariety(x_degree: RationalLike, deg_n_dot: RationalLi
     normal-bundle product c1(N).H^(n-1) and a Seshadri lower bound eps.
     Formula evaluator only; for n = 1, r = 3 it reduces exactly to
     gonality_bound with deg_N = deg_n_dot."""
-    d = Fraction(x_degree)
-    deg_n_dot = Fraction(deg_n_dot)
-    eps = Fraction(eps)
+    d = _exact_rational(x_degree)
+    deg_n_dot = _exact_rational(deg_n_dot)
+    eps = _exact_rational(eps)
+    n, r = _exact_int(n), _exact_int(r)
     if d <= 0 or deg_n_dot <= 0 or n < 1 or r < 3:
         raise ValueError("x_degree, deg_n_dot must be positive; n >= 1, r >= 3")
     if eps <= 0:
@@ -299,7 +302,7 @@ def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
     trace: list[str] = [f"eps lower bound: {eps_interval.lower}"]
     best: Optional[Fraction] = None
     for degree, stable in surfaces:
-        if degree <= 0:
+        if _exact_int(degree) <= 0:
             raise ValueError(f"surface degree must be positive, got {degree}")
         if not stable:
             trace.append(f"surface of degree {degree}: restriction not known "
@@ -326,7 +329,7 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
     if c.r != 3:
         raise UnsupportedDimension(
             f"restriction threshold is certified for r = 3, got r = {c.r}")
-    gamma = Fraction(gamma)
+    gamma = _exact_rational(gamma)
     if gamma <= 0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
 
@@ -369,8 +372,9 @@ def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
                                ) -> CertificationResult:
     """Certified iff c2 < restriction_threshold value, strictly and
     exactly.  The bundle is assumed stable on P^3 with c1 = 0."""
+    c2 = _exact_int(c2)
     report = restriction_threshold(c, gamma, interval)
-    if quad_cmp(Fraction(c2), report.value) < 0:
+    if quad_cmp(c2, report.value) < 0:
         return CertificationResult(
             verdict="certified", c2=c2, report=report,
             reason=f"c2 = {c2} < threshold {report.value} (strict)")
@@ -382,6 +386,7 @@ def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
 def barth_check(a: int, c2: int) -> bool:
     """Restriction to a general degree-a surface stays stable when
     a > 2*c2, provided c2 != 1 (the null-correlation case is excluded)."""
+    a, c2 = _exact_int(a), _exact_int(c2)
     if c2 == 1:
         raise NullCorrelationExcluded(
             "c2 = 1 is excluded from the generic-surface criterion")
@@ -391,13 +396,15 @@ def barth_check(a: int, c2: int) -> bool:
 def c2plus2_check(b: int, c2: int) -> bool:
     """Restriction to a general degree-b surface stays stable when
     b >= c2 + 2."""
+    b, c2 = _exact_int(b), _exact_int(c2)
     return b >= c2 + 2
 
 
 def ci_curve_check(a: int, b: int, c2: int) -> bool:
     """Restriction to a general complete-intersection curve of type
     (a, b) stays stable when a >= 4b/3 + 10/3 and b >= c2 + 2."""
-    return Fraction(a) >= Fraction(4 * b + 10, 3) and b >= c2 + 2
+    a, b, c2 = _exact_int(a), _exact_int(b), _exact_int(c2)
+    return 3 * a >= 4 * b + 10 and b >= c2 + 2
 
 
 def surface_restriction_checks(variant: str, c2: int, *,

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from ._record import record
 from .blowup import CurveGeometry
 from .errors import InvariantViolation, ParseError
 from .scalar import format_rational, parse_rational
@@ -56,7 +56,7 @@ _EVIDENCE_FACTORIES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CurveDescriptor:
     name: str
     kind: str

@@ -10,12 +10,12 @@ arguments.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
 from typing import Any, Optional
 
+from . import _record
 from .blowup import (
     DivisorClass,
     E,
@@ -229,7 +229,7 @@ def cmd_gonality(args: argparse.Namespace) -> int:
     if desc.kind == "linked_line":
         gap = linked_line_claim_gap(desc.params["a"], desc.params["b"])
         if gap is not None:
-            report = dataclasses.replace(
+            report = _record.replace(
                 report, discrepancies=report.discrepancies + (gap,))
     payload = {
         "schema": SCHEMA,
@@ -356,7 +356,7 @@ def _replay_common(args: argparse.Namespace, desc: CurveDescriptor,
         "command": f"verify-replay-{label}",
         "curve": _descriptor_json(desc),
         "eta": _exact_json(eta),
-        "mode": dataclasses.asdict(mode),
+        "mode": _record.asdict(mode),
         "box": {"x": [system.box.x_min, system.box.x_max],
                 "y": [system.box.y_min, system.box.y_max],
                 "margin": args.box_margin,

@@ -14,26 +14,27 @@ elsewhere as xH - yE correspond to negating y here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from ._record import record
 from .blowup import CurveGeometry, lambda_eta
 from .errors import LambdaNegative, NonpositiveEta, UnboundedBox
 from .scalar import RationalLike, quad_cmp, sqrt_rational
+from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 
 NECESSARY_ONLY_NOTE = (
     "constraints are necessary conditions; a witness does not disprove "
     "the bound, and emptiness confirms it only for the checked parameter")
 
 
-@dataclass(frozen=True)
+@record
 class GonalityMode:
     """Hypothesis: a base-point-free pencil of degree k exists."""
     k: int
 
 
-@dataclass(frozen=True)
+@record
 class RestrictionMode:
     """Hypothesis: the restricted bundle (c1 = 0, given c2) is unstable,
     with sub-line-bundle degree at least l_min on the curve."""
@@ -44,7 +45,7 @@ class RestrictionMode:
 Mode = Union[GonalityMode, RestrictionMode]
 
 
-@dataclass(frozen=True)
+@record
 class Box:
     """Integer search ranges with the derivation recorded."""
 
@@ -64,7 +65,7 @@ class Box:
                 yield x, y
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSystem:
     """The exact inequalities a destabilizing class must satisfy, plus
     a box provably containing all their integer solutions."""
@@ -76,7 +77,7 @@ class ConstraintSystem:
     constraints: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ReplayOutcome:
     empty: bool
     witness: Optional[tuple[int, int]]
@@ -85,7 +86,7 @@ class ReplayOutcome:
     note: str = NECESSARY_ONLY_NOTE
 
 
-@dataclass(frozen=True)
+@record
 class SweepResult:
     """region_empty across a parameter range; frontier is the first
     parameter with a witness (None when the region never fills)."""
@@ -116,7 +117,7 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         x >= 1, eta*d >= 2s, c2 >= s*eta*d - s^2 + eta*l_min,
         x^2 >= y^2*d - c2.
     """
-    eta = Fraction(eta)
+    eta = _exact_rational(eta)
     if eta <= 0:
         raise NonpositiveEta(f"eta must be positive, got {eta}")
     lam = lambda_eta(curve, eta)
@@ -138,7 +139,7 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
     ]
 
     if isinstance(mode, GonalityMode):
-        if mode.k < 0:
+        if _exact_int(mode.k) < 0:
             raise ValueError(f"pencil degree k must be nonnegative, got {mode.k}")
 
         # for y = -t: saturation x >= t*sqrt(d), cap x <= eta*d/2 + t*eta*d;
@@ -161,8 +162,8 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
             "x >= |y|*sqrt(d)",
         )
     elif isinstance(mode, RestrictionMode):
-        c2 = mode.c2
-        if c2 < 0 or mode.l_min < 0:
+        c2 = _exact_int(mode.c2)
+        if c2 < 0 or _exact_int(mode.l_min) < 0:
             raise ValueError(
                 f"c2 and l_min must be nonnegative, got c2 = {c2}, "
                 f"l_min = {mode.l_min}")

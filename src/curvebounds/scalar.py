@@ -60,6 +60,26 @@ def _reject_inexact(*values: object) -> None:
                 f"exact scalar expected (int or Fraction), got {type(v).__name__}")
 
 
+# The layer modules bind these two under private names (``exact_int as
+# _exact_int``): they check inputs rather than compute, and perfbench's
+# tracer wraps every public function in a layer module's namespace.
+def exact_rational(q: object) -> Fraction:
+    """``Fraction(q)``, or TypeError when ``q`` is a float or a bool: the
+    one coercion for rational inputs to exact paths."""
+    if type(q) is Fraction:  # already exact; Fractions are immutable
+        return q
+    _reject_inexact(q)
+    return Fraction(q)
+
+
+def exact_int(n: object) -> int:
+    """``n`` itself when it is an ``int``; TypeError for a bool or any
+    other type, so that ``2.5`` is never truncated to ``2``."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"exact integer expected, got {type(n).__name__}")
+    return n
+
+
 def _square_free_split(n: int) -> tuple[int, int]:
     """Write ``n = core * k**2`` with ``core`` square-free; return (core, k).
 
@@ -102,8 +122,7 @@ class QuadNumber:
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, m: int = 0) -> None:
         _reject_inexact(a, b)
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise TypeError("QuadNumber radicand must be an int")
+        exact_int(m)
         a = Fraction(a)
         b = Fraction(b)
         if m < 0:
@@ -391,8 +410,7 @@ def quad_max(x: QuadNumber, y: QuadNumber) -> QuadNumber:
 def sqrt_rational(q: RationalLike) -> QuadNumber:
     """Exact square root of a nonnegative rational, with minimal
     integer radicand: sqrt(p/s) = sqrt(p*s)/s."""
-    _reject_inexact(q)
-    q = Fraction(q)
+    q = exact_rational(q)
     if q < 0:
         raise NegativeRadicand(f"cannot take sqrt of {q}")
     core, k = _square_free_split(q.numerator * q.denominator)
@@ -415,7 +433,7 @@ def ceil_quad(x: QuadLike) -> int:
 
 def format_rational(q: RationalLike) -> str:
     """Canonical string "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(q))
+    return str(exact_rational(q))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -21,17 +21,24 @@ equations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import record
 from .blowup import CurveGeometry, genus_consistency
 from .errors import (
     DegenerateInput,
     EvidenceInconsistentWithDegree,
     InconsistentEvidence,
 )
-from .scalar import QuadNumber, RationalLike, quad_cmp, sqrt_rational
+from .scalar import (
+    QuadNumber,
+    RationalLike,
+    exact_int as _exact_int,
+    exact_rational as _exact_rational,
+    quad_cmp,
+    sqrt_rational,
+)
 
 BoundValue = Union[Fraction, QuadNumber]
 
@@ -62,7 +69,7 @@ EVIDENCE_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Evidence:
     """One typed assertion about the curve, with an optional free-text
     note.  Build instances through the factory functions below, which
@@ -80,7 +87,7 @@ class Evidence:
 
 def _positive(kind: str, **values: RationalLike) -> None:
     for name, v in values.items():
-        if Fraction(v) <= 0:
+        if v <= 0:
             raise ValueError(f"{kind}: parameter {name} must be positive, got {v}")
 
 
@@ -89,57 +96,66 @@ def degree_default(note: str = "") -> Evidence:
 
 
 def global_generation(n: int, m: int, note: str = "") -> Evidence:
+    n, m = _exact_int(n), _exact_int(m)
     _positive(GLOBAL_GENERATION, n=n, m=m)
-    return Evidence(GLOBAL_GENERATION, (int(n), int(m)), note)
+    return Evidence(GLOBAL_GENERATION, (n, m), note)
 
 
 def regularity(m: int, note: str = "") -> Evidence:
+    m = _exact_int(m)
     _positive(REGULARITY, m=m)
-    return Evidence(REGULARITY, (int(m),), note)
+    return Evidence(REGULARITY, (m,), note)
 
 
 def secant_line(l: int, note: str = "") -> Evidence:
+    l = _exact_int(l)
     _positive(SECANT_LINE, l=l)
-    return Evidence(SECANT_LINE, (int(l),), note)
+    return Evidence(SECANT_LINE, (l,), note)
 
 
 def complete_intersection(a: int, b: int, note: str = "") -> Evidence:
+    a, b = _exact_int(a), _exact_int(b)
     _positive(COMPLETE_INTERSECTION, a=a, b=b)
     if a < b:
         raise ValueError(f"complete_intersection requires a >= b, got ({a}, {b})")
-    return Evidence(COMPLETE_INTERSECTION, (int(a), int(b)), note)
+    return Evidence(COMPLETE_INTERSECTION, (a, b), note)
 
 
 def linked_line(a: int, b: int, note: str = "") -> Evidence:
+    a, b = _exact_int(a), _exact_int(b)
     _positive(LINKED_LINE, a=a, b=b)
     if a + b < 3:
         raise ValueError(f"linked_line requires a + b >= 3, got ({a}, {b})")
-    return Evidence(LINKED_LINE, (int(a), int(b)), note)
+    return Evidence(LINKED_LINE, (a, b), note)
 
 
 def normal_bundle_s(s_n: RationalLike, note: str = "") -> Evidence:
+    s_n = _exact_rational(s_n)
     _positive(NORMAL_BUNDLE_S, s_n=s_n)
-    return Evidence(NORMAL_BUNDLE_S, (Fraction(s_n),), note)
+    return Evidence(NORMAL_BUNDLE_S, (s_n,), note)
 
 
 def bundle_seshadri(n: int, m: int, note: str = "") -> Evidence:
+    n, m = _exact_int(n), _exact_int(m)
     _positive(BUNDLE_SESHADRI, n=n, m=m)
-    return Evidence(BUNDLE_SESHADRI, (int(n), int(m)), note)
+    return Evidence(BUNDLE_SESHADRI, (n, m), note)
 
 
 def residual_reduced(a: int, b: int, note: str = "") -> Evidence:
+    a, b = _exact_int(a), _exact_int(b)
     _positive(RESIDUAL_REDUCED, a=a, b=b)
     if a + b < 3:
         raise ValueError(f"residual_reduced requires a + b >= 3, got ({a}, {b})")
-    return Evidence(RESIDUAL_REDUCED, (int(a), int(b)), note)
+    return Evidence(RESIDUAL_REDUCED, (a, b), note)
 
 
 def assert_exact(q: RationalLike, note: str = "") -> Evidence:
+    q = _exact_rational(q)
     _positive(ASSERT_EXACT, q=q)
-    return Evidence(ASSERT_EXACT, (Fraction(q),), note)
+    return Evidence(ASSERT_EXACT, (q,), note)
 
 
-@dataclass(frozen=True)
+@record
 class EvidenceBound:
     """What one evidence item certifies: a lower bound on eps, an upper
     bound on eps, a lower bound on the residual-pencil component eps2
@@ -216,7 +232,7 @@ def bound_from_evidence(c: CurveGeometry, e: Evidence) -> EvidenceBound:
     raise ValueError(f"unknown evidence kind: {e.kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SeshadriInterval:
     """Certified bounds lower <= eps(C) <= upper with full provenance.
 
@@ -249,7 +265,7 @@ class SeshadriInterval:
         return quad_cmp(self.lower, self.upper) == 0
 
     def __contains__(self, q: RationalLike) -> bool:
-        q = Fraction(q)
+        q = _exact_rational(q)
         return self.lower <= q and quad_cmp(q, self.upper) <= 0
 
 
