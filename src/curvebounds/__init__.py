@@ -90,16 +90,11 @@ from .scalar import (
     Rational,
     ceil_quad,
     decimal_str,
-    floor_quad,
     format_rational,
     parse_rational,
-    quad_add,
     quad_cmp,
     quad_from_json,
-    quad_max,
     quad_min,
-    quad_mul,
-    quad_neg,
     quad_to_json,
     sqrt_rational,
 )

@@ -14,6 +14,7 @@ elsewhere as xH - yE correspond to negating y here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -97,16 +98,6 @@ class SweepResult:
     note: str = NECESSARY_ONLY_NOTE
 
 
-def _scan_t_max(start_ok, still_ok) -> int:
-    """Largest t >= 0 satisfying a predicate that holds at 0 and, once
-    false, stays false on the scanned range."""
-    assert start_ok
-    t = 0
-    while still_ok(t + 1):
-        t += 1
-    return t
-
-
 def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> ConstraintSystem:
     """Derive the constraint list and a provably sufficient search box.
 
@@ -143,11 +134,10 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
             raise ValueError(f"pencil degree k must be nonnegative, got {mode.k}")
 
         # for y = -t: saturation x >= t*sqrt(d), cap x <= eta*d/2 + t*eta*d;
-        # compatible iff t^2*d <= (eta*d/2 + t*eta*d)^2, monotone in t
-        def ok(t: int) -> bool:
-            return t * t * d <= (ed / 2 + t * ed) ** 2
-
-        t_max = _scan_t_max(ok(0), ok)
+        # compatible iff t*sqrt(d) <= eta*d/2 + t*eta*d, that is
+        # t <= (eta*d/2) / (sqrt(d) - eta*d), where sqrt(d) > eta*d
+        # because eta^2*d < 1
+        t_max = math.floor((ed / 2) / (sqrt_rational(d) - ed))
         x_max = int(ed / 2 + t_max * ed)  # Fraction floor for nonneg values
         notes.append(
             f"|y| <= {t_max}: largest t with t^2*d <= (eta*d/2 + t*eta*d)^2")
@@ -171,12 +161,16 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         # for y = -t: x <= eta*d/2 + t*eta*d and x^2 >= t^2*d - c2; a
         # feasible x exists only while q(t) <= 0 where
         # q(t) = t^2*d*(1 - eta^2*d) - t*eta^2*d^2 - (c2 + eta^2*d^2/4);
-        # q is an upward parabola with q(0) <= 0, so {q <= 0} is an interval
-        def q(t: int) -> Fraction:
-            return (t * t * d * (1 - eta * ed) - t * eta * eta * d * d
-                    - (c2 + (ed * ed) / 4))
-
-        t_max = _scan_t_max(q(0) <= 0, lambda t: q(t) <= 0)
+        # q is an upward parabola with q(0) <= 0, so {t >= 0: q <= 0} is
+        # [0, larger root].  With eta = p/r, 4*r^2*q(t) is the integer
+        # quadratic lead*t^2 - lin*t - const; its larger root
+        # (lin + sqrt(disc)) / (2*lead), disc = lin^2 + 4*lead*const,
+        # floors to (lin + isqrt(disc)) // (2*lead)
+        p, r = eta.numerator, eta.denominator
+        lead = 4 * d * (r * r - p * p * d)
+        lin = 4 * p * p * d * d
+        const = 4 * r * r * c2 + p * p * d * d
+        t_max = (lin + math.isqrt(lin * lin + 4 * lead * const)) // (2 * lead)
         x_max = int(ed / 2 + t_max * ed)
         notes.append(
             f"|y| <= {t_max}: largest t with "

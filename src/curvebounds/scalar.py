@@ -5,28 +5,33 @@ Values are kept in a canonical form at all times:
 
 * ``Rational`` is :class:`fractions.Fraction` (already canonical:
   positive denominator, reduced).
-* :class:`QuadNumber` represents ``a + b*sqrt(m)`` with ``a`` and ``b``
-  Fractions, ``m`` square-free or 0, and ``b == 0`` exactly when
-  ``m == 0``.  The public constructor is the one place that sets this
+* :class:`QuadNumber` stores ``(A + B*sqrt(m)) / Q`` as one integer
+  triple over a shared denominator, with ``Q > 0``,
+  ``gcd(A, B, Q) == 1`` and ``m`` square-free, or 0 exactly when
+  ``B == 0``.  The form is unique, so equality is a tuple compare.  The
+  public constructor is the one gate that validates input and sets this
   form up: it splits the radicand into ``core * k**2`` with ``core``
-  square-free, absorbs ``k`` into ``b``, and collapses perfect squares
-  to the pure-rational form ``(a, 0, 0)``.  Arithmetic on canonical
-  operands yields canonical results directly, so it never re-splits a
-  radicand.  Consequently two values are syntactically compatible
-  exactly when their radicands are equal or one side is rational.
+  square-free, absorbs ``k`` into the coefficient, and collapses perfect
+  squares to a rational.  Arithmetic works in integers on canonical
+  operands and normalises each result once, in :func:`_quad`, with one
+  three-argument ``math.gcd``; it never re-splits a radicand.  Two
+  values are therefore compatible exactly when their radicands are
+  equal or one side is rational.  The properties ``a = A/Q`` and
+  ``b = B/Q`` are Fractions built on access.
 
 Floats and bools are rejected with ``TypeError`` wherever a value
 enters: the constructor's components and its radicand (which must be an
-``int``), arithmetic and comparison operands, :func:`sqrt_rational` and
-the functional wrappers.  Radicands above :data:`MAX_RADICAND` raise
-:class:`RadicandTooLarge` before any factoring, so hostile input cannot
-stall the trial division.
+``int``), arithmetic and comparison operands, exponents,
+:func:`sqrt_rational`, :func:`quad_cmp` and :func:`ceil_quad`.
+Radicands above :data:`MAX_RADICAND` raise :class:`RadicandTooLarge`
+before any factoring, so hostile input cannot stall the trial division.
 
-Every comparison is decided by exact integer sign analysis
-(case analysis on the signs of ``a`` and ``b``, then comparing ``a**2``
-against ``b**2 * m``); ``floor`` and ``ceil`` are closed forms over
-``math.isqrt``.  Floating point is never consulted.  Decimal rendering
-exists for display and for non-certified cross-checks only.
+Every comparison is decided by exact integer sign analysis of the
+difference's numerator ``A + B*sqrt(m)``, which is never normalised
+(case analysis on the signs of ``A`` and ``B``, then comparing ``A**2``
+against ``B**2 * m``); ``floor`` and ``ceil`` are closed forms over
+``math.isqrt(B**2 * m)``.  Floating point is never consulted.  Decimal
+rendering exists for display and for non-certified cross-checks only.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 from .errors import IncompatibleRadicand, NegativeRadicand, RadicandTooLarge
@@ -107,7 +111,18 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return core * n, k
 
 
-@total_ordering
+def _sign(a: int, b: int, m: int) -> int:
+    """Exact sign of ``a + b*sqrt(m)`` for integers, ``m`` square-free
+    or 0 and ``m >= 2`` whenever ``b != 0``."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    # opposite signs: the larger square wins; a**2 = b**2 * m is
+    # impossible here because m is square-free and >= 2.
+    if b > 0:
+        return 1 if a >= 0 or b * b * m > a * a else -1
+    return -1 if a <= 0 or b * b * m > a * a else 1
+
+
 class QuadNumber:
     """An exact element ``a + b*sqrt(m)`` of Q(sqrt(m)), totally ordered
     by the real embedding with sqrt(m) >= 0.
@@ -118,14 +133,12 @@ class QuadNumber:
     deliberately no tower extension.
     """
 
-    __slots__ = ("_a", "_b", "_m")
+    __slots__ = ("_A", "_B", "_Q", "_m")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, m: int = 0) -> None:
-        _reject_inexact(a, b)
-        exact_int(m)
-        a = Fraction(a)
-        b = Fraction(b)
-        if m < 0:
+        a = exact_rational(a)
+        b = exact_rational(b)
+        if exact_int(m) < 0:
             raise NegativeRadicand(f"radicand must be nonnegative, got {m}")
         if b == 0:
             m = 0
@@ -139,19 +152,22 @@ class QuadNumber:
                 a += b
                 b = _ZERO
                 m = 0
-        self._a = a
-        self._b = b
+        # a and b are reduced, so no prime divides A, B and their lcm Q
+        q = math.lcm(a.denominator, b.denominator)
+        self._A = a.numerator * (q // a.denominator)
+        self._B = b.numerator * (q // b.denominator)
+        self._Q = q
         self._m = m
 
     # -- canonical components ------------------------------------------
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._A, self._Q)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._B, self._Q)
 
     @property
     def m(self) -> int:
@@ -159,12 +175,12 @@ class QuadNumber:
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._B == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
-        return self._a
+        return Fraction(self._A, self._Q)
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "QuadNumber":
@@ -175,9 +191,9 @@ class QuadNumber:
     def _common_radicand(self, other: "QuadNumber") -> int:
         if self._m == other._m:
             return self._m
-        if self._b == 0:
+        if self._B == 0:
             return other._m
-        if other._b == 0:
+        if other._B == 0:
             return self._m
         raise IncompatibleRadicand(
             f"cannot combine sqrt({self._m}) with sqrt({other._m})"
@@ -187,41 +203,49 @@ class QuadNumber:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}, by integer case analysis."""
-        a, b, m = self._a, self._b, self._m
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: the larger square wins; a**2 = b**2 * m is
-        # impossible here because m is square-free and >= 2.
-        lhs, rhs = a * a, b * b * m
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return _sign(self._A, self._B, self._m)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._b == 0 and self._a == other
+        if isinstance(other, int):
+            return self._B == 0 and self._Q == 1 and self._A == other
+        if isinstance(other, Fraction):
+            return (self._B == 0 and self._A == other.numerator
+                    and self._Q == other.denominator)
         if not isinstance(other, QuadNumber):
             return NotImplemented
         # Distinct square-free radicands can never produce equal values,
         # so equality is decidable even where ordering refuses.
-        return (self._a, self._b, self._m) == (other._a, other._b, other._m)
+        return ((self._A, self._B, self._Q, self._m)
+                == (other._A, other._B, other._Q, other._m))
 
     def __lt__(self, other: QuadLike) -> bool:
         rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return (self - rhs).sign() < 0
+        return _cmp(self, rhs) < 0
+
+    def __le__(self, other: QuadLike) -> bool:
+        rhs = _coerce(other)
+        if rhs is NotImplemented:
+            return NotImplemented
+        return _cmp(self, rhs) <= 0
+
+    def __gt__(self, other: QuadLike) -> bool:
+        rhs = _coerce(other)
+        if rhs is NotImplemented:
+            return NotImplemented
+        return _cmp(self, rhs) > 0
+
+    def __ge__(self, other: QuadLike) -> bool:
+        rhs = _coerce(other)
+        if rhs is NotImplemented:
+            return NotImplemented
+        return _cmp(self, rhs) >= 0
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._m))
+        if self._B == 0:
+            return hash(Fraction(self._A, self._Q))
+        return hash((self.a, self.b, self._m))
 
     # -- field arithmetic ------------------------------------------------
 
@@ -230,19 +254,21 @@ class QuadNumber:
         if rhs is NotImplemented:
             return NotImplemented
         m = self._common_radicand(rhs)
-        return _quad(self._a + rhs._a, self._b + rhs._b, m)
+        p, q = self._Q, rhs._Q
+        return _quad(self._A * q + rhs._A * p, self._B * q + rhs._B * p, p * q, m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNumber":
-        return _quad(-self._a, -self._b, self._m)
+        return _quad(-self._A, -self._B, self._Q, self._m)
 
     def __sub__(self, other: QuadLike) -> "QuadNumber":
         rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
         m = self._common_radicand(rhs)
-        return _quad(self._a - rhs._a, self._b - rhs._b, m)
+        p, q = self._Q, rhs._Q
+        return _quad(self._A * q - rhs._A * p, self._B * q - rhs._B * p, p * q, m)
 
     def __rsub__(self, other: QuadLike) -> "QuadNumber":
         lhs = _coerce(other)
@@ -255,34 +281,31 @@ class QuadNumber:
         if rhs is NotImplemented:
             return NotImplemented
         m = self._common_radicand(rhs)
-        a = self._a * rhs._a + self._b * rhs._b * m
-        b = self._a * rhs._b + self._b * rhs._a
-        return _quad(a, b, m)
+        a1, b1, a2, b2 = self._A, self._B, rhs._A, rhs._B
+        return _quad(a1 * a2 + b1 * b2 * m, a1 * b2 + b1 * a2, self._Q * rhs._Q, m)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNumber":
-        if self.sign() == 0:
-            raise ZeroDivisionError("division by zero QuadNumber")
-        if self._b == 0:
-            return _quad(1 / self._a, _ZERO, 0)
-        # conjugate trick: norm a^2 - b^2 m is a nonzero rational
-        norm = self._a * self._a - self._b * self._b * self._m
-        return _quad(self._a / norm, -self._b / norm, self._m)
+        return _div(_ONE, self)
 
     def __truediv__(self, other: QuadLike) -> "QuadNumber":
         rhs = _coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return self * rhs.inverse()
+        return _div(self, rhs)
 
     def __rtruediv__(self, other: QuadLike) -> "QuadNumber":
-        return self.inverse() * other
+        lhs = _coerce(other)
+        if lhs is NotImplemented:
+            return NotImplemented
+        return _div(lhs, self)
 
     def __pow__(self, n: int) -> "QuadNumber":
+        n = exact_int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = _quad(Fraction(1), _ZERO, 0)
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -297,24 +320,26 @@ class QuadNumber:
     # -- exact rounding ----------------------------------------------------
 
     def __floor__(self) -> int:
-        a, b = self._a, self._b
+        a, b, q = self._A, self._B, self._Q
         if b == 0:
-            return math.floor(a)
-        # Scale to (A + B*sqrt(m)) / Q with integers A, B and Q > 0.
+            return a // q
         # m is square-free, m >= 2 and B != 0, so B*sqrt(m) is
         # irrational: with r = isqrt(B**2 * m) = floor(|B|*sqrt(m)),
         # r < |B|*sqrt(m) < r + 1, hence floor(B*sqrt(m)) is r for B > 0
         # and -r - 1 for B < 0.  Since floor((A + t)/Q) equals
         # (A + floor(t)) // Q for integers A and Q > 0, no correction
         # step is needed.
-        q = math.lcm(a.denominator, b.denominator)
-        big_a = a.numerator * (q // a.denominator)
-        big_b = b.numerator * (q // b.denominator)
-        root = math.isqrt(big_b * big_b * self._m)
-        return (big_a + (root if big_b > 0 else -root - 1)) // q
+        root = math.isqrt(b * b * self._m)
+        return (a + (root if b > 0 else -root - 1)) // q
 
     def __ceil__(self) -> int:
-        return -math.floor(-self)
+        a, b, q = self._A, self._B, self._Q
+        if b == 0:
+            return -(-a // q)
+        # ceil(B*sqrt(m)) is r + 1 for B > 0 and -r for B < 0, and
+        # ceil((A + t)/Q) = -((-A - ceil(t)) // Q)
+        root = math.isqrt(b * b * self._m)
+        return -((-a - (root + 1 if b > 0 else -root)) // q)
 
     # -- rendering ---------------------------------------------------------
 
@@ -323,40 +348,84 @@ class QuadNumber:
 
         Display/cross-check aid only; never used in certified paths.
         """
+        a, b = self.a, self.b
         with localcontext() as ctx:
             ctx.prec = digits + 15
-            val = Decimal(self._a.numerator) / Decimal(self._a.denominator)
-            if self._b:
+            val = Decimal(a.numerator) / Decimal(a.denominator)
+            if b:
                 root = Decimal(self._m).sqrt()
-                val += Decimal(self._b.numerator) / Decimal(self._b.denominator) * root
+                val += Decimal(b.numerator) / Decimal(b.denominator) * root
             ctx.prec = digits
             return +val
 
     def __repr__(self) -> str:
-        return f"QuadNumber({self._a!r}, {self._b!r}, {self._m!r})"
+        return f"QuadNumber({self.a!r}, {self.b!r}, {self._m!r})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        root = f"sqrt({self._m})" if abs(self._b) == 1 else f"{abs(self._b)}*sqrt({self._m})"
-        if self._a == 0:
-            return root if self._b > 0 else f"-{root}"
-        op = "+" if self._b > 0 else "-"
-        return f"{self._a} {op} {root}"
+        a, b, q, m = self._A, self._B, self._Q, self._m
+        if b == 0:
+            return _ratio_str(a, q)
+        root = f"sqrt({m})" if abs(b) == q else f"{_ratio_str(abs(b), q)}*sqrt({m})"
+        if a == 0:
+            return root if b > 0 else f"-{root}"
+        op = "+" if b > 0 else "-"
+        return f"{_ratio_str(a, q)} {op} {root}"
 
 
-def _quad(a: Fraction, b: Fraction, m: int) -> QuadNumber:
-    """Build a QuadNumber from parts that are already canonical.
+def _ratio_str(n: int, q: int) -> str:
+    """``str(Fraction(n, q))`` for ``q > 0``, without building the Fraction."""
+    g = math.gcd(n, q)
+    if g != 1:
+        n //= g
+        q //= g
+    return str(n) if q == 1 else f"{n}/{q}"
 
-    The caller guarantees that ``a`` and ``b`` are Fractions and ``m`` is
-    square-free or 0 (as in the result of field arithmetic on canonical
-    operands); the only normalisation left is ``b == 0`` => ``m = 0``.
+
+def _quad(a: int, b: int, q: int, m: int) -> QuadNumber:
+    """Build ``(a + b*sqrt(m)) / q`` from integers, ``q != 0``.
+
+    The caller guarantees that ``m`` is square-free or 0 (as in the
+    result of field arithmetic on canonical operands); this divides out
+    ``gcd(a, b, q)`` with the sign of ``q`` and sets ``m = 0`` when
+    ``b == 0``, the only normalisation an arithmetic result needs.
     """
+    g = math.gcd(a, b, q)
+    if q < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        q //= g
     x = object.__new__(QuadNumber)
-    x._a = a
-    x._b = b
+    x._A = a
+    x._B = b
+    x._Q = q
     x._m = m if b else 0
     return x
+
+
+_ONE = _quad(1, 0, 1, 0)
+
+
+def _cmp(x: QuadNumber, y: QuadNumber) -> int:
+    """Sign of ``x - y``, read off the numerator of the difference over
+    ``x.Q * y.Q`` without normalising it."""
+    m = x._common_radicand(y)
+    p, q = x._Q, y._Q
+    return _sign(x._A * q - y._A * p, x._B * q - y._B * p, m)
+
+
+def _div(x: QuadNumber, y: QuadNumber) -> QuadNumber:
+    """``x / y`` through the conjugate of ``y``: the norm
+    ``A**2 - B**2 * m`` is a nonzero integer unless ``y == 0``."""
+    m = x._common_radicand(y)
+    a2, b2 = y._A, y._B
+    norm = a2 * a2 - b2 * b2 * m
+    if norm == 0:
+        raise ZeroDivisionError("division by zero QuadNumber")
+    a1, b1, q2 = x._A, x._B, y._Q
+    return _quad((a1 * a2 - b1 * b2 * m) * q2, (b1 * a2 - a1 * b2) * q2,
+                 x._Q * norm, m)
 
 
 def _coerce(other: QuadLike) -> QuadNumber:
@@ -364,8 +433,10 @@ def _coerce(other: QuadLike) -> QuadNumber:
     if isinstance(other, QuadNumber):
         return other
     _reject_inexact(other)
-    if isinstance(other, (int, Fraction)):
-        return _quad(Fraction(other), _ZERO, 0)
+    if isinstance(other, int):
+        return _quad(other, 0, 1, 0)
+    if isinstance(other, Fraction):
+        return _quad(other.numerator, 0, other.denominator, 0)
     return NotImplemented  # type: ignore[return-value]
 
 
@@ -380,31 +451,13 @@ def _operand(x: QuadLike) -> QuadNumber:
 # -- operation layer ---------------------------------------------------
 
 
-def quad_add(x: QuadLike, y: QuadLike) -> QuadNumber:
-    """Exact sum in Q(sqrt(m)); radicands must be compatible."""
-    return _operand(x) + y
-
-
-def quad_mul(x: QuadLike, y: QuadLike) -> QuadNumber:
-    """Exact product in Q(sqrt(m)); radicands must be compatible."""
-    return _operand(x) * y
-
-
-def quad_neg(x: QuadLike) -> QuadNumber:
-    return -_operand(x)
-
-
 def quad_cmp(x: QuadLike, y: QuadLike) -> int:
     """Exact three-way comparison: -1, 0 or 1 as x <, =, > y."""
-    return (_operand(x) - y).sign()
+    return _cmp(_operand(x), _operand(y))
 
 
 def quad_min(x: QuadNumber, y: QuadNumber) -> QuadNumber:
     return y if quad_cmp(x, y) > 0 else x
-
-
-def quad_max(x: QuadNumber, y: QuadNumber) -> QuadNumber:
-    return y if quad_cmp(x, y) < 0 else x
 
 
 def sqrt_rational(q: RationalLike) -> QuadNumber:
@@ -414,14 +467,9 @@ def sqrt_rational(q: RationalLike) -> QuadNumber:
     if q < 0:
         raise NegativeRadicand(f"cannot take sqrt of {q}")
     core, k = _square_free_split(q.numerator * q.denominator)
-    root = Fraction(k, q.denominator)
     if core <= 1:  # q is 0 or a perfect square
-        return _quad(root * core, _ZERO, 0)
-    return _quad(_ZERO, root, core)
-
-
-def floor_quad(x: QuadLike) -> int:
-    return math.floor(_operand(x))
+        return _quad(k * core, 0, q.denominator, 0)
+    return _quad(0, k, q.denominator, core)
 
 
 def ceil_quad(x: QuadLike) -> int:

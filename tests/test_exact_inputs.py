@@ -34,7 +34,7 @@ from curvebounds.bounds import (
     surface_restriction_checks,
 )
 from curvebounds.replay import GonalityMode, RestrictionMode, build_system
-from curvebounds.scalar import exact_int, exact_rational, format_rational
+from curvebounds.scalar import QuadNumber, exact_int, exact_rational, format_rational
 from curvebounds.seshadri import (
     assert_exact,
     bundle_seshadri,
@@ -95,6 +95,7 @@ def test_rational_entry_points_reject_float_and_bool(name):
 
 INTEGER_ENTRY_POINTS = {
     "exact_int": exact_int,
+    "QuadNumber.__pow__": lambda n: QuadNumber(0, 1, 2) ** n,
     "global_generation.n": lambda n: global_generation(n, 5),
     "global_generation.m": lambda n: global_generation(1, n),
     "regularity": regularity,

@@ -1,5 +1,6 @@
 """Brute-force enumeration of destabilizing classes over a derived box."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,50 @@ def test_build_system_validation():
         build_system(CI52, F(1, 5), RestrictionMode(c2=-1))
     with pytest.raises(ValueError):
         build_system(CI52, F(1, 5), RestrictionMode(c2=0, l_min=-1))
+
+
+def _scan_t_max(holds):
+    """Largest t >= 0 with holds(0), ..., holds(t): the linear scan that
+    the closed forms of the box derivation replace, kept as their oracle."""
+    t = 0
+    while holds(t + 1):
+        t += 1
+    return t
+
+
+@st.composite
+def eta_below_critical(draw):
+    """(d, eta) with eta^2*d < 1, most draws within a few steps of 1."""
+    d = draw(st.one_of(st.integers(min_value=4, max_value=2000),
+                       st.integers(min_value=2, max_value=44).map(lambda k: k * k)))
+    r = draw(st.integers(min_value=math.isqrt(d) + 1, max_value=48))
+    # largest p with p^2*d < r^2, then a step or two down
+    p = math.isqrt((r * r - 1) // d) - draw(st.integers(min_value=0, max_value=2))
+    assume(p >= 1)
+    return d, F(p, r)
+
+
+@given(eta_below_critical(), st.integers(min_value=0, max_value=10**4),
+       st.integers(min_value=1, max_value=40))
+def test_box_extent_matches_scan_oracle(d_eta, c2, k):
+    d, eta = d_eta
+    curve = CurveGeometry(d=d, g=0)  # lambda_eta > 0 for g = 0, d >= 4
+    ed = eta * d
+
+    gon = build_system(curve, eta, GonalityMode(k=0)).box
+    t_max = _scan_t_max(lambda t: t * t * d <= (ed / 2 + t * ed) ** 2)
+    assert (gon.y_min, gon.x_max) == (-t_max, math.floor(ed / 2 + t_max * ed))
+
+    def q(t, c2):
+        return t * t * d * (1 - eta * ed) - t * eta * ed * d - (c2 + ed * ed / 4)
+
+    # c2 = q(k, 0) is where |y| = k becomes reachable: take the integers
+    # on both sides of it as well as the drawn one
+    edge = math.ceil(q(k, 0))
+    for c2 in {c2, max(0, edge - 1), max(0, edge)}:
+        res = build_system(curve, eta, RestrictionMode(c2=c2)).box
+        t_max = _scan_t_max(lambda t: q(t, c2) <= 0)
+        assert (res.y_min, res.x_max) == (-t_max, math.floor(ed / 2 + t_max * ed))
 
 
 # -- emptiness below the bound ---------------------------------------------------

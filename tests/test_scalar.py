@@ -15,16 +15,11 @@ from curvebounds.scalar import (
     QuadNumber,
     ceil_quad,
     decimal_str,
-    floor_quad,
     format_rational,
     parse_rational,
-    quad_add,
     quad_cmp,
     quad_from_json,
-    quad_max,
     quad_min,
-    quad_mul,
-    quad_neg,
     quad_to_json,
     sqrt_rational,
 )
@@ -173,6 +168,10 @@ def test_pow():
     assert x ** (-3) == (x ** 3).inverse()
     with pytest.raises(ZeroDivisionError):
         QuadNumber(0) ** (-1)
+    # exponents are exact ints: a bool is not 1, a float fails before inverting
+    for bad in (True, False, 2.0, -1.5, F(2)):
+        with pytest.raises(TypeError):
+            QuadNumber(3) ** bad
 
 
 def test_incompatible_radicands_do_not_combine():
@@ -225,7 +224,6 @@ def test_cross_radicand_equality_is_false_not_an_error():
 def test_min_max():
     a, b = QuadNumber(3), QuadNumber(0, 2, 2)  # 3 vs ~2.83
     assert quad_min(a, b) == b
-    assert quad_max(a, b) == a
 
 
 def test_abs():
@@ -235,6 +233,11 @@ def test_abs():
 
 def test_hash_consistent_with_rational_equality():
     assert hash(QuadNumber(F(3, 2))) == hash(F(3, 2))
+    assert hash(QuadNumber(F(1, 2))) == hash(F(1, 2))
+    assert hash(QuadNumber(3)) == hash(3)
+    assert QuadNumber(3) == 3 and 3 == QuadNumber(3)
+    assert QuadNumber(F(6, 4)) == F(3, 2)
+    assert QuadNumber(F(3, 2)) != 1 and QuadNumber(0, 1, 2) != 0
     d = {QuadNumber(F(1, 2)): "half", QuadNumber(0, 1, 5): "root5"}
     assert d[F(1, 2)] == "half"
     assert d[QuadNumber(0, 1, 5)] == "root5"
@@ -255,12 +258,11 @@ def test_hash_consistent_with_rational_equality():
 def test_floor_ceil(x, fl, ce):
     assert math.floor(x) == fl
     assert math.ceil(x) == ce
-    assert floor_quad(x) == fl
     assert ceil_quad(x) == ce
 
 
 def test_floor_ceil_accept_plain_rationals():
-    assert floor_quad(F(7, 2)) == 3
+    assert math.floor(QuadNumber(F(7, 2))) == 3
     assert ceil_quad(F(7, 2)) == 4
     assert ceil_quad(4) == 4
 
@@ -417,14 +419,6 @@ def test_square_factor_extraction(b, k, m):
     assert QuadNumber(0, b, k * k * m) == QuadNumber(0, b * k, m)
 
 
-@given(quad_tuples(n=2))
-def test_functional_wrappers_match_methods(xy):
-    x, y = xy
-    assert quad_add(x, y) == x + y
-    assert quad_mul(x, y) == x * y
-    assert quad_neg(x) == -x
-
-
 # -- canonical results and closed-form rounding ------------------------------
 
 
@@ -516,3 +510,148 @@ def test_floor_ceil_match_sign_analysis_oracle(x):
     a, b, m, q = _integer_form(x)
     assert math.floor(x) == _floor_of(a, b, m, q)
     assert math.ceil(x) == -_floor_of(-a, -b, m, q)
+
+
+# -- differential test against a Fraction-pair model -------------------------
+#
+# The model keeps a + b*sqrt(m) as two Fractions over a square-free m, as
+# QuadNumber did before it moved to one integer triple (A + B*sqrt(m))/Q,
+# and decides signs by case analysis on a and b.
+
+
+def _model(a, b, m):
+    """Canonical (a, b, m): m square-free with square factors moved
+    into b, a perfect square folded into a, and m = 0 exactly when b = 0."""
+    k, core = 1, m
+    for f in range(2, math.isqrt(m) + 1):
+        while core % (f * f) == 0:
+            core //= f * f
+            k *= f
+    b *= k
+    if core == 1:
+        a, b = a + b, F(0)
+    if b == 0 or core == 0:
+        return (a, F(0), 0)
+    return (a, b, core)
+
+
+def _model_sign(x):
+    a, b, m = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * m
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return -1 if lhs > rhs else 1
+
+
+def _model_add(x, y):
+    return _model(x[0] + y[0], x[1] + y[1], max(x[2], y[2]))
+
+
+def _model_neg(x):
+    return _model(-x[0], -x[1], x[2])
+
+
+def _model_mul(x, y):
+    m = max(x[2], y[2])
+    return _model(x[0] * y[0] + x[1] * y[1] * m, x[0] * y[1] + x[1] * y[0], m)
+
+
+def _model_inverse(x):
+    a, b, m = x
+    norm = a * a - b * b * m
+    return _model(a / norm, -b / norm, m)
+
+
+def _model_pow(x, n):
+    out = (F(1), F(0), 0)
+    for _ in range(abs(n)):
+        out = _model_mul(out, x)
+    return _model_inverse(out) if n < 0 else out
+
+
+def _model_floor(x):
+    """Largest integer n with sign(x - n) >= 0, by bisection."""
+    a, b, m = x
+    reach = math.ceil(abs(b)) * (math.isqrt(m) + 1) + 1
+    lo, hi = math.floor(a) - reach, math.floor(a) + reach
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _model_sign(_model_add(x, (F(-mid), F(0), 0))) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _model_str(x):
+    a, b, m = x
+    if b == 0:
+        return str(a)
+    root = f"sqrt({m})" if abs(b) == 1 else f"{abs(b)}*sqrt({m})"
+    if a == 0:
+        return root if b > 0 else f"-{root}"
+    return f"{a} {'+' if b > 0 else '-'} {root}"
+
+
+def _model_hash(x):
+    return hash(x[0]) if x[1] == 0 else hash(x)
+
+
+def _parts(q):
+    assert type(q.a) is Fraction and type(q.b) is Fraction
+    return (q.a, q.b, q.m)
+
+
+@given(radicands, rationals, rationals, rationals, rationals,
+       st.integers(min_value=-4, max_value=4))
+def test_kernel_matches_fraction_pair_model(m, a1, b1, a2, b2, n):
+    x, y = QuadNumber(a1, b1, m), QuadNumber(a2, b2, m)
+    mx, my = _model(a1, b1, m), _model(a2, b2, m)
+    assert _parts(x) == mx and _parts(y) == my
+
+    assert _parts(x + y) == _model_add(mx, my)
+    assert _parts(x - y) == _model_add(mx, _model_neg(my))
+    assert _parts(x * y) == _model_mul(mx, my)
+    assert _parts(-x) == _model_neg(mx)
+    assert _parts(abs(x)) == (_model_neg(mx) if _model_sign(mx) < 0 else mx)
+    if my[0] != 0 or my[1] != 0:
+        assert _parts(x / y) == _model_mul(mx, _model_inverse(my))
+        assert _parts(y.inverse()) == _model_inverse(my)
+    if n >= 0 or mx[0] != 0 or mx[1] != 0:
+        assert _parts(x ** n) == _model_pow(mx, n)
+
+    c = _model_sign(_model_add(mx, _model_neg(my)))
+    assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert (x == y) == (mx == my) == (c == 0)
+    assert quad_cmp(x, y) == c
+    assert x.sign() == _model_sign(mx)
+    assert hash(x) == _model_hash(mx)
+
+    assert math.floor(x) == _model_floor(mx)
+    assert math.ceil(x) == -_model_floor(_model_neg(mx))
+    assert str(x) == _model_str(mx)
+    assert repr(x) == f"QuadNumber({mx[0]!r}, {mx[1]!r}, {mx[2]!r})"
+
+
+@given(radicands, rationals, rationals, rationals)
+def test_kernel_mixes_with_rationals_like_the_model(m, a, b, q):
+    x, mx, mq = QuadNumber(a, b, m), _model(a, b, m), (q, F(0), 0)
+    for got, want in [(x + q, _model_add(mx, mq)), (q + x, _model_add(mx, mq)),
+                      (x - q, _model_add(mx, _model_neg(mq))),
+                      (q - x, _model_add(mq, _model_neg(mx))),
+                      (x * q, _model_mul(mx, mq)), (q * x, _model_mul(mx, mq))]:
+        assert _parts(got) == want
+    c = _model_sign(_model_add(mx, _model_neg(mq)))
+    assert (x < q, x <= q, x > q, x >= q) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert (q < x, q <= x, q > x, q >= x) == (c > 0, c >= 0, c < 0, c <= 0)
+    assert (x == q) == (c == 0)
+    if q != 0:
+        assert _parts(x / q) == _model_mul(mx, _model_inverse(mq))
