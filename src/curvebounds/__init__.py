@@ -23,6 +23,7 @@ from .blowup import (
     h_eta,
     halphen_f,
     lambda_eta,
+    slope_identity_scan,
     top_product,
     triple_product,
 )

@@ -198,6 +198,37 @@ def halphen_f(c: CurveGeometry, x: RationalLike) -> Fraction:
     return x ** 2 - (4 + Fraction(2 * c.g - 2, c.d)) * x + c.d
 
 
+def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
+                        bound: int) -> tuple[int, list[tuple[int, int]]]:
+    """Check the slope identity
+
+        D^2.H_eta - D.H_eta.E = s^2 - s*eta*d - lambda_eta*(y^2 - y),
+        s = D.H_eta.H,
+
+    exactly for every class D = x*H + y*E with |x|, |y| <= bound.
+    Returns (classes checked, the (x, y) that violate it).  A negative
+    bound would check nothing and report no violation, so it raises
+    ValueError."""
+    eta = _exact_rational(eta)
+    if _exact_int(bound) < 0:
+        raise ValueError(f"scan range must be nonnegative, got {bound}")
+    lam = lambda_eta(c, eta)
+    heta = h_eta(eta)
+    violations: list[tuple[int, int]] = []
+    checked = 0
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            checked += 1
+            dcls = DivisorClass(x, y)
+            lhs = (triple_product(c, dcls, dcls, heta)
+                   - triple_product(c, dcls, heta, E))
+            s = triple_product(c, dcls, heta, H)
+            rhs = s * s - s * eta * c.d - lam * (Fraction(y) ** 2 - y)
+            if lhs != rhs:
+                violations.append((x, y))
+    return checked, violations
+
+
 # -- rank-two kernel bundles ------------------------------------------------
 
 

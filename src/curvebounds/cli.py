@@ -16,15 +16,11 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import _record
-from .blowup import (
-    DivisorClass,
-    E,
-    H,
-    delta_eta,
-    h_eta,
-    lambda_eta,
-    triple_product,
-)
+from .blowup import delta_eta, lambda_eta
+# private alias: perfbench's tracer wraps public names only, so the scan
+# loop stays charged to the command that runs it and blowup's per-class
+# time keeps measuring the triple products
+from .blowup import slope_identity_scan as _slope_identity_scan
 from .bounds import (
     BoundReport,
     Discrepancy,
@@ -310,22 +306,8 @@ def cmd_surface_restrict(args: argparse.Namespace) -> int:
 def cmd_verify_identity(args: argparse.Namespace) -> int:
     desc = _load(args)
     eta, interval, note = _pick_eta(args, desc, "eta")
-    c = desc.curve
     bound = args.range
-    lam = lambda_eta(c, eta)
-    heta = h_eta(eta)
-    violations: list[tuple[int, int]] = []
-    checked = 0
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            checked += 1
-            dcls = DivisorClass(x, y)
-            lhs = (triple_product(c, dcls, dcls, heta)
-                   - triple_product(c, dcls, heta, E))
-            s = triple_product(c, dcls, heta, H)
-            rhs = s * s - s * eta * c.d - lam * (Fraction(y) ** 2 - y)
-            if lhs != rhs:
-                violations.append((x, y))
+    checked, violations = _slope_identity_scan(desc.curve, eta, bound)
     payload = {
         "schema": SCHEMA,
         "command": "verify-identity-sl",
@@ -443,96 +425,114 @@ def cmd_verify_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(name: str, **kwargs: Any) -> tuple[str, dict]:
+    return name, kwargs
+
+
+_DESCRIPTOR = _arg("descriptor",
+                   help="curve descriptor: JSON file path or literal JSON")
+_JSON = _arg("--json", action="store_true", help="machine-readable JSON output")
+_STRICT = _arg("--strict", action="store_true",
+               help="exit 1 on inconclusive or non-empty outcomes")
+_COMMON = (_DESCRIPTOR, _JSON, _STRICT)
+_ETA = _arg("--eta", type=_rational_arg, default=None, metavar="P/Q")
+_GAMMA = _arg("--gamma", type=_rational_arg, default=None, metavar="P/Q")
+_MARGIN = _arg("--box-margin", type=int, default=0, metavar="N")
+
+# (path, help, handler, arguments) of every leaf command, in help order;
+# a group such as "verify" is listed where its first leaf is
+COMMANDS = (
+    (("invariants",), "degree, genus, deg_N, delta, lambda", cmd_invariants,
+     (*_COMMON, _ETA)),
+    (("seshadri",), "certified Seshadri interval from evidence", cmd_seshadri,
+     _COMMON),
+    (("gonality",), "exact gonality lower bound", cmd_gonality,
+     (*_COMMON, _ETA)),
+    (("restrict",), "restriction-stability threshold", cmd_restrict,
+     (*_COMMON, _GAMMA, _arg("--c2", type=int, default=None, metavar="N"))),
+    (("surface-restrict",), "stability criteria for restriction to a surface",
+     cmd_surface_restrict,
+     (_JSON, _STRICT,
+      _arg("--variant", required=True, choices=["barth", "c2plus2", "ci_curve"]),
+      _arg("--c2", type=int, required=True, metavar="N"),
+      _arg("--a", type=int, default=None, metavar="N"),
+      _arg("--b", type=int, default=None, metavar="N"))),
+    (("verify", "identity-sl"), "scan the slope identity exactly",
+     cmd_verify_identity,
+     (*_COMMON, _ETA,
+      _arg("--range", type=int, default=20, metavar="N",
+           help="scan |x|, |y| <= N (default 20)"))),
+    (("verify", "replay-gonality"),
+     "destabilizing-class search, pencil hypothesis", cmd_verify_replay_gonality,
+     (*_COMMON, _ETA,
+      _arg("--k", type=int, required=True, metavar="N", help="pencil degree"),
+      _MARGIN)),
+    (("verify", "replay-restriction"),
+     "destabilizing-class search, restriction hypothesis",
+     cmd_verify_replay_restriction,
+     (*_COMMON, _GAMMA,
+      _arg("--c2", type=int, required=True, metavar="N"),
+      _arg("--l-min", type=int, default=0, metavar="N",
+           help="sub-line-bundle degree lower bound (default 0)"),
+      _MARGIN)),
+    (("verify", "sweep"), "feasibility frontier over k or c2", cmd_verify_sweep,
+     (*_COMMON,
+      _arg("--mode", required=True, choices=["gonality", "restriction"]),
+      _arg("--start", type=int, required=True, metavar="N"),
+      _arg("--stop", type=int, required=True, metavar="N"),
+      _ETA, _GAMMA, _MARGIN)),
+)
+GROUPS = {("verify",): "brute-force verification commands"}
+
+_LEAVES = {row[0]: row for row in COMMANDS}
+# "{a,b,...}": the choices of each level, as argparse renders them
+_CHOICES = {
+    group: "{" + ",".join(dict.fromkeys(
+        path[len(group)] for path in _LEAVES if path[:len(group)] == group)) + "}"
+    for group in ((), *GROUPS)
+}
+
+
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: the top level, the group ``argv`` names
+    (if any) and the one leaf it names.  When ``argv`` names no leaf
+    (``-h``, a typo, a missing command, ``verify`` alone, or None), every
+    command is built, so help texts and usage errors come from the full
+    tree.  Nothing is cached: each call builds a new parser."""
+    argv = argv or []
+    named = _LEAVES.get(tuple(argv[:1])) or _LEAVES.get(tuple(argv[:2]))
     parser = argparse.ArgumentParser(
         prog="curvebounds",
         description="Exact Seshadri intervals, gonality bounds and "
                     "restriction-stability thresholds for space curves.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    levels: dict = {}
 
-    def add_common(p: argparse.ArgumentParser, descriptor: bool = True) -> None:
-        if descriptor:
-            p.add_argument("descriptor",
-                           help="curve descriptor: JSON file path or literal JSON")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable JSON output")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 on inconclusive or non-empty outcomes")
+    def level(group: tuple) -> Any:
+        if group not in levels:
+            owner = (parser if not group else
+                     level(group[:-1]).add_parser(group[-1], help=GROUPS[group]))
+            # a partial tree names every choice, as the full tree does:
+            # an unrecognized argument after a leaf prints the top
+            # level's usage line
+            metavar = None if named is None else _CHOICES[group]
+            levels[group] = owner.add_subparsers(
+                dest="_".join((*group, "command")), required=True,
+                metavar=metavar)
+        return levels[group]
 
-    p = sub.add_parser("invariants", help="degree, genus, deg_N, delta, lambda")
-    add_common(p)
-    p.add_argument("--eta", type=_rational_arg, default=None, metavar="P/Q")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("seshadri", help="certified Seshadri interval from evidence")
-    add_common(p)
-    p.set_defaults(func=cmd_seshadri)
-
-    p = sub.add_parser("gonality", help="exact gonality lower bound")
-    add_common(p)
-    p.add_argument("--eta", type=_rational_arg, default=None, metavar="P/Q")
-    p.set_defaults(func=cmd_gonality)
-
-    p = sub.add_parser("restrict", help="restriction-stability threshold")
-    add_common(p)
-    p.add_argument("--gamma", type=_rational_arg, default=None, metavar="P/Q")
-    p.add_argument("--c2", type=int, default=None, metavar="N")
-    p.set_defaults(func=cmd_restrict)
-
-    p = sub.add_parser("surface-restrict",
-                       help="stability criteria for restriction to a surface")
-    add_common(p, descriptor=False)
-    p.add_argument("--variant", required=True,
-                   choices=["barth", "c2plus2", "ci_curve"])
-    p.add_argument("--c2", type=int, required=True, metavar="N")
-    p.add_argument("--a", type=int, default=None, metavar="N")
-    p.add_argument("--b", type=int, default=None, metavar="N")
-    p.set_defaults(func=cmd_surface_restrict)
-
-    v = sub.add_parser("verify", help="brute-force verification commands")
-    vsub = v.add_subparsers(dest="verify_command", required=True)
-
-    p = vsub.add_parser("identity-sl", help="scan the slope identity exactly")
-    add_common(p)
-    p.add_argument("--eta", type=_rational_arg, default=None, metavar="P/Q")
-    p.add_argument("--range", type=int, default=20, metavar="N",
-                   help="scan |x|, |y| <= N (default 20)")
-    p.set_defaults(func=cmd_verify_identity)
-
-    p = vsub.add_parser("replay-gonality",
-                        help="destabilizing-class search, pencil hypothesis")
-    add_common(p)
-    p.add_argument("--eta", type=_rational_arg, default=None, metavar="P/Q")
-    p.add_argument("--k", type=int, required=True, metavar="N",
-                   help="pencil degree")
-    p.add_argument("--box-margin", type=int, default=0, metavar="N")
-    p.set_defaults(func=cmd_verify_replay_gonality)
-
-    p = vsub.add_parser("replay-restriction",
-                        help="destabilizing-class search, restriction hypothesis")
-    add_common(p)
-    p.add_argument("--gamma", type=_rational_arg, default=None, metavar="P/Q")
-    p.add_argument("--c2", type=int, required=True, metavar="N")
-    p.add_argument("--l-min", type=int, default=0, metavar="N",
-                   help="sub-line-bundle degree lower bound (default 0)")
-    p.add_argument("--box-margin", type=int, default=0, metavar="N")
-    p.set_defaults(func=cmd_verify_replay_restriction)
-
-    p = vsub.add_parser("sweep", help="feasibility frontier over k or c2")
-    add_common(p)
-    p.add_argument("--mode", required=True, choices=["gonality", "restriction"])
-    p.add_argument("--start", type=int, required=True, metavar="N")
-    p.add_argument("--stop", type=int, required=True, metavar="N")
-    p.add_argument("--eta", type=_rational_arg, default=None, metavar="P/Q")
-    p.add_argument("--gamma", type=_rational_arg, default=None, metavar="P/Q")
-    p.add_argument("--box-margin", type=int, default=0, metavar="N")
-    p.set_defaults(func=cmd_verify_sweep)
-
+    for path, help_text, handler, arguments in (COMMANDS if named is None
+                                                else (named,)):
+        p = level(path[:-1]).add_parser(path[-1], help=help_text)
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

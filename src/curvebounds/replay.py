@@ -213,10 +213,18 @@ def _satisfies(sys: ConstraintSystem, x: int, y: int) -> bool:
     return x * x >= y * y * d - mode.c2
 
 
+def _check_margin(margin: int) -> None:
+    if _exact_int(margin) < 0:
+        raise ValueError(f"box margin must be nonnegative, got {margin}")
+
+
 def region_empty(sys: ConstraintSystem, margin: int = 0) -> ReplayOutcome:
     """Enumerate every integer point of the box (enlarged by margin in
     all directions) and return the first witness satisfying all
-    constraints, ties broken by smallest (|y|, x, y), or emptiness."""
+    constraints, ties broken by smallest (|y|, x, y), or emptiness.
+    A negative margin would shrink the box below the one that is proved
+    sufficient, so it raises ValueError."""
+    _check_margin(margin)
     witnesses: list[tuple[int, int]] = []
     checked = 0
     for x, y in sys.box.points(margin):
@@ -238,6 +246,7 @@ def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
     bound; it may exceed it."""
     if mode_family not in ("gonality", "restriction"):
         raise ValueError(f"unknown mode family: {mode_family!r}")
+    _check_margin(margin)
     entries: list[tuple[int, ReplayOutcome]] = []
     frontier: Optional[int] = None
     for param in param_range:

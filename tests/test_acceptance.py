@@ -20,6 +20,7 @@ from curvebounds.blowup import (
     h_eta,
     halphen_f,
     lambda_eta,
+    slope_identity_scan,
     triple_product,
 )
 from curvebounds.bounds import (
@@ -121,18 +122,9 @@ def test_slope_identity_has_no_violations_on_the_grid():
         violations = []
         for c in curves:
             for eta in etas:
-                lam = lambda_eta(c, eta)
-                heta = h_eta(eta)
-                for x in range(-20, 21):
-                    for y in range(-20, 21):
-                        checked += 1
-                        dcls = DivisorClass(x, y)
-                        lhs = (triple_product(c, dcls, dcls, heta)
-                               - triple_product(c, dcls, heta, E))
-                        s = triple_product(c, dcls, heta, H)
-                        rhs = s * s - s * eta * c.d - lam * (F(y) ** 2 - y)
-                        if lhs != rhs:
-                            violations.append((c.d, c.g, eta, x, y))
+                n, bad = slope_identity_scan(c, eta, 20)
+                checked += n
+                violations.extend((c.d, c.g, eta, x, y) for x, y in bad)
         assert checked == 4 * 4 * 41 * 41
         assert violations == []
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvebounds import blowup
 from curvebounds.blowup import (
     E,
     H,
@@ -23,6 +24,7 @@ from curvebounds.blowup import (
     h_eta,
     halphen_f,
     lambda_eta,
+    slope_identity_scan,
     top_product,
     triple_product,
 )
@@ -260,3 +262,32 @@ def test_genus_consistency():
 @given(curves, etas)
 def test_genus_consistency_is_the_sign_of_lambda(c, eta):
     assert genus_consistency(c, eta) == (lambda_eta(c, eta) >= 0)
+
+
+# -- slope identity scan ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("c,eta", [(CI52, F(1, 5)), (CUBIC, F(1, 2)), (LINE, F(1))])
+def test_slope_identity_scan_counts_every_class(c, eta):
+    for bound, expected in [(0, 1), (1, 9), (4, 81)]:
+        assert slope_identity_scan(c, eta, bound) == (expected, [])
+
+
+def test_slope_identity_scan_reports_violations(monkeypatch):
+    # a kernel off by one in D.D.H_eta on the classes with y = 2 must be
+    # reported as exactly those classes, in scan order
+    true_product = blowup.triple_product
+
+    def off_by_one(c, A, B, C):
+        return true_product(c, A, B, C) + (1 if B is A and A.y == 2 else 0)
+
+    monkeypatch.setattr(blowup, "triple_product", off_by_one)
+    checked, violations = slope_identity_scan(CI52, F(1, 5), 2)
+    assert checked == 25
+    assert violations == [(x, 2) for x in range(-2, 3)]
+
+
+@pytest.mark.parametrize("bound", [-1, -3])
+def test_slope_identity_scan_rejects_a_negative_range(bound):
+    with pytest.raises(ValueError, match="scan range must be nonnegative"):
+        slope_identity_scan(CI52, F(1, 5), bound)

@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: exit codes, text output, JSON payloads."""
 
+import argparse
 import json
+import sys
 import time
 
 import pytest
 
-from curvebounds.cli import main
+from curvebounds import cli
+from curvebounds.cli import build_parser, main
 from curvebounds.scalar import QuadNumber, quad_from_json
 
 CI52 = '{"kind": {"complete_intersection": {"a": 5, "b": 2}}}'
@@ -255,6 +258,106 @@ def test_verify_sweep_restriction_uses_gamma(capsys):
                        "restriction", "--start", "0", "--stop", "3")
     assert code == 0
     assert "frontier: c2 = 3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "replay-gonality", CI52, "--k", "30"),
+    ("verify", "replay-restriction", CI504, "--c2", "2"),
+    ("verify", "sweep", CI52, "--mode", "gonality", "--start", "3", "--stop", "6"),
+])
+def test_negative_box_margin_is_exit_1(capsys, argv):
+    # margin -2 used to shrink the box until no point was left and the
+    # k = 30 replay reported "empty" with 0 classes checked; margin 0
+    # finds the witness (1, 0)
+    code, out, err = run(capsys, *argv, "--box-margin", "-2")
+    assert code == 1
+    assert out == ""
+    assert "box margin must be nonnegative, got -2" in err
+
+
+def test_negative_identity_range_is_exit_1(capsys):
+    # range -3 used to scan 0 classes and report 0 violations with exit 0
+    code, out, err = run(capsys, "verify", "identity-sl", CI52, "--range", "-3")
+    assert code == 1
+    assert out == ""
+    assert "scan range must be nonnegative, got -3" in err
+
+
+# -- parser ----------------------------------------------------------------------
+
+
+def leaf_names(parser):
+    """Names of the commands built under each level of a parser."""
+    names = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                names.append(name)
+                names.extend(leaf_names(sub))
+    return names
+
+
+def test_parser_builds_only_the_named_command():
+    assert leaf_names(build_parser(["gonality", CI52])) == ["gonality"]
+    assert leaf_names(build_parser(["verify", "sweep", CI52, "-h"])) == [
+        "verify", "sweep"]
+    full = leaf_names(build_parser(None))
+    assert full == ["invariants", "seshadri", "gonality", "restrict",
+                    "surface-restrict", "verify", "identity-sl",
+                    "replay-gonality", "replay-restriction", "sweep"]
+    for argv in ([], ["-h"], ["gonalty", CI52], ["verify"], ["verify", "-h"],
+                 ["verify", "gonality", CI52], ["--json", "gonality", CI52]):
+        assert leaf_names(build_parser(argv)) == full
+    for path, *_ in cli.COMMANDS:
+        assert leaf_names(build_parser([*path, CI52])) == list(path)
+
+
+def test_parser_is_built_anew_on_every_call():
+    argv = ["gonality", CI52]
+    assert build_parser(argv) is not build_parser(argv)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["curvebounds", "gonality", CI52])
+    code = main()
+    captured = capsys.readouterr()
+    out, err = captured.out, captured.err
+    assert (code, out, err) == run(capsys, "gonality", CI52)
+    assert code == 0 and "gon >= 5" in out
+
+
+def transcript(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gonality", CI52, "--bogus"),
+    ("gonality", CI52, "extra"),
+    ("gonality", "-h"),
+    ("gonality", "--help"),
+    ("gonality", CI52, "--eta"),
+    ("gonality", CI52, "--et", "1/5"),
+    ("gonality", "--", CI52),
+    ("restrict", CI52, "--c2=x"),
+    ("seshadri",),
+    ("surface-restrict", "--variant", "barth", "--c2", "2", "--a", "5", "-x"),
+    ("verify", "identity-sl", CI52, "--range", "2", "--bogus", "-h"),
+    ("verify", "replay-gonality", CI52, "--k", "1", "--json", "--strict", "x"),
+    ("verify", "replay-restriction", "--c2", "2"),
+    ("verify", "sweep", CI52, "--mode", "gon", "--start", "0", "--stop", "1"),
+    ("verify", "sweep", CI52, "--mode", "gonality", "--start", "0"),
+    ("verify", "sweep", "-h", "--bogus"),
+])
+def test_partial_parser_matches_the_full_tree(capsys, monkeypatch, argv):
+    partial = transcript(capsys, argv)
+    full_tree = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_tree(None))
+    assert transcript(capsys, argv) == partial
 
 
 # -- error handling ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from curvebounds.blowup import (
     h_eta,
     halphen_f,
     lambda_eta,
+    slope_identity_scan,
 )
 from curvebounds.bounds import (
     barth_check,
@@ -33,7 +34,13 @@ from curvebounds.bounds import (
     restriction_threshold,
     surface_restriction_checks,
 )
-from curvebounds.replay import GonalityMode, RestrictionMode, build_system
+from curvebounds.replay import (
+    GonalityMode,
+    RestrictionMode,
+    build_system,
+    region_empty,
+    sweep,
+)
 from curvebounds.scalar import QuadNumber, exact_int, exact_rational, format_rational
 from curvebounds.seshadri import (
     assert_exact,
@@ -81,6 +88,7 @@ RATIONAL_ENTRY_POINTS = {
     "normal_bundle_s": normal_bundle_s,
     "assert_exact": assert_exact,
     "SeshadriInterval.__contains__": lambda q: q in IV52,
+    "slope_identity_scan.eta": lambda q: slope_identity_scan(CI52, q, 1),
 }
 
 
@@ -134,6 +142,12 @@ INTEGER_ENTRY_POINTS = {
         CI52, Fraction(1, 5), RestrictionMode(n)),
     "RestrictionMode.l_min": lambda n: build_system(
         CI52, Fraction(1, 5), RestrictionMode(0, n)),
+    "region_empty.margin": lambda n: region_empty(
+        build_system(CI52, Fraction(1, 5), GonalityMode(3)), margin=n),
+    "sweep.margin": lambda n: sweep(CI52, Fraction(1, 5), "gonality", range(3, 5),
+                                    margin=n),
+    "slope_identity_scan.bound": lambda n: slope_identity_scan(
+        CI52, Fraction(1, 5), n),
 }
 
 

@@ -259,6 +259,22 @@ def test_margin_does_not_change_a_witness_verdict():
     assert region_empty(sys, margin=3).witness == (1, 0)
 
 
+@pytest.mark.parametrize("margin", [-1, -2, -100])
+def test_negative_margin_is_rejected(margin):
+    # a negative margin shrinks the box below the sufficient one: at -2
+    # the k = 5 box checks no point and would report "empty", although
+    # margin 0 finds the witness (1, 0)
+    sys = build_system(CI52, F(1, 5), GonalityMode(k=5))
+    with pytest.raises(ValueError, match="box margin must be nonnegative"):
+        region_empty(sys, margin=margin)
+    for family in ("gonality", "restriction"):
+        with pytest.raises(ValueError, match="box margin must be nonnegative"):
+            sweep(CI52, F(1, 5), family, range(3, 6), margin=margin)
+        # checked before the first parameter, so an empty range fails too
+        with pytest.raises(ValueError, match="box margin must be nonnegative"):
+            sweep(CI52, F(1, 5), family, range(0), margin=margin)
+
+
 curve_st = st.builds(
     CurveGeometry,
     d=st.integers(min_value=1, max_value=24),
