@@ -13,9 +13,7 @@ import pytest
 
 from curvebounds.blowup import (
     E,
-    H,
     CurveGeometry,
-    DivisorClass,
     delta_eta,
     h_eta,
     halphen_f,
