@@ -246,6 +246,45 @@ def test_general_r4_reports_both_conventions_uncertified():
     assert disc.data["delta_segre"] == -1
 
 
+def test_general_r_traces_are_pinned_at_r3():
+    rep = gonality_bound_general_r(CurveGeometry(d=8, g=5), F(1, 4))
+    tail = (
+        "delta term: delta/(4*eta^(r-2)) = 2",
+        "alpha = min(1, sqrt(eta^(r-3)*d) - eta^(r-2)*d) = -2 + 2*sqrt(2)",
+        "alpha term: alpha*(d - alpha/eta^(r-2)) = -64 + 48*sqrt(2)",
+        "value = min of the two terms = 2; smallest integer >= value: 2",
+    )
+    for report, convention in ((rep.compact, "compact"),
+                               (rep.segre, "intersection-table")):
+        assert report.trace == (
+            "inputs: d = 8, g = 5, r = 3, eta = 1/4",
+            "deg_N = (r+1)d + 2g - 2 = 40",
+            f"delta ({convention} convention) = 2",
+        ) + tail
+
+
+def test_general_r_traces_are_pinned_at_r4():
+    rep = gonality_bound_general_r(CurveGeometry(d=8, g=5, r=4), F(1, 4))
+    head = (
+        "inputs: d = 8, g = 5, r = 4, eta = 1/4",
+        "deg_N = (r+1)d + 2g - 2 = 48",
+    )
+    tail = (
+        "alpha = min(1, sqrt(eta^(r-3)*d) - eta^(r-2)*d) = -1/2 + sqrt(2)",
+        "alpha term: alpha*(d - alpha/eta^(r-2)) = -40 + 24*sqrt(2)",
+        "value = min of the two terms = -40 + 24*sqrt(2); "
+        "smallest integer >= value: -6",
+    )
+    assert rep.compact.trace == head + (
+        "delta (compact convention) = 1",
+        "delta term: delta/(4*eta^(r-2)) = 4",
+    ) + tail
+    assert rep.segre.trace == head + (
+        "delta (intersection-table convention) = -1",
+        "delta term: delta/(4*eta^(r-2)) = -4",
+    ) + tail
+
+
 def test_general_r_alpha_clamps_to_zero():
     c4 = CurveGeometry(d=2, g=0, r=4)
     rep = gonality_bound_general_r(c4, 1)
@@ -277,8 +316,37 @@ def test_pencil_bound_reduction_is_exact(d, g, eps):
     c = CurveGeometry(d=d, g=g)
     rep = pencil_degree_bound_subvariety(d, c.deg_n, 1, eps, 3)
     direct = gonality_bound(c, eps)
-    assert rep.value == direct.value
-    assert rep.value_ceiling == direct.value_ceiling
+    compact = gonality_bound_general_r(c, eps).compact
+    for other in (rep, compact):
+        assert other.value == direct.value
+        assert other.value_ceiling == direct.value_ceiling
+        assert other.alpha == direct.alpha
+        assert other.term_delta == direct.term_delta
+        assert other.term_alpha == direct.term_alpha
+
+
+def test_pencil_bound_traces_are_pinned():
+    tail = (
+        "alpha = min(1, sqrt(eps^(r-3)*d) - eps^(r-2)*d) = -3/2 + sqrt(6)",
+        "alpha term: alpha*(d - alpha/eps^(r-2)) = -42 + 18*sqrt(6)",
+    )
+    rep = pencil_degree_bound_subvariety(6, 30, 1, F(1, 4), 3)
+    assert rep.trace == (
+        "inputs: deg X = 6, c1(N).H^(n-1) = 30, n = 1, r = 3, eps = 1/4",
+        "delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = 3/2",
+        "delta term: delta/(4*eps^(r-2)) = 3/2",
+    ) + tail + (
+        "value = min of the two terms = 3/2; smallest integer >= value: 2",
+    )
+    rep = pencil_degree_bound_subvariety(6, 30, 2, F(1, 4), 3)
+    assert rep.trace == (
+        "inputs: deg X = 6, c1(N).H^(n-1) = 30, n = 2, r = 3, eps = 1/4",
+        "delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = 3",
+        "delta term: delta/(4*eps^(r-2)) = 3",
+    ) + tail + (
+        "value = min of the two terms = -42 + 18*sqrt(6); "
+        "smallest integer >= value: 3",
+    )
 
 
 def test_pencil_bound_on_a_surface():
