@@ -44,7 +44,6 @@ from .bounds import (
     pencil_degree_bound_subvariety,
     restriction_threshold,
     surface_restriction_checks,
-    trivial_lemma_check,
 )
 from .catalog import (
     CurveDescriptor,
@@ -88,7 +87,6 @@ from .replay import (
 )
 from .scalar import (
     QuadNumber,
-    Rational,
     ceil_quad,
     decimal_str,
     format_rational,

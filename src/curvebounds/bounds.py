@@ -10,10 +10,11 @@ curve, with full step-by-step traces:
       c_2 < min{ delta_gamma/4, alpha gamma d - alpha^2 },
   with alpha = min{1, sqrt(3d)/2 - gamma d} clamped at 0.
 
-Everything is computed in Q(sqrt(m)) with exact comparisons; ceilings
-are certified integers.  The general-r gonality variant evaluates both
-delta conventions side by side and flags disagreements; only r = 3 is
-certified.
+Both are one two-term computation (``_two_term_bound``) fed a
+different delta, raw alpha, length and scale.  Everything is computed in
+Q(sqrt(m)) with exact comparisons; ceilings are certified integers.
+The general-r gonality variant evaluates both delta conventions side by
+side and flags disagreements; only r = 3 is certified.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .scalar import (
     QuadNumber,
-    QuadLike,
     RationalLike,
     ceil_quad,
     exact_int as _exact_int,
@@ -119,6 +119,37 @@ def _clamped_alpha(raw: QuadNumber, trace: list[str], formula: str) -> QuadNumbe
     return alpha
 
 
+def _two_term_bound(inputs: dict, trace: list[str], delta: Fraction,
+                    raw_alpha: QuadNumber, length: RationalLike,
+                    scale: RationalLike, formulas: tuple[str, str, str],
+                    ) -> BoundReport:
+    """The computation both headline bounds share:
+        min{ delta/(4 scale), alpha (length - alpha/scale) },
+    with alpha = min{1, raw_alpha} clamped at 0, and its certified
+    ceiling.  ``formulas`` names the delta term, the raw alpha and the
+    alpha term in the trace; the caller has already traced its inputs
+    and delta."""
+    term_delta = delta / (4 * scale)
+    trace.append(f"delta term: {formulas[0]} = {term_delta}")
+    alpha = _clamped_alpha(raw_alpha, trace, formulas[1])
+    term_alpha = alpha * (length - alpha / scale)
+    trace.append(f"alpha term: {formulas[2]} = {term_alpha}")
+
+    value = quad_min(QuadNumber(term_delta), term_alpha)
+    ceiling = ceil_quad(value)
+    trace.append(f"value = min of the two terms = {value}; "
+                 f"smallest integer >= value: {ceiling}")
+    return BoundReport(
+        inputs=inputs,
+        alpha=alpha,
+        term_delta=term_delta,
+        term_alpha=term_alpha,
+        value=value,
+        value_ceiling=ceiling,
+        trace=tuple(trace),
+    )
+
+
 def _interval_warning(eps: Fraction, interval: Optional[SeshadriInterval],
                       name: str, trace: list[str]) -> None:
     if interval is None:
@@ -149,29 +180,10 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
 
     delta = delta_eta(c, eps)
     trace.append(f"delta = eta*deg_N - d = {delta}")
-    term_delta = delta / (4 * eps)
-    trace.append(f"delta term: delta/(4*eta) = {term_delta}")
-
-    sqrt_d = sqrt_rational(c.d)
-    raw_alpha = sqrt_d - eps * c.d
-    alpha = _clamped_alpha(raw_alpha, trace, f"sqrt({c.d}) - eta*d")
-    term_alpha = alpha * (c.d - alpha / eps)
-    trace.append(f"alpha term: alpha*(d - alpha/eta) = {term_alpha}")
-
-    value = quad_min(QuadNumber(term_delta), term_alpha)
-    ceiling = ceil_quad(value)
-    trace.append(f"value = min of the two terms = {value}; "
-                 f"smallest integer >= value: {ceiling}")
-
-    return BoundReport(
-        inputs={"d": c.d, "g": c.g, "r": c.r, "eta": eps},
-        alpha=alpha,
-        term_delta=term_delta,
-        term_alpha=term_alpha,
-        value=value,
-        value_ceiling=ceiling,
-        trace=tuple(trace),
-    )
+    return _two_term_bound(
+        {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, trace, delta,
+        sqrt_rational(c.d) - eps * c.d, c.d, eps,
+        ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)"))
 
 
 def _general_r_report(c: CurveGeometry, eps: Fraction, delta: Fraction,
@@ -182,31 +194,12 @@ def _general_r_report(c: CurveGeometry, eps: Fraction, delta: Fraction,
         f"delta ({convention} convention) = {delta}",
     ]
     eps_pow = eps ** (c.r - 2)
-    term_delta = delta / (4 * eps_pow)
-    trace.append(f"delta term: delta/(4*eta^(r-2)) = {term_delta}")
-
-    radicand = eps ** (c.r - 3) * c.d
-    root = sqrt_rational(radicand)
-    raw_alpha = root - eps_pow * c.d
-    alpha = _clamped_alpha(
-        raw_alpha, trace, f"sqrt(eta^(r-3)*d) - eta^(r-2)*d")
-    term_alpha = alpha * (c.d - alpha / eps_pow)
-    trace.append(f"alpha term: alpha*(d - alpha/eta^(r-2)) = {term_alpha}")
-
-    value = quad_min(QuadNumber(term_delta), term_alpha)
-    ceiling = ceil_quad(value)
-    trace.append(f"value = min of the two terms = {value}; "
-                 f"smallest integer >= value: {ceiling}")
-    return BoundReport(
-        inputs={"d": c.d, "g": c.g, "r": c.r, "eta": eps,
-                "delta_convention": convention},
-        alpha=alpha,
-        term_delta=term_delta,
-        term_alpha=term_alpha,
-        value=value,
-        value_ceiling=ceiling,
-        trace=tuple(trace),
-    )
+    return _two_term_bound(
+        {"d": c.d, "g": c.g, "r": c.r, "eta": eps,
+         "delta_convention": convention}, trace, delta,
+        sqrt_rational(eps ** (c.r - 3) * c.d) - eps_pow * c.d, c.d, eps_pow,
+        ("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
+         "alpha*(d - alpha/eta^(r-2))"))
 
 
 def gonality_bound_general_r(c: CurveGeometry, eps: RationalLike) -> GeneralRGonalityReport:
@@ -263,32 +256,14 @@ def pencil_degree_bound_subvariety(x_degree: RationalLike, deg_n_dot: RationalLi
         f"inputs: deg X = {d}, c1(N).H^(n-1) = {deg_n_dot}, n = {n}, "
         f"r = {r}, eps = {eps}",
     ]
-    eps_pow = eps ** (r - 2)
     delta = eps * (deg_n_dot + (n - 1) * d) - d
     trace.append(f"delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = {delta}")
-    term_delta = delta / (4 * eps_pow)
-    trace.append(f"delta term: delta/(4*eps^(r-2)) = {term_delta}")
-
-    radicand = eps ** (r - 3) * d
-    raw_alpha = sqrt_rational(radicand) - eps_pow * d
-    alpha = _clamped_alpha(raw_alpha, trace, "sqrt(eps^(r-3)*d) - eps^(r-2)*d")
-    term_alpha = alpha * (d - alpha / eps_pow)
-    trace.append(f"alpha term: alpha*(d - alpha/eps^(r-2)) = {term_alpha}")
-
-    value = quad_min(QuadNumber(term_delta), term_alpha)
-    ceiling = ceil_quad(value)
-    trace.append(f"value = min of the two terms = {value}; "
-                 f"smallest integer >= value: {ceiling}")
-    return BoundReport(
-        inputs={"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r,
-                "eps": eps},
-        alpha=alpha,
-        term_delta=term_delta,
-        term_alpha=term_alpha,
-        value=value,
-        value_ceiling=ceiling,
-        trace=tuple(trace),
-    )
+    eps_pow = eps ** (r - 2)
+    return _two_term_bound(
+        {"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r, "eps": eps},
+        trace, delta, sqrt_rational(eps ** (r - 3) * d) - eps_pow * d, d, eps_pow,
+        ("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
+         "alpha*(d - alpha/eps^(r-2))"))
 
 
 def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
@@ -341,30 +316,14 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
 
     delta = delta_eta(c, gamma)
     trace.append(f"delta = gamma*deg_N - d = {delta}")
-    term_delta = delta / 4
-    trace.append(f"delta term: delta/4 = {term_delta}")
-
-    # sqrt(d)*sqrt(3/4) = sqrt(3d)/2, so alpha lives in Q(sqrt(3d))
-    root = sqrt_rational(3 * c.d) / 2
-    raw_alpha = root - gamma * c.d
-    alpha = _clamped_alpha(raw_alpha, trace, f"sqrt(3*{c.d})/2 - gamma*d")
-    term_alpha = alpha * gamma * c.d - alpha * alpha
-    trace.append(f"alpha term: alpha*gamma*d - alpha^2 = {term_alpha}")
-
-    value = quad_min(QuadNumber(term_delta), term_alpha)
-    ceiling = ceil_quad(value)
-    trace.append(f"value = min of the two terms = {value}; "
-                 f"smallest integer >= value: {ceiling}")
-
-    return BoundReport(
-        inputs={"d": c.d, "g": c.g, "r": c.r, "gamma": gamma},
-        alpha=alpha,
-        term_delta=term_delta,
-        term_alpha=term_alpha,
-        value=value,
-        value_ceiling=ceiling,
-        trace=tuple(trace),
-    )
+    # sqrt(d)*sqrt(3/4) = sqrt(3d)/2, so alpha lives in Q(sqrt(3d)); at
+    # length gamma*d and scale 1 the kernel's alpha term is
+    # alpha*gamma*d - alpha^2
+    gamma_d = gamma * c.d
+    return _two_term_bound(
+        {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, trace, delta,
+        sqrt_rational(3 * c.d) / 2 - gamma_d, gamma_d, 1,
+        ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2"))
 
 
 def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
@@ -425,20 +384,6 @@ def surface_restriction_checks(variant: str, c2: int, *,
             raise ValueError("ci_curve variant needs both degrees a and b")
         return ci_curve_check(a, b, c2)
     raise ValueError(f"unknown variant: {variant!r}")
-
-
-def trivial_lemma_check(s: QuadLike, alpha: QuadLike, a: QuadLike,
-                        b: QuadLike) -> bool:
-    """Truth of the implication
-        (s >= alpha and a >= 2s and b >= a*s - s^2)  =>  b >= a*alpha - alpha^2.
-    Vacuously true when a premise fails.  All four operands must share
-    a radicand (IncompatibleRadicand otherwise)."""
-    s, alpha, a, b = (QuadNumber(v) if not isinstance(v, QuadNumber) else v
-                      for v in (s, alpha, a, b))
-    premises = (s >= alpha) and (a >= 2 * s) and (b >= a * s - s * s)
-    if not premises:
-        return True
-    return b >= a * alpha - alpha * alpha
 
 
 def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:

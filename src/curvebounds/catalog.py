@@ -29,31 +29,15 @@ from .blowup import CurveGeometry
 from .errors import InvariantViolation, ParseError
 from .scalar import format_rational, parse_rational
 from .seshadri import (
-    EVIDENCE_FIELDS,
+    EVIDENCE_KINDS,
     Evidence,
     castelnuovo_default,
     complete_intersection,
     linked_line,
+    make_evidence,
 )
-from . import seshadri as _ev
 
 KINDS = ("complete_intersection", "linked_line", "raw")
-
-# evidence parameters that are rationals rather than integers
-_RATIONAL_PARAMS = {"s_n", "q"}
-
-_EVIDENCE_FACTORIES = {
-    "degree_default": _ev.degree_default,
-    "global_generation": _ev.global_generation,
-    "regularity": _ev.regularity,
-    "secant_line": _ev.secant_line,
-    "complete_intersection": _ev.complete_intersection,
-    "linked_line": _ev.linked_line,
-    "normal_bundle_s": _ev.normal_bundle_s,
-    "bundle_seshadri": _ev.bundle_seshadri,
-    "residual_reduced": _ev.residual_reduced,
-    "assert_exact": _ev.assert_exact,
-}
 
 
 @record
@@ -105,33 +89,29 @@ def evidence_from_json(obj: Any, loc: str = "$") -> Evidence:
     if not isinstance(obj, dict):
         raise ParseError(f"{loc}: evidence must be an object, got {obj!r}")
     kind = obj.get("kind")
-    if kind not in EVIDENCE_FIELDS:
+    if not isinstance(kind, str) or kind not in EVIDENCE_KINDS:
         raise ParseError(f"{loc}.kind: unknown evidence kind {kind!r} "
-                         f"(known: {', '.join(sorted(EVIDENCE_FIELDS))})")
-    names = EVIDENCE_FIELDS[kind]
-    _check_fields(obj, ("kind", "note") + names, loc)
-    args: list[Any] = []
-    for name in names:
-        if name in _RATIONAL_PARAMS:
-            args.append(_get_rational(obj, name, loc))
-        else:
-            args.append(_get_int(obj, name, loc))
+                         f"(known: {', '.join(sorted(EVIDENCE_KINDS))})")
+    row = EVIDENCE_KINDS[kind]
+    _check_fields(obj, ("kind", "note") + row.fields, loc)
+    params = tuple([_get_rational(obj, name, loc) if name in row.rational
+                    else _get_int(obj, name, loc) for name in row.fields])
     note = obj.get("note", "")
     if not isinstance(note, str):
         raise ParseError(f"{loc}.note: expected a string, got {note!r}")
     try:
-        return _EVIDENCE_FACTORIES[kind](*args, note=note)
+        return make_evidence(kind, params, note)
     except ValueError as exc:
         raise InvariantViolation(f"{loc}: {exc}") from None
 
 
 def evidence_to_json(e: Evidence) -> dict:
     doc: dict[str, Any] = {"kind": e.kind}
-    for name, value in zip(EVIDENCE_FIELDS[e.kind], e.params):
-        if isinstance(value, Fraction):
-            doc[name] = value.numerator if value.denominator == 1 else format_rational(value)
-        else:
-            doc[name] = value
+    row = EVIDENCE_KINDS[e.kind]
+    for name, value in zip(row.fields, e.params):
+        if name in row.rational:
+            value = value.numerator if value.denominator == 1 else format_rational(value)
+        doc[name] = value
     if e.note:
         doc["note"] = e.note
     return doc

@@ -3,7 +3,7 @@ quadratic extension Q(sqrt(m)).
 
 Values are kept in a canonical form at all times:
 
-* ``Rational`` is :class:`fractions.Fraction` (already canonical:
+* Rationals are :class:`fractions.Fraction` (already canonical:
   positive denominator, reduced).
 * :class:`QuadNumber` stores ``(A + B*sqrt(m)) / Q`` as one integer
   triple over a shared denominator, with ``Q > 0``,
@@ -42,8 +42,6 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import IncompatibleRadicand, NegativeRadicand, RadicandTooLarge
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadNumber"]
@@ -181,10 +179,6 @@ class QuadNumber:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
         return Fraction(self._A, self._Q)
-
-    @classmethod
-    def from_rational(cls, q: RationalLike) -> "QuadNumber":
-        return cls(q, 0, 0)
 
     # -- radicand compatibility ------------------------------------------
 

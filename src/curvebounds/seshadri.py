@@ -1,8 +1,8 @@
 """Certified interval for the Seshadri constant of a curve, combined
 from typed evidence items.
 
-Each evidence kind certifies a lower bound, an upper bound, or both;
-the combiner takes the max of lower bounds and the min of upper bounds,
+Each evidence kind is one row of ``EVIDENCE_KINDS`` and certifies a
+lower bound, an upper bound, or both; the combiner takes the max of lower bounds and the min of upper bounds,
 always injecting two unconditional defaults:
 
 * ``1/d <= eps <= 1/sqrt(d)`` (degree alone), and
@@ -22,7 +22,7 @@ equations here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ._record import record
 from .blowup import CurveGeometry, genus_consistency
@@ -42,117 +42,21 @@ from .scalar import (
 
 BoundValue = Union[Fraction, QuadNumber]
 
-# evidence kinds
-DEGREE_DEFAULT = "degree_default"
-GLOBAL_GENERATION = "global_generation"
-REGULARITY = "regularity"
-SECANT_LINE = "secant_line"
-COMPLETE_INTERSECTION = "complete_intersection"
-LINKED_LINE = "linked_line"
-NORMAL_BUNDLE_S = "normal_bundle_s"
-BUNDLE_SESHADRI = "bundle_seshadri"
-RESIDUAL_REDUCED = "residual_reduced"
-ASSERT_EXACT = "assert_exact"
-
-# kind -> parameter names, in order (used for validation and JSON)
-EVIDENCE_FIELDS: dict[str, tuple[str, ...]] = {
-    DEGREE_DEFAULT: (),
-    GLOBAL_GENERATION: ("n", "m"),
-    REGULARITY: ("m",),
-    SECANT_LINE: ("l",),
-    COMPLETE_INTERSECTION: ("a", "b"),
-    LINKED_LINE: ("a", "b"),
-    NORMAL_BUNDLE_S: ("s_n",),
-    BUNDLE_SESHADRI: ("n", "m"),
-    RESIDUAL_REDUCED: ("a", "b"),
-    ASSERT_EXACT: ("q",),
-}
-
 
 @record
 class Evidence:
     """One typed assertion about the curve, with an optional free-text
-    note.  Build instances through the factory functions below, which
-    validate parameters."""
+    note.  Build instances through :func:`make_evidence` or the factory
+    functions below, which validate parameters."""
 
     kind: str
     params: tuple
     note: str = ""
 
     def __str__(self) -> str:
-        names = EVIDENCE_FIELDS[self.kind]
+        names = EVIDENCE_KINDS[self.kind].fields
         inner = ", ".join(f"{n}={v}" for n, v in zip(names, self.params))
         return f"{self.kind}({inner})"
-
-
-def _positive(kind: str, **values: RationalLike) -> None:
-    for name, v in values.items():
-        if v <= 0:
-            raise ValueError(f"{kind}: parameter {name} must be positive, got {v}")
-
-
-def degree_default(note: str = "") -> Evidence:
-    return Evidence(DEGREE_DEFAULT, (), note)
-
-
-def global_generation(n: int, m: int, note: str = "") -> Evidence:
-    n, m = _exact_int(n), _exact_int(m)
-    _positive(GLOBAL_GENERATION, n=n, m=m)
-    return Evidence(GLOBAL_GENERATION, (n, m), note)
-
-
-def regularity(m: int, note: str = "") -> Evidence:
-    m = _exact_int(m)
-    _positive(REGULARITY, m=m)
-    return Evidence(REGULARITY, (m,), note)
-
-
-def secant_line(l: int, note: str = "") -> Evidence:
-    l = _exact_int(l)
-    _positive(SECANT_LINE, l=l)
-    return Evidence(SECANT_LINE, (l,), note)
-
-
-def complete_intersection(a: int, b: int, note: str = "") -> Evidence:
-    a, b = _exact_int(a), _exact_int(b)
-    _positive(COMPLETE_INTERSECTION, a=a, b=b)
-    if a < b:
-        raise ValueError(f"complete_intersection requires a >= b, got ({a}, {b})")
-    return Evidence(COMPLETE_INTERSECTION, (a, b), note)
-
-
-def linked_line(a: int, b: int, note: str = "") -> Evidence:
-    a, b = _exact_int(a), _exact_int(b)
-    _positive(LINKED_LINE, a=a, b=b)
-    if a + b < 3:
-        raise ValueError(f"linked_line requires a + b >= 3, got ({a}, {b})")
-    return Evidence(LINKED_LINE, (a, b), note)
-
-
-def normal_bundle_s(s_n: RationalLike, note: str = "") -> Evidence:
-    s_n = _exact_rational(s_n)
-    _positive(NORMAL_BUNDLE_S, s_n=s_n)
-    return Evidence(NORMAL_BUNDLE_S, (s_n,), note)
-
-
-def bundle_seshadri(n: int, m: int, note: str = "") -> Evidence:
-    n, m = _exact_int(n), _exact_int(m)
-    _positive(BUNDLE_SESHADRI, n=n, m=m)
-    return Evidence(BUNDLE_SESHADRI, (n, m), note)
-
-
-def residual_reduced(a: int, b: int, note: str = "") -> Evidence:
-    a, b = _exact_int(a), _exact_int(b)
-    _positive(RESIDUAL_REDUCED, a=a, b=b)
-    if a + b < 3:
-        raise ValueError(f"residual_reduced requires a + b >= 3, got ({a}, {b})")
-    return Evidence(RESIDUAL_REDUCED, (a, b), note)
-
-
-def assert_exact(q: RationalLike, note: str = "") -> Evidence:
-    q = _exact_rational(q)
-    _positive(ASSERT_EXACT, q=q)
-    return Evidence(ASSERT_EXACT, (q,), note)
 
 
 @record
@@ -166,7 +70,6 @@ class EvidenceBound:
     lower: Optional[Fraction] = None
     upper: Optional[BoundValue] = None
     eps2_lower: Optional[Fraction] = None
-    note: str = ""
 
     @property
     def kind(self) -> str:
@@ -179,57 +82,161 @@ class EvidenceBound:
         return "upper"
 
 
+@record
+class EvidenceKind:
+    """One row of the evidence table: the kind's parameter names in
+    order, the bound it certifies, which parameters are rationals (the
+    rest are integers), and an optional shape rule beyond positivity,
+    given as (text, predicate)."""
+
+    fields: tuple[str, ...]
+    # (curve, *params) -> the EvidenceBound fields it certifies
+    bound: Callable[..., dict]
+    rational: tuple[str, ...] = ()
+    shape: Optional[tuple[str, Callable[..., bool]]] = None
+
+
+def _regularity_bound(c: CurveGeometry, m: int) -> dict:
+    return {"lower": Fraction(1, m),
+            "upper": Fraction(2, m - 1) if m >= 2 else None}
+
+
+def _secant_line_bound(c: CurveGeometry, l: int) -> dict:
+    if l > c.d:
+        raise EvidenceInconsistentWithDegree(
+            f"a {l}-secant line is impossible for degree {c.d}")
+    return {"upper": Fraction(1, l)}
+
+
+def _complete_intersection_bound(c: CurveGeometry, a: int, b: int) -> dict:
+    if c.d != a * b:
+        raise EvidenceInconsistentWithDegree(
+            f"complete_intersection({a},{b}) needs d = {a * b}, curve has d = {c.d}")
+    return {"lower": Fraction(1, a), "upper": Fraction(1, a)}
+
+
+def _linked_line_bound(c: CurveGeometry, a: int, b: int) -> dict:
+    if c.d != a * b - 1:
+        raise EvidenceInconsistentWithDegree(
+            f"linked_line({a},{b}) needs d = {a * b - 1}, curve has d = {c.d}")
+    q = Fraction(1, a + b - 2)
+    return {"lower": q, "upper": q}
+
+
+def _normal_bundle_bound(c: CurveGeometry, s_n: Fraction) -> dict:
+    if 2 * s_n < c.deg_n:
+        raise EvidenceInconsistentWithDegree(
+            f"s_N = {s_n} is below deg_N/2 = {Fraction(c.deg_n, 2)}, "
+            "impossible for a rank-two normal bundle")
+    return {"upper": Fraction(c.d) / s_n}
+
+
+def _residual_reduced_bound(c: CurveGeometry, a: int, b: int) -> dict:
+    if c.d > a * b - 1:
+        raise EvidenceInconsistentWithDegree(
+            f"residual_reduced({a},{b}) needs d <= {a * b - 1}, curve has d = {c.d}")
+    return {"eps2_lower": Fraction(1, a + b - 2)}
+
+
+_A_AT_LEAST_B = ("a >= b", lambda a, b: a >= b)
+_NOT_BOTH_ONE = ("a + b >= 3", lambda a, b: a + b >= 3)
+
+# The one place an evidence kind is declared: construction, bounds, JSON
+# and printing all read this table, so a new kind is one new row (plus
+# its public factory below).
+EVIDENCE_KINDS: dict[str, EvidenceKind] = {
+    "degree_default": EvidenceKind(
+        (), lambda c: {"lower": Fraction(1, c.d), "upper": 1 / sqrt_rational(c.d)}),
+    "global_generation": EvidenceKind(
+        ("n", "m"), lambda c, n, m: {"lower": Fraction(n, m)}),
+    "regularity": EvidenceKind(("m",), _regularity_bound),
+    "secant_line": EvidenceKind(("l",), _secant_line_bound),
+    "complete_intersection": EvidenceKind(
+        ("a", "b"), _complete_intersection_bound, shape=_A_AT_LEAST_B),
+    "linked_line": EvidenceKind(
+        ("a", "b"), _linked_line_bound, shape=_NOT_BOTH_ONE),
+    "normal_bundle_s": EvidenceKind(
+        ("s_n",), _normal_bundle_bound, rational=("s_n",)),
+    "bundle_seshadri": EvidenceKind(
+        ("n", "m"), lambda c, n, m: {"lower": Fraction(n, m)}),
+    "residual_reduced": EvidenceKind(
+        ("a", "b"), _residual_reduced_bound, shape=_NOT_BOTH_ONE),
+    "assert_exact": EvidenceKind(
+        ("q",), lambda c, q: {"lower": q, "upper": q}, rational=("q",)),
+}
+
+
+def _row(kind: str) -> EvidenceKind:
+    row = EVIDENCE_KINDS.get(kind)
+    if row is None:
+        raise ValueError(f"unknown evidence kind: {kind!r}")
+    return row
+
+
+def make_evidence(kind: str, params: tuple, note: str = "") -> Evidence:
+    """An evidence item of a known kind, validated through its row: each
+    parameter an exact integer (or rational where the row says so; a
+    float or bool raises TypeError), then positive, then the kind's
+    shape rule (ValueError)."""
+    row = _row(kind)
+    fields = row.fields
+    if len(params) != len(fields):
+        raise TypeError(f"{kind} takes the parameters ({', '.join(fields)}), "
+                        f"got {len(params)}")
+    params = tuple([_exact_rational(v) if name in row.rational else _exact_int(v)
+                    for name, v in zip(fields, params)])
+    for name, v in zip(fields, params):
+        if v <= 0:
+            raise ValueError(f"{kind}: parameter {name} must be positive, got {v}")
+    if row.shape is not None and not row.shape[1](*params):
+        raise ValueError(f"{kind} requires {row.shape[0]}, "
+                         f"got ({', '.join(map(str, params))})")
+    return Evidence(kind, params, note)
+
+
+def degree_default(note: str = "") -> Evidence:
+    return make_evidence("degree_default", (), note)
+
+
+def global_generation(n: int, m: int, note: str = "") -> Evidence:
+    return make_evidence("global_generation", (n, m), note)
+
+
+def regularity(m: int, note: str = "") -> Evidence:
+    return make_evidence("regularity", (m,), note)
+
+
+def secant_line(l: int, note: str = "") -> Evidence:
+    return make_evidence("secant_line", (l,), note)
+
+
+def complete_intersection(a: int, b: int, note: str = "") -> Evidence:
+    return make_evidence("complete_intersection", (a, b), note)
+
+
+def linked_line(a: int, b: int, note: str = "") -> Evidence:
+    return make_evidence("linked_line", (a, b), note)
+
+
+def normal_bundle_s(s_n: RationalLike, note: str = "") -> Evidence:
+    return make_evidence("normal_bundle_s", (s_n,), note)
+
+
+def bundle_seshadri(n: int, m: int, note: str = "") -> Evidence:
+    return make_evidence("bundle_seshadri", (n, m), note)
+
+
+def residual_reduced(a: int, b: int, note: str = "") -> Evidence:
+    return make_evidence("residual_reduced", (a, b), note)
+
+
+def assert_exact(q: RationalLike, note: str = "") -> Evidence:
+    return make_evidence("assert_exact", (q,), note)
+
+
 def bound_from_evidence(c: CurveGeometry, e: Evidence) -> EvidenceBound:
     """Exact bound(s) certified by one evidence item for the curve."""
-    d = c.d
-    if e.kind == DEGREE_DEFAULT:
-        return EvidenceBound(e, lower=Fraction(1, d), upper=1 / sqrt_rational(d))
-    if e.kind == GLOBAL_GENERATION:
-        n, m = e.params
-        return EvidenceBound(e, lower=Fraction(n, m))
-    if e.kind == REGULARITY:
-        (m,) = e.params
-        upper = Fraction(2, m - 1) if m >= 2 else None
-        return EvidenceBound(e, lower=Fraction(1, m), upper=upper)
-    if e.kind == SECANT_LINE:
-        (l,) = e.params
-        if l > d:
-            raise EvidenceInconsistentWithDegree(
-                f"a {l}-secant line is impossible for degree {d}")
-        return EvidenceBound(e, upper=Fraction(1, l))
-    if e.kind == COMPLETE_INTERSECTION:
-        a, b = e.params
-        if d != a * b:
-            raise EvidenceInconsistentWithDegree(
-                f"complete_intersection({a},{b}) needs d = {a * b}, curve has d = {d}")
-        return EvidenceBound(e, lower=Fraction(1, a), upper=Fraction(1, a))
-    if e.kind == LINKED_LINE:
-        a, b = e.params
-        if d != a * b - 1:
-            raise EvidenceInconsistentWithDegree(
-                f"linked_line({a},{b}) needs d = {a * b - 1}, curve has d = {d}")
-        q = Fraction(1, a + b - 2)
-        return EvidenceBound(e, lower=q, upper=q)
-    if e.kind == NORMAL_BUNDLE_S:
-        (s_n,) = e.params
-        if 2 * s_n < c.deg_n:
-            raise EvidenceInconsistentWithDegree(
-                f"s_N = {s_n} is below deg_N/2 = {Fraction(c.deg_n, 2)}, "
-                "impossible for a rank-two normal bundle")
-        return EvidenceBound(e, upper=Fraction(d) / s_n)
-    if e.kind == BUNDLE_SESHADRI:
-        n, m = e.params
-        return EvidenceBound(e, lower=Fraction(n, m))
-    if e.kind == RESIDUAL_REDUCED:
-        a, b = e.params
-        if d > a * b - 1:
-            raise EvidenceInconsistentWithDegree(
-                f"residual_reduced({a},{b}) needs d <= {a * b - 1}, curve has d = {d}")
-        return EvidenceBound(e, eps2_lower=Fraction(1, a + b - 2))
-    if e.kind == ASSERT_EXACT:
-        (q,) = e.params
-        return EvidenceBound(e, lower=q, upper=q)
-    raise ValueError(f"unknown evidence kind: {e.kind!r}")
+    return EvidenceBound(e, **_row(e.kind).bound(c, *e.params))
 
 
 @record
@@ -285,7 +292,7 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     # exact eps1 values come only from user-supplied sub-line-bundle
     # degrees; the injected worst case is an upper bound, not exact
     exact_eps1 = [Fraction(c.d) / ev.params[0]
-                  for ev in evidence if ev.kind == NORMAL_BUNDLE_S]
+                  for ev in evidence if ev.kind == "normal_bundle_s"]
 
     for ev in defaults + list(evidence):
         eb = bound_from_evidence(c, ev)
@@ -295,8 +302,6 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
             upper_trace.append((ev, eb.upper))
         if eb.eps2_lower is not None:
             residuals.append((ev, eb.eps2_lower))
-        if eb.note:
-            notes.append(eb.note)
 
     for ev, eps2 in residuals:
         if exact_eps1:

@@ -20,10 +20,8 @@ from curvebounds.bounds import (
     pencil_degree_bound_subvariety,
     restriction_threshold,
     surface_restriction_checks,
-    trivial_lemma_check,
 )
 from curvebounds.errors import (
-    IncompatibleRadicand,
     NoEvidence,
     NonpositiveEpsilon,
     NonpositiveGamma,
@@ -426,37 +424,6 @@ def test_surface_restriction_dispatch():
         surface_restriction_checks("ci_curve", 2, a=10)
     with pytest.raises(ValueError):
         surface_restriction_checks("hodge", 2, a=10)
-
-
-# -- the elementary slope implication ------------------------------------------
-
-
-def test_trivial_lemma_concrete():
-    assert trivial_lemma_check(2, 1, 5, 7)
-    # failed premise: vacuously true
-    assert trivial_lemma_check(0, 1, 5, -100)
-    root2 = QuadNumber(0, 1, 2)
-    assert trivial_lemma_check(root2, root2 - 1, 3 * root2, 2 * root2)
-
-
-def test_trivial_lemma_rejects_mixed_radicands():
-    with pytest.raises(IncompatibleRadicand):
-        trivial_lemma_check(QuadNumber(0, 1, 2), QuadNumber(0, 1, 3), 1, 1)
-
-
-small = st.fractions(min_value=-20, max_value=20, max_denominator=16)
-
-
-@given(small, small, small, small)
-def test_trivial_lemma_is_a_tautology_over_rationals(s, alpha, a, b):
-    assert trivial_lemma_check(s, alpha, a, b)
-
-
-@given(small, small, small, small, st.integers(min_value=0, max_value=30))
-def test_trivial_lemma_is_a_tautology_over_quadratics(p, q, r, w, m):
-    vals = [QuadNumber(p, q, m), QuadNumber(q, r, m),
-            QuadNumber(r, w, m), QuadNumber(w, p, m)]
-    assert trivial_lemma_check(*vals)
 
 
 # -- sharpness gap for curves linked to a line ---------------------------------

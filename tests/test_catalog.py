@@ -95,6 +95,8 @@ def test_explicit_name_wins():
      "$.flags.nondegenerate: expected a boolean"),
     ({"kind": {"raw": {"d": 1, "g": 0}}, "evidence": [{"kind": "psi"}]},
      "$.evidence[0].kind: unknown evidence kind 'psi'"),
+    ({"kind": {"raw": {"d": 1, "g": 0}}, "evidence": [{"kind": ["psi"]}]},
+     "$.evidence[0].kind: unknown evidence kind ['psi']"),
     ({"kind": {"raw": {"d": 1, "g": 0}}, "evidence": [{"kind": "secant_line"}]},
      "$.evidence[0]: missing required field 'l'"),
 ])

@@ -108,8 +108,8 @@ def test_radicand_cap():
     assert time.perf_counter() - start < 1.0
 
 
-def test_from_rational_and_back():
-    x = QuadNumber.from_rational(F(22, 7))
+def test_rational_constructor_and_back():
+    x = QuadNumber(F(22, 7))
     assert x.is_rational
     assert x.as_rational() == F(22, 7)
     with pytest.raises(ValueError):
@@ -373,6 +373,28 @@ def test_order_respects_translation_and_positive_scaling(xyz):
         assert x * z < y * z
     elif z.sign() < 0:
         assert x * z > y * z
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=16)
+
+
+# The elementary slope implication, a tautology checked in exact arithmetic:
+#   (s >= alpha and a >= 2s and b >= a*s - s^2)  =>  b >= a*alpha - alpha^2,
+# since a*s - s^2 is nondecreasing in s for s <= a/2.
+
+@given(small, small, small, small)
+def test_slope_implication_over_rationals(s, alpha, a, b):
+    s, alpha, a, b = map(QuadNumber, (s, alpha, a, b))
+    if s >= alpha and a >= 2 * s and b >= a * s - s * s:
+        assert b >= a * alpha - alpha * alpha
+
+
+@given(small, small, small, small, st.integers(min_value=0, max_value=30))
+def test_slope_implication_over_quadratics(p, q, r, w, m):
+    s, alpha, a, b = (QuadNumber(p, q, m), QuadNumber(q, r, m),
+                      QuadNumber(r, w, m), QuadNumber(w, p, m))
+    if s >= alpha and a >= 2 * s and b >= a * s - s * s:
+        assert b >= a * alpha - alpha * alpha
 
 
 @given(quad_tuples(n=1))

@@ -1,10 +1,14 @@
 """Evidence types and the certified Seshadri interval combiner."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from curvebounds import seshadri
 from curvebounds.blowup import CurveGeometry
+from curvebounds.catalog import evidence_from_json, evidence_to_json
 from curvebounds.errors import (
     DegenerateInput,
     EvidenceInconsistentWithDegree,
@@ -12,6 +16,7 @@ from curvebounds.errors import (
 )
 from curvebounds.scalar import QuadNumber
 from curvebounds.seshadri import (
+    EVIDENCE_KINDS,
     assert_exact,
     bound_from_evidence,
     bundle_seshadri,
@@ -58,6 +63,55 @@ def test_factories_validate_shape():
         linked_line(1, 1)                 # residual to a line needs ab >= 2
     with pytest.raises(ValueError):
         residual_reduced(1, 1)
+
+
+# -- the evidence table, row by row --------------------------------------------
+
+
+def _sample_params(row):
+    # descending values satisfy every shape rule (a >= b, a + b >= 3);
+    # rational fields get a non-integer value
+    return tuple(F(2 * k + 1, 2) if name in row.rational else k
+                 for k, name in zip(range(len(row.fields) + 1, 1, -1), row.fields))
+
+
+@pytest.mark.parametrize("kind", sorted(EVIDENCE_KINDS))
+def test_every_kind_round_trips_through_json(kind):
+    row = EVIDENCE_KINDS[kind]
+    factory = getattr(seshadri, kind)
+    for note in ("", "a note"):
+        ev = factory(*_sample_params(row), note=note)
+        assert ev.kind == kind and len(ev.params) == len(row.fields)
+        doc = evidence_to_json(ev)
+        assert set(doc) == {"kind", *row.fields} | ({"note"} if note else set())
+        assert evidence_from_json(doc) == ev
+
+
+@pytest.mark.parametrize("kind", sorted(EVIDENCE_KINDS))
+def test_every_kind_rejects_inexact_and_nonpositive_fields(kind):
+    row = EVIDENCE_KINDS[kind]
+    factory = getattr(seshadri, kind)
+    params = _sample_params(row)
+    for i in range(len(params)):
+        for bad in (2.0, True):
+            with pytest.raises(TypeError):
+                factory(*params[:i], bad, *params[i + 1:])
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="must be positive"):
+                factory(*params[:i], bad, *params[i + 1:])
+
+
+def test_readme_lists_exactly_the_evidence_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Evidence kinds and what each certifies", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section.split("\n\n")[1], re.M)
+    listed = {kind: tuple(f.strip(" `") for f in fields.split(",") if f.strip() != "—")
+              for kind, fields in rows}
+    assert listed == {kind: row.fields for kind, row in EVIDENCE_KINDS.items()}
+    rational_line = next(line for line in section.splitlines()
+                         if line.startswith("Rational fields"))
+    assert set(re.findall(r"`(\w+)`", rational_line)) == \
+        {name for row in EVIDENCE_KINDS.values() for name in row.rational}
 
 
 def test_evidence_str():
