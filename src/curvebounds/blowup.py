@@ -161,7 +161,8 @@ def delta_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
         raise UnsupportedDimension(
             "delta_eta is the r = 3 invariant; see delta_eta_compact / "
             "delta_eta_segre for r > 3")
-    return _exact_rational(eta) * c.deg_n - c.d
+    eta = _exact_rational(eta)
+    return Fraction(eta.numerator * c.deg_n - eta.denominator * c.d, eta.denominator)
 
 
 def delta_eta_compact(c: CurveGeometry, eta: RationalLike) -> Fraction:
@@ -274,11 +275,12 @@ def bogomolov_unstable(c: CurveGeometry, ch: ChernData,
 
 def genus_consistency(c: CurveGeometry, eps_lower: RationalLike) -> bool:
     """True iff g <= d^2 eps/2 + d(1/(2 eps) - 2) + 1; equivalently,
-    lambda_eps >= 0.  A certified Seshadri lower bound must pass this."""
+    lambda_eps >= 0.  A certified Seshadri lower bound must pass this.
+    Tested in integers, times 2pq > 0 for eps = p/q."""
     eps = _exact_rational(eps_lower)
-    if eps == 0:
+    p, q, d = eps.numerator, eps.denominator, c.d
+    if p == 0:
         raise ZeroDivisionError("eps_lower must be nonzero")
-    if eps < 0:
+    if p < 0:
         raise ValueError(f"eps_lower must be positive, got {eps}")
-    bound = Fraction(c.d ** 2) * eps / 2 + c.d * (1 / (2 * eps) - 2) + 1
-    return c.g <= bound
+    return 2 * p * q * c.g <= d * d * p * p + d * q * q - 4 * d * p * q + 2 * p * q

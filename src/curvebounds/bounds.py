@@ -10,15 +10,16 @@ curve, with full step-by-step traces:
       c_2 < min{ delta_gamma/4, alpha gamma d - alpha^2 },
   with alpha = min{1, sqrt(3d)/2 - gamma d} clamped at 0.
 
-Both are one two-term computation (``_two_term_bound``) fed a
-different delta, raw alpha, length and scale.  Everything is computed in
-Q(sqrt(m)) with exact comparisons; ceilings are certified integers.
+All four bounds here are one two-term computation (``_two_term_bound``)
+in the integer numerators of Q(sqrt(m)), fed a different delta, radicand,
+length and scale; each result is normalised once; ceilings are certified.
 The general-r gonality variant evaluates both delta conventions side by
 side and flags disagreements; only r = 3 is certified.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -39,11 +40,11 @@ from .errors import (
 from .scalar import (
     QuadNumber,
     RationalLike,
-    ceil_quad,
+    _quad,
+    _sign,
     exact_int as _exact_int,
     exact_rational as _exact_rational,
     quad_cmp,
-    quad_min,
     sqrt_rational,
 )
 from .seshadri import SeshadriInterval
@@ -109,45 +110,55 @@ class CertificationResult:
         return self.verdict == "certified"
 
 
-def _clamped_alpha(raw: QuadNumber, trace: list[str], formula: str) -> QuadNumber:
-    one = QuadNumber(1)
-    if raw.sign() < 0:
-        trace.append(f"alpha = {formula} clamped to 0 (raw value {raw} < 0)")
-        return QuadNumber(0)
-    alpha = quad_min(one, raw)
-    trace.append(f"alpha = min(1, {formula}) = {alpha}")
-    return alpha
-
-
 def _two_term_bound(inputs: dict, trace: list[str], delta: Fraction,
-                    raw_alpha: QuadNumber, length: RationalLike,
-                    scale: RationalLike, formulas: tuple[str, str, str],
+                    root: tuple[RationalLike, int], length: tuple[int, int],
+                    scale: tuple[int, int], formulas: tuple[str, str, str],
                     ) -> BoundReport:
-    """The computation both headline bounds share:
+    """The computation all four bounds share:
         min{ delta/(4 scale), alpha (length - alpha/scale) },
-    with alpha = min{1, raw_alpha} clamped at 0, and its certified
-    ceiling.  ``formulas`` names the delta term, the raw alpha and the
-    alpha term in the trace; the caller has already traced its inputs
-    and delta."""
-    term_delta = delta / (4 * scale)
+    with alpha = min{1, sqrt(u)/w - length*scale} clamped at 0 for
+    root = (u, w), and its certified ceiling.  ``length`` and ``scale``
+    are (numerator, denominator) pairs, denominators and scale positive.
+    One pass over integer numerators: signs come from ``_sign``, and
+    each QuadNumber is normalised once, by ``_quad``.  ``formulas`` names
+    the delta term, the raw alpha and the alpha term in the trace; the
+    caller has already traced its inputs and delta."""
+    (ln, lq), (sn, sq) = length, scale
+    term_delta = Fraction(delta.numerator * sq, 4 * delta.denominator * sn)
     trace.append(f"delta term: {formulas[0]} = {term_delta}")
-    alpha = _clamped_alpha(raw_alpha, trace, formulas[1])
-    term_alpha = alpha * (length - alpha / scale)
+
+    # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in sqrt_rational
+    u, w = root
+    a, b, s, m = sqrt_rational(u).parts
+    a, b, q = a * lq * sq - ln * sn * s * w, b * lq * sq, s * w * lq * sq
+    if _sign(a, b, m) < 0:
+        trace.append(f"alpha = {formulas[1]} clamped to 0 "
+                     f"(raw value {_quad(a, b, q, m)} < 0)")
+        a, b, q = 0, 0, 1
+        alpha = _quad(0, 0, 1, 0)
+    else:
+        if _sign(a - q, b, m) > 0:  # raw alpha > 1
+            a, b, q = 1, 0, 1
+        alpha = _quad(a, b, q, m)
+        trace.append(f"alpha = min(1, {formulas[1]}) = {alpha}")
+
+    # length - alpha/scale = (x + y*sqrt(m)) / (lq*q*sn)
+    x, y = ln * q * sn - lq * sq * a, -lq * sq * b
+    ta, tb, tq = a * x + b * y * m, a * y + b * x, q * lq * q * sn
+    term_alpha = _quad(ta, tb, tq, m)
     trace.append(f"alpha term: {formulas[2]} = {term_alpha}")
 
-    value = quad_min(QuadNumber(term_delta), term_alpha)
-    ceiling = ceil_quad(value)
+    dn, dd = term_delta.numerator, term_delta.denominator
+    if _sign(dn * tq - ta * dd, -tb * dd, m) > 0:  # delta term > alpha term
+        value = term_alpha
+    else:
+        value = _quad(dn, 0, dd, 0)
+    ceiling = math.ceil(value)
     trace.append(f"value = min of the two terms = {value}; "
                  f"smallest integer >= value: {ceiling}")
-    return BoundReport(
-        inputs=inputs,
-        alpha=alpha,
-        term_delta=term_delta,
-        term_alpha=term_alpha,
-        value=value,
-        value_ceiling=ceiling,
-        trace=tuple(trace),
-    )
+    return BoundReport(inputs=inputs, alpha=alpha, term_delta=term_delta,
+                       term_alpha=term_alpha, value=value, value_ceiling=ceiling,
+                       trace=tuple(trace))
 
 
 def _interval_warning(eps: Fraction, interval: Optional[SeshadriInterval],
@@ -182,7 +193,7 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     trace.append(f"delta = eta*deg_N - d = {delta}")
     return _two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, trace, delta,
-        sqrt_rational(c.d) - eps * c.d, c.d, eps,
+        (c.d, 1), (c.d, 1), (eps.numerator, eps.denominator),
         ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)"))
 
 
@@ -193,11 +204,11 @@ def _general_r_report(c: CurveGeometry, eps: Fraction, delta: Fraction,
         f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}",
         f"delta ({convention} convention) = {delta}",
     ]
-    eps_pow = eps ** (c.r - 2)
+    p, q, e = eps.numerator, eps.denominator, c.r - 2
     return _two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "eta": eps,
          "delta_convention": convention}, trace, delta,
-        sqrt_rational(eps ** (c.r - 3) * c.d) - eps_pow * c.d, c.d, eps_pow,
+        (eps ** (e - 1) * c.d, 1), (c.d, 1), (p ** e, q ** e),
         ("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
          "alpha*(d - alpha/eta^(r-2))"))
 
@@ -258,10 +269,11 @@ def pencil_degree_bound_subvariety(x_degree: RationalLike, deg_n_dot: RationalLi
     ]
     delta = eps * (deg_n_dot + (n - 1) * d) - d
     trace.append(f"delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = {delta}")
-    eps_pow = eps ** (r - 2)
+    p, q, e = eps.numerator, eps.denominator, r - 2
     return _two_term_bound(
         {"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r, "eps": eps},
-        trace, delta, sqrt_rational(eps ** (r - 3) * d) - eps_pow * d, d, eps_pow,
+        trace, delta, (eps ** (e - 1) * d, 1), (d.numerator, d.denominator),
+        (p ** e, q ** e),
         ("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
          "alpha*(d - alpha/eps^(r-2))"))
 
@@ -316,13 +328,12 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
 
     delta = delta_eta(c, gamma)
     trace.append(f"delta = gamma*deg_N - d = {delta}")
-    # sqrt(d)*sqrt(3/4) = sqrt(3d)/2, so alpha lives in Q(sqrt(3d)); at
-    # length gamma*d and scale 1 the kernel's alpha term is
-    # alpha*gamma*d - alpha^2
-    gamma_d = gamma * c.d
+    # sqrt(d)*sqrt(3/4) = sqrt(3d)/2: the root (3d, 2) keeps 3d as the
+    # capped radicand; at length gamma*d and scale 1 the kernel's alpha
+    # term is alpha*gamma*d - alpha^2
     return _two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, trace, delta,
-        sqrt_rational(3 * c.d) / 2 - gamma_d, gamma_d, 1,
+        (3 * c.d, 2), (gamma.numerator * c.d, gamma.denominator), (1, 1),
         ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2"))
 
 
@@ -390,6 +401,7 @@ def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
     """For a curve linked to a line by surfaces of type (a, b), compare
     the gonality bound with the residual-pencil degree (a-1)(b-1).  The
     bound falls short; the gap is reported as a structured warning."""
+    a, b = _exact_int(a), _exact_int(b)
     d = a * b - 1
     g = (a + b - 4) * (a * b - 2) // 2
     c = CurveGeometry(d=d, g=g)

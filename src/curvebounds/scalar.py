@@ -172,6 +172,12 @@ class QuadNumber:
         return self._m
 
     @property
+    def parts(self) -> tuple[int, int, int, int]:
+        """The canonical ``(A, B, Q, m)``, value ``(A + B*sqrt(m))/Q``: a
+        read-only integer view, like a Fraction's numerator and denominator."""
+        return self._A, self._B, self._Q, self._m
+
+    @property
     def is_rational(self) -> bool:
         return self._B == 0
 

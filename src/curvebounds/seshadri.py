@@ -234,6 +234,9 @@ def assert_exact(q: RationalLike, note: str = "") -> Evidence:
     return make_evidence("assert_exact", (q,), note)
 
 
+_DEGREE_DEFAULT = degree_default(note="injected default")
+
+
 def bound_from_evidence(c: CurveGeometry, e: Evidence) -> EvidenceBound:
     """Exact bound(s) certified by one evidence item for the curve."""
     return EvidenceBound(e, **_row(e.kind).bound(c, *e.params))
@@ -281,9 +284,10 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     unconditional defaults, pairing residual-pencil bounds with exact
     sub-line-bundle data, and gating the result on the genus bound."""
     defaults = [
-        degree_default(note="injected default"),
-        normal_bundle_s(Fraction(c.deg_n, 2),
-                        note="injected default: worst-case instability measure"),
+        _DEGREE_DEFAULT,
+        # valid by construction, as deg_N = (r+1)d + 2g - 2 >= 2
+        Evidence("normal_bundle_s", (Fraction(c.deg_n, 2),),
+                 "injected default: worst-case instability measure"),
     ]
     lower_trace: list[tuple[Evidence, Fraction]] = []
     upper_trace: list[tuple[Evidence, BoundValue]] = []

@@ -1,0 +1,111 @@
+"""Test-only oracle for the two-term bounds: the straightforward
+evaluation in generic ``Fraction``/``QuadNumber`` arithmetic that
+``curvebounds.bounds`` replaced with a pass over integer numerators.
+
+Each function returns the whole ``BoundReport``, trace included, for
+valid inputs; validation is the library's job and is not repeated
+here.  Every value is built by public arithmetic, so a slip in the
+library's integer bookkeeping shows up as a differing report.
+"""
+
+from fractions import Fraction
+
+from curvebounds.bounds import BoundReport
+from curvebounds.scalar import QuadNumber, ceil_quad, quad_cmp, quad_min, sqrt_rational
+
+
+def _clamped_alpha(raw, trace, formula):
+    if raw.sign() < 0:
+        trace.append(f"alpha = {formula} clamped to 0 (raw value {raw} < 0)")
+        return QuadNumber(0)
+    alpha = quad_min(QuadNumber(1), raw)
+    trace.append(f"alpha = min(1, {formula}) = {alpha}")
+    return alpha
+
+
+def two_term_bound(inputs, trace, delta, raw_alpha, length, scale, formulas):
+    """min{ delta/(4 scale), alpha (length - alpha/scale) } with
+    alpha = min{1, raw_alpha} clamped at 0, and its ceiling."""
+    term_delta = delta / (4 * scale)
+    trace.append(f"delta term: {formulas[0]} = {term_delta}")
+    alpha = _clamped_alpha(raw_alpha, trace, formulas[1])
+    term_alpha = alpha * (length - alpha / scale)
+    trace.append(f"alpha term: {formulas[2]} = {term_alpha}")
+    value = quad_min(QuadNumber(term_delta), term_alpha)
+    ceiling = ceil_quad(value)
+    trace.append(f"value = min of the two terms = {value}; "
+                 f"smallest integer >= value: {ceiling}")
+    return BoundReport(inputs=inputs, alpha=alpha, term_delta=term_delta,
+                       term_alpha=term_alpha, value=value,
+                       value_ceiling=ceiling, trace=tuple(trace))
+
+
+def _interval_warning(eps, interval, name, trace):
+    if interval is not None and (eps < interval.lower
+                                 or quad_cmp(eps, interval.upper) > 0):
+        trace.append(
+            f"warning: {name} = {eps} lies outside the certified interval "
+            f"[{interval.lower}, {interval.upper}]; the bound is hypothetical")
+
+
+def gonality_bound(c, eps, interval=None):
+    eps = Fraction(eps)
+    trace = [f"inputs: d = {c.d}, g = {c.g}, r = 3, eta = {eps}",
+             f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}"]
+    _interval_warning(eps, interval, "eta", trace)
+    delta = eps * c.deg_n - c.d
+    trace.append(f"delta = eta*deg_N - d = {delta}")
+    return two_term_bound(
+        {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, trace, delta,
+        sqrt_rational(c.d) - eps * c.d, c.d, eps,
+        ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)"))
+
+
+def restriction_threshold(c, gamma, interval=None):
+    gamma = Fraction(gamma)
+    trace = [f"inputs: d = {c.d}, g = {c.g}, r = 3, gamma = {gamma}",
+             f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}"]
+    _interval_warning(gamma, interval, "gamma", trace)
+    delta = gamma * c.deg_n - c.d
+    trace.append(f"delta = gamma*deg_N - d = {delta}")
+    gamma_d = gamma * c.d
+    return two_term_bound(
+        {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, trace, delta,
+        sqrt_rational(3 * c.d) / 2 - gamma_d, gamma_d, 1,
+        ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2"))
+
+
+def general_r_reports(c, eps):
+    """The (compact, intersection-table) pair of gonality_bound_general_r."""
+    eps = Fraction(eps)
+    r = c.r
+    deltas = (("compact", eps ** (r - 3) * (eps * c.deg_n - c.d)),
+              ("intersection-table",
+               eps ** (r - 2) * c.deg_n - (r - 2) * eps ** (r - 3) * c.d))
+    reports = []
+    for convention, delta in deltas:
+        trace = [f"inputs: d = {c.d}, g = {c.g}, r = {r}, eta = {eps}",
+                 f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}",
+                 f"delta ({convention} convention) = {delta}"]
+        eps_pow = eps ** (r - 2)
+        reports.append(two_term_bound(
+            {"d": c.d, "g": c.g, "r": r, "eta": eps,
+             "delta_convention": convention}, trace, delta,
+            sqrt_rational(eps ** (r - 3) * c.d) - eps_pow * c.d, c.d, eps_pow,
+            ("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
+             "alpha*(d - alpha/eta^(r-2))")))
+    return tuple(reports)
+
+
+def pencil_degree_bound_subvariety(x_degree, deg_n_dot, n, eps, r):
+    d, deg_n_dot, eps = Fraction(x_degree), Fraction(deg_n_dot), Fraction(eps)
+    trace = [f"inputs: deg X = {d}, c1(N).H^(n-1) = {deg_n_dot}, n = {n}, "
+             f"r = {r}, eps = {eps}"]
+    delta = eps * (deg_n_dot + (n - 1) * d) - d
+    trace.append(f"delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = {delta}")
+    eps_pow = eps ** (r - 2)
+    return two_term_bound(
+        {"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r, "eps": eps},
+        trace, delta, sqrt_rational(eps ** (r - 3) * d) - eps_pow * d, d, eps_pow,
+        ("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
+         "alpha*(d - alpha/eps^(r-2))"))

@@ -4,7 +4,7 @@ derived from it."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from curvebounds import blowup
@@ -262,6 +262,25 @@ def test_genus_consistency():
 @given(curves, etas)
 def test_genus_consistency_is_the_sign_of_lambda(c, eta):
     assert genus_consistency(c, eta) == (lambda_eta(c, eta) >= 0)
+
+
+@given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=20000),
+       st.fractions(min_value=F(1, 1000), max_value=4, max_denominator=1000))
+@example(10, 16, F(1, 5))  # equality: the (5, 2) complete intersection
+@example(10, 17, F(1, 5))
+def test_genus_consistency_matches_the_fraction_formula(d, g, eps):
+    # the integer test against the formula it clears denominators from
+    c = CurveGeometry(d=d, g=g)
+    assert genus_consistency(c, eps) == (g <= F(d * d) * eps / 2
+                                         + d * (1 / (2 * eps) - 2) + 1)
+
+
+@pytest.mark.parametrize("eps,error", [(0, ZeroDivisionError), (F(0), ZeroDivisionError),
+                                       (F(-1, 5), ValueError), (-3, ValueError),
+                                       (0.2, TypeError), (True, TypeError)])
+def test_genus_consistency_rejects(eps, error):
+    with pytest.raises(error):
+        genus_consistency(CI52, eps)
 
 
 # -- slope identity scan ---------------------------------------------------------

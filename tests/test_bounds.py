@@ -1,12 +1,15 @@
 """Gonality lower bounds, restriction-stability thresholds, and the
-surface criteria, pinned against hand-computed values."""
+surface criteria, pinned against hand-computed values and compared with
+the generic-arithmetic oracle in bounds_oracle.py."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import bounds_oracle as oracle
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import (
     barth_check,
@@ -26,10 +29,11 @@ from curvebounds.errors import (
     NonpositiveEpsilon,
     NonpositiveGamma,
     NullCorrelationExcluded,
+    RadicandTooLarge,
     UnsupportedDimension,
 )
-from curvebounds.scalar import QuadNumber, quad_cmp
-from curvebounds.seshadri import combine, complete_intersection
+from curvebounds.scalar import MAX_RADICAND, QuadNumber, quad_cmp, sqrt_rational
+from curvebounds.seshadri import SeshadriInterval, combine, complete_intersection
 
 F = Fraction
 
@@ -445,3 +449,128 @@ def test_linked_line_gap_is_reported():
 def test_linked_line_gap_absent_in_the_degenerate_case():
     # type (2,1) links the line to itself: bound 0, pencil degree 0
     assert linked_line_claim_gap(2, 1) is None
+
+
+# -- differential tests against the generic-arithmetic oracle -----------------
+#
+# The library evaluates each bound in one pass over integer numerators;
+# tests/bounds_oracle.py evaluates the same formulas in Fraction and
+# QuadNumber arithmetic.  Whole reports, traces included, must agree.
+
+# d = k^2 makes sqrt(d) rational, d = 3k^2 makes sqrt(3d) rational
+DEGREES = st.one_of(st.integers(min_value=1, max_value=150),
+                    st.integers(min_value=1, max_value=12).map(lambda k: k * k),
+                    st.integers(min_value=1, max_value=7).map(lambda k: 3 * k * k))
+GENERA = st.integers(min_value=0, max_value=400)
+# from far below 1/d (alpha = 1) to far above 1/sqrt(d) (alpha clamped)
+ETAS = st.fractions(min_value=F(1, 300), max_value=F(3, 2), max_denominator=300)
+# the degree-default interval [1/k, 1/sqrt(k)] of some degree k: eta
+# falls on both sides of it and inside it
+INTERVALS = st.one_of(st.none(), st.integers(min_value=1, max_value=150).map(
+    lambda k: SeshadriInterval(lower=F(1, k), upper=1 / sqrt_rational(k),
+                               lower_trace=(), upper_trace=())))
+
+
+
+@st.composite
+def headline_args(draw):
+    """(curve, eta, interval or None).  Half the etas put eta*d between
+    sqrt(d) - 1 and sqrt(3d)/2 + 2, where the raw alpha of either bound
+    lies in [0, 1]."""
+    c = draw(st.builds(CurveGeometry, d=DEGREES, g=GENERA))
+    near = st.fractions(min_value=max(math.isqrt(c.d) - 1, F(1, 12)),
+                        max_value=math.isqrt(3 * c.d) // 2 + 2, max_denominator=12)
+    return c, draw(st.one_of(ETAS, near.map(lambda x: x / c.d))), draw(INTERVALS)
+
+
+HEADLINE_ARGS = headline_args()
+GENERAL_R_ARGS = st.tuples(
+    st.builds(CurveGeometry, d=DEGREES, g=GENERA, r=st.sampled_from([3, 4, 5])),
+    st.fractions(min_value=F(1, 40), max_value=F(3, 2), max_denominator=40))
+PENCIL_ARGS = st.tuples(
+    st.one_of(st.integers(min_value=1, max_value=60),
+              st.fractions(min_value=F(1, 6), max_value=60, max_denominator=6)),
+    st.fractions(min_value=F(1, 4), max_value=400, max_denominator=4),
+    st.integers(min_value=1, max_value=3),
+    st.fractions(min_value=F(1, 30), max_value=F(3, 2), max_denominator=30),
+    st.integers(min_value=3, max_value=5))
+
+
+@given(HEADLINE_ARGS)
+def test_gonality_bound_matches_the_oracle(args):
+    assert gonality_bound(*args) == oracle.gonality_bound(*args)
+
+
+@given(HEADLINE_ARGS)
+def test_restriction_threshold_matches_the_oracle(args):
+    c, gamma, interval = args
+    expected = oracle.restriction_threshold(c, gamma, interval)
+    assert restriction_threshold(c, gamma, interval) == expected
+    assert certify_restriction_stable(c, gamma, 0, interval).report == expected
+
+
+@given(GENERAL_R_ARGS)
+def test_general_r_reports_match_the_oracle(args):
+    rep = gonality_bound_general_r(*args)
+    assert (rep.compact, rep.segre) == oracle.general_r_reports(*args)
+
+
+@given(PENCIL_ARGS)
+def test_pencil_bound_matches_the_oracle(args):
+    assert (pencil_degree_bound_subvariety(*args)
+            == oracle.pencil_degree_bound_subvariety(*args))
+
+
+def _kernel_cases(rep):
+    """The branches of the two-term kernel that one report went through."""
+    clamped = any("clamped to 0" in line for line in rep.trace)
+    delta_wins = quad_cmp(rep.term_delta, rep.term_alpha) <= 0
+    return {
+        "alpha clamped to 0": clamped,
+        "alpha = 1": not clamped and rep.alpha == 1,
+        "irrational alpha": not rep.alpha.is_rational,
+        "rational alpha strictly between 0 and 1":
+            rep.alpha.is_rational and 0 < rep.alpha < 1,
+        "delta term is the minimum": delta_wins,
+        "alpha term is the minimum": not delta_wins,
+        "eta outside the interval": any(line.startswith("warning:")
+                                        for line in rep.trace),
+    }
+
+
+# a fixed draw without shrinking: the first example that hits the case
+REACH = settings(database=None, derandomize=True, phases=[Phase.generate])
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases(
+    gonality_bound(CI52, F(1, 5)))))
+@pytest.mark.parametrize("bound", [gonality_bound, restriction_threshold])
+def test_differential_strategies_reach_every_kernel_case(bound, case):
+    find(HEADLINE_ARGS, lambda args: _kernel_cases(bound(*args))[case],
+         settings=REACH)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_differential_strategies_reach_every_dimension(r):
+    find(GENERAL_R_ARGS, lambda args: args[0].r == r, settings=REACH)
+    find(PENCIL_ARGS, lambda args: args[4] == r, settings=REACH)
+
+
+def test_differential_strategies_reach_a_rational_x_degree():
+    find(PENCIL_ARGS, lambda args: F(args[0]).denominator > 1, settings=REACH)
+
+
+def test_radicand_cap_is_unchanged():
+    # the library splits the same radicands as the oracle: d for the
+    # gonality bound, 3d for the restriction threshold
+    d = MAX_RADICAND // 3
+    assert restriction_threshold(CurveGeometry(d, 0), 1) == \
+        oracle.restriction_threshold(CurveGeometry(d, 0), 1)
+    assert gonality_bound(CurveGeometry(MAX_RADICAND, 0), 1) == \
+        oracle.gonality_bound(CurveGeometry(MAX_RADICAND, 0), 1)
+    for call in (lambda: restriction_threshold(CurveGeometry(d + 1, 0), 1),
+                 lambda: gonality_bound(CurveGeometry(MAX_RADICAND + 1, 0), 1),
+                 lambda: pencil_degree_bound_subvariety(
+                     F(MAX_RADICAND + 1, 1), 1, 1, 1, 3)):
+        with pytest.raises(RadicandTooLarge):
+            call()

@@ -2,15 +2,18 @@
 that takes a rational or an integer raises TypeError for them instead
 of converting (``Fraction(0.2)`` is not 1/5, ``int(2.5)`` is 2)."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import curvebounds
 from curvebounds.blowup import (
     ChernData,
     CurveGeometry,
     DivisorClass,
     H,
+    bogomolov_unstable,
     chern_of_kernel,
     delta_eta,
     delta_eta_compact,
@@ -30,6 +33,7 @@ from curvebounds.bounds import (
     gamma_lower,
     gonality_bound,
     gonality_bound_general_r,
+    linked_line_claim_gap,
     pencil_degree_bound_subvariety,
     restriction_threshold,
     surface_restriction_checks,
@@ -41,7 +45,16 @@ from curvebounds.replay import (
     region_empty,
     sweep,
 )
-from curvebounds.scalar import QuadNumber, exact_int, exact_rational, format_rational
+from curvebounds.scalar import (
+    QuadNumber,
+    ceil_quad,
+    decimal_str,
+    exact_int,
+    exact_rational,
+    format_rational,
+    quad_cmp,
+    sqrt_rational,
+)
 from curvebounds.seshadri import (
     assert_exact,
     bundle_seshadri,
@@ -61,6 +74,13 @@ IV52 = combine(CI52, [complete_intersection(5, 2)])
 RATIONAL_ENTRY_POINTS = {
     "exact_rational": exact_rational,
     "format_rational": format_rational,
+    "QuadNumber.a": QuadNumber,
+    "QuadNumber.b": lambda q: QuadNumber(0, q, 2),
+    "quad_cmp.x": lambda q: quad_cmp(q, 0),
+    "quad_cmp.y": lambda q: quad_cmp(0, q),
+    "ceil_quad": ceil_quad,
+    "sqrt_rational": sqrt_rational,
+    "decimal_str.x": decimal_str,
     "DivisorClass.x": lambda q: DivisorClass(q, 0),
     "DivisorClass.y": lambda q: DivisorClass(0, q),
     "DivisorClass.scale": lambda q: H.scale(q),
@@ -76,11 +96,16 @@ RATIONAL_ENTRY_POINTS = {
     "halphen_f": lambda q: halphen_f(CI52, q),
     "discriminant_dot_heta": lambda q: discriminant_dot_heta(
         CI52, ChernData(H, 0, 0), q),
+    "bogomolov_unstable": lambda q: bogomolov_unstable(CI52, ChernData(H, 0, 0), q),
     "genus_consistency": lambda q: genus_consistency(CI52, q),
     "gonality_bound": lambda q: gonality_bound(CI52, q),
     "gonality_bound_general_r": lambda q: gonality_bound_general_r(CI52, q),
     "pencil_degree_bound_subvariety": lambda q: pencil_degree_bound_subvariety(
         10, 70, 1, q, 3),
+    "pencil_degree_bound_subvariety.x_degree": lambda q: pencil_degree_bound_subvariety(
+        q, 70, 1, Fraction(1, 5), 3),
+    "pencil_degree_bound_subvariety.deg_n_dot": lambda q: pencil_degree_bound_subvariety(
+        10, q, 1, Fraction(1, 5), 3),
     "restriction_threshold": lambda q: restriction_threshold(CI52, q),
     "certify_restriction_stable": lambda q: certify_restriction_stable(CI52, q, 0),
     "build_system.gonality": lambda q: build_system(CI52, q, GonalityMode(3)),
@@ -89,6 +114,7 @@ RATIONAL_ENTRY_POINTS = {
     "assert_exact": assert_exact,
     "SeshadriInterval.__contains__": lambda q: q in IV52,
     "slope_identity_scan.eta": lambda q: slope_identity_scan(CI52, q, 1),
+    "sweep.eta": lambda q: sweep(CI52, q, "gonality", range(3, 5)),
 }
 
 
@@ -103,6 +129,7 @@ def test_rational_entry_points_reject_float_and_bool(name):
 
 INTEGER_ENTRY_POINTS = {
     "exact_int": exact_int,
+    "QuadNumber.m": lambda n: QuadNumber(0, 1, n),
     "QuadNumber.__pow__": lambda n: QuadNumber(0, 1, 2) ** n,
     "global_generation.n": lambda n: global_generation(n, 5),
     "global_generation.m": lambda n: global_generation(1, n),
@@ -137,6 +164,10 @@ INTEGER_ENTRY_POINTS = {
         "c2plus2", n, b=5),
     "surface_restriction_checks.a": lambda n: surface_restriction_checks(
         "barth", 2, a=n),
+    "surface_restriction_checks.b": lambda n: surface_restriction_checks(
+        "c2plus2", 2, b=n),
+    "linked_line_claim_gap.a": lambda n: linked_line_claim_gap(n, 2),
+    "linked_line_claim_gap.b": lambda n: linked_line_claim_gap(5, n),
     "GonalityMode.k": lambda n: build_system(CI52, Fraction(1, 5), GonalityMode(n)),
     "RestrictionMode.c2": lambda n: build_system(
         CI52, Fraction(1, 5), RestrictionMode(n)),
@@ -146,6 +177,8 @@ INTEGER_ENTRY_POINTS = {
         build_system(CI52, Fraction(1, 5), GonalityMode(3)), margin=n),
     "sweep.margin": lambda n: sweep(CI52, Fraction(1, 5), "gonality", range(3, 5),
                                     margin=n),
+    "sweep.l_min": lambda n: sweep(CI52, Fraction(1, 5), "restriction", range(0, 1),
+                                   l_min=n),
     "slope_identity_scan.bound": lambda n: slope_identity_scan(
         CI52, Fraction(1, 5), n),
 }
@@ -159,3 +192,70 @@ def test_integer_entry_points_reject_float_bool_and_fraction(name):
             call(bad)
     call(3)
 
+
+# -- drift guard: every re-exported exact-scalar parameter is tested --------
+
+SCALAR_ANNOTATIONS = {"int", "Optional[int]", "RationalLike", "QuadLike"}
+
+# parameters that take an exact scalar but need no float/bool test here
+EXEMPT = {
+    "BoundReport": "result record: built by the library from checked values",
+    "Box": "result record: built by build_system from checked values",
+    "CertificationResult": "result record: c2 was checked by certify_restriction_stable",
+    "ReplayOutcome": "result record: built by region_empty",
+    "SweepResult": "result record: built by sweep",
+    "decimal_str.digits": "display precision only; no exact value depends on it",
+}
+
+
+def _scalar_parameters(obj) -> list[str]:
+    """Parameters of a callable (or fields of a record class without its
+    own constructor) annotated as an exact scalar."""
+    params = inspect.signature(obj).parameters
+    if isinstance(obj, type) and "args" in params:
+        annotations = obj.__annotations__
+    else:
+        annotations = {name: p.annotation for name, p in params.items()}
+    return [name for name, ann in annotations.items() if ann in SCALAR_ANNOTATIONS]
+
+
+def _tested_parameters(name: str, params: list[str]) -> set[str]:
+    """The parameters of ``name`` that the entry-point tables exercise.
+    A key ``name.param`` names its parameter; a bare ``name`` (or a
+    ``name.label`` whose label is no parameter) stands for the one
+    parameter that no other key of ``name`` names."""
+    keys = [k for k in (*RATIONAL_ENTRY_POINTS, *INTEGER_ENTRY_POINTS)
+            if k.split(".")[0] == name]
+    named = {k.split(".", 1)[1] for k in keys if "." in k} & set(params)
+    rest = [p for p in params if p not in named]
+    if len(rest) == 1 and len(keys) > len(named):
+        named.add(rest[0])
+    return named
+
+
+def _is_entry_point(obj) -> bool:
+    return callable(obj) and not (isinstance(obj, type)
+                                  and issubclass(obj, BaseException))
+
+
+REEXPORTED = sorted(name for name in dir(curvebounds) if not name.startswith("_")
+                    and _is_entry_point(getattr(curvebounds, name)))
+
+
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_every_exact_scalar_parameter_has_a_float_and_bool_test(name):
+    if name in EXEMPT:
+        return
+    params = _scalar_parameters(getattr(curvebounds, name))
+    missing = [p for p in params if f"{name}.{p}" not in EXEMPT
+               and p not in _tested_parameters(name, params)]
+    assert not missing, (
+        f"{name}({', '.join(missing)}) takes an exact scalar: add a "
+        "RATIONAL_ENTRY_POINTS or INTEGER_ENTRY_POINTS entry, or an EXEMPT reason")
+
+
+def test_exempt_names_are_reexported():
+    for key in EXEMPT:
+        name, _, param = key.partition(".")
+        assert name in REEXPORTED
+        assert not param or param in _scalar_parameters(getattr(curvebounds, name))
