@@ -18,7 +18,11 @@ import json
 import os
 from pathlib import Path
 
-from curvebounds.catalog import serialize_descriptor, standard_catalog
+from curvebounds.catalog import (
+    load_descriptor,
+    serialize_descriptor,
+    standard_catalog,
+)
 from curvebounds.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_golden.json")
@@ -35,6 +39,52 @@ COMMANDS = (
     ("verify", "sweep", "--mode", "gonality", "--start", "0", "--stop", "3"),
     ("verify", "sweep", "--mode", "restriction", "--start", "0", "--stop", "3",
      "--box-margin", "2"),
+)
+
+# the branches the catalog-wide forms miss, run on ci-5-2 and on a
+# linked-line descriptor whose genus override draws a warning (stderr in
+# text, "warnings" in JSON): explicit eta/gamma inside and outside the
+# point interval 1/5, --strict exits, replay witnesses, and errors
+# raised after the descriptor has loaded
+EXTRA_CURVES = (
+    '{"kind":{"complete_intersection":{"a":5,"b":2}}}',
+    '{"kind":{"linked_line":{"a":5,"b":2,"g":3}}}',
+)
+EXTRA_COMMANDS = (
+    ("invariants", "--eta", "1/5"),
+    ("gonality", "--eta", "1/5"),
+    ("gonality", "--eta", "1/4"),
+    ("gonality", "--eta", "0"),
+    ("restrict", "--gamma", "1/5"),
+    ("restrict", "--c2", "50", "--strict"),
+    ("verify", "identity-sl", "--range", "2", "--eta", "1/5"),
+    ("verify", "replay-gonality", "--k", "40"),
+    ("verify", "replay-gonality", "--k", "40", "--strict"),
+    ("verify", "replay-gonality", "--k", "40", "--box-margin", "1"),
+    ("verify", "replay-restriction", "--c2", "30", "--l-min", "1"),
+    ("verify", "replay-restriction", "--c2", "30", "--l-min", "1", "--strict"),
+    ("verify", "replay-restriction", "--c2", "30", "--l-min", "1",
+     "--box-margin", "1"),
+    ("verify", "sweep", "--mode", "gonality", "--start", "0", "--stop", "3",
+     "--eta", "1/5"),
+    ("verify", "sweep", "--mode", "restriction", "--start", "0", "--stop", "3",
+     "--gamma", "1/5"),
+    ("verify", "sweep", "--mode", "gonality", "--start", "3", "--stop", "0"),
+)
+# every surface-restrict variant in both outcomes, --strict, and the two
+# error exits (c2 = 1 under Barth, a missing degree)
+SURFACE = (
+    ("--variant", "barth", "--c2", "2", "--a", "5"),
+    ("--variant", "barth", "--c2", "2", "--a", "4"),
+    ("--variant", "barth", "--c2", "2", "--a", "4", "--strict"),
+    ("--variant", "c2plus2", "--c2", "2", "--b", "4"),
+    ("--variant", "c2plus2", "--c2", "3", "--b", "4"),
+    ("--variant", "c2plus2", "--c2", "3", "--b", "4", "--strict"),
+    ("--variant", "ci_curve", "--c2", "1", "--a", "10", "--b", "3"),
+    ("--variant", "ci_curve", "--c2", "2", "--a", "10", "--b", "3"),
+    ("--variant", "ci_curve", "--c2", "2", "--a", "10", "--b", "3", "--strict"),
+    ("--variant", "barth", "--c2", "1", "--a", "9"),
+    ("--variant", "ci_curve", "--c2", "2", "--a", "10"),
 )
 
 
@@ -78,17 +128,34 @@ USAGE = (
 def cases() -> list[tuple[str, list[str]]]:
     """Every (label, argv) of the golden set: catalog curve x command x
     {text, JSON}, where the label names the curve in place of its
-    descriptor; then -h at every level and the usage errors."""
+    descriptor; the extra forms on ci-5-2 and ll-5-2-3 (which also runs
+    every catalog form, being outside the catalog) and the surface
+    criteria, each in text and JSON; then -h at every level and the
+    usage errors."""
     out = []
+
+    def both(label: str, argv: list[str]) -> None:
+        out.append((label, argv))
+        out.append((label + " --json", argv + ["--json"]))
+
+    def curve_forms(name: str, text: str, commands: tuple) -> None:
+        for command in commands:
+            verb = list(command[:2]) if command[0] == "verify" else [command[0]]
+            both(" ".join([name, *command]),
+                 verb + [text] + list(command[len(verb):]))
+
     catalog = standard_catalog()
     for desc in catalog:
         text = json.dumps(serialize_descriptor(desc), sort_keys=True)
-        for command in COMMANDS:
-            verb = list(command[:2]) if command[0] == "verify" else [command[0]]
-            argv = verb + [text] + list(command[len(verb):])
-            label = " ".join([desc.name, *command])
-            out.append((label, argv))
-            out.append((label + " --json", argv + ["--json"]))
+        curve_forms(desc.name, text, COMMANDS)
+    names = {desc.name for desc in catalog}
+    for text in EXTRA_CURVES:
+        name = load_descriptor(text).name
+        curve_forms(name, text,
+                    EXTRA_COMMANDS + (() if name in names else COMMANDS))
+    for args in SURFACE:
+        both(" ".join(["surface-restrict", *args]),
+             ["surface-restrict", *args])
     out.append(("-h", ["-h"]))
     out.append(("verify -h", ["verify", "-h"]))
     for leaf in LEAVES:
