@@ -87,13 +87,11 @@ from .replay import (
 )
 from .scalar import (
     QuadNumber,
-    ceil_quad,
     decimal_str,
     format_rational,
     parse_rational,
     quad_cmp,
     quad_from_json,
-    quad_min,
     quad_to_json,
     sqrt_rational,
 )

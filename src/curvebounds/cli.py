@@ -2,6 +2,10 @@
 gonality bounds, restriction-stability thresholds, and the brute-force
 verification commands, over curve-descriptor JSON files.
 
+Each handler in ``COMMANDS`` returns one payload of exact values, its
+text lines and an exit code; ``main`` alone emits, either the lines or
+the payload through the one JSON encoder ``_json``.
+
 Exit codes: 0 success; 1 inconsistent input, a failed verification, or
 an inconclusive verdict under --strict; 2 malformed descriptors or
 arguments.
@@ -23,7 +27,6 @@ from .blowup import delta_eta, lambda_eta
 from .blowup import slope_identity_scan as _slope_identity_scan
 from .bounds import (
     BoundReport,
-    Discrepancy,
     certify_restriction_stable,
     gonality_bound,
     linked_line_claim_gap,
@@ -46,9 +49,12 @@ from .scalar import (
     parse_rational,
     quad_to_json,
 )
-from .seshadri import SeshadriInterval, combine
+from .seshadri import Evidence, combine
 
 SCHEMA = 1
+
+# what a handler returns: (payload, text lines, exit code)
+Result = tuple[dict, list[str], int]
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -56,20 +62,28 @@ def _rational_arg(text: str) -> Fraction:
     return value
 
 
-def _exact_json(v: Any) -> Any:
+def _json(v: Any) -> Any:
+    """The JSON form of a payload value: an exact number as its exact
+    form and a decimal preview, evidence as in a descriptor, a record
+    field by field in order, containers item by item."""
+    if v is None or isinstance(v, (int, str)):  # most leaves; bool is an int
+        return v
+    if isinstance(v, dict):
+        return {k: _json(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [_json(x) for x in v]
     if isinstance(v, QuadNumber):
-        if v.is_rational:
-            # rational values collapse to the "p/q" form; an object with
-            # keys a/b/m in "exact" always means an irrational value
-            v = v.as_rational()
-        else:
+        if not v.is_rational:
             return {"exact": quad_to_json(v), "decimal": decimal_str(v)}
-    if isinstance(v, bool) or isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return v
+        # rational values collapse to the "p/q" form; an object with
+        # keys a/b/m in "exact" always means an irrational value
+        v = v.as_rational()
     if isinstance(v, Fraction):
         return {"exact": format_rational(v), "decimal": decimal_str(v)}
+    if isinstance(v, Evidence):
+        return evidence_to_json(v)
+    if hasattr(v, "__record_fields__"):
+        return _json(_record.asdict(v))
     return v
 
 
@@ -85,281 +99,166 @@ def _show(v: Any) -> str:
     return str(v)
 
 
-def _disc_json(disc: Discrepancy) -> dict:
-    return {"code": disc.code, "message": disc.message,
-            "data": {k: _exact_json(v) for k, v in disc.data.items()}}
+def _curve(desc: CurveDescriptor) -> dict:
+    c = desc.curve
+    return {"name": desc.name, "kind": desc.kind, "params": desc.params,
+            "d": c.d, "g": c.g, "deg_n": c.deg_n, "warnings": desc.warnings}
 
 
-def _report_json(report: BoundReport) -> dict:
-    return {
-        "inputs": {k: _exact_json(v) for k, v in report.inputs.items()},
-        "alpha": _exact_json(report.alpha),
-        "term_delta": _exact_json(report.term_delta),
-        "term_alpha": _exact_json(report.term_alpha),
-        "value": _exact_json(report.value),
-        "value_ceiling": report.value_ceiling,
-        "trace": list(report.trace),
-        "discrepancies": [_disc_json(d) for d in report.discrepancies],
-    }
-
-
-def _interval_json(iv: SeshadriInterval) -> dict:
-    return {
-        "lower": _exact_json(iv.lower),
-        "upper": _exact_json(iv.upper),
-        "lower_trace": [{"evidence": evidence_to_json(e), "bound": _exact_json(v)}
-                        for e, v in iv.lower_trace],
-        "upper_trace": [{"evidence": evidence_to_json(e), "bound": _exact_json(v)}
-                        for e, v in iv.upper_trace],
-        "notes": list(iv.notes),
-    }
-
-
-def _descriptor_json(desc: CurveDescriptor) -> dict:
-    return {
-        "name": desc.name,
-        "kind": desc.kind,
-        "params": dict(desc.params),
-        "d": desc.curve.d,
-        "g": desc.curve.g,
-        "deg_n": desc.curve.deg_n,
-        "warnings": list(desc.warnings),
-    }
-
-
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
-
-
-def _load(args: argparse.Namespace) -> CurveDescriptor:
+def _load(args: argparse.Namespace, flag: str) -> tuple:
+    """(descriptor, eta, interval, notes): the value of ``--<flag>``, or
+    by default the certified Seshadri lower bound, with the note saying
+    so as the one line of ``notes``.  The descriptor's warnings go to
+    ``args.warnings``, for ``main`` to emit even if the command fails."""
     desc = load_descriptor(args.descriptor)
-    if not args.json:
-        for w in desc.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-    return desc
-
-
-def _interval(desc: CurveDescriptor) -> SeshadriInterval:
-    return combine(desc.curve, list(desc.evidence))
-
-
-def _pick_eta(args: argparse.Namespace, desc: CurveDescriptor,
-              flag: str) -> tuple[Fraction, SeshadriInterval, Optional[str]]:
-    """The requested eta/gamma, or the certified interval lower bound as
-    default; returns (value, interval, default-note-or-None)."""
-    interval = _interval(desc)
-    requested = getattr(args, flag)
+    args.warnings = desc.warnings
+    interval = combine(desc.curve, list(desc.evidence))
+    requested = getattr(args, flag, None)
     if requested is not None:
-        return requested, interval, None
+        return desc, requested, interval, []
     note = (f"{flag} defaulted to the certified Seshadri lower bound "
             f"{interval.lower}")
     if flag == "gamma":
         note += ("; the stability constant of a specific bundle may be "
                  "smaller, so pass --gamma from surface evidence for a "
                  "certified verdict")
-    return interval.lower, interval, note
+    return desc, interval.lower, interval, [note]
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
-    desc = _load(args)
-    eta, interval, note = _pick_eta(args, desc, "eta")
+def _report_lines(header: str, notes: list[str], report: BoundReport,
+                  conclusion: str) -> list[str]:
+    return [header, *(f"  note: {n}" for n in notes),
+            *(f"  {t}" for t in report.trace), f"  {conclusion}",
+            *(f"  warning[{d.code}]: {d.message}" for d in report.discrepancies)]
+
+
+def cmd_invariants(args: argparse.Namespace) -> Result:
+    desc, eta, _, notes = _load(args, "eta")
     c = desc.curve
     delta = delta_eta(c, eta)
     lam = lambda_eta(c, eta)
-    payload = {
-        "schema": SCHEMA,
-        "command": "invariants",
-        "curve": _descriptor_json(desc),
-        "eta": _exact_json(eta),
-        "delta_eta": _exact_json(delta),
-        "lambda_eta": _exact_json(lam),
-        "notes": [note] if note else [],
-    }
+    payload = {"curve": _curve(desc), "eta": eta, "delta_eta": delta,
+               "lambda_eta": lam, "notes": notes}
     lines = [
         f"{desc.name} ({desc.kind}: "
         + ", ".join(f"{k}={v}" for k, v in desc.params.items()) + ")",
         f"  d = {c.d}",
         f"  g = {c.g}",
         f"  deg_N = {c.deg_n}",
-        f"  eta = {_show(eta)}" + ("  [certified lower bound]" if note else ""),
+        f"  eta = {_show(eta)}" + ("  [certified lower bound]" if notes else ""),
         f"  delta_eta = {_show(delta)}",
         f"  lambda_eta = {_show(lam)}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_seshadri(args: argparse.Namespace) -> int:
-    desc = _load(args)
-    iv = _interval(desc)
-    payload = {
-        "schema": SCHEMA,
-        "command": "seshadri",
-        "curve": _descriptor_json(desc),
-        "interval": _interval_json(iv),
-    }
+def cmd_seshadri(args: argparse.Namespace) -> Result:
+    desc, _, iv, _ = _load(args, "eta")
+    traces = {name: [{"evidence": e, "bound": v} for e, v in getattr(iv, name)]
+              for name in ("lower_trace", "upper_trace")}
+    payload = {"curve": _curve(desc),
+               "interval": {**_record.asdict(iv), **traces}}
     lines = [f"seshadri interval for {desc.name}: "
              f"{_show(iv.lower)} <= eps <= {_show(iv.upper)}"
-             + ("  (point: eps known exactly)" if iv.is_point else "")]
-    lines.append(f"  lower certified by {iv.lower_witness}")
-    lines.append(f"  upper certified by {iv.upper_witness}")
-    lines.append("  lower candidates:")
-    for e, v in iv.lower_trace:
-        lines.append(f"    {_show(v)}  from {e}")
-    lines.append("  upper candidates:")
-    for e, v in iv.upper_trace:
-        lines.append(f"    {_show(v)}  from {e}")
-    for n in iv.notes:
-        lines.append(f"  note: {n}")
-    _emit(args, payload, lines)
-    return 0
+             + ("  (point: eps known exactly)" if iv.is_point else ""),
+             f"  lower certified by {iv.lower_witness}",
+             f"  upper certified by {iv.upper_witness}",
+             "  lower candidates:",
+             *(f"    {_show(v)}  from {e}" for e, v in iv.lower_trace),
+             "  upper candidates:",
+             *(f"    {_show(v)}  from {e}" for e, v in iv.upper_trace),
+             *(f"  note: {n}" for n in iv.notes)]
+    return payload, lines, 0
 
 
-def cmd_gonality(args: argparse.Namespace) -> int:
-    desc = _load(args)
-    eta, interval, note = _pick_eta(args, desc, "eta")
+def cmd_gonality(args: argparse.Namespace) -> Result:
+    desc, eta, interval, notes = _load(args, "eta")
     report = gonality_bound(desc.curve, eta, interval)
     if desc.kind == "linked_line":
         gap = linked_line_claim_gap(desc.params["a"], desc.params["b"])
         if gap is not None:
             report = _record.replace(
                 report, discrepancies=report.discrepancies + (gap,))
-    payload = {
-        "schema": SCHEMA,
-        "command": "gonality",
-        "curve": _descriptor_json(desc),
-        "report": _report_json(report),
-        "notes": [note] if note else [],
-    }
-    lines = [f"gonality bound for {desc.name} at eta = {_show(eta)}"]
-    if note:
-        lines.append(f"  note: {note}")
-    lines.extend(f"  {t}" for t in report.trace)
-    lines.append(f"  gon >= {_show(report.value)}; as an integer bound, "
-                 f"gon >= {report.value_ceiling}")
-    for disc in report.discrepancies:
-        lines.append(f"  warning[{disc.code}]: {disc.message}")
-    _emit(args, payload, lines)
-    return 0
+    lines = _report_lines(
+        f"gonality bound for {desc.name} at eta = {_show(eta)}", notes, report,
+        f"gon >= {_show(report.value)}; as an integer bound, "
+        f"gon >= {report.value_ceiling}")
+    return {"curve": _curve(desc), "report": report, "notes": notes}, lines, 0
 
 
-def cmd_restrict(args: argparse.Namespace) -> int:
-    desc = _load(args)
-    gamma, interval, note = _pick_eta(args, desc, "gamma")
-    verdict: Optional[str] = None
-    reason = ""
-    if args.c2 is not None:
+def cmd_restrict(args: argparse.Namespace) -> Result:
+    desc, gamma, interval, notes = _load(args, "gamma")
+    verdict: dict = {}
+    code = 0
+    if args.c2 is None:
+        report = restriction_threshold(desc.curve, gamma, interval)
+    else:
         result = certify_restriction_stable(desc.curve, gamma, args.c2, interval)
         report = result.report
-        verdict, reason = result.verdict, result.reason
-    else:
-        report = restriction_threshold(desc.curve, gamma, interval)
-    payload = {
-        "schema": SCHEMA,
-        "command": "restrict",
-        "curve": _descriptor_json(desc),
-        "report": _report_json(report),
-        "notes": [note] if note else [],
-    }
-    lines = [f"restriction threshold for {desc.name} at gamma = {_show(gamma)}"]
-    if note:
-        lines.append(f"  note: {note}")
-    lines.extend(f"  {t}" for t in report.trace)
-    lines.append(f"  stable restriction certified for c2 < {_show(report.value)}")
-    if verdict is not None:
-        payload["verdict"] = verdict
-        payload["c2"] = args.c2
-        payload["reason"] = reason
-        lines.append(f"  c2 = {args.c2}: {verdict} ({reason})")
-    _emit(args, payload, lines)
-    if verdict == "inconclusive" and args.strict:
-        return 1
-    return 0
+        verdict = {"verdict": result.verdict, "c2": args.c2,
+                   "reason": result.reason}
+        code = 1 if args.strict and not result.certified else 0
+    lines = _report_lines(
+        f"restriction threshold for {desc.name} at gamma = {_show(gamma)}",
+        notes, report, f"stable restriction certified for c2 < {_show(report.value)}")
+    if verdict:
+        lines.append(f"  c2 = {args.c2}: {result.verdict} ({result.reason})")
+    payload = {"curve": _curve(desc), "report": report, "notes": notes, **verdict}
+    return payload, lines, code
 
 
-def cmd_surface_restrict(args: argparse.Namespace) -> int:
+def cmd_surface_restrict(args: argparse.Namespace) -> Result:
     ok = surface_restriction_checks(args.variant, args.c2, a=args.a, b=args.b)
     inputs = {"variant": args.variant, "c2": args.c2}
-    if args.a is not None:
-        inputs["a"] = args.a
-    if args.b is not None:
-        inputs["b"] = args.b
-    payload = {
-        "schema": SCHEMA,
-        "command": "surface-restrict",
-        "inputs": inputs,
-        "certified": ok,
-    }
+    inputs.update((k, v) for k, v in (("a", args.a), ("b", args.b))
+                  if v is not None)
     detail = ", ".join(f"{k} = {v}" for k, v in inputs.items() if k != "variant")
     lines = [f"criterion {args.variant} with {detail}: "
              + ("hypotheses hold; restriction stays stable"
                 if ok else "hypotheses do not hold; criterion is silent")]
-    _emit(args, payload, lines)
-    if args.strict and not ok:
-        return 1
-    return 0
+    return ({"inputs": inputs, "certified": ok}, lines,
+            1 if args.strict and not ok else 0)
 
 
-def cmd_verify_identity(args: argparse.Namespace) -> int:
-    desc = _load(args)
-    eta, interval, note = _pick_eta(args, desc, "eta")
-    bound = args.range
-    checked, violations = _slope_identity_scan(desc.curve, eta, bound)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify-identity-sl",
-        "curve": _descriptor_json(desc),
-        "eta": _exact_json(eta),
-        "range": bound,
-        "checked": checked,
-        "violations": [list(v) for v in violations],
-        "notes": [note] if note else [],
-    }
+def cmd_verify_identity(args: argparse.Namespace) -> Result:
+    desc, eta, _, notes = _load(args, "eta")
+    checked, violations = _slope_identity_scan(desc.curve, eta, args.range)
+    payload = {"curve": _curve(desc), "eta": eta, "range": args.range,
+               "checked": checked, "violations": violations, "notes": notes}
     lines = [
         f"slope identity scan for {desc.name} at eta = {_show(eta)}: "
-        f"{checked} classes with |x|, |y| <= {bound}",
+        f"{checked} classes with |x|, |y| <= {args.range}",
         f"  violations: {len(violations)}"
         + ("" if not violations else f" (first at {violations[0]})"),
     ]
-    _emit(args, payload, lines)
-    return 1 if violations else 0
+    return payload, lines, 1 if violations else 0
 
 
-def _replay_common(args: argparse.Namespace, desc: CurveDescriptor,
-                   eta: Fraction, mode, note: Optional[str],
-                   label: str) -> int:
+def _replay(args: argparse.Namespace, flag: str, mode, label: str) -> Result:
+    desc, eta, _, notes = _load(args, flag)
     system = build_system(desc.curve, eta, mode)
     outcome = region_empty(system, margin=args.box_margin)
+    box = system.box
     payload = {
-        "schema": SCHEMA,
-        "command": f"verify-replay-{label}",
-        "curve": _descriptor_json(desc),
-        "eta": _exact_json(eta),
-        "mode": _record.asdict(mode),
-        "box": {"x": [system.box.x_min, system.box.x_max],
-                "y": [system.box.y_min, system.box.y_max],
-                "margin": args.box_margin,
-                "notes": list(system.box.notes)},
-        "constraints": list(system.constraints),
+        "curve": _curve(desc),
+        "eta": eta,
+        "mode": mode,
+        "box": {"x": [box.x_min, box.x_max], "y": [box.y_min, box.y_max],
+                "margin": args.box_margin, "notes": box.notes},
+        "constraints": system.constraints,
         "empty": outcome.empty,
-        "witness": list(outcome.witness) if outcome.witness else None,
+        "witness": outcome.witness,
         "checked": outcome.checked,
-        "notes": ([note] if note else []) + [outcome.note],
+        "notes": notes + [outcome.note],
     }
-    lines = [f"replay ({label}) for {desc.name} at eta = {_show(eta)}"]
-    if note:
-        lines.append(f"  note: {note}")
-    lines.append(f"  box: x in [{system.box.x_min}, {system.box.x_max}], "
-                 f"y in [{system.box.y_min}, {system.box.y_max}]"
-                 + (f" (margin {args.box_margin})" if args.box_margin else ""))
-    for bn in system.box.notes:
-        lines.append(f"    {bn}")
-    lines.append("  constraints:")
-    for con in system.constraints:
-        lines.append(f"    - {con}")
+    lines = [f"replay ({label}) for {desc.name} at eta = {_show(eta)}",
+             *(f"  note: {n}" for n in notes),
+             f"  box: x in [{box.x_min}, {box.x_max}], "
+             f"y in [{box.y_min}, {box.y_max}]"
+             + (f" (margin {args.box_margin})" if args.box_margin else ""),
+             *(f"    {bn}" for bn in box.notes),
+             "  constraints:",
+             *(f"    - {con}" for con in system.constraints)]
     if outcome.empty:
         lines.append(f"  outcome: empty ({outcome.checked} classes checked; "
                      "bound certified at desk scale)")
@@ -367,62 +266,48 @@ def _replay_common(args: argparse.Namespace, desc: CurveDescriptor,
         lines.append(f"  outcome: witness (x, y) = {outcome.witness} "
                      f"({outcome.checked} classes checked)")
         lines.append(f"  {outcome.note}")
-    _emit(args, payload, lines)
-    if not outcome.empty and args.strict:
-        return 1
-    return 0
+    return payload, lines, 1 if args.strict and not outcome.empty else 0
 
 
-def cmd_verify_replay_gonality(args: argparse.Namespace) -> int:
-    desc = _load(args)
-    eta, interval, note = _pick_eta(args, desc, "eta")
-    return _replay_common(args, desc, eta, GonalityMode(k=args.k), note,
-                          "gonality")
+def cmd_verify_replay_gonality(args: argparse.Namespace) -> Result:
+    return _replay(args, "eta", GonalityMode(k=args.k), "gonality")
 
 
-def cmd_verify_replay_restriction(args: argparse.Namespace) -> int:
-    desc = _load(args)
-    gamma, interval, note = _pick_eta(args, desc, "gamma")
-    mode = RestrictionMode(c2=args.c2, l_min=args.l_min)
-    return _replay_common(args, desc, gamma, mode, note, "restriction")
+def cmd_verify_replay_restriction(args: argparse.Namespace) -> Result:
+    return _replay(args, "gamma", RestrictionMode(c2=args.c2, l_min=args.l_min),
+                   "restriction")
 
 
-def cmd_verify_sweep(args: argparse.Namespace) -> int:
-    desc = _load(args)
+def cmd_verify_sweep(args: argparse.Namespace) -> Result:
     flag = "eta" if args.mode == "gonality" else "gamma"
-    eta, interval, note = _pick_eta(args, desc, flag)
+    desc, eta, _, notes = _load(args, flag)
     if args.stop < args.start:
         raise ParseError(f"--stop {args.stop} is below --start {args.start}")
     result = sweep(desc.curve, eta, args.mode,
                    range(args.start, args.stop + 1), margin=args.box_margin)
     param_name = "k" if args.mode == "gonality" else "c2"
     payload = {
-        "schema": SCHEMA,
-        "command": "verify-sweep",
-        "curve": _descriptor_json(desc),
+        "curve": _curve(desc),
         "mode": args.mode,
-        "eta": _exact_json(eta),
-        "entries": [{param_name: p, "empty": o.empty,
-                     "witness": list(o.witness) if o.witness else None}
+        "eta": eta,
+        "entries": [{param_name: p, "empty": o.empty, "witness": o.witness}
                     for p, o in result.entries],
         "frontier": result.frontier,
-        "notes": ([note] if note else []) + [result.note],
+        "notes": notes + [result.note],
     }
     lines = [f"sweep ({args.mode}) for {desc.name}, "
              f"{param_name} in [{args.start}, {args.stop}] at "
-             f"{flag} = {_show(eta)}"]
-    if note:
-        lines.append(f"  note: {note}")
-    for p, o in result.entries:
-        lines.append(f"  {param_name} = {p}: "
-                     + ("empty" if o.empty else f"witness {o.witness}"))
+             f"{flag} = {_show(eta)}",
+             *(f"  note: {n}" for n in notes),
+             *(f"  {param_name} = {p}: "
+               + ("empty" if o.empty else f"witness {o.witness}")
+               for p, o in result.entries)]
     if result.frontier is None:
         lines.append("  frontier: none in range (region stayed empty)")
     else:
         lines.append(f"  frontier: {param_name} = {result.frontier} "
                      "(first parameter with a feasible class)")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
 def _arg(name: str, **kwargs: Any) -> tuple[str, dict]:
@@ -525,7 +410,7 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
         p = level(path[:-1]).add_parser(path[-1], help=help_text)
         for name, kwargs in arguments:
             p.add_argument(name, **kwargs)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, command_name="-".join(path))
     return parser
 
 
@@ -534,14 +419,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv)
     args = parser.parse_args(argv)
+    args.warnings = ()  # the descriptor's, once _load has parsed it
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, lines, code = args.func(args)
     except (CurveBoundsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        payload, lines = None, [f"error: {exc}"]
+        code = 2 if isinstance(exc, ParseError) else 1
+    if not args.json:
+        for w in args.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+    elif payload is not None:
+        lines = [json.dumps(_json({"schema": SCHEMA, "command": args.command_name,
+                                   **payload}), indent=2)]
+    print("\n".join(lines), file=sys.stderr if payload is None else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

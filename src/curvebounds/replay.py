@@ -243,10 +243,16 @@ def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
     """Run region_empty for each parameter (pencil degree k, or c2) and
     report the feasibility frontier: the first parameter whose region is
     non-empty.  The frontier can only sit at or above the corresponding
-    bound; it may exceed it."""
+    bound; it may exceed it.  Every argument is checked before the first
+    parameter, in both families, so an empty range fails as a full one."""
     if mode_family not in ("gonality", "restriction"):
         raise ValueError(f"unknown mode family: {mode_family!r}")
     _check_margin(margin)
+    eta = _exact_rational(eta)
+    if eta <= 0:
+        raise NonpositiveEta(f"eta must be positive, got {eta}")
+    if _exact_int(l_min) < 0:
+        raise ValueError(f"l_min must be nonnegative, got {l_min}")
     entries: list[tuple[int, ReplayOutcome]] = []
     frontier: Optional[int] = None
     for param in param_range:

@@ -22,7 +22,7 @@ Values are kept in a canonical form at all times:
 Floats and bools are rejected with ``TypeError`` wherever a value
 enters: the constructor's components and its radicand (which must be an
 ``int``), arithmetic and comparison operands, exponents,
-:func:`sqrt_rational`, :func:`quad_cmp` and :func:`ceil_quad`.
+:func:`sqrt_rational` and :func:`quad_cmp`.
 Radicands above :data:`MAX_RADICAND` raise :class:`RadicandTooLarge`
 before any factoring, so hostile input cannot stall the trial division.
 
@@ -456,10 +456,6 @@ def quad_cmp(x: QuadLike, y: QuadLike) -> int:
     return _cmp(_operand(x), _operand(y))
 
 
-def quad_min(x: QuadNumber, y: QuadNumber) -> QuadNumber:
-    return y if quad_cmp(x, y) > 0 else x
-
-
 def sqrt_rational(q: RationalLike) -> QuadNumber:
     """Exact square root of a nonnegative rational, with minimal
     integer radicand: sqrt(p/s) = sqrt(p*s)/s."""
@@ -470,10 +466,6 @@ def sqrt_rational(q: RationalLike) -> QuadNumber:
     if core <= 1:  # q is 0 or a perfect square
         return _quad(k * core, 0, q.denominator, 0)
     return _quad(0, k, q.denominator, core)
-
-
-def ceil_quad(x: QuadLike) -> int:
-    return math.ceil(_operand(x))
 
 
 # -- serialization -------------------------------------------------------

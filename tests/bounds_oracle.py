@@ -8,17 +8,18 @@ here.  Every value is built by public arithmetic, so a slip in the
 library's integer bookkeeping shows up as a differing report.
 """
 
+import math
 from fractions import Fraction
 
 from curvebounds.bounds import BoundReport
-from curvebounds.scalar import QuadNumber, ceil_quad, quad_cmp, quad_min, sqrt_rational
+from curvebounds.scalar import QuadNumber, quad_cmp, sqrt_rational
 
 
 def _clamped_alpha(raw, trace, formula):
     if raw.sign() < 0:
         trace.append(f"alpha = {formula} clamped to 0 (raw value {raw} < 0)")
         return QuadNumber(0)
-    alpha = quad_min(QuadNumber(1), raw)
+    alpha = min(QuadNumber(1), raw)
     trace.append(f"alpha = min(1, {formula}) = {alpha}")
     return alpha
 
@@ -31,8 +32,8 @@ def two_term_bound(inputs, trace, delta, raw_alpha, length, scale, formulas):
     alpha = _clamped_alpha(raw_alpha, trace, formulas[1])
     term_alpha = alpha * (length - alpha / scale)
     trace.append(f"alpha term: {formulas[2]} = {term_alpha}")
-    value = quad_min(QuadNumber(term_delta), term_alpha)
-    ceiling = ceil_quad(value)
+    value = min(QuadNumber(term_delta), term_alpha)
+    ceiling = math.ceil(value)
     trace.append(f"value = min of the two terms = {value}; "
                  f"smallest integer >= value: {ceiling}")
     return BoundReport(inputs=inputs, alpha=alpha, term_delta=term_delta,

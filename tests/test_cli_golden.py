@@ -1,13 +1,21 @@
-"""CLI text and JSON stay byte-identical to the recorded golden digests."""
+"""CLI text and JSON stay byte-identical to the recorded golden digests,
+and every exact number in a golden JSON payload parses back."""
 
 import json
 
 import pytest
 
 from cli_golden import DIGESTS, cases, digest, transcript
+from curvebounds.blowup import CurveGeometry
+from curvebounds.bounds import gonality_bound, restriction_threshold
+from curvebounds.scalar import decimal_str, parse_rational, quad_from_json
 
 GOLDEN = json.loads(DIGESTS.read_text())
 CASES = cases()
+JSON_CASES = [(label, argv) for label, argv in CASES if label.endswith(" --json")]
+# the library function behind each report, and the name of its parameter
+REPORTS = {"gonality": (gonality_bound, "eta"),
+           "restrict": (restriction_threshold, "gamma")}
 
 
 def test_golden_set_matches_recorded_labels():
@@ -20,3 +28,55 @@ def test_cli_transcript_matches_golden(label, argv):
     if digest(code, out, err) != GOLDEN[label]:
         pytest.fail(f"transcript changed for argv {argv!r}\n"
                     f"exit code: {code}\n--- stdout ---\n{out}--- stderr ---\n{err}")
+
+
+def exact_pairs(node):
+    """Every {"exact", "decimal"} object in a JSON document."""
+    if isinstance(node, dict):
+        if node.keys() == {"exact", "decimal"}:
+            yield node
+        else:
+            for value in node.values():
+                yield from exact_pairs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from exact_pairs(value)
+
+
+def reparse(pair):
+    """The exact value of a pair: "p/q" for a rational, {a, b, m} with
+    b != 0 for an irrational."""
+    exact = pair["exact"]
+    if isinstance(exact, str):
+        return parse_rational(exact)
+    value = quad_from_json(exact)
+    assert value.b != 0, f"a rational value in irrational form: {exact}"
+    return value
+
+
+@pytest.mark.parametrize("label,argv", JSON_CASES,
+                         ids=[label for label, _ in JSON_CASES])
+def test_json_exact_values_round_trip(label, argv):
+    code, out, _ = transcript(argv)
+    if not out:  # an error exit prints only to stderr
+        assert code != 0
+        return
+    doc = json.loads(out)
+    for pair in exact_pairs(doc):
+        assert decimal_str(reparse(pair)) == pair["decimal"]
+    if "report" in doc:
+        bound, param = REPORTS[doc["command"]]
+        curve = CurveGeometry(doc["curve"]["d"], doc["curve"]["g"])
+        at = reparse(doc["report"]["inputs"][param])
+        assert reparse(doc["report"]["value"]) == bound(curve, at).value
+
+
+def test_json_round_trip_meets_both_exact_forms():
+    forms = {"rational": 0, "irrational": 0, "report": 0}
+    for _, argv in JSON_CASES:
+        _, out, _ = transcript(argv)
+        doc = json.loads(out) if out else {}
+        for pair in exact_pairs(doc):
+            forms["rational" if isinstance(pair["exact"], str) else "irrational"] += 1
+        forms["report"] += "report" in doc
+    assert min(forms.values()) > 0, forms

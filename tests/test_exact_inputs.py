@@ -47,7 +47,6 @@ from curvebounds.replay import (
 )
 from curvebounds.scalar import (
     QuadNumber,
-    ceil_quad,
     decimal_str,
     exact_int,
     exact_rational,
@@ -78,7 +77,6 @@ RATIONAL_ENTRY_POINTS = {
     "QuadNumber.b": lambda q: QuadNumber(0, q, 2),
     "quad_cmp.x": lambda q: quad_cmp(q, 0),
     "quad_cmp.y": lambda q: quad_cmp(0, q),
-    "ceil_quad": ceil_quad,
     "sqrt_rational": sqrt_rational,
     "decimal_str.x": decimal_str,
     "DivisorClass.x": lambda q: DivisorClass(q, 0),
@@ -115,6 +113,7 @@ RATIONAL_ENTRY_POINTS = {
     "SeshadriInterval.__contains__": lambda q: q in IV52,
     "slope_identity_scan.eta": lambda q: slope_identity_scan(CI52, q, 1),
     "sweep.eta": lambda q: sweep(CI52, q, "gonality", range(3, 5)),
+    "sweep.eta.empty_range": lambda q: sweep(CI52, q, "gonality", range(0)),
 }
 
 
@@ -179,6 +178,10 @@ INTEGER_ENTRY_POINTS = {
                                     margin=n),
     "sweep.l_min": lambda n: sweep(CI52, Fraction(1, 5), "restriction", range(0, 1),
                                    l_min=n),
+    "sweep.l_min.gonality": lambda n: sweep(CI52, Fraction(1, 5), "gonality",
+                                            range(3, 5), l_min=n),
+    "sweep.l_min.empty_range": lambda n: sweep(CI52, Fraction(1, 5), "restriction",
+                                               range(0), l_min=n),
     "slope_identity_scan.bound": lambda n: slope_identity_scan(
         CI52, Fraction(1, 5), n),
 }

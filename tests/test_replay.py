@@ -234,6 +234,17 @@ def test_sweep_forwards_l_min():
     assert res.frontier is None
 
 
+@pytest.mark.parametrize("family", ["gonality", "restriction"])
+@pytest.mark.parametrize("params", [range(3, 6), range(0)])
+def test_sweep_checks_eta_and_l_min_before_the_first_parameter(family, params):
+    # gonality mode never reads l_min, and an empty range builds no
+    # system, yet both still reject a bad eta or l_min
+    with pytest.raises(ValueError, match="l_min must be nonnegative"):
+        sweep(CI52, F(1, 5), family, params, l_min=-3)
+    with pytest.raises(NonpositiveEta):
+        sweep(CI52, F(0), family, params)
+
+
 # -- margin invariance -------------------------------------------------------------
 #
 # The box is derived to contain every integer solution, so enlarging it

@@ -13,13 +13,11 @@ from curvebounds.errors import IncompatibleRadicand, NegativeRadicand, RadicandT
 from curvebounds.scalar import (
     MAX_RADICAND,
     QuadNumber,
-    ceil_quad,
     decimal_str,
     format_rational,
     parse_rational,
     quad_cmp,
     quad_from_json,
-    quad_min,
     quad_to_json,
     sqrt_rational,
 )
@@ -88,8 +86,6 @@ def test_float_operands_rejected():
             x < bad
         with pytest.raises(TypeError):
             quad_cmp(bad, x)
-        with pytest.raises(TypeError):
-            ceil_quad(bad)
 
 
 def test_radicand_cap():
@@ -223,7 +219,10 @@ def test_cross_radicand_equality_is_false_not_an_error():
 
 def test_min_max():
     a, b = QuadNumber(3), QuadNumber(0, 2, 2)  # 3 vs ~2.83
-    assert quad_min(a, b) == b
+    assert min(a, b) == b and max(a, b) == a
+    # on a tie min keeps its first argument
+    x, y = QuadNumber(2), QuadNumber(F(4, 2))
+    assert min(x, y) is x and min(y, x) is y
 
 
 def test_abs():
@@ -258,13 +257,12 @@ def test_hash_consistent_with_rational_equality():
 def test_floor_ceil(x, fl, ce):
     assert math.floor(x) == fl
     assert math.ceil(x) == ce
-    assert ceil_quad(x) == ce
 
 
 def test_floor_ceil_accept_plain_rationals():
     assert math.floor(QuadNumber(F(7, 2))) == 3
-    assert ceil_quad(F(7, 2)) == 4
-    assert ceil_quad(4) == 4
+    assert math.ceil(QuadNumber(F(7, 2))) == 4
+    assert math.ceil(QuadNumber(4)) == 4
 
 
 def test_to_decimal_known_digits():
