@@ -25,7 +25,6 @@ from .blowup import (
     lambda_eta,
     slope_identity_scan,
     top_product,
-    triple_product,
 )
 from .bounds import (
     BoundReport,

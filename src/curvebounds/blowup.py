@@ -110,46 +110,25 @@ class ChernData:
         object.__setattr__(self, "c2_f", _exact_rational(c2_f))
 
 
-def triple_product(c: CurveGeometry, A: DivisorClass, B: DivisorClass,
-                   C: DivisorClass) -> Fraction:
-    """Top intersection number A.B.C on the blow-up of P^3.
-
-    Multilinear extension of H^3 = 1, H^2.E = 0, H.E^2 = -d,
-    E^3 = -deg_N.
-    """
-    if c.r != 3:
-        raise UnsupportedDimension(
-            f"triple_product needs r = 3, got r = {c.r}; use top_product")
-    xs = (A.x, B.x, C.x)
-    ys = (A.y, B.y, C.y)
-    hhh = xs[0] * xs[1] * xs[2]
-    hee = (xs[0] * ys[1] * ys[2] + ys[0] * xs[1] * ys[2] + ys[0] * ys[1] * xs[2])
-    eee = ys[0] * ys[1] * ys[2]
-    return hhh - c.d * hee - c.deg_n * eee
-
-
 def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
     """Top intersection number of r divisor classes, any r >= 3.
 
-    The product of the linear forms (x_i + y_i t) is expanded formally
-    in the E-degree t; only the coefficients of t^0, t^(r-1) and t^r
-    survive against the monomial table.
+    Expanding the product of the linear forms x_i*H + y_i*E, only the
+    monomials H^r, H*E^(r-1) and E^r survive against the table; their
+    coefficients are prod x_i, sum_i x_i prod_{j != i} y_j and prod y_i,
+    carried through one pass over the classes.  Both nonzero E-entries
+    of the table carry the sign (-1)^r.
     """
     if len(classes) != c.r:
         raise ArityMismatch(f"need exactly {c.r} classes, got {len(classes)}")
-    coeffs = [Fraction(1)]
-    for cl in classes:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, v in enumerate(coeffs):
-            nxt[i] += v * cl.x
-            nxt[i + 1] += v * cl.y
-        coeffs = nxt
-    r = c.r
-    sign_he = Fraction((-1) ** (r - 2))
-    sign_e = Fraction((-1) ** r)
-    return (coeffs[0]
-            + coeffs[r - 1] * sign_he * c.d
-            + coeffs[r] * sign_e * c.deg_n)
+    first = classes[0]
+    hh, he, ee = first.x, first.x, first.y
+    for cl in classes[1:]:
+        he = he * cl.y + ee * cl.x
+        hh *= cl.x
+        ee *= cl.y
+    e_part = c.d * he + c.deg_n * ee
+    return hh + e_part if c.r % 2 == 0 else hh - e_part
 
 
 # -- derived invariants ----------------------------------------------------
@@ -221,9 +200,9 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
         for y in range(-bound, bound + 1):
             checked += 1
             dcls = DivisorClass(x, y)
-            lhs = (triple_product(c, dcls, dcls, heta)
-                   - triple_product(c, dcls, heta, E))
-            s = triple_product(c, dcls, heta, H)
+            lhs = (top_product(c, (dcls, dcls, heta))
+                   - top_product(c, (dcls, heta, E)))
+            s = top_product(c, (dcls, heta, H))
             rhs = s * s - s * eta * c.d - lam * (Fraction(y) ** 2 - y)
             if lhs != rhs:
                 violations.append((x, y))
@@ -258,8 +237,11 @@ def discriminant_dot_heta(c: CurveGeometry, ch: ChernData,
                           eta: RationalLike) -> Fraction:
     """(c1^2 - 4c2) . (H - eta*E) for rank-two Chern data, using
     F.(H - eta*E) = eta and (pullback line).(H - eta*E) = 1."""
+    if c.r != 3:
+        raise UnsupportedDimension(
+            f"rank-two Chern data is evaluated on the blow-up of P^3, got r = {c.r}")
     eta = _exact_rational(eta)
-    c1_sq = triple_product(c, ch.c1, ch.c1, h_eta(eta))
+    c1_sq = top_product(c, (ch.c1, ch.c1, h_eta(eta)))
     c2_part = ch.c2_h + ch.c2_f * eta
     return c1_sq - 4 * c2_part
 

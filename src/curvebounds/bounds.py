@@ -47,7 +47,7 @@ from .scalar import (
     quad_cmp,
     sqrt_rational,
 )
-from .seshadri import SeshadriInterval
+from .seshadri import SeshadriInterval, linked_line_genus
 
 
 @record
@@ -398,13 +398,12 @@ def surface_restriction_checks(variant: str, c2: int, *,
 
 
 def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
-    """For a curve linked to a line by surfaces of type (a, b), compare
-    the gonality bound with the residual-pencil degree (a-1)(b-1).  The
-    bound falls short; the gap is reported as a structured warning."""
+    """For the curve linked to a line by surfaces of type (a, b), with
+    its liaison genus, compare the gonality bound at eta = 1/(a+b-2)
+    with the residual-pencil degree (a-1)(b-1).  The bound falls short;
+    the gap is reported as a structured warning."""
     a, b = _exact_int(a), _exact_int(b)
-    d = a * b - 1
-    g = (a + b - 4) * (a * b - 2) // 2
-    c = CurveGeometry(d=d, g=g)
+    c = CurveGeometry(d=a * b - 1, g=linked_line_genus(a, b))
     eps = Fraction(1, a + b - 2)
     report = gonality_bound(c, eps)
     pencil = (a - 1) * (b - 1)

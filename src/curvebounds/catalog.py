@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Optional, Union
 
 from ._record import record
@@ -34,6 +33,7 @@ from .seshadri import (
     castelnuovo_default,
     complete_intersection,
     linked_line,
+    linked_line_genus,
     make_evidence,
 )
 
@@ -150,7 +150,7 @@ def _derive_kind(kind_obj: dict, loc: str) -> tuple[str, dict, CurveGeometry, li
                 raise InvariantViolation(
                     f"{kloc}: residual to a line needs ab >= 2, got ({a}, {b})")
             d = a * b - 1
-            g_liaison = (a + b - 4) * (a * b - 2) // 2
+            g_liaison = linked_line_genus(a, b)
             out = {"a": a, "b": b}
             if "g" in params:
                 g = _get_int(params, "g", kloc, minimum=0)
@@ -230,26 +230,31 @@ def descriptor_from_dict(doc: Any, source: str = "$") -> CurveDescriptor:
     )
 
 
-def load_descriptor(path_or_text: Union[str, Path]) -> CurveDescriptor:
-    """Load a descriptor from a JSON file path, or directly from JSON
-    text (anything that starts with '{')."""
-    if isinstance(path_or_text, Path):
-        source, text = str(path_or_text), path_or_text.read_text()
-    elif path_or_text.lstrip().startswith("{"):
+def load_descriptor(path_or_text: Union[str, os.PathLike]) -> CurveDescriptor:
+    """Load a descriptor from a UTF-8 JSON file, named by a str or
+    os.PathLike path, or directly from JSON text (a str that starts
+    with '{').  A file that cannot be read raises ParseError."""
+    if isinstance(path_or_text, str) and path_or_text.lstrip().startswith("{"):
         source, text = "$", path_or_text
     else:
-        if not os.path.exists(path_or_text):
-            raise ParseError(f"{path_or_text}: no such file")
-        source = path_or_text
-        with open(path_or_text) as fh:
-            text = fh.read()
+        source = os.fspath(path_or_text)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise ParseError(f"{source}: no such file") from None
+        except OSError as exc:
+            raise ParseError(f"{source}: cannot read: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: not UTF-8 text: {exc.reason} "
+                             f"at byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
-    return descriptor_from_dict(doc, source if source != "$" else "$")
+    return descriptor_from_dict(doc, source)
 
 
 def serialize_descriptor(desc: CurveDescriptor) -> dict:

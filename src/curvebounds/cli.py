@@ -23,7 +23,7 @@ from . import _record
 from .blowup import delta_eta, lambda_eta
 # private alias: perfbench's tracer wraps public names only, so the scan
 # loop stays charged to the command that runs it and blowup's per-class
-# time keeps measuring the triple products
+# time keeps measuring the intersection products
 from .blowup import slope_identity_scan as _slope_identity_scan
 from .bounds import (
     BoundReport,
@@ -49,7 +49,7 @@ from .scalar import (
     parse_rational,
     quad_to_json,
 )
-from .seshadri import Evidence, combine
+from .seshadri import Evidence, combine, linked_line_genus
 
 SCHEMA = 1
 
@@ -175,7 +175,12 @@ def cmd_gonality(args: argparse.Namespace) -> Result:
     desc, eta, interval, notes = _load(args, "eta")
     report = gonality_bound(desc.curve, eta, interval)
     if desc.kind == "linked_line":
-        gap = linked_line_claim_gap(desc.params["a"], desc.params["b"])
+        a, b = desc.params["a"], desc.params["b"]
+        # the gap is about the liaison curve at eta = 1/(a+b-2); a genus
+        # override or another eta gives a report on a different curve
+        liaison = (linked_line_genus(a, b), Fraction(1, a + b - 2))
+        gap = (linked_line_claim_gap(a, b)
+               if (desc.curve.g, eta) == liaison else None)
         if gap is not None:
             report = _record.replace(
                 report, discrepancies=report.discrepancies + (gap,))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ._record import record
 from .blowup import CurveGeometry, lambda_eta
@@ -44,6 +44,10 @@ class RestrictionMode:
 
 
 Mode = Union[GonalityMode, RestrictionMode]
+# one constraint: its text, as ConstraintSystem.constraints lists it, and
+# its exact test of a point (x, y) given s = x + y*eta*d
+Test = Callable[[int, int, Fraction], bool]
+Row = tuple[str, Test]
 
 
 @record
@@ -137,20 +141,8 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         # compatible iff t*sqrt(d) <= eta*d/2 + t*eta*d, that is
         # t <= (eta*d/2) / (sqrt(d) - eta*d), where sqrt(d) > eta*d
         # because eta^2*d < 1
+        x_min, t_rule = 0, "t^2*d"
         t_max = math.floor((ed / 2) / (sqrt_rational(d) - ed))
-        x_max = int(ed / 2 + t_max * ed)  # Fraction floor for nonneg values
-        notes.append(
-            f"|y| <= {t_max}: largest t with t^2*d <= (eta*d/2 + t*eta*d)^2")
-        notes.append(f"0 <= x <= floor(eta*d/2 + {t_max}*eta*d) = {x_max}")
-        box = Box(0, x_max, -t_max, 0, tuple(notes))
-        constraints = (
-            "x >= 0",
-            "(x, y) != (0, 0)",
-            "s = x + y*eta*d >= 0",
-            "eta*d >= 2*s",
-            f"s^2 - s*eta*d + eta*k >= 0  [k = {mode.k}]",
-            "x >= |y|*sqrt(d)",
-        )
     elif isinstance(mode, RestrictionMode):
         c2 = _exact_int(mode.c2)
         if c2 < 0 or _exact_int(mode.l_min) < 0:
@@ -170,47 +162,58 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         lead = 4 * d * (r * r - p * p * d)
         lin = 4 * p * p * d * d
         const = 4 * r * r * c2 + p * p * d * d
+        x_min, t_rule = 1, "t^2*d - c2"
         t_max = (lin + math.isqrt(lin * lin + 4 * lead * const)) // (2 * lead)
-        x_max = int(ed / 2 + t_max * ed)
-        notes.append(
-            f"|y| <= {t_max}: largest t with "
-            "t^2*d - c2 <= (eta*d/2 + t*eta*d)^2")
-        notes.append(f"1 <= x <= floor(eta*d/2 + {t_max}*eta*d) = {x_max}")
-        box = Box(1, x_max, -t_max, 0, tuple(notes))
-        constraints = (
-            "x >= 1",
-            "eta*d >= 2*s",
-            f"c2 >= s*eta*d - s^2 + eta*l_min  [c2 = {c2}, l_min = {mode.l_min}]",
-            "x^2 >= y^2*d - c2",
-        )
     else:
         raise TypeError(f"unknown mode: {mode!r}")
 
-    return ConstraintSystem(curve=curve, eta=eta, mode=mode, box=box,
-                            constraints=constraints)
+    x_max = int(ed / 2 + t_max * ed)  # Fraction floor for nonneg values
+    notes.append(
+        f"|y| <= {t_max}: largest t with {t_rule} <= (eta*d/2 + t*eta*d)^2")
+    notes.append(f"{x_min} <= x <= floor(eta*d/2 + {t_max}*eta*d) = {x_max}")
+    return ConstraintSystem(
+        curve=curve, eta=eta, mode=mode,
+        box=Box(x_min, x_max, -t_max, 0, tuple(notes)),
+        constraints=tuple(text for text, _ in _rows(curve, eta, mode)))
 
 
-def _satisfies(sys: ConstraintSystem, x: int, y: int) -> bool:
-    d = sys.curve.d
-    eta = sys.eta
-    s = x + y * eta * d
-    if isinstance(sys.mode, GonalityMode):
-        if x < 0 or (x == 0 and y == 0):
+def _rows(curve: CurveGeometry, eta: Fraction, mode: Mode) -> tuple[Row, ...]:
+    """The constraints of a mode that build_system has validated, in the
+    order they are tested."""
+    d = curve.d
+    ed = eta * d
+    if isinstance(mode, GonalityMode):
+        k = mode.k
+        ek = eta * k
+        root_d = sqrt_rational(d)
+        return (
+            ("x >= 0", lambda x, y, s: x >= 0),
+            ("(x, y) != (0, 0)", lambda x, y, s: x != 0 or y != 0),
+            ("s = x + y*eta*d >= 0", lambda x, y, s: s >= 0),
+            ("eta*d >= 2*s", lambda x, y, s: 2 * s <= ed),
+            (f"s^2 - s*eta*d + eta*k >= 0  [k = {k}]",
+             lambda x, y, s: s * s - s * ed + ek >= 0),
+            # saturation, exact in Q(sqrt(d))
+            ("x >= |y|*sqrt(d)",
+             lambda x, y, s: quad_cmp(Fraction(x), abs(y) * root_d) >= 0),
+        )
+    c2, l_min = mode.c2, mode.l_min
+    el = eta * l_min
+    return (
+        ("x >= 1", lambda x, y, s: x >= 1),
+        ("eta*d >= 2*s", lambda x, y, s: 2 * s <= ed),
+        (f"c2 >= s*eta*d - s^2 + eta*l_min  [c2 = {c2}, l_min = {l_min}]",
+         lambda x, y, s: c2 >= s * ed - s * s + el),
+        ("x^2 >= y^2*d - c2", lambda x, y, s: x * x >= y * y * d - c2),
+    )
+
+
+def _satisfies(tests: list[Test], ed: Fraction, x: int, y: int) -> bool:
+    s = x + y * ed
+    for test in tests:
+        if not test(x, y, s):
             return False
-        if s < 0 or 2 * s > eta * d:
-            return False
-        if s * s - s * eta * d + eta * sys.mode.k < 0:
-            return False
-        # saturation, exact in Q(sqrt(d))
-        return quad_cmp(Fraction(x), abs(y) * sqrt_rational(d)) >= 0
-    mode = sys.mode
-    if x < 1:
-        return False
-    if 2 * s > eta * d:
-        return False
-    if Fraction(mode.c2) < s * eta * d - s * s + eta * mode.l_min:
-        return False
-    return x * x >= y * y * d - mode.c2
+    return True
 
 
 def _check_margin(margin: int) -> None:
@@ -225,11 +228,13 @@ def region_empty(sys: ConstraintSystem, margin: int = 0) -> ReplayOutcome:
     A negative margin would shrink the box below the one that is proved
     sufficient, so it raises ValueError."""
     _check_margin(margin)
+    tests = [test for _, test in _rows(sys.curve, sys.eta, sys.mode)]
+    ed = sys.eta * sys.curve.d
     witnesses: list[tuple[int, int]] = []
     checked = 0
     for x, y in sys.box.points(margin):
         checked += 1
-        if _satisfies(sys, x, y):
+        if _satisfies(tests, ed, x, y):
             witnesses.append((x, y))
     if not witnesses:
         return ReplayOutcome(empty=True, witness=None, checked=checked, system=sys)

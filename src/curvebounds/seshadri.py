@@ -71,16 +71,6 @@ class EvidenceBound:
     upper: Optional[BoundValue] = None
     eps2_lower: Optional[Fraction] = None
 
-    @property
-    def kind(self) -> str:
-        if self.eps2_lower is not None:
-            return "eps2_lower"
-        if self.lower is not None and self.upper is not None:
-            return "both"
-        if self.lower is not None:
-            return "lower"
-        return "upper"
-
 
 @record
 class EvidenceKind:
@@ -113,6 +103,12 @@ def _complete_intersection_bound(c: CurveGeometry, a: int, b: int) -> dict:
         raise EvidenceInconsistentWithDegree(
             f"complete_intersection({a},{b}) needs d = {a * b}, curve has d = {c.d}")
     return {"lower": Fraction(1, a), "upper": Fraction(1, a)}
+
+
+def linked_line_genus(a: int, b: int) -> int:
+    """Genus (a+b-4)(ab-2)/2 of the curve residual to a line in a
+    complete intersection of type (a, b), by liaison."""
+    return (a + b - 4) * (a * b - 2) // 2
 
 
 def _linked_line_bound(c: CurveGeometry, a: int, b: int) -> dict:
@@ -264,11 +260,8 @@ class SeshadriInterval:
 
     @property
     def upper_witness(self) -> Evidence:
-        best_ev, best = self.upper_trace[0]
-        for ev, v in self.upper_trace[1:]:
-            if quad_cmp(v, best) < 0:
-                best_ev, best = ev, v
-        return best_ev
+        """The evidence achieving the reported upper bound."""
+        return min(self.upper_trace, key=lambda t: t[1])[0]
 
     @property
     def is_point(self) -> bool:
@@ -321,10 +314,7 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
                 "(no exact sub-line-bundle degree for eps1)")
 
     lower = max(v for _, v in lower_trace)
-    upper: BoundValue = upper_trace[0][1]
-    for _, v in upper_trace[1:]:
-        if quad_cmp(v, upper) < 0:
-            upper = v
+    upper = min(v for _, v in upper_trace)
     upper_q = upper if isinstance(upper, QuadNumber) else QuadNumber(upper)
 
     if quad_cmp(lower, upper_q) > 0:

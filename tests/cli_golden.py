@@ -7,6 +7,9 @@ digest in ``cli_golden.json`` next to this file; ``test_cli_golden.py``
 recomputes them.  Re-record only for a deliberate output change:
 
     PYTHONPATH=src python tests/cli_golden.py
+
+which prints the labels it adds, removes or changes before it writes,
+so that the scope of a re-record shows.
 """
 
 from __future__ import annotations
@@ -195,5 +198,20 @@ def record() -> dict[str, str]:
     return {label: digest(*transcript(argv)) for label, argv in cases()}
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per label added, removed or changed from old to new."""
+    changed = {label for label in old.keys() & new.keys()
+               if old[label] != new[label]}
+    return [f"{verb}: {label}"
+            for verb, labels in (("added", new.keys() - old.keys()),
+                                 ("removed", old.keys() - new.keys()),
+                                 ("changed", changed))
+            for label in sorted(labels)]
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    new = record()
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for line in changes(old, new):
+        print(line)
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

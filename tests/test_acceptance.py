@@ -19,7 +19,7 @@ from curvebounds.blowup import (
     halphen_f,
     lambda_eta,
     slope_identity_scan,
-    triple_product,
+    top_product,
 )
 from curvebounds.bounds import (
     gonality_bound,
@@ -137,7 +137,7 @@ def test_delta_and_lambda_agree_along_both_derivations():
         for _ in range(1000):
             c = CurveGeometry(d=rng.randint(1, 80), g=rng.randint(0, 400))
             eta = F(rng.randint(1, 40), rng.randint(1, 40))
-            assert delta_eta(c, eta) == triple_product(c, E, E, h_eta(eta))
+            assert delta_eta(c, eta) == top_product(c, [E, E, h_eta(eta)])
             assert lambda_eta(c, eta) == halphen_f(c, eta * c.d)
 
 

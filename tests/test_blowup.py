@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import blowup_oracle as oracle
 from curvebounds import blowup
 from curvebounds.blowup import (
     E,
@@ -26,7 +27,6 @@ from curvebounds.blowup import (
     lambda_eta,
     slope_identity_scan,
     top_product,
-    triple_product,
 )
 from curvebounds.errors import ArityMismatch, UnsupportedDimension
 
@@ -85,24 +85,18 @@ def test_divisor_class_arithmetic():
 # -- the monomial table ------------------------------------------------------
 
 
-def test_triple_product_table():
+def test_top_product_table():
     c = CI52
-    assert triple_product(c, H, H, H) == 1
-    assert triple_product(c, H, H, E) == 0
-    assert triple_product(c, H, E, E) == -10
-    assert triple_product(c, E, E, E) == -70
+    assert top_product(c, [H, H, H]) == 1
+    assert top_product(c, [H, H, E]) == 0
+    assert top_product(c, [H, E, E]) == -10
+    assert top_product(c, [E, E, E]) == -70
 
 
-def test_triple_product_polarization_cube():
+def test_top_product_polarization_cube():
     # (H - eta*E)^3 = 1 - 3*eta^2*d + eta^3*deg_N
     eta = F(1, 5)
-    assert triple_product(CI52, h_eta(eta), h_eta(eta), h_eta(eta)) == F(9, 25)
-
-
-def test_triple_product_needs_r3():
-    c4 = CurveGeometry(d=8, g=5, r=4)
-    with pytest.raises(UnsupportedDimension):
-        triple_product(c4, H, H, H)
+    assert top_product(CI52, [h_eta(eta), h_eta(eta), h_eta(eta)]) == F(9, 25)
 
 
 def test_top_product_table_r4():
@@ -132,16 +126,28 @@ classes = st.builds(DivisorClass, coeffs, coeffs)
 
 
 @given(curves, classes, classes, classes, coeffs, coeffs)
-def test_triple_product_multilinear_and_symmetric(c, A, B, C, s, t):
-    left = triple_product(c, A.scale(s) + B.scale(t), C, A)
-    assert left == s * triple_product(c, A, C, A) + t * triple_product(c, B, C, A)
-    assert triple_product(c, A, B, C) == triple_product(c, B, C, A)
-    assert triple_product(c, A, B, C) == triple_product(c, C, B, A)
+def test_top_product_multilinear_and_symmetric(c, A, B, C, s, t):
+    left = top_product(c, [A.scale(s) + B.scale(t), C, A])
+    assert left == s * top_product(c, [A, C, A]) + t * top_product(c, [B, C, A])
+    assert top_product(c, [A, B, C]) == top_product(c, [B, C, A])
+    assert top_product(c, [A, B, C]) == top_product(c, [C, B, A])
 
 
-@given(curves, classes, classes, classes)
-def test_top_product_matches_triple_at_r3(c, A, B, C):
-    assert top_product(c, [A, B, C]) == triple_product(c, A, B, C)
+@st.composite
+def curve_and_classes(draw):
+    """A curve in P^r, r in 3..6, and r classes for its top product."""
+    r = draw(st.integers(min_value=3, max_value=6))
+    c = CurveGeometry(d=draw(st.integers(min_value=1, max_value=50)),
+                      g=draw(st.integers(min_value=0, max_value=60)), r=r)
+    return c, draw(st.lists(classes, min_size=r, max_size=r))
+
+
+@given(curve_and_classes())
+@example((CurveGeometry(d=8, g=5, r=4), [H, E, E, E]))
+@example((CurveGeometry(d=7, g=2, r=5), [E] * 5))
+def test_top_product_matches_the_expansion_oracle(case):
+    c, cls = case
+    assert top_product(c, cls) == oracle.top_product(c, cls)
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=40),
@@ -171,7 +177,7 @@ def test_delta_and_lambda_on_ci_family(a):
 
 @given(curves, etas)
 def test_delta_is_an_intersection_number(c, eta):
-    assert delta_eta(c, eta) == triple_product(c, E, E, h_eta(eta))
+    assert delta_eta(c, eta) == top_product(c, [E, E, h_eta(eta)])
 
 
 @given(curves, etas)
@@ -227,6 +233,15 @@ def test_discriminant_known_values():
     assert discriminant_dot_heta(CI52, ch, F(1, 5)) == 1 - 4 * (1 + F(2, 5))
     assert not bogomolov_unstable(CI52, ch, F(1, 5))
     assert bogomolov_unstable(CI52, ChernData(H, -1, 2), F(1, 5))
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_discriminant_needs_r3(r):
+    c = CurveGeometry(d=8, g=5, r=r)
+    with pytest.raises(UnsupportedDimension):
+        discriminant_dot_heta(c, ChernData(H, 0, 0), F(1, 4))
+    with pytest.raises(UnsupportedDimension):
+        bogomolov_unstable(c, ChernData(H, 0, 0), F(1, 4))
 
 
 @given(curves, etas, st.integers(min_value=0, max_value=60))
@@ -295,12 +310,13 @@ def test_slope_identity_scan_counts_every_class(c, eta):
 def test_slope_identity_scan_reports_violations(monkeypatch):
     # a kernel off by one in D.D.H_eta on the classes with y = 2 must be
     # reported as exactly those classes, in scan order
-    true_product = blowup.triple_product
+    true_product = blowup.top_product
 
-    def off_by_one(c, A, B, C):
-        return true_product(c, A, B, C) + (1 if B is A and A.y == 2 else 0)
+    def off_by_one(c, classes):
+        A, B = classes[0], classes[1]
+        return true_product(c, classes) + (1 if B is A and A.y == 2 else 0)
 
-    monkeypatch.setattr(blowup, "triple_product", off_by_one)
+    monkeypatch.setattr(blowup, "top_product", off_by_one)
     checked, violations = slope_identity_scan(CI52, F(1, 5), 2)
     assert checked == 25
     assert violations == [(x, 2) for x in range(-2, 3)]

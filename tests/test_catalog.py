@@ -166,8 +166,21 @@ def test_load_from_file(tmp_path):
 
 
 def test_load_missing_file():
-    with pytest.raises(ParseError, match="no such file"):
-        load_descriptor("/nonexistent/curve.json")
+    for path in ("/nonexistent/curve.json", Path("/nonexistent/curve.json")):
+        with pytest.raises(ParseError, match="no such file"):
+            load_descriptor(path)
+
+
+def test_load_unreadable_file_is_a_parse_error(tmp_path):
+    for path in (tmp_path, str(tmp_path)):
+        with pytest.raises(ParseError, match="cannot read"):
+            load_descriptor(path)
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"name": "k\u00e4fer", "kind": {"raw": {"d": 4, "g": 0}}}'
+                  .encode("latin-1"))
+    for path in (p, str(p)):
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_descriptor(path)
 
 
 def test_load_invalid_json_reports_position():

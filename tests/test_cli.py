@@ -14,6 +14,8 @@ from curvebounds.scalar import QuadNumber, quad_from_json
 CI52 = '{"kind": {"complete_intersection": {"a": 5, "b": 2}}}'
 CI504 = '{"kind": {"complete_intersection": {"a": 50, "b": 4}}}'
 LL52 = '{"kind": {"linked_line": {"a": 5, "b": 2}}}'
+# the same (a, b) with a genus override: a different curve
+LL523 = '{"kind": {"linked_line": {"a": 5, "b": 2, "g": 3}}}'
 LINE = ('{"kind": {"raw": {"d": 1, "g": 0}}, "evidence": '
         '[{"kind": "global_generation", "n": 1, "m": 1}]}')
 CUBIC = '{"kind": {"raw": {"d": 3, "g": 0}}, "flags": {"nondegenerate": true}}'
@@ -105,13 +107,30 @@ def test_gonality_json_exact_value_reparses(capsys):
 
 
 def test_gonality_linked_line_gap_warning(capsys):
-    code, out, _ = run(capsys, "gonality", LL52)
+    for eta in ([], ["--eta", "1/5"]):
+        code, out, _ = run(capsys, "gonality", LL52, *eta)
+        assert code == 0
+        assert "warning[linked-line-pencil-gap]" in out
+        code, doc, _ = run_json(capsys, "gonality", LL52, *eta)
+        discs = doc["report"]["discrepancies"]
+        assert [d["code"] for d in discs] == ["linked-line-pencil-gap"]
+        assert discs[0]["data"]["pencil_degree"] == 4
+
+
+@pytest.mark.parametrize("desc,eta", [
+    (LL52, ["--eta", "1/6"]),
+    (LL523, []),
+    (LL523, ["--eta", "1/5"]),
+    (LL523, ["--eta", "1/6"]),
+], ids=["ll-5-2 eta=1/6", "ll-5-2-3", "ll-5-2-3 eta=1/5", "ll-5-2-3 eta=1/6"])
+def test_gonality_linked_line_gap_only_on_the_liaison_curve(capsys, desc, eta):
+    # the gap is the bound of the liaison curve (g = 12) at eta = 1/5;
+    # any other report must not carry it
+    code, out, _ = run(capsys, "gonality", desc, *eta)
     assert code == 0
-    assert "warning[linked-line-pencil-gap]" in out
-    code, doc, _ = run_json(capsys, "gonality", LL52)
-    discs = doc["report"]["discrepancies"]
-    assert [d["code"] for d in discs] == ["linked-line-pencil-gap"]
-    assert discs[0]["data"]["pencil_degree"] == 4
+    assert "linked-line-pencil-gap" not in out
+    code, doc, _ = run_json(capsys, "gonality", desc, *eta)
+    assert doc["report"]["discrepancies"] == []
 
 
 def test_gonality_outside_interval_warns(capsys):
@@ -367,6 +386,17 @@ def test_unparseable_descriptor_is_exit_2(capsys):
                        '{"kind": {"raw": {"d": 3, "g": 0, "oops": 1}}}')
     assert code == 2
     assert "unknown field 'oops'" in err
+
+
+def test_unreadable_descriptor_file_is_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "gonality", str(tmp_path))
+    assert code == 2
+    assert "cannot read" in err
+    p = tmp_path / "curve.json"
+    p.write_bytes(b'\xff{"kind": {"raw": {"d": 4, "g": 0}}}')
+    code, _, err = run(capsys, "gonality", str(p))
+    assert code == 2
+    assert "not UTF-8 text" in err
 
 
 def test_invalid_json_is_exit_2(capsys):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cli_golden import DIGESTS, cases, digest, transcript
+from cli_golden import DIGESTS, cases, changes, digest, transcript
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import gonality_bound, restriction_threshold
 from curvebounds.scalar import decimal_str, parse_rational, quad_from_json
@@ -20,6 +20,14 @@ REPORTS = {"gonality": (gonality_bound, "eta"),
 
 def test_golden_set_matches_recorded_labels():
     assert sorted(label for label, _ in CASES) == sorted(GOLDEN)
+
+
+def test_rerecord_lists_its_scope():
+    old = {"kept": "0", "gone": "1", "moved": "2"}
+    new = {"kept": "0", "moved": "3", "new b": "4", "new a": "5"}
+    assert changes(old, new) == [
+        "added: new a", "added: new b", "removed: gone", "changed: moved"]
+    assert changes(new, new) == []
 
 
 @pytest.mark.parametrize("label,argv", CASES, ids=[label for label, _ in CASES])

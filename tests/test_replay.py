@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import replay_oracle as oracle
 from curvebounds.blowup import CurveGeometry, lambda_eta
 from curvebounds.errors import LambdaNegative, NonpositiveEta, UnboundedBox
 from curvebounds.replay import (
@@ -324,3 +325,41 @@ def test_lambda_gate_matches_lambda_sign(c, eta):
             build_system(c, eta, mode)
     else:
         build_system(c, eta, mode)
+
+
+# -- differential test against the per-mode point test -----------------------
+
+
+@st.composite
+def replay_cases(draw):
+    """(curve, eta, mode, margin) with eta^2*d <= 3/4, so that |y| <= 3
+    in gonality mode and the box stays small, and lambda_eta >= 0.  Most
+    draws take eta within a few steps of that cap, and some take a square
+    d, where the saturation x >= |y|*sqrt(d) can hold with equality."""
+    d = draw(st.one_of(st.integers(min_value=1, max_value=60),
+                       st.integers(min_value=1, max_value=7).map(lambda k: k * k)))
+    q = draw(st.integers(min_value=2, max_value=40))
+    p = math.isqrt(3 * q * q // (4 * d)) - draw(st.integers(min_value=0, max_value=2))
+    assume(p >= 1)
+    eta = F(p, q)
+    # lambda_eta >= 0 iff 2*eta*g <= eta^2*d^2 + d - 4*eta*d + 2*eta
+    g_max = math.floor((eta * eta * d * d + d - 4 * eta * d + 2 * eta) / (2 * eta))
+    assume(g_max >= 0)
+    curve = CurveGeometry(d=d, g=draw(st.integers(min_value=0, max_value=g_max)))
+    mode = draw(st.one_of(
+        st.builds(GonalityMode, k=st.integers(min_value=0, max_value=60)),
+        st.builds(RestrictionMode, c2=st.integers(min_value=0, max_value=30),
+                  l_min=st.integers(min_value=0, max_value=5))))
+    return curve, eta, mode, draw(st.integers(min_value=0, max_value=3))
+
+
+@given(replay_cases())
+# the witness (2, -1) meets the saturation with equality (x = |y|*sqrt(4))
+@example((CurveGeometry(d=4, g=0), F(2, 5), GonalityMode(k=2), 0))
+# (2, -1) passes the c2 constraint only without the eta*l_min term
+@example((CurveGeometry(d=4, g=0), F(2, 5), RestrictionMode(c2=1, l_min=2), 0))
+def test_region_empty_matches_the_per_mode_oracle(case):
+    curve, eta, mode, margin = case
+    sys = build_system(curve, eta, mode)
+    out = region_empty(sys, margin)
+    assert (out.empty, out.witness, out.checked) == oracle.region_empty(sys, margin)

@@ -125,14 +125,14 @@ def test_evidence_str():
 
 def test_degree_default_bounds():
     eb = bound_from_evidence(CI52, degree_default())
-    assert eb.kind == "both"
+    assert eb.eps2_lower is None
     assert eb.lower == F(1, 10)
     assert eb.upper == QuadNumber(0, F(1, 10), 10)   # 1/sqrt(10)
 
 
 def test_global_generation_bound():
     eb = bound_from_evidence(CI52, global_generation(2, 3))
-    assert eb.kind == "lower"
+    assert eb.eps2_lower is None
     assert eb.lower == F(2, 3) and eb.upper is None
 
 
@@ -141,7 +141,7 @@ def test_regularity_bounds():
     assert (eb.lower, eb.upper) == (F(1, 3), 1)
     # m = 1 certifies no upper bound: 2/(m-1) is undefined
     eb = bound_from_evidence(CI52, regularity(1))
-    assert eb.kind == "lower"
+    assert eb.eps2_lower is None
     assert (eb.lower, eb.upper) == (1, None)
 
 
@@ -154,7 +154,7 @@ def test_secant_line_bound():
 
 def test_complete_intersection_bound():
     eb = bound_from_evidence(CI52, complete_intersection(5, 2))
-    assert eb.kind == "both"
+    assert eb.eps2_lower is None
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
         bound_from_evidence(CI52, complete_intersection(3, 2))
@@ -170,7 +170,7 @@ def test_linked_line_bound():
 
 def test_normal_bundle_bound():
     eb = bound_from_evidence(CI52, normal_bundle_s(35))
-    assert eb.kind == "upper"
+    assert (eb.lower, eb.eps2_lower) == (None, None)
     assert eb.upper == F(2, 7)
     # s_N below deg_N/2 contradicts rank two
     with pytest.raises(EvidenceInconsistentWithDegree):
@@ -183,7 +183,7 @@ def test_bundle_seshadri_bound():
 
 def test_residual_reduced_bound():
     eb = bound_from_evidence(CI52, residual_reduced(4, 3))
-    assert eb.kind == "eps2_lower"
+    assert (eb.lower, eb.upper) == (None, None)
     assert eb.eps2_lower == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
         bound_from_evidence(CI52, residual_reduced(3, 3))   # d = 10 > 8
