@@ -99,10 +99,16 @@ def record(cls: type) -> type:
 
 
 def asdict(obj: Any) -> dict:
-    """Field name -> value of a record, in field order (not recursive)."""
-    return {n: getattr(obj, n) for n in obj.__record_fields__}
+    """Name -> value of what a record shows, in field order (not
+    recursive).  A class may show a property in the place of the field
+    it is derived from, by mapping the field's name to the property's
+    in ``__record_view__``."""
+    shown = getattr(obj, "__record_view__", {})
+    names = [shown.get(n, n) for n in obj.__record_fields__]
+    return {n: getattr(obj, n) for n in names}
 
 
 def replace(obj: Any, **changes: Any) -> Any:
     """A new record of the same type with the given fields changed."""
-    return type(obj)(**{**asdict(obj), **changes})
+    fields = {n: getattr(obj, n) for n in obj.__record_fields__}
+    return type(obj)(**{**fields, **changes})

@@ -13,6 +13,8 @@ curve, with full step-by-step traces:
 All four bounds here are one two-term computation (``_two_term_bound``)
 in the integer numerators of Q(sqrt(m)), fed a different delta, radicand,
 length and scale; each result is normalised once; ceilings are certified.
+A report records each trace line as a step ``(template, exact values...)``
+and renders its text only when ``trace`` is read.
 The general-r gonality variant evaluates both delta conventions side by
 side and flags disagreements; only r = 3 is certified.
 """
@@ -63,7 +65,9 @@ class Discrepancy:
 @record
 class BoundReport:
     """One evaluated bound: the two competing terms, their minimum, a
-    certified integer ceiling, and the evaluation trace."""
+    certified integer ceiling, and the evaluation steps.  Each step is
+    a trace line kept as ``(template, exact values...)``; ``trace``
+    renders them on read."""
 
     inputs: dict
     alpha: QuadNumber
@@ -71,8 +75,17 @@ class BoundReport:
     term_alpha: QuadNumber
     value: QuadNumber
     value_ceiling: int
-    trace: tuple[str, ...]
+    steps: tuple[tuple, ...]
     discrepancies: tuple[Discrepancy, ...] = ()
+
+    # asdict, and so the JSON payload, shows the rendered trace in the
+    # place of the steps
+    __record_view__ = {"steps": "trace"}
+
+    @property
+    def trace(self) -> tuple[str, ...]:
+        """The steps as text, one line each: ``template.format(*values)``."""
+        return tuple([t.format(*values) for t, *values in self.steps])
 
 
 @record
@@ -103,50 +116,78 @@ class CertificationResult:
     verdict: str  # "certified" | "inconclusive"
     c2: int
     report: BoundReport
-    reason: str
 
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
 
+    @property
+    def reason(self) -> str:
+        """The verdict as text, rendered on read."""
+        if self.certified:
+            return f"c2 = {self.c2} < threshold {self.report.value} (strict)"
+        return f"c2 = {self.c2} is not strictly below threshold {self.report.value}"
 
-def _two_term_bound(inputs: dict, trace: list[str], delta: Fraction,
+
+def _templates(delta_term: str, alpha: str, alpha_term: str) -> tuple[str, ...]:
+    """The kernel's trace templates for one bound, from the names of its
+    delta term, raw alpha and alpha term: (delta term, clamped alpha,
+    alpha, alpha term).  Each ``{}`` left open takes an exact value."""
+    return (f"delta term: {delta_term} = {{}}",
+            f"alpha = {alpha} clamped to 0 (raw value {{}} < 0)",
+            f"alpha = min(1, {alpha}) = {{}}",
+            f"alpha term: {alpha_term} = {{}}")
+
+
+# the raw alpha of the two r = 3 bounds names d: its "{}" takes c.d
+_GONALITY = _templates("delta/(4*eta)", "sqrt({}) - eta*d", "alpha*(d - alpha/eta)")
+_THRESHOLD = _templates("delta/4", "sqrt(3*{})/2 - gamma*d", "alpha*gamma*d - alpha^2")
+_GENERAL_R = _templates("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
+                        "alpha*(d - alpha/eta^(r-2))")
+_PENCIL = _templates("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
+                     "alpha*(d - alpha/eps^(r-2))")
+_VALUE = "value = min of the two terms = {}; smallest integer >= value: {}"
+_DEG_N = "deg_N = (r+1)d + 2g - 2 = {}"
+_OUTSIDE = ("warning: {} = {} lies outside the certified interval "
+            "[{}, {}]; the bound is hypothetical")
+
+
+def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
                     root: tuple[RationalLike, int], length: tuple[int, int],
-                    scale: tuple[int, int], formulas: tuple[str, str, str],
-                    ) -> BoundReport:
+                    scale: tuple[int, int], templates: tuple[str, ...],
+                    alpha_args: tuple = ()) -> BoundReport:
     """The computation all four bounds share:
         min{ delta/(4 scale), alpha (length - alpha/scale) },
     with alpha = min{1, sqrt(u)/w - length*scale} clamped at 0 for
     root = (u, w), and its certified ceiling.  ``length`` and ``scale``
     are (numerator, denominator) pairs, denominators and scale positive.
     One pass over integer numerators: signs come from ``_sign``, and
-    each QuadNumber is normalised once, by ``_quad``.  ``formulas`` names
-    the delta term, the raw alpha and the alpha term in the trace; the
-    caller has already traced its inputs and delta."""
+    each QuadNumber is normalised once, by ``_quad``.  ``templates``
+    come from ``_templates``, with ``alpha_args`` filling the raw
+    alpha's name; the caller has already stepped its inputs and delta."""
     (ln, lq), (sn, sq) = length, scale
     term_delta = Fraction(delta.numerator * sq, 4 * delta.denominator * sn)
-    trace.append(f"delta term: {formulas[0]} = {term_delta}")
+    steps.append((templates[0], term_delta))
 
     # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in sqrt_rational
     u, w = root
     a, b, s, m = sqrt_rational(u).parts
     a, b, q = a * lq * sq - ln * sn * s * w, b * lq * sq, s * w * lq * sq
     if _sign(a, b, m) < 0:
-        trace.append(f"alpha = {formulas[1]} clamped to 0 "
-                     f"(raw value {_quad(a, b, q, m)} < 0)")
+        steps.append((templates[1], *alpha_args, _quad(a, b, q, m)))
         a, b, q = 0, 0, 1
         alpha = _quad(0, 0, 1, 0)
     else:
         if _sign(a - q, b, m) > 0:  # raw alpha > 1
             a, b, q = 1, 0, 1
         alpha = _quad(a, b, q, m)
-        trace.append(f"alpha = min(1, {formulas[1]}) = {alpha}")
+        steps.append((templates[2], *alpha_args, alpha))
 
     # length - alpha/scale = (x + y*sqrt(m)) / (lq*q*sn)
     x, y = ln * q * sn - lq * sq * a, -lq * sq * b
     ta, tb, tq = a * x + b * y * m, a * y + b * x, q * lq * q * sn
     term_alpha = _quad(ta, tb, tq, m)
-    trace.append(f"alpha term: {formulas[2]} = {term_alpha}")
+    steps.append((templates[3], term_alpha))
 
     dn, dd = term_delta.numerator, term_delta.denominator
     if _sign(dn * tq - ta * dd, -tb * dd, m) > 0:  # delta term > alpha term
@@ -154,21 +195,21 @@ def _two_term_bound(inputs: dict, trace: list[str], delta: Fraction,
     else:
         value = _quad(dn, 0, dd, 0)
     ceiling = math.ceil(value)
-    trace.append(f"value = min of the two terms = {value}; "
-                 f"smallest integer >= value: {ceiling}")
-    return BoundReport(inputs=inputs, alpha=alpha, term_delta=term_delta,
-                       term_alpha=term_alpha, value=value, value_ceiling=ceiling,
-                       trace=tuple(trace))
+    steps.append((_VALUE, value, ceiling))
+    return BoundReport(inputs, alpha, term_delta, term_alpha, value, ceiling,
+                       tuple(steps))
 
 
 def _interval_warning(eps: Fraction, interval: Optional[SeshadriInterval],
-                      name: str, trace: list[str]) -> None:
+                      name: str, steps: list[tuple]) -> None:
     if interval is None:
         return
-    if eps < interval.lower or quad_cmp(eps, interval.upper) > 0:
-        trace.append(
-            f"warning: {name} = {eps} lies outside the certified interval "
-            f"[{interval.lower}, {interval.upper}]; the bound is hypothetical")
+    lower, (A, B, Q, m) = interval.lower, interval.upper.parts
+    p, q = eps.numerator, eps.denominator
+    # eps < lower, or eps - upper = (p*Q - q*A - q*B*sqrt(m)) / (q*Q) > 0
+    if (p * lower.denominator < lower.numerator * q
+            or _sign(p * Q - q * A, -q * B, m) > 0):
+        steps.append((_OUTSIDE, name, eps, lower, interval.upper))
 
 
 def gonality_bound(c: CurveGeometry, eps: RationalLike,
@@ -180,37 +221,34 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     if c.r != 3:
         raise UnsupportedDimension(f"gonality bound is certified for r = 3, got r = {c.r}")
     eps = _exact_rational(eps)
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
 
-    trace: list[str] = [
-        f"inputs: d = {c.d}, g = {c.g}, r = 3, eta = {eps}",
-        f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}",
+    steps: list[tuple] = [
+        ("inputs: d = {}, g = {}, r = 3, eta = {}", c.d, c.g, eps),
+        (_DEG_N, c.deg_n),
     ]
-    _interval_warning(eps, interval, "eta", trace)
+    _interval_warning(eps, interval, "eta", steps)
 
     delta = delta_eta(c, eps)
-    trace.append(f"delta = eta*deg_N - d = {delta}")
+    steps.append(("delta = eta*deg_N - d = {}", delta))
     return _two_term_bound(
-        {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, trace, delta,
-        (c.d, 1), (c.d, 1), (eps.numerator, eps.denominator),
-        ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)"))
+        {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, steps, delta,
+        (c.d, 1), (c.d, 1), (eps.numerator, eps.denominator), _GONALITY, (c.d,))
 
 
 def _general_r_report(c: CurveGeometry, eps: Fraction, delta: Fraction,
                       convention: str) -> BoundReport:
-    trace: list[str] = [
-        f"inputs: d = {c.d}, g = {c.g}, r = {c.r}, eta = {eps}",
-        f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}",
-        f"delta ({convention} convention) = {delta}",
+    steps: list[tuple] = [
+        ("inputs: d = {}, g = {}, r = {}, eta = {}", c.d, c.g, c.r, eps),
+        (_DEG_N, c.deg_n),
+        ("delta ({} convention) = {}", convention, delta),
     ]
     p, q, e = eps.numerator, eps.denominator, c.r - 2
     return _two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "eta": eps,
-         "delta_convention": convention}, trace, delta,
-        (eps ** (e - 1) * c.d, 1), (c.d, 1), (p ** e, q ** e),
-        ("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
-         "alpha*(d - alpha/eta^(r-2))"))
+         "delta_convention": convention}, steps, delta,
+        (eps ** (e - 1) * c.d, 1), (c.d, 1), (p ** e, q ** e), _GENERAL_R)
 
 
 def gonality_bound_general_r(c: CurveGeometry, eps: RationalLike) -> GeneralRGonalityReport:
@@ -220,7 +258,7 @@ def gonality_bound_general_r(c: CurveGeometry, eps: RationalLike) -> GeneralRGon
     They agree at r = 3, where the result matches gonality_bound and is
     certified; for r > 3 a disagreement is flagged, not resolved."""
     eps = _exact_rational(eps)
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
 
     d_compact = delta_eta_compact(c, eps)
@@ -260,22 +298,20 @@ def pencil_degree_bound_subvariety(x_degree: RationalLike, deg_n_dot: RationalLi
     n, r = _exact_int(n), _exact_int(r)
     if d <= 0 or deg_n_dot <= 0 or n < 1 or r < 3:
         raise ValueError("x_degree, deg_n_dot must be positive; n >= 1, r >= 3")
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
 
-    trace: list[str] = [
-        f"inputs: deg X = {d}, c1(N).H^(n-1) = {deg_n_dot}, n = {n}, "
-        f"r = {r}, eps = {eps}",
+    steps: list[tuple] = [
+        ("inputs: deg X = {}, c1(N).H^(n-1) = {}, n = {}, r = {}, eps = {}",
+         d, deg_n_dot, n, r, eps),
     ]
     delta = eps * (deg_n_dot + (n - 1) * d) - d
-    trace.append(f"delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = {delta}")
+    steps.append(("delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = {}", delta))
     p, q, e = eps.numerator, eps.denominator, r - 2
     return _two_term_bound(
         {"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r, "eps": eps},
-        trace, delta, (eps ** (e - 1) * d, 1), (d.numerator, d.denominator),
-        (p ** e, q ** e),
-        ("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
-         "alpha*(d - alpha/eps^(r-2))"))
+        steps, delta, (eps ** (e - 1) * d, 1), (d.numerator, d.denominator),
+        (p ** e, q ** e), _PENCIL)
 
 
 def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
@@ -317,24 +353,24 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
         raise UnsupportedDimension(
             f"restriction threshold is certified for r = 3, got r = {c.r}")
     gamma = _exact_rational(gamma)
-    if gamma <= 0:
+    if gamma.numerator <= 0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
 
-    trace: list[str] = [
-        f"inputs: d = {c.d}, g = {c.g}, r = 3, gamma = {gamma}",
-        f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}",
+    steps: list[tuple] = [
+        ("inputs: d = {}, g = {}, r = 3, gamma = {}", c.d, c.g, gamma),
+        (_DEG_N, c.deg_n),
     ]
-    _interval_warning(gamma, interval, "gamma", trace)
+    _interval_warning(gamma, interval, "gamma", steps)
 
     delta = delta_eta(c, gamma)
-    trace.append(f"delta = gamma*deg_N - d = {delta}")
+    steps.append(("delta = gamma*deg_N - d = {}", delta))
     # sqrt(d)*sqrt(3/4) = sqrt(3d)/2: the root (3d, 2) keeps 3d as the
     # capped radicand; at length gamma*d and scale 1 the kernel's alpha
     # term is alpha*gamma*d - alpha^2
     return _two_term_bound(
-        {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, trace, delta,
+        {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, steps, delta,
         (3 * c.d, 2), (gamma.numerator * c.d, gamma.denominator), (1, 1),
-        ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2"))
+        _THRESHOLD, (c.d,))
 
 
 def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
@@ -344,13 +380,10 @@ def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
     exactly.  The bundle is assumed stable on P^3 with c1 = 0."""
     c2 = _exact_int(c2)
     report = restriction_threshold(c, gamma, interval)
-    if quad_cmp(c2, report.value) < 0:
-        return CertificationResult(
-            verdict="certified", c2=c2, report=report,
-            reason=f"c2 = {c2} < threshold {report.value} (strict)")
-    return CertificationResult(
-        verdict="inconclusive", c2=c2, report=report,
-        reason=f"c2 = {c2} is not strictly below threshold {report.value}")
+    A, B, Q, m = report.value.parts
+    # c2 < (A + B*sqrt(m))/Q iff c2*Q - A - B*sqrt(m) < 0, as Q > 0
+    verdict = "certified" if _sign(c2 * Q - A, -B, m) < 0 else "inconclusive"
+    return CertificationResult(verdict, c2, report)
 
 
 def barth_check(a: int, c2: int) -> bool:
@@ -401,8 +434,12 @@ def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
     """For the curve linked to a line by surfaces of type (a, b), with
     its liaison genus, compare the gonality bound at eta = 1/(a+b-2)
     with the residual-pencil degree (a-1)(b-1).  The bound falls short;
-    the gap is reported as a structured warning."""
+    the gap is reported as a structured warning.  (a, b) must be a
+    surface type with a line on it: a, b >= 1 and ab >= 2."""
     a, b = _exact_int(a), _exact_int(b)
+    if a < 1 or b < 1 or a * b < 2:
+        raise ValueError("linked_line_claim_gap needs a surface type with "
+                         f"a, b >= 1 and ab >= 2, got ({a}, {b})")
     c = CurveGeometry(d=a * b - 1, g=linked_line_genus(a, b))
     eps = Fraction(1, a + b - 2)
     report = gonality_bound(c, eps)

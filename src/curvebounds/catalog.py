@@ -233,7 +233,9 @@ def descriptor_from_dict(doc: Any, source: str = "$") -> CurveDescriptor:
 def load_descriptor(path_or_text: Union[str, os.PathLike]) -> CurveDescriptor:
     """Load a descriptor from a UTF-8 JSON file, named by a str or
     os.PathLike path, or directly from JSON text (a str that starts
-    with '{').  A file that cannot be read raises ParseError."""
+    with '{').  A file that cannot be read, and text that is not JSON
+    (nesting too deep or an integer literal too long included), raise
+    ParseError."""
     if isinstance(path_or_text, str) and path_or_text.lstrip().startswith("{"):
         source, text = "$", path_or_text
     else:
@@ -254,6 +256,14 @@ def load_descriptor(path_or_text: Union[str, os.PathLike]) -> CurveDescriptor:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: invalid JSON: arrays or objects "
+                         "nested too deeply") from None
+    except ValueError:
+        # json raises a bare ValueError only for an integer literal past
+        # the interpreter's digit limit for int conversion
+        raise ParseError(f"{source}: invalid JSON: an integer literal "
+                         "has too many digits") from None
     return descriptor_from_dict(doc, source)
 
 

@@ -34,6 +34,8 @@ from .errors import (
 from .scalar import (
     QuadNumber,
     RationalLike,
+    _quad,
+    _sign,
     exact_int as _exact_int,
     exact_rational as _exact_rational,
     quad_cmp,
@@ -234,7 +236,8 @@ _DEGREE_DEFAULT = degree_default(note="injected default")
 
 
 def bound_from_evidence(c: CurveGeometry, e: Evidence) -> EvidenceBound:
-    """Exact bound(s) certified by one evidence item for the curve."""
+    """Exact bound(s) certified by one evidence item for the curve: the
+    per-item view of what ``combine`` reads from the same table row."""
     return EvidenceBound(e, **_row(e.kind).bound(c, *e.params))
 
 
@@ -286,19 +289,18 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     upper_trace: list[tuple[Evidence, BoundValue]] = []
     notes: list[str] = []
     residuals: list[tuple[Evidence, Fraction]] = []
+    candidates = {"lower": lower_trace, "upper": upper_trace,
+                  "eps2_lower": residuals}
     # exact eps1 values come only from user-supplied sub-line-bundle
     # degrees; the injected worst case is an upper bound, not exact
     exact_eps1 = [Fraction(c.d) / ev.params[0]
                   for ev in evidence if ev.kind == "normal_bundle_s"]
 
-    for ev in defaults + list(evidence):
-        eb = bound_from_evidence(c, ev)
-        if eb.lower is not None:
-            lower_trace.append((ev, eb.lower))
-        if eb.upper is not None:
-            upper_trace.append((ev, eb.upper))
-        if eb.eps2_lower is not None:
-            residuals.append((ev, eb.eps2_lower))
+    for ev in (*defaults, *evidence):
+        # a field left None certifies nothing (regularity at m = 1)
+        for field, v in EVIDENCE_KINDS[ev.kind].bound(c, *ev.params).items():
+            if v is not None:
+                candidates[field].append((ev, v))
 
     for ev, eps2 in residuals:
         if exact_eps1:
@@ -315,9 +317,13 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
 
     lower = max(v for _, v in lower_trace)
     upper = min(v for _, v in upper_trace)
-    upper_q = upper if isinstance(upper, QuadNumber) else QuadNumber(upper)
+    upper_q = (upper if isinstance(upper, QuadNumber)
+               else _quad(upper.numerator, 0, upper.denominator, 0))
+    A, B, Q, m = upper_q.parts
 
-    if quad_cmp(lower, upper_q) > 0:
+    # lower - upper = (p*Q - q*A - q*B*sqrt(m)) / (q*Q) for lower = p/q
+    p, q = lower.numerator, lower.denominator
+    if _sign(p * Q - q * A, -q * B, m) > 0:
         raise InconsistentEvidence(
             f"lower bound {lower} exceeds upper bound {upper_q} "
             f"(lower from {max(lower_trace, key=lambda t: t[1])[0]})")

@@ -2,17 +2,27 @@
 evaluation in generic ``Fraction``/``QuadNumber`` arithmetic that
 ``curvebounds.bounds`` replaced with a pass over integer numerators.
 
-Each function returns the whole ``BoundReport``, trace included, for
-valid inputs; validation is the library's job and is not repeated
-here.  Every value is built by public arithmetic, so a slip in the
-library's integer bookkeeping shows up as a differing report.
+Each function returns the whole report for valid inputs, as a dict of
+every value field and the rendered trace, which ``report_view`` builds
+from a library ``BoundReport``; validation is the library's job and is
+not repeated here.  Every value is built by public arithmetic and
+every trace line by an f-string, so a slip in the library's integer
+bookkeeping or in its step templates shows up as a differing report.
 """
 
 import math
 from fractions import Fraction
 
-from curvebounds.bounds import BoundReport
 from curvebounds.scalar import QuadNumber, quad_cmp, sqrt_rational
+
+# what a BoundReport holds, with the rendered trace in place of its steps
+FIELDS = ("inputs", "alpha", "term_delta", "term_alpha", "value",
+          "value_ceiling", "trace", "discrepancies")
+
+
+def report_view(report):
+    """A library report in the oracle's form: every field in FIELDS."""
+    return {name: getattr(report, name) for name in FIELDS}
 
 
 def _clamped_alpha(raw, trace, formula):
@@ -36,9 +46,9 @@ def two_term_bound(inputs, trace, delta, raw_alpha, length, scale, formulas):
     ceiling = math.ceil(value)
     trace.append(f"value = min of the two terms = {value}; "
                  f"smallest integer >= value: {ceiling}")
-    return BoundReport(inputs=inputs, alpha=alpha, term_delta=term_delta,
-                       term_alpha=term_alpha, value=value,
-                       value_ceiling=ceiling, trace=tuple(trace))
+    return {"inputs": inputs, "alpha": alpha, "term_delta": term_delta,
+            "term_alpha": term_alpha, "value": value, "value_ceiling": ceiling,
+            "trace": tuple(trace), "discrepancies": ()}
 
 
 def _interval_warning(eps, interval, name, trace):

@@ -1,0 +1,88 @@
+"""Test-only oracle for the Seshadri interval: ``combine`` as a fold of
+the public per-item view ``bound_from_evidence`` over the injected
+defaults and the given items, in generic ``QuadNumber`` arithmetic,
+and a strategy of generated curves with evidence to run it on.
+
+``combine`` reads each evidence row's bound directly and decides the
+interval's consistency by an integer sign test; this module rebuilds
+the same interval from one ``EvidenceBound`` per item and ``quad_cmp``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from curvebounds.blowup import CurveGeometry, genus_consistency
+from curvebounds.scalar import QuadNumber, quad_cmp
+from curvebounds.seshadri import (
+    Evidence,
+    assert_exact,
+    bound_from_evidence,
+    bundle_seshadri,
+    degree_default,
+    global_generation,
+    normal_bundle_s,
+    regularity,
+    residual_reduced,
+    secant_line,
+)
+
+F = Fraction
+
+
+def combine(c, evidence):
+    """(lower, upper, lower_trace, upper_trace, number of notes), or
+    None where ``combine`` must raise InconsistentEvidence."""
+    items = [degree_default(note="injected default"),
+             Evidence("normal_bundle_s", (F(c.deg_n, 2),),
+                      "injected default: worst-case instability measure"),
+             *evidence]
+    bounds = [bound_from_evidence(c, e) for e in items]
+    lower = [(b.evidence, b.lower) for b in bounds if b.lower is not None]
+    upper = [(b.evidence, b.upper) for b in bounds if b.upper is not None]
+    exact_eps1 = [F(c.d) / e.params[0] for e in evidence
+                  if e.kind == "normal_bundle_s"]
+    residuals = [b for b in bounds if b.eps2_lower is not None]
+    if exact_eps1:
+        lower += [(b.evidence, min(min(exact_eps1), b.eps2_lower))
+                  for b in residuals]
+    low = max(v for _, v in lower)
+    high = min(v for _, v in upper)
+    high = high if isinstance(high, QuadNumber) else QuadNumber(high)
+    if quad_cmp(low, high) > 0 or not genus_consistency(c, low):
+        return None
+    return low, high, tuple(lower), tuple(upper), len(residuals)
+
+
+def _evidence(c):
+    """Evidence items valid for the curve: every kind whose bound does
+    not pin the degree, with rational upper bounds among them."""
+    d, deg_n = c.d, c.deg_n
+    small = st.integers(min_value=1, max_value=12)
+    return st.one_of(
+        st.integers(min_value=1, max_value=2 * d + 2).map(regularity),
+        st.integers(min_value=1, max_value=d).map(secant_line),
+        st.tuples(small, st.integers(min_value=1, max_value=4 * d)).map(
+            lambda t: global_generation(*t)),
+        st.tuples(small, st.integers(min_value=1, max_value=4 * d)).map(
+            lambda t: bundle_seshadri(*t)),
+        st.fractions(min_value=F(deg_n, 2), max_value=2 * deg_n,
+                     max_denominator=4).map(normal_bundle_s),
+        st.fractions(min_value=F(1, 4 * d), max_value=1,
+                     max_denominator=4 * d).map(assert_exact),
+        # a*b - 1 >= d, as the kind requires
+        st.tuples(st.integers(min_value=1, max_value=8),
+                  st.integers(min_value=0, max_value=3)).map(
+            lambda t: residual_reduced(t[0], -(-(d + 1) // t[0]) + t[1])),
+    )
+
+
+# d = k^2 makes the degree default's upper bound 1/sqrt(d) rational
+CURVES = st.one_of(st.integers(min_value=1, max_value=60),
+                   st.integers(min_value=1, max_value=8).map(lambda k: k * k)
+                   ).flatmap(lambda d: st.builds(
+                       CurveGeometry, st.just(d),
+                       st.integers(min_value=0, max_value=(d - 1) * (d - 2) // 2 + 2)))
+
+CURVE_EVIDENCE = CURVES.flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(_evidence(c), max_size=4)))

@@ -6,12 +6,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import bounds_oracle as oracle
+import seshadri_oracle
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import (
+    BoundReport,
     barth_check,
     c2plus2_check,
     certify_restriction_stable,
@@ -24,7 +26,9 @@ from curvebounds.bounds import (
     restriction_threshold,
     surface_restriction_checks,
 )
+from curvebounds.catalog import load_descriptor
 from curvebounds.errors import (
+    InconsistentEvidence,
     NoEvidence,
     NonpositiveEpsilon,
     NonpositiveGamma,
@@ -451,11 +455,21 @@ def test_linked_line_gap_absent_in_the_degenerate_case():
     assert linked_line_claim_gap(2, 1) is None
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (-2, -3), (-1, -2), (0, 5)])
+def test_linked_line_gap_rejects_a_pair_that_is_no_surface_type(a, b):
+    # the catalog's rule, checked up front: before, these failed deep
+    # inside, on the derived curve (degree, genus, or a nonpositive eta)
+    with pytest.raises(ValueError, match=r"^linked_line_claim_gap needs a surface "
+                       rf"type with a, b >= 1 and ab >= 2, got \({a}, {b}\)$"):
+        linked_line_claim_gap(a, b)
+
+
 # -- differential tests against the generic-arithmetic oracle -----------------
 #
 # The library evaluates each bound in one pass over integer numerators;
 # tests/bounds_oracle.py evaluates the same formulas in Fraction and
-# QuadNumber arithmetic.  Whole reports, traces included, must agree.
+# QuadNumber arithmetic.  Whole reports must agree: every value field,
+# and the trace the library renders from its steps.
 
 # d = k^2 makes sqrt(d) rational, d = 3k^2 makes sqrt(3d) rational
 DEGREES = st.one_of(st.integers(min_value=1, max_value=150),
@@ -496,28 +510,38 @@ PENCIL_ARGS = st.tuples(
     st.integers(min_value=3, max_value=5))
 
 
+view = oracle.report_view
+
+
+def test_oracle_view_covers_every_report_field():
+    # the oracle compares each field but the steps, and the trace they
+    # render; a new BoundReport field must join the comparison
+    assert (set(BoundReport.__record_fields__) - {"steps"}) | {"trace"} \
+        == set(oracle.FIELDS)
+
+
 @given(HEADLINE_ARGS)
 def test_gonality_bound_matches_the_oracle(args):
-    assert gonality_bound(*args) == oracle.gonality_bound(*args)
+    assert view(gonality_bound(*args)) == oracle.gonality_bound(*args)
 
 
 @given(HEADLINE_ARGS)
 def test_restriction_threshold_matches_the_oracle(args):
     c, gamma, interval = args
     expected = oracle.restriction_threshold(c, gamma, interval)
-    assert restriction_threshold(c, gamma, interval) == expected
-    assert certify_restriction_stable(c, gamma, 0, interval).report == expected
+    assert view(restriction_threshold(c, gamma, interval)) == expected
+    assert view(certify_restriction_stable(c, gamma, 0, interval).report) == expected
 
 
 @given(GENERAL_R_ARGS)
 def test_general_r_reports_match_the_oracle(args):
     rep = gonality_bound_general_r(*args)
-    assert (rep.compact, rep.segre) == oracle.general_r_reports(*args)
+    assert (view(rep.compact), view(rep.segre)) == oracle.general_r_reports(*args)
 
 
 @given(PENCIL_ARGS)
 def test_pencil_bound_matches_the_oracle(args):
-    assert (pencil_degree_bound_subvariety(*args)
+    assert (view(pencil_degree_bound_subvariety(*args))
             == oracle.pencil_degree_bound_subvariety(*args))
 
 
@@ -560,13 +584,140 @@ def test_differential_strategies_reach_a_rational_x_degree():
     find(PENCIL_ARGS, lambda args: F(args[0]).denominator > 1, settings=REACH)
 
 
+# -- text is rendered only when it is read -----------------------------------
+
+
+@pytest.mark.parametrize("descriptor", [
+    '{"kind": {"complete_intersection": {"a": 7, "b": 3}}}',
+    '{"kind": {"linked_line": {"a": 6, "b": 4}}}',
+    '{"kind": {"raw": {"d": 37, "g": 50}}, "flags": {"nondegenerate": true}}',
+])
+def test_table_calls_render_no_text(monkeypatch, descriptor):
+    # a table op's calls build their reports from exact values only:
+    # with no way to print a Fraction or a QuadNumber they still run,
+    # and only reading trace or reason needs the text
+    def no_text(self):
+        raise AssertionError("rendered before it was read")
+
+    monkeypatch.setattr(QuadNumber, "__str__", no_text)
+    monkeypatch.setattr(Fraction, "__str__", no_text)
+    desc = load_descriptor(descriptor)
+    interval = combine(desc.curve, list(desc.evidence))
+    eta = interval.lower
+    gon = gonality_bound(desc.curve, eta, interval)
+    thr = restriction_threshold(desc.curve, eta, interval)
+    t = thr.value_ceiling
+    certs = [certify_restriction_stable(desc.curve, eta, c2, interval)
+             for c2 in (t - 1, t, t + 3)]
+    # eta outside the interval (every upper end is at most 1) adds the
+    # warning step, unrendered too
+    outside = gonality_bound(desc.curve, F(2), interval)
+    for rep in (gon, thr, outside, *(r.report for r in certs)):
+        with pytest.raises(AssertionError, match="rendered before"):
+            rep.trace
+    for res in certs:
+        with pytest.raises(AssertionError, match="rendered before"):
+            res.reason
+    monkeypatch.undo()
+    assert outside.trace[2].startswith("warning: eta = ")
+    assert [r.verdict for r in certs] == ["certified", "inconclusive", "inconclusive"]
+
+
+# -- the integer sign tests against quad_cmp ----------------------------------
+#
+# The interval warning and the certification verdict are decided by
+# integer sign tests on the parts of exact values; quad_cmp decides the
+# same comparisons through the public order.
+
+
+@st.composite
+def interval_args(draw):
+    """(curve, eta, certified interval): eta on the interval's lower
+    end, on a rational upper end, next to either end, or anywhere."""
+    c, evidence = draw(seshadri_oracle.CURVE_EVIDENCE)
+    try:
+        interval = combine(c, evidence)
+    except InconsistentEvidence:
+        assume(False)
+    lower, upper = interval.lower, interval.upper
+    # the upper end itself when rational, else a close rational
+    top = (upper.as_rational() if upper.is_rational
+           else Fraction(str(upper.to_decimal(12))))
+    ends = [lower, top, lower * F(999, 1000), lower * F(1001, 1000),
+            top * F(999, 1000), top * F(1001, 1000)]
+    eta = draw(st.one_of(st.sampled_from(ends), ETAS))
+    return c, eta, interval
+
+
+INTERVAL_ARGS = interval_args()
+
+
+@given(INTERVAL_ARGS)
+def test_interval_warning_iff_eta_outside_by_quad_cmp(args):
+    c, eta, interval = args
+    outside = (quad_cmp(eta, interval.lower) < 0
+               or quad_cmp(eta, interval.upper) > 0)
+    for bound in (gonality_bound, restriction_threshold):
+        warnings = [t for t in bound(c, eta, interval).trace if t.startswith("warning:")]
+        assert len(warnings) == outside
+
+
+@st.composite
+def certification_args(draw):
+    """(curve, gamma, c2) with c2 within 2 of the threshold's floor, so
+    an integral threshold is itself drawn as c2.  At gamma = (d - 4j)/deg_N
+    the delta term is -j, below any alpha term when j >= 1: the threshold
+    is then a negative integer."""
+    c = draw(st.builds(CurveGeometry, d=DEGREES, g=GENERA))
+    integral = [F(c.d - 4 * j, c.deg_n) for j in (1, 2, 3) if c.d > 4 * j]
+    gamma = draw(st.one_of(ETAS, st.integers(min_value=1, max_value=40).map(
+        lambda k: F(1, k)), *([st.sampled_from(integral)] if integral else [])))
+    base = math.floor(restriction_threshold(c, gamma).value)
+    return c, gamma, draw(st.integers(min_value=base - 2, max_value=base + 2))
+
+
+CERTIFICATION_ARGS = certification_args()
+
+
+@given(CERTIFICATION_ARGS)
+def test_certification_verdict_is_quad_cmp(args):
+    c, gamma, c2 = args
+    res = certify_restriction_stable(c, gamma, c2)
+    below = quad_cmp(c2, res.report.value) < 0
+    assert res.verdict == ("certified" if below else "inconclusive")
+    assert res.certified is below
+
+
+@pytest.mark.parametrize("case", [
+    "eta is the lower end", "eta is a rational upper end",
+    "eta just above a rational upper end", "eta just below the lower end"])
+def test_sign_test_strategies_reach_the_interval_ends(case):
+    def hit(args):
+        _, eta, iv = args
+        return {"eta is the lower end": eta == iv.lower,
+                "eta is a rational upper end": iv.upper.is_rational and eta == iv.upper,
+                "eta just above a rational upper end":
+                    iv.upper.is_rational and eta == iv.upper.as_rational() * F(1001, 1000),
+                "eta just below the lower end": eta == iv.lower * F(999, 1000)}[case]
+    find(INTERVAL_ARGS, hit, settings=REACH)
+
+
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_sign_test_strategies_reach_an_integral_threshold(nonzero):
+    def hit(args):
+        c, gamma, c2 = args
+        value = restriction_threshold(c, gamma).value
+        return value == c2 and (c2 != 0 or not nonzero)
+    find(CERTIFICATION_ARGS, hit, settings=REACH)
+
+
 def test_radicand_cap_is_unchanged():
     # the library splits the same radicands as the oracle: d for the
     # gonality bound, 3d for the restriction threshold
     d = MAX_RADICAND // 3
-    assert restriction_threshold(CurveGeometry(d, 0), 1) == \
+    assert view(restriction_threshold(CurveGeometry(d, 0), 1)) == \
         oracle.restriction_threshold(CurveGeometry(d, 0), 1)
-    assert gonality_bound(CurveGeometry(MAX_RADICAND, 0), 1) == \
+    assert view(gonality_bound(CurveGeometry(MAX_RADICAND, 0), 1)) == \
         oracle.gonality_bound(CurveGeometry(MAX_RADICAND, 0), 1)
     for call in (lambda: restriction_threshold(CurveGeometry(d + 1, 0), 1),
                  lambda: gonality_bound(CurveGeometry(MAX_RADICAND + 1, 0), 1),

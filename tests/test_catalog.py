@@ -188,6 +188,30 @@ def test_load_invalid_json_reports_position():
         load_descriptor('{"kind": ')
 
 
+# hostile JSON: 100,000 nested arrays exhaust the decoder's recursion,
+# and a 4,401-digit literal exceeds int's digit limit for conversion
+DEEP_NESTING = "[" * 100_000
+LONG_DEGREE = '{"kind": {"raw": {"d": ' + "7" * 4401 + ', "g": 0}}}'
+
+
+def test_load_deep_nesting_is_a_parse_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text(DEEP_NESTING)
+    with pytest.raises(ParseError, match=f"^{p}: invalid JSON: .*nested too deeply"):
+        load_descriptor(p)
+    with pytest.raises(ParseError, match=r"^\$: invalid JSON: .*nested too deeply"):
+        load_descriptor("{" + '"kind": ' + DEEP_NESTING)
+
+
+def test_load_overlong_integer_is_a_parse_error(tmp_path):
+    p = tmp_path / "long.json"
+    p.write_text(LONG_DEGREE)
+    with pytest.raises(ParseError, match=f"^{p}: invalid JSON: .*too many digits"):
+        load_descriptor(str(p))
+    with pytest.raises(ParseError, match=r"^\$: invalid JSON: .*too many digits"):
+        load_descriptor(LONG_DEGREE)
+
+
 def test_serialize_round_trip_is_stable():
     for desc in standard_catalog():
         doc = serialize_descriptor(desc)

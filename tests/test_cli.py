@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -403,6 +405,25 @@ def test_invalid_json_is_exit_2(capsys):
     code, _, err = run(capsys, "gonality", '{"kind": ')
     assert code == 2
     assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000, "arrays or objects nested too deeply"),
+    ('{"kind": {"raw": {"d": ' + "7" * 4401 + ', "g": 0}}}',
+     "an integer literal has too many digits"),
+], ids=["deep-nesting", "overlong-integer"])
+def test_hostile_descriptor_file_is_exit_2(tmp_path, text, message):
+    # a fresh process, as a user runs it, with a timeout: a typed error
+    # and exit 2, not a traceback
+    p = tmp_path / "curve.json"
+    p.write_text(text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "curvebounds", "gonality", str(p)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {p}: invalid JSON: {message}\n"
 
 
 def test_domain_error_is_exit_1(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from curvebounds._record import asdict, replace
+from curvebounds._record import asdict, record, replace
 from curvebounds.blowup import E, H, ChernData, CurveGeometry, DivisorClass
 from curvebounds.replay import Box, GonalityMode, RestrictionMode
 from curvebounds.seshadri import Evidence, global_generation
@@ -105,3 +105,22 @@ def test_replace_and_asdict():
         replace(c, d=0)
     with pytest.raises(TypeError):
         replace(c, genus=2)
+
+
+@record
+class _Shown:
+    raw: tuple
+    tail: int = 0
+    __record_view__ = {"raw": "text"}
+
+    @property
+    def text(self):
+        return "-".join(map(str, self.raw))
+
+
+def test_asdict_shows_a_property_in_place_of_its_field():
+    v = _Shown((1, 2), 3)
+    assert list(asdict(v).items()) == [("text", "1-2"), ("tail", 3)]
+    # replace still works on the fields themselves
+    assert replace(v, tail=4) == _Shown((1, 2), 4)
+    assert _Shown.__record_fields__ == ("raw", "tail")

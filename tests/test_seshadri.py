@@ -5,7 +5,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, find, given, settings
 
+import seshadri_oracle
 from curvebounds import seshadri
 from curvebounds.blowup import CurveGeometry
 from curvebounds.catalog import evidence_from_json, evidence_to_json
@@ -33,6 +35,8 @@ from curvebounds.seshadri import (
 )
 
 F = Fraction
+# a fixed draw without shrinking: the first example that hits the case
+REACH = settings(database=None, derandomize=True, phases=[Phase.generate])
 
 LINE = CurveGeometry(d=1, g=0)
 CUBIC = CurveGeometry(d=3, g=0)
@@ -280,6 +284,39 @@ def test_genus_gate_rejects_overlarge_lower_bound():
 def test_lower_never_below_defaults():
     iv = combine(CI52, [bundle_seshadri(1, 100)])
     assert iv.lower == F(1, 10)
+
+
+@given(seshadri_oracle.CURVE_EVIDENCE)
+def test_combine_is_a_fold_of_bound_from_evidence(args):
+    # combine reads each row's bound directly and decides consistency
+    # by an integer sign test; the oracle folds one EvidenceBound per
+    # item with quad_cmp
+    c, evidence = args
+    expected = seshadri_oracle.combine(c, evidence)
+    if expected is None:
+        with pytest.raises(InconsistentEvidence):
+            combine(c, evidence)
+        return
+    iv = combine(c, evidence)
+    assert (iv.lower, iv.upper, iv.lower_trace, iv.upper_trace,
+            len(iv.notes)) == expected
+
+
+@pytest.mark.parametrize("case", [
+    "inconsistent", "rational upper", "irrational upper", "residual paired",
+    "lower equals upper"])
+def test_fold_strategy_reaches(case):
+    def hit(args):
+        out = seshadri_oracle.combine(*args)
+        if case == "inconsistent" or out is None:
+            return case == "inconsistent" and out is None
+        low, high = out[0], out[1]
+        return {"rational upper": high.is_rational,
+                "irrational upper": not high.is_rational,
+                "residual paired": {"residual_reduced", "normal_bundle_s"}
+                <= {e.kind for e in args[1]},
+                "lower equals upper": low == high}[case]
+    find(seshadri_oracle.CURVE_EVIDENCE, hit, settings=REACH)
 
 
 # -- regularity default ------------------------------------------------------
