@@ -72,6 +72,7 @@ from .errors import (
     RadicandTooLarge,
     UnboundedBox,
     UnsupportedDimension,
+    WorkTooLarge,
 )
 from .replay import (
     Box,

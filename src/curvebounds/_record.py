@@ -98,6 +98,14 @@ def record(cls: type) -> type:
     return cls
 
 
+def render(steps: tuple) -> tuple[str, ...]:
+    """The text of steps kept as ``(template, exact values...)``, one
+    line each: ``template.format(*values)``.  Records that render on
+    read (a bound report's trace, an interval's notes) all go through
+    this."""
+    return tuple([t.format(*values) for t, *values in steps])
+
+
 def asdict(obj: Any) -> dict:
     """Name -> value of what a record shows, in field order (not
     recursive).  A class may show a property in the place of the field

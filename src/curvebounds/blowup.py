@@ -21,9 +21,29 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
-from .errors import ArityMismatch, UnsupportedDimension
+from .errors import ArityMismatch, UnsupportedDimension, WorkTooLarge
 from .scalar import RationalLike
 from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
+
+
+# Every enumeration (replay box, sweep, slope-identity scan) prices its
+# work in closed form before its first point, counted in replay points,
+# and refuses more than MAX_POINTS.  Measured on 2 cores (Python 3.11.7):
+# a replay point costs ~7.7 us, an identity class ~144 us (_CLASS_POINTS)
+# and a sweep parameter ~127 us beyond its box for the system it builds
+# (_SYSTEM_POINTS).  So an allowed enumeration runs ~30 s at most, and the
+# ci-5-2 sweep over k in [0, 2000) at margin 20 (3,444,000 points, 26 s)
+# still runs.
+MAX_POINTS = 4 * 10**6
+_CLASS_POINTS = 18
+_SYSTEM_POINTS = 16
+
+
+def _check_points(work: int, what: str) -> None:
+    """WorkTooLarge when ``work``, in replay points, exceeds the cap."""
+    if work > MAX_POINTS:
+        raise WorkTooLarge(f"{what}: work of {work} replay points, above the "
+                           f"enumeration cap {MAX_POINTS}")
 
 
 @record
@@ -188,10 +208,14 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
     exactly for every class D = x*H + y*E with |x|, |y| <= bound.
     Returns (classes checked, the (x, y) that violate it).  A negative
     bound would check nothing and report no violation, so it raises
-    ValueError."""
+    ValueError; a class is charged _CLASS_POINTS replay points against
+    MAX_POINTS, and more work raises WorkTooLarge."""
     eta = _exact_rational(eta)
     if _exact_int(bound) < 0:
         raise ValueError(f"scan range must be nonnegative, got {bound}")
+    classes = (2 * bound + 1) ** 2
+    _check_points(classes * _CLASS_POINTS,
+                  f"the slope-identity scan to range {bound} has {classes} classes")
     lam = lambda_eta(c, eta)
     heta = h_eta(eta)
     violations: list[tuple[int, int]] = []

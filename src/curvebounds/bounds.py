@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from ._record import record
+from ._record import record, render
 from .blowup import (
     CurveGeometry,
     delta_eta,
@@ -44,10 +44,10 @@ from .scalar import (
     RationalLike,
     _quad,
     _sign,
+    _sqrt_parts,
     exact_int as _exact_int,
     exact_rational as _exact_rational,
     quad_cmp,
-    sqrt_rational,
 )
 from .seshadri import SeshadriInterval, linked_line_genus
 
@@ -84,8 +84,8 @@ class BoundReport:
 
     @property
     def trace(self) -> tuple[str, ...]:
-        """The steps as text, one line each: ``template.format(*values)``."""
-        return tuple([t.format(*values) for t, *values in self.steps])
+        """The steps as text, one line each."""
+        return render(self.steps)
 
 
 @record
@@ -169,9 +169,9 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
     term_delta = Fraction(delta.numerator * sq, 4 * delta.denominator * sn)
     steps.append((templates[0], term_delta))
 
-    # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in sqrt_rational
+    # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in the split
     u, w = root
-    a, b, s, m = sqrt_rational(u).parts
+    a, b, s, m = _sqrt_parts(u.numerator, u.denominator)
     a, b, q = a * lq * sq - ln * sn * s * w, b * lq * sq, s * w * lq * sq
     if _sign(a, b, m) < 0:
         steps.append((templates[1], *alpha_args, _quad(a, b, q, m)))

@@ -31,8 +31,6 @@ from .seshadri import (
     EVIDENCE_KINDS,
     Evidence,
     castelnuovo_default,
-    complete_intersection,
-    linked_line,
     linked_line_genus,
     make_evidence,
 )
@@ -202,12 +200,11 @@ def descriptor_from_dict(doc: Any, source: str = "$") -> CurveDescriptor:
                    for e in evidence):
             evidence.append(item)
 
-    if kind == "complete_intersection":
-        include(complete_intersection(params["a"], params["b"],
-                                      note="from descriptor kind"))
-    elif kind == "linked_line":
-        include(linked_line(params["a"], params["b"],
-                            note="from descriptor kind"))
+    if kind in ("complete_intersection", "linked_line"):
+        # the evidence kind of the same name, valid by construction:
+        # _derive_kind has checked the integers a >= b >= 1 (complete
+        # intersection) or a, b >= 1 with ab >= 2, so a + b >= 3 (linked line)
+        include(Evidence(kind, (params["a"], params["b"]), "from descriptor kind"))
     elif nondegenerate:
         include(castelnuovo_default(curve))
 

@@ -86,6 +86,12 @@ class UnboundedBox(CurveBoundsError):
     exhaustive search is impossible."""
 
 
+class WorkTooLarge(CurveBoundsError):
+    """An enumeration (a replay box, a sweep, or the slope-identity scan)
+    whose work, counted in replay points, is above the cap
+    ``blowup.MAX_POINTS``; refused before its first point is visited."""
+
+
 # --- descriptors ----------------------------------------------------------
 
 class ParseError(CurveBoundsError):

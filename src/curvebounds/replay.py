@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional, Union
 
+from . import blowup
 from ._record import record
-from .blowup import CurveGeometry, lambda_eta
+from .blowup import _SYSTEM_POINTS, CurveGeometry, _check_points, lambda_eta
 from .errors import LambdaNegative, NonpositiveEta, UnboundedBox
 from .scalar import RationalLike, quad_cmp, sqrt_rational
 from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
@@ -221,25 +223,35 @@ def _check_margin(margin: int) -> None:
         raise ValueError(f"box margin must be nonnegative, got {margin}")
 
 
+def _box_points(box: Box, margin: int) -> int:
+    """The number of points ``box.points(margin)`` yields, in closed form."""
+    return (max(0, box.x_max - box.x_min + 2 * margin + 1)
+            * max(0, box.y_max - box.y_min + 2 * margin + 1))
+
+
 def region_empty(sys: ConstraintSystem, margin: int = 0) -> ReplayOutcome:
     """Enumerate every integer point of the box (enlarged by margin in
     all directions) and return the first witness satisfying all
     constraints, ties broken by smallest (|y|, x, y), or emptiness.
     A negative margin would shrink the box below the one that is proved
-    sufficient, so it raises ValueError."""
+    sufficient, so it raises ValueError; a box of more than MAX_POINTS
+    points raises WorkTooLarge before the first point."""
     _check_margin(margin)
+    points = _box_points(sys.box, margin)
+    _check_points(points, f"the replay box has {points} points")
     tests = [test for _, test in _rows(sys.curve, sys.eta, sys.mode)]
     ed = sys.eta * sys.curve.d
-    witnesses: list[tuple[int, int]] = []
+    best: Optional[tuple[int, int, int]] = None  # (|y|, x, y) of the best witness
     checked = 0
     for x, y in sys.box.points(margin):
         checked += 1
         if _satisfies(tests, ed, x, y):
-            witnesses.append((x, y))
-    if not witnesses:
+            key = (abs(y), x, y)
+            if best is None or key < best:
+                best = key
+    if best is None:
         return ReplayOutcome(empty=True, witness=None, checked=checked, system=sys)
-    best = min(witnesses, key=lambda p: (abs(p[1]), p[0], p[1]))
-    return ReplayOutcome(empty=False, witness=best, checked=checked, system=sys)
+    return ReplayOutcome(empty=False, witness=best[1:], checked=checked, system=sys)
 
 
 def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
@@ -249,7 +261,10 @@ def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
     report the feasibility frontier: the first parameter whose region is
     non-empty.  The frontier can only sit at or above the corresponding
     bound; it may exceed it.  Every argument is checked before the first
-    parameter, in both families, so an empty range fails as a full one."""
+    parameter, in both families, so an empty range fails as a full one.
+    Every system is built before the first point is visited.  Each
+    parameter is charged _SYSTEM_POINTS replay points for its system,
+    plus its box, and work above MAX_POINTS raises WorkTooLarge."""
     if mode_family not in ("gonality", "restriction"):
         raise ValueError(f"unknown mode family: {mode_family!r}")
     _check_margin(margin)
@@ -258,15 +273,26 @@ def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
         raise NonpositiveEta(f"eta must be positive, got {eta}")
     if _exact_int(l_min) < 0:
         raise ValueError(f"l_min must be nonnegative, got {l_min}")
-    entries: list[tuple[int, ReplayOutcome]] = []
-    frontier: Optional[int] = None
-    for param in param_range:
+    # no more parameters than the cap pays systems for are drawn, so a
+    # range of any length is refused at once
+    params = list(islice(param_range, blowup.MAX_POINTS // _SYSTEM_POINTS + 1))
+    work = len(params) * _SYSTEM_POINTS
+    _check_points(work, f"the sweep has {len(params)} parameters or more")
+    systems: list[tuple[int, ConstraintSystem]] = []
+    for param in params:
         mode: Mode
         if mode_family == "gonality":
             mode = GonalityMode(k=param)
         else:
             mode = RestrictionMode(c2=param, l_min=l_min)
-        outcome = region_empty(build_system(curve, eta, mode), margin)
+        system = build_system(curve, eta, mode)
+        work += _box_points(system.box, margin)
+        _check_points(work, f"the sweep up to parameter {param}")
+        systems.append((param, system))
+    entries: list[tuple[int, ReplayOutcome]] = []
+    frontier: Optional[int] = None
+    for param, system in systems:
+        outcome = region_empty(system, margin)
         entries.append((param, outcome))
         if frontier is None and not outcome.empty:
             frontier = param

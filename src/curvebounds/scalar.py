@@ -456,16 +456,21 @@ def quad_cmp(x: QuadLike, y: QuadLike) -> int:
     return _cmp(_operand(x), _operand(y))
 
 
+def _sqrt_parts(n: int, s: int) -> tuple[int, int, int, int]:
+    """sqrt(n/s) for integers n >= 0 and s > 0 as integers (a, b, s, m),
+    value (a + b*sqrt(m))/s with m square-free or 0, not reduced:
+    sqrt(n/s) = sqrt(n*s)/s = k*sqrt(m)/s for n*s = m*k**2."""
+    m, k = _square_free_split(n * s)
+    return (k * m, 0, s, 0) if m <= 1 else (0, k, s, m)  # m <= 1: a square
+
+
 def sqrt_rational(q: RationalLike) -> QuadNumber:
     """Exact square root of a nonnegative rational, with minimal
     integer radicand: sqrt(p/s) = sqrt(p*s)/s."""
     q = exact_rational(q)
     if q < 0:
         raise NegativeRadicand(f"cannot take sqrt of {q}")
-    core, k = _square_free_split(q.numerator * q.denominator)
-    if core <= 1:  # q is 0 or a perfect square
-        return _quad(k * core, 0, q.denominator, 0)
-    return _quad(0, k, q.denominator, core)
+    return _quad(*_sqrt_parts(q.numerator, q.denominator))
 
 
 # -- serialization -------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from ._record import record
+from ._record import record, render
 from .blowup import CurveGeometry, genus_consistency
 from .errors import (
     DegenerateInput,
@@ -36,10 +36,10 @@ from .scalar import (
     RationalLike,
     _quad,
     _sign,
+    _sqrt_parts,
     exact_int as _exact_int,
     exact_rational as _exact_rational,
     quad_cmp,
-    sqrt_rational,
 )
 
 BoundValue = Union[Fraction, QuadNumber]
@@ -126,7 +126,7 @@ def _normal_bundle_bound(c: CurveGeometry, s_n: Fraction) -> dict:
         raise EvidenceInconsistentWithDegree(
             f"s_N = {s_n} is below deg_N/2 = {Fraction(c.deg_n, 2)}, "
             "impossible for a rank-two normal bundle")
-    return {"upper": Fraction(c.d) / s_n}
+    return {"upper": Fraction(c.d * s_n.denominator, s_n.numerator)}
 
 
 def _residual_reduced_bound(c: CurveGeometry, a: int, b: int) -> dict:
@@ -143,8 +143,9 @@ _NOT_BOTH_ONE = ("a + b >= 3", lambda a, b: a + b >= 3)
 # and printing all read this table, so a new kind is one new row (plus
 # its public factory below).
 EVIDENCE_KINDS: dict[str, EvidenceKind] = {
+    # 1/sqrt(d) = sqrt(1/d), from the square-free split of d
     "degree_default": EvidenceKind(
-        (), lambda c: {"lower": Fraction(1, c.d), "upper": 1 / sqrt_rational(c.d)}),
+        (), lambda c: {"lower": Fraction(1, c.d), "upper": _quad(*_sqrt_parts(1, c.d))}),
     "global_generation": EvidenceKind(
         ("n", "m"), lambda c, n, m: {"lower": Fraction(n, m)}),
     "regularity": EvidenceKind(("m",), _regularity_bound),
@@ -246,15 +247,25 @@ class SeshadriInterval:
     """Certified bounds lower <= eps(C) <= upper with full provenance.
 
     ``lower_trace`` / ``upper_trace`` list every candidate bound that
-    entered the combination, extremes included; ``notes`` collects
-    informational messages (defaults injected, evidence recorded but
-    not combined, ...)."""
+    entered the combination, extremes included.  ``note_steps`` keeps
+    each informational message (residual evidence paired, or recorded
+    but not combined) as ``(template, exact values...)``; ``notes``
+    renders them on read."""
 
     lower: Fraction
     upper: QuadNumber
     lower_trace: tuple[tuple[Evidence, Fraction], ...]
     upper_trace: tuple[tuple[Evidence, BoundValue], ...]
-    notes: tuple[str, ...] = ()
+    note_steps: tuple[tuple, ...] = ()
+
+    # asdict, and so the JSON payload, shows the rendered notes in the
+    # place of their steps
+    __record_view__ = {"note_steps": "notes"}
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The messages as text, one line each."""
+        return render(self.note_steps)
 
     @property
     def lower_witness(self) -> Evidence:
@@ -275,10 +286,17 @@ class SeshadriInterval:
         return self.lower <= q and quad_cmp(q, self.upper) <= 0
 
 
+_PAIRED = "{} paired with exact eps1 = {}: eps >= min(eps1, {}) = {}"
+_NOT_COMBINED = ("{} certifies eps2 >= {} only; not combined "
+                 "(no exact sub-line-bundle degree for eps1)")
+
+
 def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     """Combine evidence into a certified interval, injecting the
     unconditional defaults, pairing residual-pencil bounds with exact
-    sub-line-bundle data, and gating the result on the genus bound."""
+    sub-line-bundle data, and gating the result on the genus bound.
+    The extremes are chosen by integer cross-multiplication and
+    ``_sign``; ties keep the first candidate, as ``max`` and ``min`` do."""
     defaults = [
         _DEGREE_DEFAULT,
         # valid by construction, as deg_N = (r+1)d + 2g - 2 >= 2
@@ -287,7 +305,7 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     ]
     lower_trace: list[tuple[Evidence, Fraction]] = []
     upper_trace: list[tuple[Evidence, BoundValue]] = []
-    notes: list[str] = []
+    note_steps: list[tuple] = []
     residuals: list[tuple[Evidence, Fraction]] = []
     candidates = {"lower": lower_trace, "upper": upper_trace,
                   "eps2_lower": residuals}
@@ -305,39 +323,42 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     for ev, eps2 in residuals:
         if exact_eps1:
             # eps = min(eps1, eps2); eps1 is exact, eps2 is bounded below
-            paired = min(min(exact_eps1), eps2)
+            eps1 = min(exact_eps1)
+            paired = min(eps1, eps2)
             lower_trace.append((ev, paired))
-            notes.append(
-                f"{ev} paired with exact eps1 = {min(exact_eps1)}: "
-                f"eps >= min(eps1, {eps2}) = {paired}")
+            note_steps.append((_PAIRED, ev, eps1, eps2, paired))
         else:
-            notes.append(
-                f"{ev} certifies eps2 >= {eps2} only; not combined "
-                "(no exact sub-line-bundle degree for eps1)")
+            note_steps.append((_NOT_COMBINED, ev, eps2))
 
-    lower = max(v for _, v in lower_trace)
-    upper = min(v for _, v in upper_trace)
-    upper_q = (upper if isinstance(upper, QuadNumber)
-               else _quad(upper.numerator, 0, upper.denominator, 0))
-    A, B, Q, m = upper_q.parts
+    # the degree default comes first, so both traces are nonempty
+    lower_ev, lower = lower_trace[0]
+    p, q = lower.numerator, lower.denominator
+    for ev, v in lower_trace:
+        if v.numerator * q > p * v.denominator:
+            lower_ev, lower, p, q = ev, v, v.numerator, v.denominator
+    upper = upper_trace[0][1]
+    A, B, Q, m = upper.parts
+    for _, v in upper_trace:
+        a, b, s, n = (v.parts if isinstance(v, QuadNumber)
+                      else (v.numerator, 0, v.denominator, 0))
+        # v - upper = (a*Q - A*s + (b*Q - B*s)*sqrt(m)) / (s*Q); the only
+        # irrational candidate is 1/sqrt(d), so one radicand at most
+        if _sign(a * Q - A * s, b * Q - B * s, m or n) < 0:
+            upper, A, B, Q, m = v, a, b, s, n
+    if not isinstance(upper, QuadNumber):
+        upper = _quad(A, 0, Q, 0)
 
     # lower - upper = (p*Q - q*A - q*B*sqrt(m)) / (q*Q) for lower = p/q
-    p, q = lower.numerator, lower.denominator
     if _sign(p * Q - q * A, -q * B, m) > 0:
         raise InconsistentEvidence(
-            f"lower bound {lower} exceeds upper bound {upper_q} "
-            f"(lower from {max(lower_trace, key=lambda t: t[1])[0]})")
+            f"lower bound {lower} exceeds upper bound {upper} "
+            f"(lower from {lower_ev})")
     if not genus_consistency(c, lower):
         raise InconsistentEvidence(
             f"lower bound {lower} violates the genus bound for d = {c.d}, g = {c.g}")
 
-    return SeshadriInterval(
-        lower=lower,
-        upper=upper_q,
-        lower_trace=tuple(lower_trace),
-        upper_trace=tuple(upper_trace),
-        notes=tuple(notes),
-    )
+    return SeshadriInterval(lower, upper, tuple(lower_trace), tuple(upper_trace),
+                            tuple(note_steps))
 
 
 def castelnuovo_default(c: CurveGeometry) -> Evidence:
@@ -347,4 +368,6 @@ def castelnuovo_default(c: CurveGeometry) -> Evidence:
     if c.d <= 1:
         raise DegenerateInput(
             f"regularity default needs d >= 2, got d = {c.d}")
-    return regularity(c.d - 1, note="regularity from degree (nondegenerate curve)")
+    # valid by construction: d - 1 >= 1 is an int, as CurveGeometry checks
+    return Evidence("regularity", (c.d - 1,),
+                    "regularity from degree (nondegenerate curve)")

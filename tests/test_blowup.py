@@ -28,7 +28,7 @@ from curvebounds.blowup import (
     slope_identity_scan,
     top_product,
 )
-from curvebounds.errors import ArityMismatch, UnsupportedDimension
+from curvebounds.errors import ArityMismatch, UnsupportedDimension, WorkTooLarge
 
 F = Fraction
 
@@ -326,3 +326,17 @@ def test_slope_identity_scan_reports_violations(monkeypatch):
 def test_slope_identity_scan_rejects_a_negative_range(bound):
     with pytest.raises(ValueError, match="scan range must be nonnegative"):
         slope_identity_scan(CI52, F(1, 5), bound)
+
+
+def test_slope_identity_scan_refuses_more_classes_than_the_cap(monkeypatch):
+    # each class is charged as _CLASS_POINTS replay points
+    work = 25 * blowup._CLASS_POINTS
+    monkeypatch.setattr(blowup, "MAX_POINTS", work)
+    assert slope_identity_scan(CI52, F(1, 5), 2) == (25, [])
+    monkeypatch.setattr(blowup, "MAX_POINTS", work - 1)
+    monkeypatch.setattr(blowup, "top_product", None)  # no class is evaluated
+    with pytest.raises(WorkTooLarge, match=f"range 2 has 25 classes: work of {work} "):
+        slope_identity_scan(CI52, F(1, 5), 2)
+    monkeypatch.undo()
+    with pytest.raises(WorkTooLarge, match="range 100000 has 40000400001 classes"):
+        slope_identity_scan(CI52, F(1, 5), 10**5)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvebounds.catalog import (
     descriptor_from_dict,
@@ -15,7 +17,13 @@ from curvebounds.catalog import (
     standard_catalog,
 )
 from curvebounds.errors import InvariantViolation, ParseError
-from curvebounds.seshadri import normal_bundle_s, secant_line
+from curvebounds.seshadri import (
+    complete_intersection,
+    linked_line,
+    normal_bundle_s,
+    regularity,
+    secant_line,
+)
 
 F = Fraction
 
@@ -38,6 +46,27 @@ def test_linked_line_derivation():
     assert d.name == "ll-5-2"
     assert (d.curve.d, d.curve.g, d.curve.deg_n) == (9, 12, 58)
     assert [e.kind for e in d.evidence] == ["linked_line"]
+
+
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+       st.sampled_from(["complete_intersection", "linked_line", "raw"]))
+def test_auto_included_evidence_equals_the_validated_factory(a, b, kind):
+    # the kind's item is built without make_evidence's checks, which the
+    # derivation has already made; it must be what the factory returns
+    if kind == "complete_intersection":
+        a, b = max(a, b), min(a, b)
+        expected = complete_intersection(a, b, note="from descriptor kind")
+        params = {"a": a, "b": b}
+    elif kind == "linked_line":
+        a += 1  # ab >= 2
+        expected = linked_line(a, b, note="from descriptor kind")
+        params = {"a": a, "b": b}
+    else:
+        params = {"d": a + 1, "g": 0}  # d >= 2
+        expected = regularity(a, note="regularity from degree (nondegenerate curve)")
+    d = descriptor_from_dict({"kind": {kind: params},
+                              "flags": {"nondegenerate": True}})
+    assert d.evidence == (expected,)
 
 
 def test_raw_nondegenerate_gets_the_regularity_default():

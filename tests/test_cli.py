@@ -10,6 +10,7 @@ import time
 import pytest
 
 from curvebounds import cli
+from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS
 from curvebounds.cli import build_parser, main
 from curvebounds.scalar import QuadNumber, quad_from_json
 
@@ -424,6 +425,30 @@ def test_hostile_descriptor_file_is_exit_2(tmp_path, text, message):
                           capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {p}: invalid JSON: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["replay-gonality", '{"kind":{"raw":{"d":1000000,"g":0}}}', "--k", "1",
+      "--eta", "999/1000000"], "the replay box has 249500500 points"),
+    (["replay-gonality", '{"kind":{"raw":{"d":10,"g":0}}}', "--k", "1",
+      "--box-margin", "100000"], "the replay box has 40000"),
+    (["identity-sl", '{"kind":{"complete_intersection":{"a":5,"b":2}}}',
+      "--range", "100000"], "the slope-identity scan to range 100000 has 40000400001"),
+    (["sweep", '{"kind":{"complete_intersection":{"a":5,"b":2}}}', "--mode", "gonality",
+      "--eta", "1/5", "--start", "0", "--stop", str(10**20)],
+     f"the sweep has {MAX_POINTS // _SYSTEM_POINTS + 1} parameters or more"),
+], ids=["huge-box", "huge-margin", "huge-range", "huge-sweep"])
+def test_oversized_enumeration_is_exit_1_at_once(argv, message):
+    # a fresh process with a 2 s timeout: the work is sized before the
+    # first point and refused with WorkTooLarge, not run for hours
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "curvebounds", "verify", *argv],
+                          capture_output=True, text=True, timeout=2, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
+    assert proc.stderr.endswith(f"points, above the enumeration cap {MAX_POINTS}\n")
 
 
 def test_domain_error_is_exit_1(capsys):

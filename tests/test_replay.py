@@ -8,10 +8,12 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import replay_oracle as oracle
-from curvebounds.blowup import CurveGeometry, lambda_eta
-from curvebounds.errors import LambdaNegative, NonpositiveEta, UnboundedBox
+from curvebounds import blowup, replay
+from curvebounds.blowup import MAX_POINTS, CurveGeometry, lambda_eta
+from curvebounds.errors import LambdaNegative, NonpositiveEta, UnboundedBox, WorkTooLarge
 from curvebounds.replay import (
     NECESSARY_ONLY_NOTE,
+    Box,
     GonalityMode,
     RestrictionMode,
     build_system,
@@ -363,3 +365,93 @@ def test_region_empty_matches_the_per_mode_oracle(case):
     sys = build_system(curve, eta, mode)
     out = region_empty(sys, margin)
     assert (out.empty, out.witness, out.checked) == oracle.region_empty(sys, margin)
+
+
+# -- bounded work --------------------------------------------------------------
+
+
+def test_point_cap_is_far_above_every_tested_box():
+    # perfbench sizes its sweep ops at ~3,000 box points; the largest box
+    # hypothesis has drawn here (d = 14, g = 0, eta = 4/15, margin 3) has
+    # 195,195.  The cap must decide neither.
+    assert MAX_POINTS >= 100 * 3_000
+    assert MAX_POINTS >= 10 * 195_195
+    sys = build_system(CurveGeometry(d=14, g=0), F(4, 15), GonalityMode(k=0))
+    assert replay._box_points(sys.box, 3) == 195_195
+
+
+def test_work_cap_admits_the_margin_20_sweep():
+    # the ci-5-2 sweep over k in [0, 2000) at margin 20 (3,444,000 points,
+    # ~26 s) ran before the cap and still must, systems charged included
+    params = range(0, 2000)
+    points = sum(replay._box_points(build_system(CI52, F(1, 5), GonalityMode(k=k)).box, 20)
+                 for k in params)
+    assert points == 3_444_000
+    assert points + len(params) * blowup._SYSTEM_POINTS <= MAX_POINTS
+
+
+@given(st.integers(min_value=-5, max_value=5), st.integers(min_value=-3, max_value=8),
+       st.integers(min_value=-5, max_value=0), st.integers(min_value=-4, max_value=3),
+       st.integers(min_value=0, max_value=3))
+def test_box_points_is_the_enumerated_count(x_min, dx, y_min, dy, margin):
+    # empty boxes included: with a margin they can hold points again
+    box = Box(x_min, x_min + dx, y_min, y_min + dy, ())
+    assert replay._box_points(box, margin) == len(list(box.points(margin)))
+
+
+def _refuse_enumeration(monkeypatch):
+    def no_points(self, margin=0):
+        raise AssertionError("a point was visited")
+    monkeypatch.setattr(Box, "points", no_points)
+
+
+@pytest.mark.parametrize("margin", [0, 2])
+def test_region_empty_refuses_a_box_above_the_cap(monkeypatch, margin):
+    sys = build_system(CI52, F(1, 5), GonalityMode(k=4))
+    size = replay._box_points(sys.box, margin)
+    monkeypatch.setattr(blowup, "MAX_POINTS", size)
+    assert region_empty(sys, margin).checked == size  # at the cap: runs
+    monkeypatch.setattr(blowup, "MAX_POINTS", size - 1)
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(WorkTooLarge, match=f"the replay box has {size} points"):
+        region_empty(sys, margin)
+
+
+def test_region_empty_refuses_the_hostile_box_at_once():
+    # a box of 249,500,500 points, refused before its rows are built
+    sys = build_system(CurveGeometry(d=10**6, g=0), F(999, 10**6), GonalityMode(k=1))
+    with pytest.raises(WorkTooLarge, match="249500500 points"):
+        region_empty(sys)
+    with pytest.raises(WorkTooLarge):
+        region_empty(build_system(CI52, F(1, 5), GonalityMode(k=4)), margin=10**5)
+
+
+@pytest.mark.parametrize("family", ["gonality", "restriction"])
+def test_sweep_sums_its_points_before_the_first_one(monkeypatch, family):
+    params = range(0, 6)
+    systems = [build_system(CI52, F(1, 5), GonalityMode(k=p) if family == "gonality"
+                            else RestrictionMode(c2=p)) for p in params]
+    total = (sum(replay._box_points(sys.box, 1) for sys in systems)
+             + len(params) * blowup._SYSTEM_POINTS)
+    built = []
+    monkeypatch.setattr(replay, "build_system",
+                        lambda *args: built.append(args) or build_system(*args))
+    monkeypatch.setattr(blowup, "MAX_POINTS", total)
+    result = sweep(CI52, F(1, 5), family, params, margin=1)
+    # each system is built once, and the entries are what region_empty gives
+    assert len(built) == len(params)
+    assert [o for _, o in result.entries] == [region_empty(sys, 1) for sys in systems]
+    monkeypatch.setattr(blowup, "MAX_POINTS", total - 1)
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(WorkTooLarge, match=f"the sweep up to parameter 5: work of {total} "):
+        sweep(CI52, F(1, 5), family, params, margin=1)
+
+
+def test_sweep_charges_its_parameters_before_building_a_system(monkeypatch):
+    # 10**20 parameters of two points each, more than len() can count:
+    # refused for the systems they would build, before the first is built
+    n = MAX_POINTS // blowup._SYSTEM_POINTS + 1
+    monkeypatch.setattr(replay, "build_system", None)
+    with pytest.raises(WorkTooLarge, match=f"the sweep has {n} parameters or more: work "
+                                           f"of {n * blowup._SYSTEM_POINTS} "):
+        sweep(CI52, F(1, 5), "gonality", range(0, 10**20))

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 import seshadri_oracle
-from curvebounds import seshadri
+from curvebounds import _record, seshadri
 from curvebounds.blowup import CurveGeometry
 from curvebounds.catalog import evidence_from_json, evidence_to_json
 from curvebounds.errors import (
@@ -16,9 +17,10 @@ from curvebounds.errors import (
     EvidenceInconsistentWithDegree,
     InconsistentEvidence,
 )
-from curvebounds.scalar import QuadNumber
+from curvebounds.scalar import QuadNumber, sqrt_rational
 from curvebounds.seshadri import (
     EVIDENCE_KINDS,
+    Evidence,
     assert_exact,
     bound_from_evidence,
     bundle_seshadri,
@@ -319,6 +321,71 @@ def test_fold_strategy_reaches(case):
     find(seshadri_oracle.CURVE_EVIDENCE, hit, settings=REACH)
 
 
+# the rows build their values in canonical form, without generic
+# arithmetic; each must equal the generic expression it replaced
+
+
+def test_degree_default_upper_is_one_over_sqrt_d():
+    for d in range(1, 2001):
+        upper = bound_from_evidence(CurveGeometry(d=d, g=0), degree_default()).upper
+        generic = 1 / sqrt_rational(d)
+        assert upper == generic and upper.parts == generic.parts
+
+
+@given(st.integers(min_value=1, max_value=500),
+       st.fractions(min_value=F(1, 8), max_value=2000, max_denominator=60))
+def test_normal_bundle_upper_is_d_over_s_n(d, ratio):
+    c = CurveGeometry(d=d, g=0)
+    s_n = F(c.deg_n, 2) * (1 + ratio)  # at least deg_N/2, as the kind requires
+    assert bound_from_evidence(c, normal_bundle_s(s_n)).upper == F(d) / s_n
+
+
+def test_combine_ties_keep_the_first_candidate():
+    # two lower bounds of 1/2 and two upper bounds of 1/3: the message
+    # names the first lower candidate, as max over the trace would, and
+    # the upper end is the value both uppers share
+    c = CurveGeometry(d=10, g=0)
+    for first, second in ((assert_exact(F(1, 2)), global_generation(1, 2)),
+                          (global_generation(1, 2), assert_exact(F(1, 2)))):
+        with pytest.raises(InconsistentEvidence, match=re.escape(f"lower from {first}")):
+            combine(c, [first, second, secant_line(3)])
+    iv = combine(c, [secant_line(4), regularity(8)])  # uppers 1/4 and 2/7
+    assert iv.upper == F(1, 4) and iv.upper_witness == secant_line(4)
+    iv = combine(c, [secant_line(4), normal_bundle_s(40)])  # uppers 1/4 and 1/4
+    assert iv.upper == F(1, 4) and iv.upper_witness == secant_line(4)
+    assert iv.lower == F(1, 10) and iv.lower_witness == degree_default(
+        note="injected default")
+
+
+def test_interval_notes_render_on_read(monkeypatch):
+    # combine keeps each note as a step; the text exists only when
+    # notes is read, and the record view shows it where the steps are
+    def no_text(self):
+        raise AssertionError("rendered before it was read")
+
+    evidence = [normal_bundle_s(F(41, 2)), residual_reduced(3, 3),
+                residual_reduced(4, 4)]
+    for cls in (Fraction, QuadNumber, Evidence):
+        monkeypatch.setattr(cls, "__str__", no_text)
+    paired = combine(OCTIC, evidence)
+    alone = combine(OCTIC, evidence[1:2])
+    with pytest.raises(AssertionError, match="rendered before"):
+        paired.notes
+    monkeypatch.undo()
+    assert paired.notes == (
+        "residual_reduced(a=3, b=3) paired with exact eps1 = 16/41: "
+        "eps >= min(eps1, 1/4) = 1/4",
+        "residual_reduced(a=4, b=4) paired with exact eps1 = 16/41: "
+        "eps >= min(eps1, 1/6) = 1/6")
+    assert alone.notes == (
+        "residual_reduced(a=3, b=3) certifies eps2 >= 1/4 only; not combined "
+        "(no exact sub-line-bundle degree for eps1)",)
+    view = _record.asdict(paired)
+    assert list(view) == ["lower", "upper", "lower_trace", "upper_trace", "notes"]
+    assert view["notes"] == paired.notes
+    assert combine(OCTIC, []).notes == ()
+
+
 # -- regularity default ------------------------------------------------------
 
 
@@ -328,3 +395,11 @@ def test_castelnuovo_default():
     assert castelnuovo_default(CI52).params == (9,)
     with pytest.raises(DegenerateInput):
         castelnuovo_default(LINE)
+
+
+@given(st.integers(min_value=2, max_value=10**6))
+def test_castelnuovo_default_equals_the_validated_factory(d):
+    # built without make_evidence's checks, which it passes by construction
+    ev = castelnuovo_default(CurveGeometry(d=d, g=0))
+    assert ev == regularity(d - 1, note=ev.note)
+    assert ev.note == "regularity from degree (nondegenerate curve)"
