@@ -28,14 +28,16 @@ from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 
 # Every enumeration (replay box, sweep, slope-identity scan) prices its
 # work in closed form before its first point, counted in replay points,
-# and refuses more than MAX_POINTS.  Measured on 2 cores (Python 3.11.7):
-# a replay point costs ~7.7 us, an identity class ~144 us (_CLASS_POINTS)
-# and a sweep parameter ~127 us beyond its box for the system it builds
-# (_SYSTEM_POINTS).  So an allowed enumeration runs ~30 s at most, and the
-# ci-5-2 sweep over k in [0, 2000) at margin 20 (3,444,000 points, 26 s)
-# still runs.
+# and refuses more than MAX_POINTS.  The weights are measured by
+# tools/work_weights.py on 2 cores (Python 3.11.7): a replay point costs
+# ~4.5-7.9 us, an identity class ~5.5 points (~24-44 us with the integer
+# top_product, _CLASS_POINTS) and a sweep parameter ~16 points beyond its
+# box for the system it builds (_SYSTEM_POINTS).  So an allowed
+# enumeration runs ~18-32 s at most: the scan to range 407 (664,225
+# classes) and the ci-5-2 sweep over k in [0, 2000) at margin 20
+# (3,444,000 points) still run.
 MAX_POINTS = 4 * 10**6
-_CLASS_POINTS = 18
+_CLASS_POINTS = 6
 _SYSTEM_POINTS = 16
 
 
@@ -138,17 +140,26 @@ def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
     coefficients are prod x_i, sum_i x_i prod_{j != i} y_j and prod y_i,
     carried through one pass over the classes.  Both nonzero E-entries
     of the table carry the sign (-1)^r.
+
+    The pass runs in integers: a class is (X*H + Y*E)/q with
+    X = x.num * y.den, Y = y.num * x.den and q = x.den * y.den, so the
+    three coefficients share the running denominator prod q_i and one
+    Fraction, reduced by one gcd, is built at the end.  The empty
+    product (hh, he, ee) = (1, 0, 1) starts the pass.
     """
     if len(classes) != c.r:
         raise ArityMismatch(f"need exactly {c.r} classes, got {len(classes)}")
-    first = classes[0]
-    hh, he, ee = first.x, first.x, first.y
-    for cl in classes[1:]:
-        he = he * cl.y + ee * cl.x
-        hh *= cl.x
-        ee *= cl.y
+    hh, he, ee, den = 1, 0, 1, 1
+    for cl in classes:
+        x, y = cl.x, cl.y
+        xq, yq = x.denominator, y.denominator
+        hx, ey = x.numerator * yq, y.numerator * xq
+        he = he * ey + ee * hx
+        hh *= hx
+        ee *= ey
+        den *= xq * yq
     e_part = c.d * he + c.deg_n * ee
-    return hh + e_part if c.r % 2 == 0 else hh - e_part
+    return Fraction(hh + e_part if c.r % 2 == 0 else hh - e_part, den)
 
 
 # -- derived invariants ----------------------------------------------------

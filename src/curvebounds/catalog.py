@@ -25,7 +25,7 @@ from typing import Any, Optional, Union
 
 from ._record import record
 from .blowup import CurveGeometry
-from .errors import InvariantViolation, ParseError
+from .errors import DegenerateInput, InvariantViolation, ParseError
 from .scalar import format_rational, parse_rational
 from .seshadri import (
     EVIDENCE_KINDS,
@@ -206,7 +206,10 @@ def descriptor_from_dict(doc: Any, source: str = "$") -> CurveDescriptor:
         # intersection) or a, b >= 1 with ab >= 2, so a + b >= 3 (linked line)
         include(Evidence(kind, (params["a"], params["b"]), "from descriptor kind"))
     elif nondegenerate:
-        include(castelnuovo_default(curve))
+        try:
+            include(castelnuovo_default(curve))
+        except DegenerateInput as exc:
+            raise InvariantViolation(f"{source}.flags.nondegenerate: {exc}") from None
 
     name = doc.get("name", "")
     if not isinstance(name, str):

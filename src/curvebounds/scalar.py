@@ -50,6 +50,10 @@ QuadLike = Union[int, Fraction, "QuadNumber"]
 # desk-scale radicands (3 * degree of a space curve) sit far below it.
 MAX_RADICAND = 10**10
 
+# Python's default limit for int <-> str conversion: a parsed rational
+# has at most this many digits, so it parses and renders back.
+_RATIONAL_DIGITS = 4300
+
 _ZERO = Fraction(0)
 
 
@@ -482,10 +486,28 @@ def format_rational(q: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    """The rational written as an optional sign and ASCII digits,
+    optionally followed by "/digits" or ".digits", with surrounding
+    whitespace.  Anything else (an exponent, an underscore, a non-ASCII
+    digit, a zero denominator) and more than _RATIONAL_DIGITS digits in
+    all raise ValueError before any digit is converted."""
+    body = text.strip()
+    negative = body.startswith("-")
+    if body.startswith(("+", "-")):
+        body = body[1:]
+    head, sep, tail = body.partition("/" if "/" in body else ".")
+    if not (body.isascii() and head.isdigit()) or (sep and not tail.isdigit()):
+        raise ValueError(f"not a rational: {text!r}")
+    if len(head) + len(tail) > _RATIONAL_DIGITS:
+        raise ValueError(f"not a rational: {len(head) + len(tail)} digits, "
+                         f"above the cap {_RATIONAL_DIGITS}")
+    if sep == "/":
+        if not tail.strip("0"):
+            raise ValueError(f"not a rational: {text!r} (zero denominator)")
+        value = Fraction(int(head), int(tail))
+    else:
+        value = Fraction(int(head + tail), 10 ** len(tail))
+    return -value if negative else value
 
 
 def quad_to_json(x: QuadNumber) -> dict:

@@ -91,6 +91,9 @@ def test_top_product_table():
     assert top_product(c, [H, H, E]) == 0
     assert top_product(c, [H, E, E]) == -10
     assert top_product(c, [E, E, E]) == -70
+    # integer classes still give a Fraction, as the generic expansion did
+    assert all(type(top_product(c, cls)) is Fraction
+               for cls in ([H, H, H], [H, E, E], [E, E, E]))
 
 
 def test_top_product_polarization_cube():
@@ -147,7 +150,10 @@ def curve_and_classes(draw):
 @example((CurveGeometry(d=7, g=2, r=5), [E] * 5))
 def test_top_product_matches_the_expansion_oracle(case):
     c, cls = case
-    assert top_product(c, cls) == oracle.top_product(c, cls)
+    got = top_product(c, cls)
+    # Fractions compare numerator and denominator, so this also pins a
+    # result in lowest terms
+    assert type(got) is Fraction and got == oracle.top_product(c, cls)
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=40),
@@ -322,10 +328,73 @@ def test_slope_identity_scan_reports_violations(monkeypatch):
     assert violations == [(x, 2) for x in range(-2, 3)]
 
 
+def slope_identity_defect(x, y, eta, d, g, lam=lambda_eta):
+    """lhs - rhs of the slope identity for D = x*H + y*E, evaluated as
+    slope_identity_scan does: through top_product and ``lam``."""
+    c = CurveGeometry(d=d, g=g)
+    dcls, heta = DivisorClass(x, y), h_eta(eta)
+    lhs = top_product(c, (dcls, dcls, heta)) - top_product(c, (dcls, heta, E))
+    s = top_product(c, (dcls, heta, H))
+    return lhs - (s * s - s * eta * d - lam(c, eta) * (y * y - y))
+
+
+# one more point per variable than its degree in lhs - rhs
+UNIVERSAL_GRID = [(x, y, eta, d, g) for x in range(3) for y in range(3)
+                  for eta in (F(1, 7), F(2, 7), F(3, 7)) for d in (1, 2, 3)
+                  for g in (0, 1)]
+
+
+def vanishes_on_the_grid(defect):
+    return all(defect(*point) == 0 for point in UNIVERSAL_GRID)
+
+
+def test_slope_identity_holds_for_every_curve_and_class():
+    """The slope identity, as a polynomial identity in (x, y, eta, d, g).
+
+    D.D.H_eta, D.H_eta.E and s = D.H_eta.H = x + y*eta*d expand through
+    the monomial table into terms of degree <= 2 in each of x, y and
+    eta, with d entering through H.E.E = -d and deg_N = 4d + 2g - 2
+    through E^3 = -deg_N.  deg_N is linear and is never multiplied by
+    d, and lambda_eta = eta^2 d^2 - eta*deg_N + d.  So lhs - rhs has
+    degree <= 2 in each of x, y, eta and d, and <= 1 in g.  A polynomial
+    of degree <= k_i in its i-th variable that vanishes on a product
+    grid of k_i + 1 points per variable is identically zero (induct on
+    the variables: a one-variable polynomial of degree <= k with k + 1
+    roots is zero; Alon, "Combinatorial Nullstellensatz", 1999).  The
+    grid {0,1,2}^2 x {1/7, 2/7, 3/7} x {1,2,3} x {0,1} has 162 points,
+    so evaluating the defect there proves the identity for every class
+    of every smooth curve in P^3 and every eta, not only the classes a
+    scan visits."""
+    assert len(UNIVERSAL_GRID) == 162
+    assert vanishes_on_the_grid(slope_identity_defect)
+
+
+@pytest.mark.parametrize("perturbed", [
+    # lambda_eta without its "+ d" term
+    lambda c, eta: eta ** 2 * c.d ** 2 - eta * c.deg_n,
+    # lambda_eta with deg_N taken as 4d - 2, as if g were 0
+    lambda c, eta: lambda_eta(c, eta) + 2 * c.g * eta,
+    # a defect that vanishes on every class with y in {0, 1}
+    lambda c, eta: lambda_eta(c, eta) + F(1, 3),
+], ids=["lambda-without-d", "genus-dropped", "lambda-shifted"])
+def test_a_perturbed_slope_identity_fails_the_grid(perturbed):
+    def defect(*point):
+        return slope_identity_defect(*point, lam=perturbed)
+    assert not vanishes_on_the_grid(defect)
+
+
 @pytest.mark.parametrize("bound", [-1, -3])
 def test_slope_identity_scan_rejects_a_negative_range(bound):
     with pytest.raises(ValueError, match="scan range must be nonnegative"):
         slope_identity_scan(CI52, F(1, 5), bound)
+
+
+def test_work_cap_admits_the_scan_to_range_407():
+    # the largest --range the README states: (2R + 1)^2 classes at
+    # _CLASS_POINTS replay points each
+    def work(bound):
+        return (2 * bound + 1) ** 2 * blowup._CLASS_POINTS
+    assert work(407) <= blowup.MAX_POINTS < work(408)
 
 
 def test_slope_identity_scan_refuses_more_classes_than_the_cap(monkeypatch):

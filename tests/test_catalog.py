@@ -5,10 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from curvebounds.catalog import (
+    KINDS,
     descriptor_from_dict,
     evidence_from_json,
     evidence_to_json,
@@ -18,6 +19,7 @@ from curvebounds.catalog import (
 )
 from curvebounds.errors import InvariantViolation, ParseError
 from curvebounds.seshadri import (
+    EVIDENCE_KINDS,
     complete_intersection,
     linked_line,
     normal_bundle_s,
@@ -239,6 +241,102 @@ def test_load_overlong_integer_is_a_parse_error(tmp_path):
         load_descriptor(str(p))
     with pytest.raises(ParseError, match=r"^\$: invalid JSON: .*too many digits"):
         load_descriptor(LONG_DEGREE)
+
+
+# rational strings that Fraction accepts and the descriptor grammar does
+# not: an exponent ("1e10000000", 18 characters, took 13 s to expand; a
+# larger one hangs), an exponent whose value has more digits than int can
+# render, and an Arabic-Indic one
+HOSTILE_RATIONALS = ["1e10000000", "1e5000", "\u0661"]
+
+
+def _with_s_n(s_n: str) -> str:
+    return json.dumps({"kind": {"raw": {"d": 10, "g": 0}},
+                       "evidence": [{"kind": "normal_bundle_s", "s_n": s_n}]})
+
+
+@pytest.mark.parametrize("s_n", HOSTILE_RATIONALS)
+def test_hostile_rational_strings_are_parse_errors(s_n):
+    with pytest.raises(ParseError, match=r"^\$\.evidence\[0\]\.s_n: not a rational: "):
+        load_descriptor(_with_s_n(s_n))
+
+
+def test_nondegenerate_line_is_an_invariant_violation():
+    # the regularity default needs d >= 2, so the flag contradicts d = 1
+    with pytest.raises(InvariantViolation, match=r"^\$\.flags\.nondegenerate: "):
+        load_descriptor('{"kind": {"raw": {"d": 1, "g": 0}}, '
+                        '"flags": {"nondegenerate": true}}')
+
+
+# generated hostile documents: any JSON value in any position, with
+# integers up to int's 4,300-digit limit, odd Unicode, exponent strings
+# and deep nesting
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-3, max_value=60), st.integers(),
+    st.integers(min_value=1, max_value=4300).map(lambda k: 10 ** k - 1),
+    st.text(max_size=8),
+    st.text(st.characters(categories=["Nd", "No", "Zs"]), min_size=1, max_size=4),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
+              st.integers(min_value=0, max_value=99),
+              st.integers(min_value=-10**9, max_value=10**9)),
+    st.builds("{}/{}".format, st.integers(), st.integers()),
+)
+_values = st.recursive(_leaves, lambda kids: st.lists(kids, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                       max_leaves=6)
+_small = st.integers(min_value=1, max_value=12)
+# mostly well-formed values, so that most documents get past the first field
+_int_value = st.one_of(_small, _small, _small, _values)
+_rational_value = st.one_of(_small, st.builds("{}/{}".format, _small, _small), _values)
+
+
+def _shaped(required, optional=(), rational=()):
+    """An object with the ``required`` fields and some of the
+    ``optional`` ones, each usually a small integer (or "p/q" string
+    for a ``rational`` field) and otherwise any JSON value."""
+    def value(name):
+        return _rational_value if name in rational else _int_value
+    return st.fixed_dictionaries({f: value(f) for f in required},
+                                 optional={f: value(f) for f in optional})
+
+
+# (required, optional) fields of each descriptor kind
+_KIND_FIELDS = {"complete_intersection": (("a", "b"), ()),
+                "linked_line": (("a", "b"), ("g",)), "raw": (("d", "g"), ())}
+assert set(_KIND_FIELDS) == set(KINDS)
+_kind = st.one_of(*[_shaped(*fields).map(lambda params, k=k: {k: params})
+                    for k, fields in _KIND_FIELDS.items()], _values)
+_note = st.fixed_dictionaries({}, optional={"note": st.text(max_size=8) | _values})
+_evidence = st.one_of(*[st.builds(lambda params, note, k=k: {**params, **note, "kind": k},
+                                  _shaped(row.fields, rational=row.rational), _note)
+                        for k, row in EVIDENCE_KINDS.items()], _values)
+_documents = st.fixed_dictionaries(
+    {"kind": _kind},
+    optional={"name": st.text(max_size=8) | _values,
+              "evidence": st.lists(_evidence, max_size=3) | _values,
+              "flags": st.fixed_dictionaries(
+                  {}, optional={"nondegenerate": st.booleans() | _values}) | _values})
+_hostile_texts = st.one_of(
+    st.builds(json.dumps, _documents, ensure_ascii=st.booleans()),
+    st.integers(min_value=0, max_value=200_000).map(lambda n: '{"kind": ' + "[" * n),
+)
+
+
+@given(_hostile_texts)
+@example(_with_s_n(HOSTILE_RATIONALS[0]))
+@example(_with_s_n(HOSTILE_RATIONALS[1]))
+@example(_with_s_n(HOSTILE_RATIONALS[2]))
+@example('{"kind": {"raw": {"d": 10, "g": 0}}, '
+         '"evidence": [{"kind": "assert_exact", "q": "-1e100000"}]}')
+@example("{" + '"kind": ' + DEEP_NESTING)
+@example(LONG_DEGREE)
+@example('{"kind": {"raw": {"d": 1, "g": 0}}, "flags": {"nondegenerate": true}}')
+def test_hostile_json_loads_or_fails_with_a_typed_error(text):
+    try:
+        load_descriptor(text)
+    except (ParseError, InvariantViolation):
+        pass
 
 
 def test_serialize_round_trip_is_stable():

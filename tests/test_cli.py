@@ -408,6 +408,15 @@ def test_invalid_json_is_exit_2(capsys):
     assert "invalid JSON" in err
 
 
+def _fresh_process(argv, timeout):
+    """Run the CLI in a fresh process, as a user runs it, with a timeout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "curvebounds", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 @pytest.mark.parametrize("text, message", [
     ("[" * 100_000, "arrays or objects nested too deeply"),
     ('{"kind": {"raw": {"d": ' + "7" * 4401 + ', "g": 0}}}',
@@ -418,11 +427,7 @@ def test_hostile_descriptor_file_is_exit_2(tmp_path, text, message):
     # and exit 2, not a traceback
     p = tmp_path / "curve.json"
     p.write_text(text)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "curvebounds", "gonality", str(p)],
-                          capture_output=True, text=True, timeout=30, env=env)
+    proc = _fresh_process(["gonality", str(p)], timeout=30)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {p}: invalid JSON: {message}\n"
 
@@ -441,14 +446,32 @@ def test_hostile_descriptor_file_is_exit_2(tmp_path, text, message):
 def test_oversized_enumeration_is_exit_1_at_once(argv, message):
     # a fresh process with a 2 s timeout: the work is sized before the
     # first point and refused with WorkTooLarge, not run for hours
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "curvebounds", "verify", *argv],
-                          capture_output=True, text=True, timeout=2, env=env)
+    proc = _fresh_process(["verify", *argv], timeout=2)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {message}")
     assert proc.stderr.endswith(f"points, above the enumeration cap {MAX_POINTS}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seshadri", '{"kind":{"raw":{"d":10,"g":0}},"evidence":'
+      '[{"kind":"normal_bundle_s","s_n":"1e10000000"}]}'],
+     "error: $.evidence[0].s_n: not a rational: '1e10000000'\n"),
+    (["seshadri", '{"kind":{"raw":{"d":10,"g":0}},"evidence":'
+      '[{"kind":"normal_bundle_s","s_n":"1e5000"}]}'],
+     "error: $.evidence[0].s_n: not a rational: '1e5000'\n"),
+    (["seshadri", '{"kind":{"raw":{"d":10,"g":0}},"evidence":'
+      '[{"kind":"assert_exact","q":"\u0661"}]}'],
+     "error: $.evidence[0].q: not a rational: '\u0661'\n"),
+    (["gonality", CI52, "--eta", "1e100000"],
+     "argument --eta: invalid _rational_arg value: '1e100000'\n"),
+], ids=["exponent-hangs", "exponent-too-long", "arabic-indic", "eta-exponent"])
+def test_exponent_rational_is_exit_2_at_once(argv, message):
+    # "1e10000000" took 13 s to expand and then loaded; "1e5000" loaded and
+    # failed at render time: each is now malformed input, refused at once
+    proc = _fresh_process(argv, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(message)
 
 
 def test_domain_error_is_exit_1(capsys):

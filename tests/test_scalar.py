@@ -290,6 +290,42 @@ def test_parse_format_rational():
         parse_rational("one half")
 
 
+@pytest.mark.parametrize("text, value", [
+    (" 3/4 ", F(3, 4)), ("0.2", F(1, 5)), ("-0.25", F(-1, 4)), ("+5", F(5)),
+    ("007/014", F(1, 2)), ("-3/9", F(-1, 3)), ("1" * 4300, F(int("1" * 4300))),
+    ("0." + "5" * 4299, F(int("5" * 4299), 10 ** 4299)),
+], ids=["spaces", "decimal", "negative-decimal", "plus", "leading-zeros", "negative",
+        "4300-digits", "4300-digit-decimal"])
+def test_parse_rational_accepts_sign_digits_and_one_slash_or_point(text, value):
+    got = parse_rational(text)
+    assert type(got) is F and got == value
+    format_rational(got)  # renders back within int's digit limit
+
+
+@pytest.mark.parametrize("text", [
+    # exponents: "1e10000000" once took 13 s to expand, larger ones hung
+    "1e10000000", "1e5000", "1E5", "2.5e-3", "1e",
+    # digits outside ASCII: Arabic-Indic one, fullwidth three, superscript two
+    "\u0661", "\uff13", "\u00b2",
+    # other forms Fraction accepts, and malformed ones
+    "1_000", ".5", "5.", "1/2/3", "1.2.3", "1/-2", "--1", "+-1", "3/ 4", "1 /2",
+    "0x10", "inf", "nan", "", " ", "-", "1/0", "-1/000",
+])
+def test_parse_rational_rejects_everything_else(text):
+    with pytest.raises(ValueError, match="^not a rational: "):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "1/" + "1" * 4300, "1." + "0" * 4300,
+                                  "7" * 10**6],
+                         ids=["4301-digits", "4300-digit-denominator", "4300-decimals",
+                              "million-digits"])
+def test_parse_rational_caps_the_digit_count(text):
+    # refused before any conversion: a million digits fail as fast as 4,301
+    with pytest.raises(ValueError, match=r"^not a rational: \d+ digits, above the cap 4300$"):
+        parse_rational(text)
+
+
 def test_json_round_trip():
     x = QuadNumber(F(-31, 2), 3, 30)
     doc = quad_to_json(x)
