@@ -1,11 +1,10 @@
 """Brute-force enumeration of destabilizing classes over a derived box."""
 
 import math
-from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import replay_oracle as oracle
@@ -297,17 +296,7 @@ curve_st = st.builds(
 )
 eta_st = st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)
 
-# The box grows like 1/(1 - eta^2*d), and these strategies reach
-# eta^2*d = 224/225 (d = 14, eta = 4/15): 383,970 points over margins 0
-# and 3 together, 3.5-6 s on 2 cores (Python 3.11.7), in either mode.
-# Hypothesis's default 200 ms deadline holds only boxes of ~25,000
-# points, so d = 20, eta = 2/9 (80/81, ~30,000 per margin) fails it.
-# Each box-sufficiency test has its own deadline, sized to the largest
-# box it can draw, so the near-critical eta it exists for stays drawn.
-BOX_DEADLINE = settings(deadline=timedelta(seconds=30))
 
-
-@BOX_DEADLINE
 @given(curve_st, eta_st, st.integers(min_value=0, max_value=12))
 def test_gonality_box_is_sufficient(c, eta, k):
     try:
@@ -317,7 +306,6 @@ def test_gonality_box_is_sufficient(c, eta, k):
     assert region_empty(sys, margin=0).empty == region_empty(sys, margin=3).empty
 
 
-@BOX_DEADLINE
 @given(curve_st, eta_st, st.integers(min_value=0, max_value=8),
        st.integers(min_value=0, max_value=4))
 def test_restriction_box_is_sufficient(c, eta, c2, l_min):
