@@ -12,8 +12,7 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 def test_prints_one_weight_per_kind_of_work():
-    out = subprocess.run([sys.executable, TOOL, "--repeat", "1", "--margin", "0",
-                          "--range", "1", "--params", "2"], capture_output=True,
+    out = subprocess.run([sys.executable, TOOL, "--quick"], capture_output=True,
                          text=True, check=True, timeout=60).stdout
     header, *rows = out.splitlines()
     assert re.fullmatch(r"# Python \S+ on \S*, \S+ cpus, best of 1", header)

@@ -5,12 +5,13 @@ replay points: a replay point (``region_empty``), a slope-identity class
 (``sweep``, beyond its box).  Stdlib only; the best of ``--repeat`` runs
 is kept for each timing.
 
-Usage: python tools/work_weights.py [--repeat N] [--margin M] [--range R]
-                                    [--params P]
+Usage: python tools/work_weights.py [--quick]
 
 All three run on the (5, 2) complete intersection at eta = 1/5: a
-gonality box at margin M, the scan to range R, and a gonality sweep
-over k in [0, P) at margin 0.  The output is one header line naming
+gonality box at margin 20, the scan to range 8, and a gonality sweep
+over k in [0, 200) at margin 0, best of 5.  ``--quick`` shrinks every
+size to its least (margin 0, range 1, k in [0, 2), one run), to check
+that the tool runs, not to measure.  The output is one header line naming
 the interpreter and the machine, then one "<work> <us> us  weight <w>"
 line per kind, w in replay points.  It reports and gates nothing; the weights in
 ``blowup`` are set by hand from its output.
@@ -33,6 +34,9 @@ from curvebounds.replay import GonalityMode, build_system, region_empty, sweep  
 
 CURVE = CurveGeometry(d=10, g=16)
 ETA = Fraction(1, 5)
+# (repeat, margin, range, params), measuring and quick
+FULL = (5, 20, 8, 200)
+QUICK = (1, 0, 1, 2)
 
 
 def best_of(repeat: int, run):
@@ -47,25 +51,23 @@ def best_of(repeat: int, run):
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--margin", type=int, default=20)
-    parser.add_argument("--range", type=int, default=8, dest="bound")
-    parser.add_argument("--params", type=int, default=200)
-    args = parser.parse_args(argv)
+    parser.add_argument("--quick", action="store_true",
+                        help="least sizes, to check that the tool runs")
+    repeat, margin, bound, params = QUICK if parser.parse_args(argv).quick else FULL
 
     system = build_system(CURVE, ETA, GonalityMode(k=1))
-    seconds, outcome = best_of(args.repeat, lambda: region_empty(system, args.margin))
+    seconds, outcome = best_of(repeat, lambda: region_empty(system, margin))
     point_us = seconds * 1e6 / outcome.checked
-    seconds, (classes, _) = best_of(args.repeat,
-                                    lambda: slope_identity_scan(CURVE, ETA, args.bound))
+    seconds, (classes, _) = best_of(repeat,
+                                    lambda: slope_identity_scan(CURVE, ETA, bound))
     class_us = seconds * 1e6 / classes
-    seconds, result = best_of(args.repeat,
-                              lambda: sweep(CURVE, ETA, "gonality", range(args.params)))
+    seconds, result = best_of(repeat,
+                              lambda: sweep(CURVE, ETA, "gonality", range(params)))
     box_points = sum(outcome.checked for _, outcome in result.entries)
     system_us = (seconds * 1e6 - box_points * point_us) / len(result.entries)
 
     print(f"# Python {platform.python_version()} on {platform.machine()}, "
-          f"{os.cpu_count()} cpus, best of {args.repeat}")
+          f"{os.cpu_count()} cpus, best of {repeat}")
     for work, us in (("replay-point", point_us), ("identity-class", class_us),
                      ("sweep-system", system_us)):
         print(f"{work:15s} {us:9.2f} us  weight {max(1, round(us / point_us))}")
