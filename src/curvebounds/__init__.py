@@ -72,6 +72,7 @@ from .errors import (
     RadicandTooLarge,
     UnboundedBox,
     UnsupportedDimension,
+    ValueTooLong,
     WorkTooLarge,
 )
 from .replay import (

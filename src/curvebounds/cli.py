@@ -34,7 +34,7 @@ from .bounds import (
     surface_restriction_checks,
 )
 from .catalog import CurveDescriptor, evidence_to_json, load_descriptor
-from .errors import CurveBoundsError, ParseError
+from .errors import CurveBoundsError, ParseError, ValueTooLong
 from .replay import (
     GonalityMode,
     RestrictionMode,
@@ -87,6 +87,19 @@ def _json(v: Any) -> Any:
     return v
 
 
+def _printable(name: str, q: Fraction) -> Fraction:
+    """``q``, or ValueTooLong naming it when its numerator or denominator
+    has more digits than int's conversion to text allows: a parsed
+    rational fits, but a value derived from it, such as lambda_eta,
+    which holds eta^2, may not."""
+    # the limit came with 3.10.7 and 3.11; 0 means no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
+        raise ValueTooLong(f"{name} has more than {limit} digits in its "
+                           "numerator or denominator, too long to print")
+    return q
+
+
 def _show(v: Any) -> str:
     """Human rendering: exact value, with a decimal preview when it is
     not already plain."""
@@ -135,8 +148,8 @@ def _report_lines(header: str, notes: list[str], report: BoundReport,
 def cmd_invariants(args: argparse.Namespace) -> Result:
     desc, eta, _, notes = _load(args, "eta")
     c = desc.curve
-    delta = delta_eta(c, eta)
-    lam = lambda_eta(c, eta)
+    delta = _printable("delta_eta", delta_eta(c, eta))
+    lam = _printable("lambda_eta", lambda_eta(c, eta))
     payload = {"curve": _curve(desc), "eta": eta, "delta_eta": delta,
                "lambda_eta": lam, "notes": notes}
     lines = [

@@ -15,7 +15,7 @@ class CurveBoundsError(Exception):
 # --- scalar arithmetic -------------------------------------------------
 
 class IncompatibleRadicand(CurveBoundsError):
-    """Arithmetic or comparison mixing two distinct irrational radicands."""
+    """Comparison of values with two distinct irrational radicands."""
 
 
 class NegativeRadicand(CurveBoundsError):
@@ -90,6 +90,14 @@ class WorkTooLarge(CurveBoundsError):
     """An enumeration (a replay box, a sweep, or the slope-identity scan)
     whose work, counted in replay points, is above the cap
     ``blowup.MAX_POINTS``; refused before its first point is visited."""
+
+
+# --- rendering ------------------------------------------------------------
+
+class ValueTooLong(CurveBoundsError):
+    """An exact value derived from valid input whose numerator or
+    denominator has more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``, 4,300 by default)."""
 
 
 # --- descriptors ----------------------------------------------------------

@@ -23,7 +23,7 @@ from . import blowup
 from ._record import record
 from .blowup import _SYSTEM_POINTS, CurveGeometry, _check_points, lambda_eta
 from .errors import LambdaNegative, NonpositiveEta, UnboundedBox
-from .scalar import RationalLike, quad_cmp, sqrt_rational
+from .scalar import RationalLike
 from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 
 NECESSARY_ONLY_NOTE = (
@@ -113,6 +113,11 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
     Restriction mode (c2, sub-line-bundle degree >= l_min):
         x >= 1, eta*d >= 2s, c2 >= s*eta*d - s^2 + eta*l_min,
         x^2 >= y^2*d - c2.
+
+    Integers decide everything irrational: in both modes the box's
+    |y| <= t_max floors the larger root of an integer quadratic in t
+    with ``math.isqrt``, and the saturation row tests x >= 0 and
+    x^2 >= y^2*d.
     """
     eta = _exact_rational(eta)
     if eta <= 0:
@@ -135,16 +140,24 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         "y*(sqrt(d) + eta*d) <= eta*d/2 < y for every positive integer y",
     ]
 
+    # for y = -t the cap x <= eta*d/2 + t*eta*d meets the mode's lower
+    # bound on x only while an integer quadratic lead*t^2 - lin*t - const,
+    # with lead > 0 (because eta^2*d < 1) and const >= 0, is <= 0; that
+    # holds on [0, larger root], and the larger root
+    # (lin + sqrt(disc)) / (2*lead), disc = lin^2 + 4*lead*const,
+    # floors to (lin + isqrt(disc)) // (2*lead).  eta = p/r.
+    p, r = eta.numerator, eta.denominator
     if isinstance(mode, GonalityMode):
         if _exact_int(mode.k) < 0:
             raise ValueError(f"pencil degree k must be nonnegative, got {mode.k}")
 
-        # for y = -t: saturation x >= t*sqrt(d), cap x <= eta*d/2 + t*eta*d;
-        # compatible iff t*sqrt(d) <= eta*d/2 + t*eta*d, that is
-        # t <= (eta*d/2) / (sqrt(d) - eta*d), where sqrt(d) > eta*d
-        # because eta^2*d < 1
+        # saturation x >= t*sqrt(d) against the cap: 2*r*t*sqrt(d) <=
+        # p*d*(2t + 1), both sides nonnegative, so squared and divided by
+        # d it is 4*r^2*t^2 <= p^2*d*(2t + 1)^2
+        lead = 4 * (r * r - p * p * d)
+        lin = 4 * p * p * d
+        const = p * p * d
         x_min, t_rule = 0, "t^2*d"
-        t_max = math.floor((ed / 2) / (sqrt_rational(d) - ed))
     elif isinstance(mode, RestrictionMode):
         c2 = _exact_int(mode.c2)
         if c2 < 0 or _exact_int(mode.l_min) < 0:
@@ -152,22 +165,17 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
                 f"c2 and l_min must be nonnegative, got c2 = {c2}, "
                 f"l_min = {mode.l_min}")
 
-        # for y = -t: x <= eta*d/2 + t*eta*d and x^2 >= t^2*d - c2; a
-        # feasible x exists only while q(t) <= 0 where
-        # q(t) = t^2*d*(1 - eta^2*d) - t*eta^2*d^2 - (c2 + eta^2*d^2/4);
-        # q is an upward parabola with q(0) <= 0, so {t >= 0: q <= 0} is
-        # [0, larger root].  With eta = p/r, 4*r^2*q(t) is the integer
-        # quadratic lead*t^2 - lin*t - const; its larger root
-        # (lin + sqrt(disc)) / (2*lead), disc = lin^2 + 4*lead*const,
-        # floors to (lin + isqrt(disc)) // (2*lead)
-        p, r = eta.numerator, eta.denominator
+        # x^2 >= t^2*d - c2 against the cap: a feasible x exists only
+        # while q(t) <= 0 where
+        # q(t) = t^2*d*(1 - eta^2*d) - t*eta^2*d^2 - (c2 + eta^2*d^2/4),
+        # and 4*r^2*q(t) is the integer quadratic
         lead = 4 * d * (r * r - p * p * d)
         lin = 4 * p * p * d * d
         const = 4 * r * r * c2 + p * p * d * d
         x_min, t_rule = 1, "t^2*d - c2"
-        t_max = (lin + math.isqrt(lin * lin + 4 * lead * const)) // (2 * lead)
     else:
         raise TypeError(f"unknown mode: {mode!r}")
+    t_max = (lin + math.isqrt(lin * lin + 4 * lead * const)) // (2 * lead)
 
     x_max = int(ed / 2 + t_max * ed)  # Fraction floor for nonneg values
     notes.append(
@@ -187,7 +195,6 @@ def _rows(curve: CurveGeometry, eta: Fraction, mode: Mode) -> tuple[Row, ...]:
     if isinstance(mode, GonalityMode):
         k = mode.k
         ek = eta * k
-        root_d = sqrt_rational(d)
         return (
             ("x >= 0", lambda x, y, s: x >= 0),
             ("(x, y) != (0, 0)", lambda x, y, s: x != 0 or y != 0),
@@ -195,9 +202,8 @@ def _rows(curve: CurveGeometry, eta: Fraction, mode: Mode) -> tuple[Row, ...]:
             ("eta*d >= 2*s", lambda x, y, s: 2 * s <= ed),
             (f"s^2 - s*eta*d + eta*k >= 0  [k = {k}]",
              lambda x, y, s: s * s - s * ed + ek >= 0),
-            # saturation, exact in Q(sqrt(d))
-            ("x >= |y|*sqrt(d)",
-             lambda x, y, s: quad_cmp(Fraction(x), abs(y) * root_d) >= 0),
+            # saturation, squared: both sides are nonnegative when x is
+            ("x >= |y|*sqrt(d)", lambda x, y, s: x >= 0 and x * x >= y * y * d),
         )
     c2, l_min = mode.c2, mode.l_min
     el = eta * l_min

@@ -12,17 +12,25 @@ Values are kept in a canonical form at all times:
   public constructor is the one gate that validates input and sets this
   form up: it splits the radicand into ``core * k**2`` with ``core``
   square-free, absorbs ``k`` into the coefficient, and collapses perfect
-  squares to a rational.  Arithmetic works in integers on canonical
-  operands and normalises each result once, in :func:`_quad`, with one
-  three-argument ``math.gcd``; it never re-splits a radicand.  Two
-  values are therefore compatible exactly when their radicands are
+  squares to a rational.  The modules that compute (``bounds``,
+  ``seshadri``) carry their values as integer numerators and build each
+  result once, through :func:`_quad`, which normalises with one
+  three-argument ``math.gcd`` and never re-splits a radicand.  Two
+  values are therefore comparable exactly when their radicands are
   equal or one side is rational.  The properties ``a = A/Q`` and
   ``b = B/Q`` are Fractions built on access.
 
+A ``QuadNumber`` is a value, not a field: it compares, hashes, rounds,
+prints and round-trips through JSON, and it has no arithmetic
+operators.  ``x + 1``, ``-x``, ``x * y``, ``x / 2``, ``x ** 2`` and
+``abs(x)`` raise ``TypeError``; exact arithmetic goes over
+:attr:`QuadNumber.parts` in integers, or over ``Fraction`` when the
+value is rational.
+
 Floats and bools are rejected with ``TypeError`` wherever a value
 enters: the constructor's components and its radicand (which must be an
-``int``), arithmetic and comparison operands, exponents,
-:func:`sqrt_rational` and :func:`quad_cmp`.
+``int``), comparison operands, :func:`sqrt_rational` and
+:func:`quad_cmp`.
 Radicands above :data:`MAX_RADICAND` raise :class:`RadicandTooLarge`
 before any factoring, so hostile input cannot stall the trial division.
 
@@ -129,10 +137,10 @@ class QuadNumber:
     """An exact element ``a + b*sqrt(m)`` of Q(sqrt(m)), totally ordered
     by the real embedding with sqrt(m) >= 0.
 
-    ``int`` and :class:`~fractions.Fraction` mix freely with
-    ``QuadNumber`` in arithmetic and comparisons.  Mixing two distinct
-    irrational radicands raises :class:`IncompatibleRadicand` — there is
-    deliberately no tower extension.
+    ``int`` and :class:`~fractions.Fraction` compare with a
+    ``QuadNumber`` directly.  Ordering two distinct irrational radicands
+    raises :class:`IncompatibleRadicand` — there is deliberately no
+    tower extension.
     """
 
     __slots__ = ("_A", "_B", "_Q", "_m")
@@ -190,24 +198,7 @@ class QuadNumber:
             raise ValueError(f"{self} is irrational")
         return Fraction(self._A, self._Q)
 
-    # -- radicand compatibility ------------------------------------------
-
-    def _common_radicand(self, other: "QuadNumber") -> int:
-        if self._m == other._m:
-            return self._m
-        if self._B == 0:
-            return other._m
-        if other._B == 0:
-            return self._m
-        raise IncompatibleRadicand(
-            f"cannot combine sqrt({self._m}) with sqrt({other._m})"
-        )
-
-    # -- sign and order ---------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}, by integer case analysis."""
-        return _sign(self._A, self._B, self._m)
+    # -- order -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -250,76 +241,6 @@ class QuadNumber:
         if self._B == 0:
             return hash(Fraction(self._A, self._Q))
         return hash((self.a, self.b, self._m))
-
-    # -- field arithmetic ------------------------------------------------
-
-    def __add__(self, other: QuadLike) -> "QuadNumber":
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        m = self._common_radicand(rhs)
-        p, q = self._Q, rhs._Q
-        return _quad(self._A * q + rhs._A * p, self._B * q + rhs._B * p, p * q, m)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadNumber":
-        return _quad(-self._A, -self._B, self._Q, self._m)
-
-    def __sub__(self, other: QuadLike) -> "QuadNumber":
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        m = self._common_radicand(rhs)
-        p, q = self._Q, rhs._Q
-        return _quad(self._A * q - rhs._A * p, self._B * q - rhs._B * p, p * q, m)
-
-    def __rsub__(self, other: QuadLike) -> "QuadNumber":
-        lhs = _coerce(other)
-        if lhs is NotImplemented:
-            return NotImplemented
-        return lhs - self
-
-    def __mul__(self, other: QuadLike) -> "QuadNumber":
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        m = self._common_radicand(rhs)
-        a1, b1, a2, b2 = self._A, self._B, rhs._A, rhs._B
-        return _quad(a1 * a2 + b1 * b2 * m, a1 * b2 + b1 * a2, self._Q * rhs._Q, m)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadNumber":
-        return _div(_ONE, self)
-
-    def __truediv__(self, other: QuadLike) -> "QuadNumber":
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return _div(self, rhs)
-
-    def __rtruediv__(self, other: QuadLike) -> "QuadNumber":
-        lhs = _coerce(other)
-        if lhs is NotImplemented:
-            return NotImplemented
-        return _div(lhs, self)
-
-    def __pow__(self, n: int) -> "QuadNumber":
-        n = exact_int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __abs__(self) -> "QuadNumber":
-        return -self if self.sign() < 0 else self
 
     # -- exact rounding ----------------------------------------------------
 
@@ -388,10 +309,10 @@ def _ratio_str(n: int, q: int) -> str:
 def _quad(a: int, b: int, q: int, m: int) -> QuadNumber:
     """Build ``(a + b*sqrt(m)) / q`` from integers, ``q != 0``.
 
-    The caller guarantees that ``m`` is square-free or 0 (as in the
-    result of field arithmetic on canonical operands); this divides out
+    The caller guarantees that ``m`` is square-free or 0 (as in a
+    result computed from canonical parts); this divides out
     ``gcd(a, b, q)`` with the sign of ``q`` and sets ``m = 0`` when
-    ``b == 0``, the only normalisation an arithmetic result needs.
+    ``b == 0``, the only normalisation such a result needs.
     """
     g = math.gcd(a, b, q)
     if q < 0:
@@ -408,28 +329,15 @@ def _quad(a: int, b: int, q: int, m: int) -> QuadNumber:
     return x
 
 
-_ONE = _quad(1, 0, 1, 0)
-
-
 def _cmp(x: QuadNumber, y: QuadNumber) -> int:
     """Sign of ``x - y``, read off the numerator of the difference over
-    ``x.Q * y.Q`` without normalising it."""
-    m = x._common_radicand(y)
+    ``x.Q * y.Q`` without normalising it.  The radicands must be equal or
+    one side rational (radicand 0)."""
+    if x._m != y._m and x._m and y._m:
+        raise IncompatibleRadicand(f"cannot compare sqrt({x._m}) with sqrt({y._m})")
+    m = x._m or y._m
     p, q = x._Q, y._Q
     return _sign(x._A * q - y._A * p, x._B * q - y._B * p, m)
-
-
-def _div(x: QuadNumber, y: QuadNumber) -> QuadNumber:
-    """``x / y`` through the conjugate of ``y``: the norm
-    ``A**2 - B**2 * m`` is a nonzero integer unless ``y == 0``."""
-    m = x._common_radicand(y)
-    a2, b2 = y._A, y._B
-    norm = a2 * a2 - b2 * b2 * m
-    if norm == 0:
-        raise ZeroDivisionError("division by zero QuadNumber")
-    a1, b1, q2 = x._A, x._B, y._Q
-    return _quad((a1 * a2 - b1 * b2 * m) * q2, (b1 * a2 - a1 * b2) * q2,
-                 x._Q * norm, m)
 
 
 def _coerce(other: QuadLike) -> QuadNumber:

@@ -1,19 +1,23 @@
 """Test-only oracle for the two-term bounds: the straightforward
-evaluation in generic ``Fraction``/``QuadNumber`` arithmetic that
-``curvebounds.bounds`` replaced with a pass over integer numerators.
+evaluation in ``Fraction`` and the Fraction-pair model of Q(sqrt(m))
+(``tests/quad_model.py``) that ``curvebounds.bounds`` replaced with a
+pass over integer numerators.
 
 Each function returns the whole report for valid inputs, as a dict of
 every value field and the rendered trace, which ``report_view`` builds
 from a library ``BoundReport``; validation is the library's job and is
-not repeated here.  Every value is built by public arithmetic and
-every trace line by an f-string, so a slip in the library's integer
-bookkeeping or in its step templates shows up as a differing report.
+not repeated here.  Every value is computed in the model, which shares
+no code with ``curvebounds.scalar``, and becomes a library value only at
+the end, through the public constructor; every trace line is an
+f-string over the model's rendering.  So a slip in the library's integer
+bookkeeping, in its normal form or in its step templates shows up as a
+differing report.
 """
 
-import math
 from fractions import Fraction
 
-from curvebounds.scalar import QuadNumber, quad_cmp, sqrt_rational
+import quad_model as model
+from curvebounds.scalar import QuadNumber
 
 # what a BoundReport holds, with the rendered trace in place of its steps
 FIELDS = ("inputs", "alpha", "term_delta", "term_alpha", "value",
@@ -25,12 +29,18 @@ def report_view(report):
     return {name: getattr(report, name) for name in FIELDS}
 
 
+def _library(x):
+    """The library value of a model value, built by the constructor."""
+    return QuadNumber(*x)
+
+
 def _clamped_alpha(raw, trace, formula):
-    if raw.sign() < 0:
-        trace.append(f"alpha = {formula} clamped to 0 (raw value {raw} < 0)")
-        return QuadNumber(0)
-    alpha = min(QuadNumber(1), raw)
-    trace.append(f"alpha = min(1, {formula}) = {alpha}")
+    if model.sign(raw) < 0:
+        trace.append(f"alpha = {formula} clamped to 0 "
+                     f"(raw value {model.render(raw)} < 0)")
+        return model.lift(0)
+    alpha = model.minimum(model.lift(1), raw)
+    trace.append(f"alpha = min(1, {formula}) = {model.render(alpha)}")
     return alpha
 
 
@@ -40,23 +50,27 @@ def two_term_bound(inputs, trace, delta, raw_alpha, length, scale, formulas):
     term_delta = delta / (4 * scale)
     trace.append(f"delta term: {formulas[0]} = {term_delta}")
     alpha = _clamped_alpha(raw_alpha, trace, formulas[1])
-    term_alpha = alpha * (length - alpha / scale)
-    trace.append(f"alpha term: {formulas[2]} = {term_alpha}")
-    value = min(QuadNumber(term_delta), term_alpha)
-    ceiling = math.ceil(value)
-    trace.append(f"value = min of the two terms = {value}; "
+    term_alpha = model.mul(alpha, model.sub(length, model.div(alpha, scale)))
+    trace.append(f"alpha term: {formulas[2]} = {model.render(term_alpha)}")
+    value = model.minimum(model.lift(term_delta), term_alpha)
+    ceiling = model.ceil(value)
+    trace.append(f"value = min of the two terms = {model.render(value)}; "
                  f"smallest integer >= value: {ceiling}")
-    return {"inputs": inputs, "alpha": alpha, "term_delta": term_delta,
-            "term_alpha": term_alpha, "value": value, "value_ceiling": ceiling,
-            "trace": tuple(trace), "discrepancies": ()}
+    return {"inputs": inputs, "alpha": _library(alpha), "term_delta": term_delta,
+            "term_alpha": _library(term_alpha), "value": _library(value),
+            "value_ceiling": ceiling, "trace": tuple(trace), "discrepancies": ()}
 
 
 def _interval_warning(eps, interval, name, trace):
-    if interval is not None and (eps < interval.lower
-                                 or quad_cmp(eps, interval.upper) > 0):
+    if interval is None:
+        return
+    lower, upper = (model.of(v) if isinstance(v, QuadNumber) else model.lift(v)
+                    for v in (interval.lower, interval.upper))
+    if model.cmp(eps, lower) < 0 or model.cmp(eps, upper) > 0:
         trace.append(
             f"warning: {name} = {eps} lies outside the certified interval "
-            f"[{interval.lower}, {interval.upper}]; the bound is hypothetical")
+            f"[{model.render(lower)}, {model.render(upper)}]; "
+            "the bound is hypothetical")
 
 
 def gonality_bound(c, eps, interval=None):
@@ -68,7 +82,7 @@ def gonality_bound(c, eps, interval=None):
     trace.append(f"delta = eta*deg_N - d = {delta}")
     return two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, trace, delta,
-        sqrt_rational(c.d) - eps * c.d, c.d, eps,
+        model.sub(model.sqrt(c.d), eps * c.d), c.d, eps,
         ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)"))
 
 
@@ -82,7 +96,7 @@ def restriction_threshold(c, gamma, interval=None):
     gamma_d = gamma * c.d
     return two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, trace, delta,
-        sqrt_rational(3 * c.d) / 2 - gamma_d, gamma_d, 1,
+        model.sub(model.div(model.sqrt(3 * c.d), 2), gamma_d), gamma_d, 1,
         ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2"))
 
 
@@ -102,7 +116,8 @@ def general_r_reports(c, eps):
         reports.append(two_term_bound(
             {"d": c.d, "g": c.g, "r": r, "eta": eps,
              "delta_convention": convention}, trace, delta,
-            sqrt_rational(eps ** (r - 3) * c.d) - eps_pow * c.d, c.d, eps_pow,
+            model.sub(model.sqrt(eps ** (r - 3) * c.d), eps_pow * c.d),
+            c.d, eps_pow,
             ("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
              "alpha*(d - alpha/eta^(r-2))")))
     return tuple(reports)
@@ -117,6 +132,7 @@ def pencil_degree_bound_subvariety(x_degree, deg_n_dot, n, eps, r):
     eps_pow = eps ** (r - 2)
     return two_term_bound(
         {"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r, "eps": eps},
-        trace, delta, sqrt_rational(eps ** (r - 3) * d) - eps_pow * d, d, eps_pow,
+        trace, delta, model.sub(model.sqrt(eps ** (r - 3) * d), eps_pow * d),
+        d, eps_pow,
         ("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
          "alpha*(d - alpha/eps^(r-2))"))

@@ -1,6 +1,8 @@
 """Test-only oracle for the replay enumeration: the hand-written,
 per-mode point test that ``curvebounds.replay`` replaced with one row
-(text, test) per constraint, and a plain enumeration of the box.
+(text, test) per constraint, and a plain enumeration of the box.  The
+saturation is decided in Q(sqrt(d)) by the Fraction-pair model
+(``tests/quad_model.py``), not by squaring as the library's row does.
 
 Validation is the library's job and is not repeated here; the oracle
 takes a system that ``build_system`` returned.
@@ -8,8 +10,8 @@ takes a system that ``build_system`` returned.
 
 from fractions import Fraction
 
+import quad_model as model
 from curvebounds.replay import GonalityMode
-from curvebounds.scalar import quad_cmp, sqrt_rational
 
 
 def satisfies(sys, x, y):
@@ -24,7 +26,7 @@ def satisfies(sys, x, y):
         if s * s - s * eta * d + eta * sys.mode.k < 0:
             return False
         # saturation, exact in Q(sqrt(d))
-        return quad_cmp(Fraction(x), abs(y) * sqrt_rational(d)) >= 0
+        return model.cmp(x, model.mul(abs(y), model.sqrt(d))) >= 0
     mode = sys.mode
     if x < 1:
         return False

@@ -36,7 +36,7 @@ from curvebounds.errors import (
     RadicandTooLarge,
     UnsupportedDimension,
 )
-from curvebounds.scalar import MAX_RADICAND, QuadNumber, quad_cmp, sqrt_rational
+from curvebounds.scalar import MAX_RADICAND, QuadNumber, quad_cmp
 from curvebounds.seshadri import SeshadriInterval, combine, complete_intersection
 
 F = Fraction
@@ -481,7 +481,7 @@ ETAS = st.fractions(min_value=F(1, 300), max_value=F(3, 2), max_denominator=300)
 # the degree-default interval [1/k, 1/sqrt(k)] of some degree k: eta
 # falls on both sides of it and inside it
 INTERVALS = st.one_of(st.none(), st.integers(min_value=1, max_value=150).map(
-    lambda k: SeshadriInterval(lower=F(1, k), upper=1 / sqrt_rational(k),
+    lambda k: SeshadriInterval(lower=F(1, k), upper=QuadNumber(0, F(1, k), k),
                                lower_trace=(), upper_trace=())))
 
 

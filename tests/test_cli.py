@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from curvebounds import cli
 from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS
 from curvebounds.cli import build_parser, main
+from curvebounds.errors import ValueTooLong
 from curvebounds.scalar import QuadNumber, quad_from_json
 
 CI52 = '{"kind": {"complete_intersection": {"a": 5, "b": 2}}}'
@@ -472,6 +474,28 @@ def test_exponent_rational_is_exit_2_at_once(argv, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.endswith(message)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_value_too_long_to_print_is_exit_1_at_once(json_flag):
+    # a 4,001-digit eta parses, but lambda_eta holds eta^2 (~8,000 digits):
+    # it once failed with int's raw "Exceeds the limit" message
+    proc = _fresh_process(["invariants", CI52, "--eta", "1/" + "1" * 4000,
+                           *json_flag], timeout=2)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: lambda_eta has more than 4300 digits in its "
+                           "numerator or denominator, too long to print\n")
+
+
+def test_printable_allows_exactly_the_digits_int_prints():
+    limit = sys.get_int_max_str_digits()
+    widest = Fraction(1, 10 ** limit - 1)  # a denominator of `limit` digits
+    assert cli._printable("q", widest) is widest
+    str(widest)
+    for q in (Fraction(1, 10 ** limit), Fraction(-10 ** limit, 3)):
+        with pytest.raises(ValueTooLong, match=f"^q has more than {limit} digits"):
+            cli._printable("q", q)
 
 
 def test_domain_error_is_exit_1(capsys):

@@ -129,7 +129,6 @@ def test_rational_entry_points_reject_float_and_bool(name):
 INTEGER_ENTRY_POINTS = {
     "exact_int": exact_int,
     "QuadNumber.m": lambda n: QuadNumber(0, 1, n),
-    "QuadNumber.__pow__": lambda n: QuadNumber(0, 1, 2) ** n,
     "global_generation.n": lambda n: global_generation(n, 5),
     "global_generation.m": lambda n: global_generation(1, n),
     "regularity": regularity,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import quad_model as model
 import replay_oracle as oracle
 from curvebounds import blowup, replay
 from curvebounds.blowup import MAX_POINTS, CurveGeometry, lambda_eta
@@ -130,6 +131,43 @@ def test_box_extent_matches_scan_oracle(d_eta, c2, k):
         res = build_system(curve, eta, RestrictionMode(c2=c2)).box
         t_max = _scan_t_max(lambda t: q(t, c2) <= 0)
         assert (res.y_min, res.x_max) == (-t_max, math.floor(ed / 2 + t_max * ed))
+
+
+@st.composite
+def gonality_etas(draw):
+    """(d, eta) with eta^2*d < 1 and d <= 400, square d included, most
+    draws with eta^2*d just below 1."""
+    d = draw(st.one_of(st.integers(min_value=1, max_value=400),
+                       st.integers(min_value=1, max_value=20).map(lambda k: k * k)))
+    r = draw(st.integers(min_value=math.isqrt(d) + 1, max_value=400))
+    top = math.isqrt((r * r - 1) // d)  # largest p with p^2*d < r^2
+    p = draw(st.one_of(st.integers(min_value=top - 2, max_value=top),
+                       st.integers(min_value=1, max_value=max(top, 1))))
+    assume(p >= 1)
+    return d, F(p, r)
+
+
+def _saturation_meets_cap(t, d, eta):
+    """t*sqrt(d) <= eta*d*(t + 1/2): a class with y = -t can meet both the
+    saturation and the cap.  Decided in Q(sqrt(d)) by the Fraction-pair
+    model, not by the integer quadratic that build_system solves."""
+    return model.cmp(model.mul(t, model.sqrt(d)), eta * d * (t + F(1, 2))) <= 0
+
+
+@given(gonality_etas())
+# equality at t = 2: 2*sqrt(4) = (2/5)*4*(2 + 1/2)
+@example((4, F(2, 5)))
+@example((400, F(19, 400)))
+def test_gonality_t_max_is_the_last_t_the_saturation_allows(d_eta):
+    d, eta = d_eta
+    try:
+        box = build_system(CurveGeometry(d=d, g=0), eta, GonalityMode(k=0)).box
+    except LambdaNegative:
+        assume(False)
+    t_max = -box.y_min
+    assert t_max >= 0
+    assert _saturation_meets_cap(t_max, d, eta)
+    assert not _saturation_meets_cap(t_max + 1, d, eta)
 
 
 # -- emptiness below the bound ---------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import quad_model as model
 import seshadri_oracle
 from curvebounds import _record, seshadri
 from curvebounds.blowup import CurveGeometry
@@ -17,7 +18,7 @@ from curvebounds.errors import (
     EvidenceInconsistentWithDegree,
     InconsistentEvidence,
 )
-from curvebounds.scalar import QuadNumber, sqrt_rational
+from curvebounds.scalar import QuadNumber
 from curvebounds.seshadri import (
     EVIDENCE_KINDS,
     Evidence,
@@ -322,13 +323,14 @@ def test_fold_strategy_reaches(case):
 
 
 # the rows build their values in canonical form, without generic
-# arithmetic; each must equal the generic expression it replaced
+# arithmetic; each must equal the generic expression it replaced, here
+# evaluated in the Fraction-pair model and built by the constructor
 
 
 def test_degree_default_upper_is_one_over_sqrt_d():
     for d in range(1, 2001):
         upper = bound_from_evidence(CurveGeometry(d=d, g=0), degree_default()).upper
-        generic = 1 / sqrt_rational(d)
+        generic = QuadNumber(*model.inverse(model.sqrt(d)))
         assert upper == generic and upper.parts == generic.parts
 
 
