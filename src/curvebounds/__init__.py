@@ -70,9 +70,9 @@ from .errors import (
     NullCorrelationExcluded,
     ParseError,
     RadicandTooLarge,
+    TooManyDigits,
     UnboundedBox,
     UnsupportedDimension,
-    ValueTooLong,
     WorkTooLarge,
 )
 from .replay import (

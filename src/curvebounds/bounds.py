@@ -147,6 +147,10 @@ _GENERAL_R = _templates("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d"
 _PENCIL = _templates("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
                      "alpha*(d - alpha/eps^(r-2))")
 _VALUE = "value = min of the two terms = {}; smallest integer >= value: {}"
+# (the bound every input meets, why): an integer bound at or below it is
+# vacuous, and the report says so
+_GONALITY_TRIVIAL = (1, "every curve has gonality at least 1")
+_THRESHOLD_TRIVIAL = (0, "no c2 >= 0 lies below it")
 _DEG_N = "deg_N = (r+1)d + 2g - 2 = {}"
 _OUTSIDE = ("warning: {} = {} lies outside the certified interval "
             "[{}, {}]; the bound is hypothetical")
@@ -155,7 +159,7 @@ _OUTSIDE = ("warning: {} = {} lies outside the certified interval "
 def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
                     root: tuple[RationalLike, int], length: tuple[int, int],
                     scale: tuple[int, int], templates: tuple[str, ...],
-                    alpha_args: tuple = ()) -> BoundReport:
+                    alpha_args: tuple = (), trivial: tuple = ()) -> BoundReport:
     """The computation all four bounds share:
         min{ delta/(4 scale), alpha (length - alpha/scale) },
     with alpha = min{1, sqrt(u)/w - length*scale} clamped at 0 for
@@ -164,7 +168,9 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
     One pass over integer numerators: signs come from ``_sign``, and
     each QuadNumber is normalised once, by ``_quad``.  ``templates``
     come from ``_templates``, with ``alpha_args`` filling the raw
-    alpha's name; the caller has already stepped its inputs and delta."""
+    alpha's name; the caller has already stepped its inputs and delta.
+    With ``trivial`` (a ``*_TRIVIAL`` pair), a ceiling at or below its
+    bound gets a ``vacuous-bound`` discrepancy."""
     (ln, lq), (sn, sq) = length, scale
     term_delta = Fraction(delta.numerator * sq, 4 * delta.denominator * sn)
     steps.append((templates[0], term_delta))
@@ -196,8 +202,14 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
         value = _quad(dn, 0, dd, 0)
     ceiling = math.ceil(value)
     steps.append((_VALUE, value, ceiling))
+    vacuous: tuple[Discrepancy, ...] = ()
+    if trivial and ceiling <= trivial[0]:
+        vacuous = (Discrepancy(
+            "vacuous-bound", f"the integer bound {ceiling} is at or below the "
+            f"trivial bound {trivial[0]}: {trivial[1]}",
+            {"value_ceiling": ceiling, "trivial_bound": trivial[0]}),)
     return BoundReport(inputs, alpha, term_delta, term_alpha, value, ceiling,
-                       tuple(steps))
+                       tuple(steps), vacuous)
 
 
 def _interval_warning(eps: Fraction, interval: Optional[SeshadriInterval],
@@ -234,7 +246,8 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     steps.append(("delta = eta*deg_N - d = {}", delta))
     return _two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, steps, delta,
-        (c.d, 1), (c.d, 1), (eps.numerator, eps.denominator), _GONALITY, (c.d,))
+        (c.d, 1), (c.d, 1), (eps.numerator, eps.denominator), _GONALITY, (c.d,),
+        _GONALITY_TRIVIAL)
 
 
 def _general_r_report(c: CurveGeometry, eps: Fraction, delta: Fraction,
@@ -370,7 +383,7 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
     return _two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, steps, delta,
         (3 * c.d, 2), (gamma.numerator * c.d, gamma.denominator), (1, 1),
-        _THRESHOLD, (c.d,))
+        _THRESHOLD, (c.d,), _THRESHOLD_TRIVIAL)
 
 
 def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,

@@ -25,8 +25,8 @@ from typing import Any, Optional, Union
 
 from ._record import record
 from .blowup import CurveGeometry
-from .errors import DegenerateInput, InvariantViolation, ParseError
-from .scalar import format_rational, parse_rational
+from .errors import DegenerateInput, InvariantViolation, ParseError, TooManyDigits
+from .scalar import format_rational, parse_int, parse_rational
 from .seshadri import (
     EVIDENCE_KINDS,
     Evidence,
@@ -36,6 +36,10 @@ from .seshadri import (
 )
 
 KINDS = ("complete_intersection", "linked_line", "raw")
+
+# one decoder for every load: its integer literals go through the digit
+# cap, so json converts none above it
+_JSON = json.JSONDecoder(parse_int=parse_int)
 
 
 @record
@@ -71,14 +75,12 @@ def _get_rational(obj: dict, key: str, loc: str) -> Fraction:
     if key not in obj:
         raise ParseError(f"{loc}: missing required field {key!r}")
     v = obj[key]
-    if isinstance(v, bool):
-        raise ParseError(f"{loc}.{key}: expected an integer or 'p/q' string, got {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         try:
             return parse_rational(v)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"{loc}.{key}: {exc}") from None
     raise ParseError(f"{loc}.{key}: expected an integer or 'p/q' string, got {v!r}")
 
@@ -128,45 +130,35 @@ def _derive_kind(kind_obj: dict, loc: str) -> tuple[str, dict, CurveGeometry, li
         raise ParseError(f"{kloc}: expected an object, got {params!r}")
     warnings: list[str] = []
     try:
-        if kind == "complete_intersection":
-            _check_fields(params, ("a", "b"), kloc)
-            a = _get_int(params, "a", kloc, minimum=1)
-            b = _get_int(params, "b", kloc, minimum=1)
+        if kind == "raw":
+            _check_fields(params, ("d", "g"), kloc)
+            d = _get_int(params, "d", kloc, minimum=1)
+            g = _get_int(params, "g", kloc, minimum=0)
+            return kind, {"d": d, "g": g}, CurveGeometry(d=d, g=g), warnings
+        linked = kind == "linked_line"
+        _check_fields(params, ("a", "b", "g") if linked else ("a", "b"), kloc)
+        a = _get_int(params, "a", kloc, minimum=1)
+        b = _get_int(params, "b", kloc, minimum=1)
+        out = {"a": a, "b": b}
+        if not linked:
             if a < b:
                 raise InvariantViolation(
                     f"{kloc}: complete intersection requires a >= b, got ({a}, {b})")
-            d = a * b
             # ab(a+b-4) is always even, so this is exact
-            g = a * b * (a + b - 4) // 2 + 1
-            curve = CurveGeometry(d=d, g=g)
-            return kind, {"a": a, "b": b}, curve, warnings
-        if kind == "linked_line":
-            _check_fields(params, ("a", "b", "g"), kloc)
-            a = _get_int(params, "a", kloc, minimum=1)
-            b = _get_int(params, "b", kloc, minimum=1)
+            d, g = a * b, a * b * (a + b - 4) // 2 + 1
+        else:
             if a * b < 2:
                 raise InvariantViolation(
                     f"{kloc}: residual to a line needs ab >= 2, got ({a}, {b})")
-            d = a * b - 1
-            g_liaison = linked_line_genus(a, b)
-            out = {"a": a, "b": b}
+            d, g = a * b - 1, linked_line_genus(a, b)
             if "g" in params:
-                g = _get_int(params, "g", kloc, minimum=0)
-                if g != g_liaison:
+                out["g"] = _get_int(params, "g", kloc, minimum=0)
+                if out["g"] != g:
                     warnings.append(
-                        f"genus override g = {g} replaces the liaison value "
-                        f"{g_liaison} for linked_line({a}, {b})")
-                out["g"] = g
-            else:
-                g = g_liaison
-            curve = CurveGeometry(d=d, g=g)
-            return kind, out, curve, warnings
-        # raw
-        _check_fields(params, ("d", "g"), kloc)
-        d = _get_int(params, "d", kloc, minimum=1)
-        g = _get_int(params, "g", kloc, minimum=0)
-        curve = CurveGeometry(d=d, g=g)
-        return kind, {"d": d, "g": g}, curve, warnings
+                        f"genus override g = {out['g']} replaces the liaison value "
+                        f"{g} for linked_line({a}, {b})")
+                g = out["g"]
+        return kind, out, CurveGeometry(d=d, g=g), warnings
     except ValueError as exc:
         raise InvariantViolation(f"{kloc}: {exc}") from None
 
@@ -233,9 +225,9 @@ def descriptor_from_dict(doc: Any, source: str = "$") -> CurveDescriptor:
 def load_descriptor(path_or_text: Union[str, os.PathLike]) -> CurveDescriptor:
     """Load a descriptor from a UTF-8 JSON file, named by a str or
     os.PathLike path, or directly from JSON text (a str that starts
-    with '{').  A file that cannot be read, and text that is not JSON
-    (nesting too deep or an integer literal too long included), raise
-    ParseError."""
+    with '{').  A file that cannot be read, text that is not JSON
+    (nesting too deep included) and an integer literal above the digit
+    cap raise ParseError."""
     if isinstance(path_or_text, str) and path_or_text.lstrip().startswith("{"):
         source, text = "$", path_or_text
     else:
@@ -251,7 +243,10 @@ def load_descriptor(path_or_text: Union[str, os.PathLike]) -> CurveDescriptor:
             raise ParseError(f"{source}: not UTF-8 text: {exc.reason} "
                              f"at byte {exc.start}") from None
     try:
-        doc = json.loads(text)
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -259,11 +254,8 @@ def load_descriptor(path_or_text: Union[str, os.PathLike]) -> CurveDescriptor:
     except RecursionError:
         raise ParseError(f"{source}: invalid JSON: arrays or objects "
                          "nested too deeply") from None
-    except ValueError:
-        # json raises a bare ValueError only for an integer literal past
-        # the interpreter's digit limit for int conversion
-        raise ParseError(f"{source}: invalid JSON: an integer literal "
-                         "has too many digits") from None
+    except TooManyDigits as exc:
+        raise ParseError(f"{source}: {exc}") from None
     return descriptor_from_dict(doc, source)
 
 

@@ -34,7 +34,7 @@ from .bounds import (
     surface_restriction_checks,
 )
 from .catalog import CurveDescriptor, evidence_to_json, load_descriptor
-from .errors import CurveBoundsError, ParseError, ValueTooLong
+from .errors import CurveBoundsError, ParseError, TooManyDigits
 from .replay import (
     GonalityMode,
     RestrictionMode,
@@ -45,7 +45,7 @@ from .replay import (
 from .scalar import (
     QuadNumber,
     decimal_str,
-    format_rational,
+    parse_int,
     parse_rational,
     quad_to_json,
 )
@@ -57,9 +57,21 @@ SCHEMA = 1
 Result = tuple[dict, list[str], int]
 
 
-def _rational_arg(text: str) -> Fraction:
-    value = parse_rational(text)  # ValueError -> argparse usage error (exit 2)
-    return value
+def _option_type(parse: Any, name: str) -> Any:
+    """An argparse type that parses with ``parse``: a number above the
+    digit cap is a usage error naming the cap, and any other ValueError
+    argparse's own "invalid <name> value: '...'" (exit 2 either way)."""
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except TooManyDigits as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    convert.__name__ = name
+    return convert
+
+
+_RATIONAL_ARG = _option_type(parse_rational, "_rational_arg")
+_INT_ARG = _option_type(parse_int, "int")
 
 
 def _json(v: Any) -> Any:
@@ -72,14 +84,11 @@ def _json(v: Any) -> Any:
         return {k: _json(x) for k, x in v.items()}
     if isinstance(v, (tuple, list)):
         return [_json(x) for x in v]
-    if isinstance(v, QuadNumber):
-        if not v.is_rational:
-            return {"exact": quad_to_json(v), "decimal": decimal_str(v)}
-        # rational values collapse to the "p/q" form; an object with
-        # keys a/b/m in "exact" always means an irrational value
-        v = v.as_rational()
-    if isinstance(v, Fraction):
-        return {"exact": format_rational(v), "decimal": decimal_str(v)}
+    if isinstance(v, (QuadNumber, Fraction)):
+        # a rational value, of either type, prints as "p/q"; an object
+        # with keys a/b/m in "exact" always means an irrational value
+        exact = str(v) if _rational(v) else quad_to_json(v)
+        return {"exact": exact, "decimal": decimal_str(v)}
     if isinstance(v, Evidence):
         return evidence_to_json(v)
     if hasattr(v, "__record_fields__"):
@@ -87,29 +96,14 @@ def _json(v: Any) -> Any:
     return v
 
 
-def _printable(name: str, q: Fraction) -> Fraction:
-    """``q``, or ValueTooLong naming it when its numerator or denominator
-    has more digits than int's conversion to text allows: a parsed
-    rational fits, but a value derived from it, such as lambda_eta,
-    which holds eta^2, may not."""
-    # the limit came with 3.10.7 and 3.11; 0 means no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
-        raise ValueTooLong(f"{name} has more than {limit} digits in its "
-                           "numerator or denominator, too long to print")
-    return q
+def _rational(v: Any) -> bool:
+    return not isinstance(v, QuadNumber) or v.is_rational
 
 
 def _show(v: Any) -> str:
     """Human rendering: exact value, with a decimal preview when it is
-    not already plain."""
-    if isinstance(v, QuadNumber) and not v.is_rational:
-        return f"{v} (~ {decimal_str(v)})"
-    if isinstance(v, QuadNumber):
-        return format_rational(v.as_rational())
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    return str(v)
+    not already plain.  A rational QuadNumber prints as its Fraction."""
+    return str(v) if _rational(v) else f"{v} (~ {decimal_str(v)})"
 
 
 def _curve(desc: CurveDescriptor) -> dict:
@@ -148,8 +142,8 @@ def _report_lines(header: str, notes: list[str], report: BoundReport,
 def cmd_invariants(args: argparse.Namespace) -> Result:
     desc, eta, _, notes = _load(args, "eta")
     c = desc.curve
-    delta = _printable("delta_eta", delta_eta(c, eta))
-    lam = _printable("lambda_eta", lambda_eta(c, eta))
+    delta = delta_eta(c, eta)
+    lam = lambda_eta(c, eta)
     payload = {"curve": _curve(desc), "eta": eta, "delta_eta": delta,
                "lambda_eta": lam, "notes": notes}
     lines = [
@@ -338,9 +332,9 @@ _JSON = _arg("--json", action="store_true", help="machine-readable JSON output")
 _STRICT = _arg("--strict", action="store_true",
                help="exit 1 on inconclusive or non-empty outcomes")
 _COMMON = (_DESCRIPTOR, _JSON, _STRICT)
-_ETA = _arg("--eta", type=_rational_arg, default=None, metavar="P/Q")
-_GAMMA = _arg("--gamma", type=_rational_arg, default=None, metavar="P/Q")
-_MARGIN = _arg("--box-margin", type=int, default=0, metavar="N")
+_ETA = _arg("--eta", type=_RATIONAL_ARG, default=None, metavar="P/Q")
+_GAMMA = _arg("--gamma", type=_RATIONAL_ARG, default=None, metavar="P/Q")
+_MARGIN = _arg("--box-margin", type=_INT_ARG, default=0, metavar="N")
 
 # (path, help, handler, arguments) of every leaf command, in help order;
 # a group such as "verify" is listed where its first leaf is
@@ -352,37 +346,37 @@ COMMANDS = (
     (("gonality",), "exact gonality lower bound", cmd_gonality,
      (*_COMMON, _ETA)),
     (("restrict",), "restriction-stability threshold", cmd_restrict,
-     (*_COMMON, _GAMMA, _arg("--c2", type=int, default=None, metavar="N"))),
+     (*_COMMON, _GAMMA, _arg("--c2", type=_INT_ARG, default=None, metavar="N"))),
     (("surface-restrict",), "stability criteria for restriction to a surface",
      cmd_surface_restrict,
      (_JSON, _STRICT,
       _arg("--variant", required=True, choices=["barth", "c2plus2", "ci_curve"]),
-      _arg("--c2", type=int, required=True, metavar="N"),
-      _arg("--a", type=int, default=None, metavar="N"),
-      _arg("--b", type=int, default=None, metavar="N"))),
+      _arg("--c2", type=_INT_ARG, required=True, metavar="N"),
+      _arg("--a", type=_INT_ARG, default=None, metavar="N"),
+      _arg("--b", type=_INT_ARG, default=None, metavar="N"))),
     (("verify", "identity-sl"), "scan the slope identity exactly",
      cmd_verify_identity,
      (*_COMMON, _ETA,
-      _arg("--range", type=int, default=20, metavar="N",
+      _arg("--range", type=_INT_ARG, default=20, metavar="N",
            help="scan |x|, |y| <= N (default 20)"))),
     (("verify", "replay-gonality"),
      "destabilizing-class search, pencil hypothesis", cmd_verify_replay_gonality,
      (*_COMMON, _ETA,
-      _arg("--k", type=int, required=True, metavar="N", help="pencil degree"),
+      _arg("--k", type=_INT_ARG, required=True, metavar="N", help="pencil degree"),
       _MARGIN)),
     (("verify", "replay-restriction"),
      "destabilizing-class search, restriction hypothesis",
      cmd_verify_replay_restriction,
      (*_COMMON, _GAMMA,
-      _arg("--c2", type=int, required=True, metavar="N"),
-      _arg("--l-min", type=int, default=0, metavar="N",
+      _arg("--c2", type=_INT_ARG, required=True, metavar="N"),
+      _arg("--l-min", type=_INT_ARG, default=0, metavar="N",
            help="sub-line-bundle degree lower bound (default 0)"),
       _MARGIN)),
     (("verify", "sweep"), "feasibility frontier over k or c2", cmd_verify_sweep,
      (*_COMMON,
       _arg("--mode", required=True, choices=["gonality", "restriction"]),
-      _arg("--start", type=int, required=True, metavar="N"),
-      _arg("--stop", type=int, required=True, metavar="N"),
+      _arg("--start", type=_INT_ARG, required=True, metavar="N"),
+      _arg("--stop", type=_INT_ARG, required=True, metavar="N"),
       _ETA, _GAMMA, _MARGIN)),
 )
 GROUPS = {("verify",): "brute-force verification commands"}

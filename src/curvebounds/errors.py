@@ -92,18 +92,16 @@ class WorkTooLarge(CurveBoundsError):
     ``blowup.MAX_POINTS``; refused before its first point is visited."""
 
 
-# --- rendering ------------------------------------------------------------
-
-class ValueTooLong(CurveBoundsError):
-    """An exact value derived from valid input whose numerator or
-    denominator has more digits than Python converts to text
-    (``sys.get_int_max_str_digits()``, 4,300 by default)."""
-
-
 # --- descriptors ----------------------------------------------------------
 
 class ParseError(CurveBoundsError):
     """Malformed descriptor document; the message carries a location."""
+
+
+class TooManyDigits(CurveBoundsError, ValueError):
+    """A number with more digits than ``scalar.MAX_DIGITS``, refused
+    where it enters (a descriptor, an option) before it is converted,
+    so that every value derived from it prints."""
 
 
 class InvariantViolation(CurveBoundsError):

@@ -33,6 +33,9 @@ enters: the constructor's components and its radicand (which must be an
 :func:`quad_cmp`.
 Radicands above :data:`MAX_RADICAND` raise :class:`RadicandTooLarge`
 before any factoring, so hostile input cannot stall the trial division.
+Numbers that enter as text, through :func:`parse_int` and
+:func:`parse_rational`, pass one digit cap, :data:`MAX_DIGITS`, and a
+longer one raises :class:`TooManyDigits` before it is converted.
 
 Every comparison is decided by exact integer sign analysis of the
 difference's numerator ``A + B*sqrt(m)``, which is never normalised
@@ -49,7 +52,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
-from .errors import IncompatibleRadicand, NegativeRadicand, RadicandTooLarge
+from .errors import (IncompatibleRadicand, NegativeRadicand, RadicandTooLarge,
+                     TooManyDigits)
 
 RationalLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadNumber"]
@@ -58,9 +62,14 @@ QuadLike = Union[int, Fraction, "QuadNumber"]
 # desk-scale radicands (3 * degree of a space curve) sit far below it.
 MAX_RADICAND = 10**10
 
-# Python's default limit for int <-> str conversion: a parsed rational
-# has at most this many digits, so it parses and renders back.
-_RATIONAL_DIGITS = 4300
+# The most digits a number may have where it enters the program: an
+# integer counts its own, a rational its numerator's and denominator's
+# together.  Every printed value is a polynomial of degree <= 3 in the
+# inputs' numerators and denominators (d itself stays below
+# MAX_RADICAND), so it has at most ~3 * MAX_DIGITS + 25 digits, within
+# the 4,300 that Python converts to text by default: every derived
+# value prints.
+MAX_DIGITS = 1400
 
 _ZERO = Fraction(0)
 
@@ -393,12 +402,26 @@ def format_rational(q: RationalLike) -> str:
     return str(exact_rational(q))
 
 
+def _check_digits(count: int) -> None:
+    if count > MAX_DIGITS:
+        raise TooManyDigits(f"a number of {count} digits, above the cap of {MAX_DIGITS}")
+
+
+def parse_int(text: str) -> int:
+    """``int(text)``, or TooManyDigits before any conversion when the
+    text, less surrounding whitespace and its sign, is longer than
+    MAX_DIGITS; anything ``int`` refuses raises its ValueError."""
+    _check_digits(len(text.strip().lstrip("+-")))
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """The rational written as an optional sign and ASCII digits,
     optionally followed by "/digits" or ".digits", with surrounding
     whitespace.  Anything else (an exponent, an underscore, a non-ASCII
-    digit, a zero denominator) and more than _RATIONAL_DIGITS digits in
-    all raise ValueError before any digit is converted."""
+    digit, a zero denominator) raises ValueError, and more than
+    MAX_DIGITS digits in all raise TooManyDigits (a ValueError), before
+    any digit is converted."""
     body = text.strip()
     negative = body.startswith("-")
     if body.startswith(("+", "-")):
@@ -406,9 +429,7 @@ def parse_rational(text: str) -> Fraction:
     head, sep, tail = body.partition("/" if "/" in body else ".")
     if not (body.isascii() and head.isdigit()) or (sep and not tail.isdigit()):
         raise ValueError(f"not a rational: {text!r}")
-    if len(head) + len(tail) > _RATIONAL_DIGITS:
-        raise ValueError(f"not a rational: {len(head) + len(tail)} digits, "
-                         f"above the cap {_RATIONAL_DIGITS}")
+    _check_digits(len(head) + len(tail))
     if sep == "/":
         if not tail.strip("0"):
             raise ValueError(f"not a rational: {text!r} (zero denominator)")

@@ -17,6 +17,7 @@ differing report.
 from fractions import Fraction
 
 import quad_model as model
+from curvebounds.bounds import Discrepancy
 from curvebounds.scalar import QuadNumber
 
 # what a BoundReport holds, with the rendered trace in place of its steps
@@ -61,6 +62,18 @@ def two_term_bound(inputs, trace, delta, raw_alpha, length, scale, formulas):
             "value_ceiling": ceiling, "trace": tuple(trace), "discrepancies": ()}
 
 
+def _vacuous(report, trivial, claim):
+    """The report, with the vacuous-bound discrepancy when its value is
+    at or below ``trivial``, decided in the model."""
+    if model.cmp(model.of(report["value"]), model.lift(trivial)) > 0:
+        return report
+    ceiling = report["value_ceiling"]
+    return {**report, "discrepancies": (Discrepancy(
+        "vacuous-bound",
+        f"the integer bound {ceiling} is at or below the trivial bound {trivial}: "
+        + claim, {"value_ceiling": ceiling, "trivial_bound": trivial}),)}
+
+
 def _interval_warning(eps, interval, name, trace):
     if interval is None:
         return
@@ -80,10 +93,11 @@ def gonality_bound(c, eps, interval=None):
     _interval_warning(eps, interval, "eta", trace)
     delta = eps * c.deg_n - c.d
     trace.append(f"delta = eta*deg_N - d = {delta}")
-    return two_term_bound(
+    return _vacuous(two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, trace, delta,
         model.sub(model.sqrt(c.d), eps * c.d), c.d, eps,
-        ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)"))
+        ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)")),
+        1, "every curve has gonality at least 1")
 
 
 def restriction_threshold(c, gamma, interval=None):
@@ -94,10 +108,11 @@ def restriction_threshold(c, gamma, interval=None):
     delta = gamma * c.deg_n - c.d
     trace.append(f"delta = gamma*deg_N - d = {delta}")
     gamma_d = gamma * c.d
-    return two_term_bound(
+    return _vacuous(two_term_bound(
         {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, trace, delta,
         model.sub(model.div(model.sqrt(3 * c.d), 2), gamma_d), gamma_d, 1,
-        ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2"))
+        ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2")),
+        0, "no c2 >= 0 lies below it")
 
 
 def general_r_reports(c, eps):

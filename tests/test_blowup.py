@@ -2,6 +2,7 @@
 derived from it."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -164,6 +165,38 @@ def test_top_product_polarization_closed_form(d, g, r, eta):
     assert val == 1 - r * eta ** (r - 1) * d + eta ** r * c.deg_n
 
 
+# Product grids for the polynomial identities below: an identity whose
+# two sides are polynomials of degree <= n_i in the i-th variable holds
+# for all inputs once it holds on a grid of n_i + 1 points per variable
+# (see test_slope_identity_holds_for_every_curve_and_class).  d and g
+# take the first values their domain allows.
+GRID_ETAS = [F(i, 7) for i in range(1, 8)]
+GRID_DS = range(1, 8)
+GRID_GS = range(0, 8)
+
+
+def grid(eta_points, d_points=2, g_points=2):
+    """(eta, d, g) over the first ``*_points`` values of each axis."""
+    return list(product(GRID_ETAS[:eta_points], GRID_DS[:d_points],
+                        GRID_GS[:g_points]))
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_top_product_polarization_closed_form_on_a_grid(r):
+    """H_eta^r = 1 - r*eta^(r-1)*d + eta^r*deg_N, for every (d, g, eta).
+
+    The r classes H - eta*E give hh = 1, he = r*(-eta)^(r-1) and
+    ee = (-eta)^r, and deg_N = (r+1)d + 2g - 2 is linear: both sides
+    have degree <= r in eta and <= 1 in d and in g, so a grid of r + 1
+    values of eta, 2 of d and 2 of g proves it at this r."""
+    points = grid(r + 1)
+    assert len(points) == 4 * (r + 1)
+    for eta, d, g in points:
+        c = CurveGeometry(d=d, g=g, r=r)
+        assert top_product(c, [h_eta(eta)] * r) == \
+            1 - r * eta ** (r - 1) * d + eta ** r * c.deg_n
+
+
 # -- derived invariants ------------------------------------------------------
 
 
@@ -186,9 +219,36 @@ def test_delta_is_an_intersection_number(c, eta):
     assert delta_eta(c, eta) == top_product(c, [E, E, h_eta(eta)])
 
 
+def test_delta_is_an_intersection_number_on_a_grid():
+    """delta_eta = eta*deg_N - d equals E.E.H_eta for every (d, g, eta).
+
+    E, E, H - eta*E give hh = 0, he = 1 and ee = -eta, so
+    E.E.H_eta = eta*deg_N - d with deg_N = 4d + 2g - 2: both sides have
+    degree <= 1 in each of eta, d and g, and the 8 points of a 2 x 2 x 2
+    grid prove it."""
+    for eta, d, g in grid(2):
+        c = CurveGeometry(d=d, g=g)
+        assert delta_eta(c, eta) == top_product(c, [E, E, h_eta(eta)])
+
+
 @given(curves, etas)
 def test_lambda_is_halphen_at_eta_d(c, eta):
     assert lambda_eta(c, eta) == halphen_f(c, eta * c.d)
+
+
+def test_lambda_is_halphen_at_eta_d_on_a_grid():
+    """lambda_eta = eta^2 d^2 - eta*deg_N + d equals halphen_f at
+    x = eta*d for every (d, g, eta).
+
+    halphen_f(x) = x^2 - (4 + (2g - 2)/d)*x + d, and at x = eta*d the
+    d of (2g - 2)/d cancels: it is eta^2 d^2 - 4*eta*d - (2g - 2)*eta + d
+    for every d >= 1.  Both sides have degree <= 2 in eta and in d and
+    <= 1 in g, so a 3 x 3 x 2 grid (18 points) proves it."""
+    points = grid(3, d_points=3)
+    assert len(points) == 18
+    for eta, d, g in points:
+        c = CurveGeometry(d=d, g=g)
+        assert lambda_eta(c, eta) == halphen_f(c, eta * d)
 
 
 def test_delta_conventions_agree_at_r3():
@@ -212,6 +272,24 @@ def test_delta_convention_gap_is_the_degree_term(d, g, r, eta):
     c = CurveGeometry(d=d, g=g, r=r)
     gap = delta_eta_segre(c, eta) - delta_eta_compact(c, eta)
     assert gap == -(r - 3) * eta ** (r - 3) * d
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_delta_convention_gap_is_the_degree_term_on_a_grid(r):
+    """delta_segre - delta_compact = -(r-3)*eta^(r-3)*d for every
+    (d, g, eta) at this r.
+
+    delta_segre = E.E.H_eta^(r-2) has hh = 0, he = (r-2)*(-eta)^(r-3)
+    and ee = (-eta)^(r-2) against deg_N = (r+1)d + 2g - 2, and
+    delta_compact = eta^(r-3)*(eta*deg_N - d): every term has degree
+    <= r - 2 in eta and <= 1 in d and in g, so a grid of r - 1 values of
+    eta, 2 of d and 2 of g proves it."""
+    points = grid(r - 1)
+    assert len(points) == 4 * (r - 1)
+    for eta, d, g in points:
+        c = CurveGeometry(d=d, g=g, r=r)
+        gap = delta_eta_segre(c, eta) - delta_eta_compact(c, eta)
+        assert gap == -(r - 3) * eta ** (r - 3) * d
 
 
 def test_halphen_values():
@@ -256,6 +334,22 @@ def test_pencil_kernel_discriminant_is_delta_minus_4_eta_k(c, eta, k):
     ch = chern_of_kernel(DivisorClass(0, 0), 0, k, "pencil")
     disc = discriminant_dot_heta(c, ch, eta)
     assert disc == delta_eta(c, eta) - 4 * eta * k
+
+
+def test_pencil_kernel_discriminant_is_delta_minus_4_eta_k_on_a_grid():
+    """The pencil kernel's discriminant against H_eta is
+    delta_eta - 4*eta*k for every (d, g, eta, k).
+
+    Its c1 = -E squares to E.E.H_eta = eta*deg_N - d, and its c2 is
+    k times the fiber, which pairs to k*eta: both sides have degree <= 1
+    in each of eta, d, g and k, so the 16 points of a 2 x 2 x 2 x 2 grid
+    prove it."""
+    points = list(product(grid(2), range(2)))
+    assert len(points) == 16
+    for (eta, d, g), k in points:
+        c = CurveGeometry(d=d, g=g)
+        ch = chern_of_kernel(DivisorClass(0, 0), 0, k, "pencil")
+        assert discriminant_dot_heta(c, ch, eta) == delta_eta(c, eta) - 4 * eta * k
 
 
 def test_pencil_instability_flips_at_the_delta_term():

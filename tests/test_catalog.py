@@ -18,6 +18,7 @@ from curvebounds.catalog import (
     standard_catalog,
 )
 from curvebounds.errors import InvariantViolation, ParseError
+from curvebounds.scalar import MAX_DIGITS
 from curvebounds.seshadri import (
     EVIDENCE_KINDS,
     complete_intersection,
@@ -220,7 +221,8 @@ def test_load_invalid_json_reports_position():
 
 
 # hostile JSON: 100,000 nested arrays exhaust the decoder's recursion,
-# and a 4,401-digit literal exceeds int's digit limit for conversion
+# and a 4,401-digit literal exceeds int's digit limit for conversion (and
+# the digit cap, which refuses it before json converts it)
 DEEP_NESTING = "[" * 100_000
 LONG_DEGREE = '{"kind": {"raw": {"d": ' + "7" * 4401 + ', "g": 0}}}'
 
@@ -237,10 +239,34 @@ def test_load_deep_nesting_is_a_parse_error(tmp_path):
 def test_load_overlong_integer_is_a_parse_error(tmp_path):
     p = tmp_path / "long.json"
     p.write_text(LONG_DEGREE)
-    with pytest.raises(ParseError, match=f"^{p}: invalid JSON: .*too many digits"):
+    cap = f"a number of 4401 digits, above the cap of {MAX_DIGITS}$"
+    with pytest.raises(ParseError, match=f"^{p}: {cap}"):
         load_descriptor(str(p))
-    with pytest.raises(ParseError, match=r"^\$: invalid JSON: .*too many digits"):
+    with pytest.raises(ParseError, match=r"^\$: " + cap):
         load_descriptor(LONG_DEGREE)
+
+
+@pytest.mark.parametrize("digits", [MAX_DIGITS, MAX_DIGITS + 1])
+def test_an_integer_literal_is_capped_in_every_position(digits):
+    # the cap holds wherever json meets a literal, also where the
+    # descriptor expects none
+    literal = "-" + "7" * digits
+    text = ('{"kind": {"raw": {"d": 10, "g": 0}}, "name": "c", '
+            f'"flags": {{"nondegenerate": [{literal}]}}}}')
+    if digits > MAX_DIGITS:
+        with pytest.raises(ParseError, match=f"^\\$: a number of {digits} digits"):
+            load_descriptor(text)
+    else:
+        with pytest.raises(ParseError, match=r"^\$\.flags\.nondegenerate: expected"):
+            load_descriptor(text)
+
+
+def test_a_byte_order_mark_is_refused_as_json_refuses_it(tmp_path):
+    p = tmp_path / "bom.json"
+    p.write_text('{"kind": {"raw": {"d": 10, "g": 0}}}', encoding="utf-8-sig")
+    with pytest.raises(ParseError, match=f"^{p}: invalid JSON at line 1, column 1: "
+                       r"Unexpected UTF-8 BOM"):
+        load_descriptor(p)
 
 
 # rational strings that Fraction accepts and the descriptor grammar does
@@ -269,8 +295,8 @@ def test_nondegenerate_line_is_an_invariant_violation():
 
 
 # generated hostile documents: any JSON value in any position, with
-# integers up to int's 4,300-digit limit, odd Unicode, exponent strings
-# and deep nesting
+# integers of up to 4,300 digits (either side of the 1,400-digit cap),
+# odd Unicode, exponent strings and deep nesting
 _leaves = st.one_of(
     st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
     st.integers(min_value=-3, max_value=60), st.integers(),

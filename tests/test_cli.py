@@ -6,15 +6,13 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
 from curvebounds import cli
 from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS
 from curvebounds.cli import build_parser, main
-from curvebounds.errors import ValueTooLong
-from curvebounds.scalar import QuadNumber, quad_from_json
+from curvebounds.scalar import MAX_DIGITS, QuadNumber, quad_from_json
 
 CI52 = '{"kind": {"complete_intersection": {"a": 5, "b": 2}}}'
 CI504 = '{"kind": {"complete_intersection": {"a": 50, "b": 4}}}'
@@ -135,7 +133,32 @@ def test_gonality_linked_line_gap_only_on_the_liaison_curve(capsys, desc, eta):
     assert code == 0
     assert "linked-line-pencil-gap" not in out
     code, doc, _ = run_json(capsys, "gonality", desc, *eta)
-    assert doc["report"]["discrepancies"] == []
+    assert "linked-line-pencil-gap" not in [
+        d["code"] for d in doc["report"]["discrepancies"]]
+
+
+RAW400 = '{"kind":{"raw":{"d":400,"g":0}}}'
+CI22 = '{"kind": {"complete_intersection": {"a": 2, "b": 2}}}'
+
+
+@pytest.mark.parametrize("command, desc, vacuous", [
+    ("gonality", RAW400, True),  # gon >= -39600
+    ("gonality", CUBIC, True),  # gon >= 1, which every curve meets
+    ("gonality", CI52, False),  # gon >= 5
+    ("restrict", CI22, True),  # c2 < 0
+    ("restrict", CI52, False),  # c2 < 0.93...
+], ids=["raw-400-0", "twisted-cubic", "ci-5-2", "restrict ci-2-2", "restrict ci-5-2"])
+def test_a_vacuous_bound_is_named(capsys, command, desc, vacuous):
+    code, out, _ = run(capsys, command, desc)
+    assert code == 0
+    assert ("warning[vacuous-bound]: " in out) is vacuous
+    code, doc, _ = run_json(capsys, command, desc)
+    codes = [d["code"] for d in doc["report"]["discrepancies"]]
+    assert codes == (["vacuous-bound"] if vacuous else [])
+    if vacuous:
+        data = doc["report"]["discrepancies"][0]["data"]
+        assert data == {"value_ceiling": doc["report"]["value_ceiling"],
+                        "trivial_bound": 1 if command == "gonality" else 0}
 
 
 def test_gonality_outside_interval_warns(capsys):
@@ -420,9 +443,9 @@ def _fresh_process(argv, timeout):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[" * 100_000, "arrays or objects nested too deeply"),
+    ("[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
     ('{"kind": {"raw": {"d": ' + "7" * 4401 + ', "g": 0}}}',
-     "an integer literal has too many digits"),
+     f"a number of 4401 digits, above the cap of {MAX_DIGITS}"),
 ], ids=["deep-nesting", "overlong-integer"])
 def test_hostile_descriptor_file_is_exit_2(tmp_path, text, message):
     # a fresh process, as a user runs it, with a timeout: a typed error
@@ -431,7 +454,7 @@ def test_hostile_descriptor_file_is_exit_2(tmp_path, text, message):
     p.write_text(text)
     proc = _fresh_process(["gonality", str(p)], timeout=30)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {p}: invalid JSON: {message}\n"
+    assert proc.stderr == f"error: {p}: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -474,28 +497,6 @@ def test_exponent_rational_is_exit_2_at_once(argv, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.endswith(message)
-
-
-@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-def test_value_too_long_to_print_is_exit_1_at_once(json_flag):
-    # a 4,001-digit eta parses, but lambda_eta holds eta^2 (~8,000 digits):
-    # it once failed with int's raw "Exceeds the limit" message
-    proc = _fresh_process(["invariants", CI52, "--eta", "1/" + "1" * 4000,
-                           *json_flag], timeout=2)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: lambda_eta has more than 4300 digits in its "
-                           "numerator or denominator, too long to print\n")
-
-
-def test_printable_allows_exactly_the_digits_int_prints():
-    limit = sys.get_int_max_str_digits()
-    widest = Fraction(1, 10 ** limit - 1)  # a denominator of `limit` digits
-    assert cli._printable("q", widest) is widest
-    str(widest)
-    for q in (Fraction(1, 10 ** limit), Fraction(-10 ** limit, 3)):
-        with pytest.raises(ValueTooLong, match=f"^q has more than {limit} digits"):
-            cli._printable("q", q)
 
 
 def test_domain_error_is_exit_1(capsys):

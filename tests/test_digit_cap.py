@@ -1,0 +1,236 @@
+"""One digit cap where numbers enter: every numeric input of every
+command, at MAX_DIGITS digits, runs or fails with a typed error, and
+every value it prints renders; at MAX_DIGITS + 1 digits it is refused
+at input with exit 2 and a message naming the cap."""
+
+import json
+import re
+
+import pytest
+
+from curvebounds import cli
+from curvebounds.errors import CurveBoundsError
+from curvebounds.scalar import MAX_DIGITS
+from curvebounds.seshadri import EVIDENCE_KINDS
+from test_cli import CI52, _fresh_process
+
+CAP_MESSAGE = f"digits, above the cap of {MAX_DIGITS}"
+RAW_LIMIT = "Exceeds the limit"
+# the widest value a number of MAX_DIGITS digits can give: the printed
+# values are polynomials of degree <= 3 in the inputs (see scalar.MAX_DIGITS)
+WIDEST = 3 * MAX_DIGITS + 25
+
+
+def integer_texts(n):
+    return {"int": "7" * n}
+
+
+def rational_texts(n):
+    """Each shape of a rational of ``n`` digits in all."""
+    half = n // 2
+    return {"int": "7" * n, "reciprocal": "1/" + "7" * (n - 1),
+            "decimal": "0." + "7" * (n - 1),
+            "ratio": "7" * half + "/" + "9" * (n - half)}
+
+
+# descriptor templates: "X" is replaced by the number, as a JSON integer
+# literal or, for a rational field, also as a string, and "Y" by a
+# smaller number of as many digits
+KIND_SLOTS = {
+    "ci.a": '{"complete_intersection": {"a": X, "b": 2}}',
+    "ci.b": '{"complete_intersection": {"a": 5, "b": X}}',
+    "ll.a": '{"linked_line": {"a": X, "b": 2}}',
+    "ll.b": '{"linked_line": {"a": 5, "b": X}}',
+    "ll.g": '{"linked_line": {"a": 5, "b": 2, "g": X}}',
+    "raw.d": '{"raw": {"d": X, "g": 0}}',
+    "raw.g": '{"raw": {"d": 10, "g": X}}',
+    # several wide numbers at once: the liaison genus, printed in the
+    # override warning, is of degree 3 in a and b
+    "ci.a-and-b": '{"complete_intersection": {"a": X, "b": Y}}',
+    "ll.a-b-and-g": '{"linked_line": {"a": X, "b": Y, "g": X}}',
+}
+
+
+def descriptor_slots():
+    """(id, descriptor template, text shapes) of every number a
+    descriptor holds: each kind's fields, and each evidence field with
+    the kind's other fields at 2, on a curve of degree 10; and some
+    with several numbers at the cap."""
+    slots = [(name, '{"kind": ' + kind + "}", integer_texts)
+             for name, kind in KIND_SLOTS.items()]
+    for kind, row in EVIDENCE_KINDS.items():
+        for field in row.fields:
+            params = ", ".join(f'"{f}": {"X" if f == field else 2}'
+                               for f in row.fields)
+            doc = ('{"kind": {"raw": {"d": 10, "g": 0}}, "evidence": '
+                   f'[{{"kind": "{kind}", {params}}}]}}')
+            slots.append((f"{kind}.{field}", doc, integer_texts))
+            if field in row.rational:
+                slots.append((f"{kind}.{field}-string",
+                              doc.replace("X", '"X"'), rational_texts))
+    # eta = n/m, its numerator and denominator both at the cap
+    slots.append(("global_generation.n-and-m",
+                  '{"kind": {"raw": {"d": 10, "g": 0}}, "evidence": '
+                  '[{"kind": "global_generation", "n": Y, "m": X}]}', integer_texts))
+    return slots
+
+
+# every command form that reads a descriptor, with the options it needs
+DESCRIPTOR_FORMS = {
+    "invariants": ["invariants", "DESC"],
+    "seshadri": ["seshadri", "DESC"],
+    "gonality": ["gonality", "DESC"],
+    "restrict": ["restrict", "DESC", "--c2", "0"],
+    "identity-sl": ["verify", "identity-sl", "DESC", "--range", "2"],
+    "replay-gonality": ["verify", "replay-gonality", "DESC", "--k", "1"],
+    "replay-restriction": ["verify", "replay-restriction", "DESC", "--c2", "1"],
+    "sweep-gonality": ["verify", "sweep", "DESC", "--mode", "gonality",
+                       "--start", "0", "--stop", "1"],
+    "sweep-restriction": ["verify", "sweep", "DESC", "--mode", "restriction",
+                          "--start", "0", "--stop", "1"],
+}
+
+# every numeric option of every command, on ci-5-2: "X" is the number
+OPTION_FORMS = {
+    "invariants --eta": (["invariants", CI52, "--eta", "X"], rational_texts),
+    "gonality --eta": (["gonality", CI52, "--eta", "X"], rational_texts),
+    "restrict --gamma": (["restrict", CI52, "--gamma", "X"], rational_texts),
+    "restrict --c2": (["restrict", CI52, "--c2", "X"], integer_texts),
+    **{f"surface-restrict {variant} --{name}":
+       (["surface-restrict", "--variant", variant,
+         *[a for opt in ("c2", "a", "b")
+           for a in (f"--{opt}", "X" if opt == name else "3")]], integer_texts)
+       for variant in ("barth", "c2plus2", "ci_curve") for name in ("c2", "a", "b")},
+    "identity-sl --eta": (["verify", "identity-sl", CI52, "--range", "2",
+                           "--eta", "X"], rational_texts),
+    "identity-sl --range": (["verify", "identity-sl", CI52, "--range", "X"],
+                            integer_texts),
+    "replay-gonality --eta": (["verify", "replay-gonality", CI52, "--k", "1",
+                               "--eta", "X"], rational_texts),
+    "replay-gonality --k": (["verify", "replay-gonality", CI52, "--k", "X"],
+                            integer_texts),
+    "replay-gonality --box-margin": (["verify", "replay-gonality", CI52, "--k", "1",
+                                      "--box-margin", "X"], integer_texts),
+    "replay-restriction --gamma": (["verify", "replay-restriction", CI52, "--c2", "1",
+                                    "--gamma", "X"], rational_texts),
+    "replay-restriction --c2": (["verify", "replay-restriction", CI52, "--c2", "X"],
+                                integer_texts),
+    "replay-restriction --l-min": (["verify", "replay-restriction", CI52, "--c2", "1",
+                                    "--l-min", "X"], integer_texts),
+    "replay-restriction --box-margin": (["verify", "replay-restriction", CI52,
+                                         "--c2", "1", "--box-margin", "X"],
+                                        integer_texts),
+    **{f"sweep {mode} --{flag}":
+       (["verify", "sweep", CI52, "--mode", mode, "--start", "0", "--stop", "1",
+         f"--{flag}", "X"], rational_texts)
+       for mode in ("gonality", "restriction") for flag in ("eta", "gamma")},
+    **{f"sweep {mode} --{name}":
+       (["verify", "sweep", CI52, "--mode", mode,
+         "--start", "0" if name == "stop" else "X", "--stop", "X",
+         "--box-margin", "0"], integer_texts)
+       for mode in ("gonality", "restriction") for name in ("start", "stop")},
+    **{f"sweep {mode} --box-margin":
+       (["verify", "sweep", CI52, "--mode", mode, "--start", "0", "--stop", "1",
+         "--box-margin", "X"], integer_texts)
+       for mode in ("gonality", "restriction")},
+}
+
+
+def cases():
+    """(id, argv template, text shapes) of every command x every
+    numeric input."""
+    out = [(f"{form} {slot}", [doc if a == "DESC" else a for a in argv], shapes)
+           for slot, doc, shapes in descriptor_slots()
+           for form, argv in DESCRIPTOR_FORMS.items()]
+    out += [(name, argv, shapes) for name, (argv, shapes) in OPTION_FORMS.items()]
+    return out
+
+
+CASES = cases()
+
+
+def run(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``.  main maps a
+    bare ValueError to exit 1 as well; here only a CurveBoundsError may
+    leave a handler, so any other error fails the test."""
+    monkeypatch.setattr(cli, "ValueError", CurveBoundsError, raising=False)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fill(template, text):
+    """``template`` with "X" as ``text`` and "Y" as a smaller number of
+    as many digits."""
+    return [a.replace("Y", "1" + text[1:]).replace("X", text) for a in template]
+
+
+@pytest.mark.parametrize("case_id, template, shapes", CASES,
+                         ids=[case_id for case_id, _, _ in CASES])
+def test_a_number_at_the_cap_runs_and_every_value_prints(monkeypatch, capsys,
+                                                         case_id, template, shapes):
+    for text in shapes(MAX_DIGITS).values():
+        for mode in ([], ["--json"]):
+            code, out, err = run(monkeypatch, capsys, fill(template, text) + mode)
+            assert code in (0, 1), (code, err[:300])
+            assert code == 0 or err.splitlines()[-1].startswith("error: ")
+            assert RAW_LIMIT not in out + err
+            if mode:
+                assert code == 1 or json.loads(out)
+            widest = max(map(len, re.findall(r"\d+", out + err)))
+            assert widest <= WIDEST
+
+
+@pytest.mark.parametrize("case_id, template, shapes", CASES,
+                         ids=[case_id for case_id, _, _ in CASES])
+def test_a_number_above_the_cap_is_exit_2_naming_the_cap(monkeypatch, capsys,
+                                                         case_id, template, shapes):
+    for text in shapes(MAX_DIGITS + 1).values():
+        code, out, err = run(monkeypatch, capsys, fill(template, text))
+        assert code == 2
+        assert out == ""
+        assert err.rstrip("\n").endswith(f"a number of {MAX_DIGITS + 1} {CAP_MESSAGE}")
+
+
+def test_every_numeric_option_is_covered():
+    numeric = {(path[-1], name) for path, _, _, arguments in cli.COMMANDS
+               for name, kwargs in arguments
+               if kwargs.get("type") in (cli._INT_ARG, cli._RATIONAL_ARG)}
+    covered = {(argv[1] if argv[0] == "verify" else argv[0],
+                argv[argv.index("X") - 1]) for argv, _ in OPTION_FORMS.values()}
+    assert numeric == covered
+
+
+# Each of these once ended in Python's raw "Exceeds the limit (4300
+# digits) for integer string conversion" (exit 1) or, for invariants,
+# in a typed error raised after the arithmetic: each number is now
+# refused where it enters, in a fresh process, at once.
+SEVEN_4299 = "7" * 4299
+NINE_3000 = "9" * 3000
+OVERSIZED = {
+    "gonality --eta": ["gonality", CI52, "--eta", SEVEN_4299],
+    "replay-gonality --eta": ["verify", "replay-gonality", CI52, "--k", "1",
+                              "--eta", SEVEN_4299],
+    "sweep --eta": ["verify", "sweep", CI52, "--mode", "gonality",
+                    "--start", "0", "--stop", "1", "--eta", SEVEN_4299],
+    "restrict --gamma": ["restrict", CI52, "--gamma", SEVEN_4299],
+    "replay-restriction --gamma": ["verify", "replay-restriction", CI52,
+                                   "--c2", "1", "--gamma", SEVEN_4299],
+    "identity-sl --range": ["verify", "identity-sl", CI52, "--range", NINE_3000],
+    "replay-gonality --box-margin": ["verify", "replay-gonality", CI52, "--k", "1",
+                                     "--box-margin", NINE_3000],
+    "invariants --eta": ["invariants", CI52, "--eta", "1/" + "1" * 4000],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED)
+def test_oversized_number_is_exit_2_at_input(argv):
+    proc = _fresh_process(argv, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    digits = sum(map(str.isdigit, argv[-1]))
+    assert proc.stderr.endswith(f": a number of {digits} {CAP_MESSAGE}\n")
+    assert RAW_LIMIT not in proc.stderr

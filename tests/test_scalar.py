@@ -10,12 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quad_model as model
-from curvebounds.errors import IncompatibleRadicand, NegativeRadicand, RadicandTooLarge
+from curvebounds.errors import (
+    IncompatibleRadicand,
+    NegativeRadicand,
+    RadicandTooLarge,
+    TooManyDigits,
+)
 from curvebounds.scalar import (
+    MAX_DIGITS,
     MAX_RADICAND,
     QuadNumber,
     decimal_str,
     format_rational,
+    parse_int,
     parse_rational,
     quad_cmp,
     quad_from_json,
@@ -262,10 +269,11 @@ def test_parse_format_rational():
 
 @pytest.mark.parametrize("text, value", [
     (" 3/4 ", F(3, 4)), ("0.2", F(1, 5)), ("-0.25", F(-1, 4)), ("+5", F(5)),
-    ("007/014", F(1, 2)), ("-3/9", F(-1, 3)), ("1" * 4300, F(int("1" * 4300))),
-    ("0." + "5" * 4299, F(int("5" * 4299), 10 ** 4299)),
+    ("007/014", F(1, 2)), ("-3/9", F(-1, 3)),
+    ("1" * MAX_DIGITS, F(int("1" * MAX_DIGITS))),
+    ("0." + "5" * (MAX_DIGITS - 1), F(int("5" * (MAX_DIGITS - 1)), 10 ** (MAX_DIGITS - 1))),
 ], ids=["spaces", "decimal", "negative-decimal", "plus", "leading-zeros", "negative",
-        "4300-digits", "4300-digit-decimal"])
+        "cap-digits", "cap-digit-decimal"])
 def test_parse_rational_accepts_sign_digits_and_one_slash_or_point(text, value):
     got = parse_rational(text)
     assert type(got) is F and got == value
@@ -286,14 +294,39 @@ def test_parse_rational_rejects_everything_else(text):
         parse_rational(text)
 
 
-@pytest.mark.parametrize("text", ["1" * 4301, "1/" + "1" * 4300, "1." + "0" * 4300,
-                                  "7" * 10**6],
-                         ids=["4301-digits", "4300-digit-denominator", "4300-decimals",
-                              "million-digits"])
+@pytest.mark.parametrize("text", ["1" * (MAX_DIGITS + 1), "1/" + "1" * MAX_DIGITS,
+                                  "1." + "0" * MAX_DIGITS, "7" * 10**6],
+                         ids=["cap-plus-1-digits", "cap-digit-denominator",
+                              "cap-decimals", "million-digits"])
 def test_parse_rational_caps_the_digit_count(text):
-    # refused before any conversion: a million digits fail as fast as 4,301
-    with pytest.raises(ValueError, match=r"^not a rational: \d+ digits, above the cap 4300$"):
+    # refused before any conversion: a million digits fail as fast as the
+    # cap plus one; TooManyDigits is a ValueError, as every refusal here is
+    with pytest.raises(TooManyDigits, match=r"^a number of \d+ digits, above the cap "
+                       f"of {MAX_DIGITS}$"):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7" * MAX_DIGITS, int("7" * MAX_DIGITS)), (" -" + "7" * MAX_DIGITS + " ",
+                                                -int("7" * MAX_DIGITS)),
+    ("+0", 0), ("1_000", 1000)])
+def test_parse_int_is_int_below_the_cap(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["7" * (MAX_DIGITS + 1), "-" + "7" * (MAX_DIGITS + 1),
+                                  "7" * 10**6])
+def test_parse_int_caps_the_digit_count(text):
+    with pytest.raises(TooManyDigits, match=f"^a number of {len(text.lstrip('-'))} "
+                       f"digits, above the cap of {MAX_DIGITS}$"):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("text", ["x", "", "1.5", "1/2"])
+def test_parse_int_refuses_what_int_refuses(text):
+    with pytest.raises(ValueError) as exc:
+        parse_int(text)
+    assert not isinstance(exc.value, TooManyDigits)
 
 
 def test_json_round_trip():
