@@ -23,6 +23,7 @@ from typing import Sequence
 from ._record import record
 from .errors import ArityMismatch, UnsupportedDimension, WorkTooLarge
 from .scalar import RationalLike
+from .scalar import capped_int as _capped_int
 from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 
 
@@ -58,9 +59,8 @@ class CurveGeometry:
     r: int = 3
 
     def __post_init__(self) -> None:
-        _exact_int(self.d)
-        _exact_int(self.g)
-        _exact_int(self.r)
+        for n in (self.d, self.g, self.r):
+            _capped_int(_exact_int(n))
         if self.r < 3:
             raise ValueError(f"ambient dimension must be >= 3, got {self.r}")
         if self.d < 1:

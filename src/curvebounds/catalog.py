@@ -26,6 +26,7 @@ from typing import Any, Optional, Union
 from ._record import record
 from .blowup import CurveGeometry
 from .errors import DegenerateInput, InvariantViolation, ParseError, TooManyDigits
+from .scalar import capped_int as _capped_int
 from .scalar import format_rational, parse_int, parse_rational
 from .seshadri import (
     EVIDENCE_KINDS,
@@ -60,12 +61,22 @@ def _check_fields(obj: dict, allowed: tuple[str, ...], loc: str) -> None:
                              f"(allowed: {', '.join(allowed)})")
 
 
+def _capped(v: int, loc: str, key: str) -> int:
+    """``v``, or ParseError naming the field when it has more than
+    MAX_DIGITS digits (a library caller's int skips the JSON decoder's cap)."""
+    try:
+        return _capped_int(v)
+    except TooManyDigits as exc:
+        raise ParseError(f"{loc}.{key}: {exc}") from None
+
+
 def _get_int(obj: dict, key: str, loc: str, minimum: Optional[int] = None) -> int:
     if key not in obj:
         raise ParseError(f"{loc}: missing required field {key!r}")
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{loc}.{key}: expected an integer, got {v!r}")
+    _capped(v, loc, key)
     if minimum is not None and v < minimum:
         raise InvariantViolation(f"{loc}.{key}: must be >= {minimum}, got {v}")
     return v
@@ -76,7 +87,7 @@ def _get_rational(obj: dict, key: str, loc: str) -> Fraction:
         raise ParseError(f"{loc}: missing required field {key!r}")
     v = obj[key]
     if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+        return Fraction(_capped(v, loc, key))
     if isinstance(v, str):
         try:
             return parse_rational(v)

@@ -390,14 +390,33 @@ _CHOICES = {
 }
 
 
+# the tree of each leaf path, and of None for the full tree, once built
+_PARSERS: dict[Optional[tuple], argparse.ArgumentParser] = {}
+
+
 def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     """The parser for ``argv``: the top level, the group ``argv`` names
     (if any) and the one leaf it names.  When ``argv`` names no leaf
     (``-h``, a typo, a missing command, ``verify`` alone, or None), every
     command is built, so help texts and usage errors come from the full
-    tree.  Nothing is cached: each call builds a new parser."""
+    tree.  Each tree is built once per process; every call returns a
+    shallow clone of it, so that an attribute a caller rebinds (as a
+    tracer rebinds ``parse_args``) stays on that caller's parser.  The
+    clones share the tree's arguments and subparsers, which no caller
+    may change."""
     argv = argv or []
     named = _LEAVES.get(tuple(argv[:1])) or _LEAVES.get(tuple(argv[:2]))
+    key = named and named[0]
+    if key not in _PARSERS:
+        _PARSERS[key] = _build_parser(named)
+    parser = object.__new__(argparse.ArgumentParser)
+    parser.__dict__.update(vars(_PARSERS[key]))
+    return parser
+
+
+def _build_parser(named: Optional[tuple]) -> argparse.ArgumentParser:
+    """The top level, and the one leaf row ``named`` under its group,
+    or every command when ``named`` is None."""
     parser = argparse.ArgumentParser(
         prog="curvebounds",
         description="Exact Seshadri intervals, gonality bounds and "

@@ -35,7 +35,9 @@ Radicands above :data:`MAX_RADICAND` raise :class:`RadicandTooLarge`
 before any factoring, so hostile input cannot stall the trial division.
 Numbers that enter as text, through :func:`parse_int` and
 :func:`parse_rational`, pass one digit cap, :data:`MAX_DIGITS`, and a
-longer one raises :class:`TooManyDigits` before it is converted.
+longer one raises :class:`TooManyDigits` before it is converted; an
+``int`` that enters a descriptor or a curve passes the same cap through
+:func:`capped_int`.
 
 Every comparison is decided by exact integer sign analysis of the
 difference's numerator ``A + B*sqrt(m)``, which is never normalised
@@ -70,6 +72,8 @@ MAX_RADICAND = 10**10
 # the 4,300 that Python converts to text by default: every derived
 # value prints.
 MAX_DIGITS = 1400
+# the least integer of MAX_DIGITS + 1 digits
+_INT_CAP = 10**MAX_DIGITS
 
 _ZERO = Fraction(0)
 
@@ -405,6 +409,18 @@ def format_rational(q: RationalLike) -> str:
 def _check_digits(count: int) -> None:
     if count > MAX_DIGITS:
         raise TooManyDigits(f"a number of {count} digits, above the cap of {MAX_DIGITS}")
+
+
+def capped_int(n: int) -> int:
+    """``n``, or TooManyDigits when it has more than MAX_DIGITS digits,
+    which are counted without converting ``n`` to text."""
+    size = abs(n)
+    if size >= _INT_CAP:
+        count = size.bit_length() * 1233 >> 12  # 1233 / 2**12 < log10(2)
+        while 10**count <= size:
+            count += 1
+        _check_digits(count)
+    return n
 
 
 def parse_int(text: str) -> int:

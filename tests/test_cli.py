@@ -359,9 +359,25 @@ def test_parser_builds_only_the_named_command():
         assert leaf_names(build_parser([*path, CI52])) == list(path)
 
 
-def test_parser_is_built_anew_on_every_call():
+def test_each_tree_is_built_once_and_every_call_gets_its_own_parser(capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda named: builds.append(named) or build(named))
+    for _ in range(3):
+        assert run(capsys, "gonality", CI52)[0] == 0
+    assert builds == [cli._LEAVES[("gonality",)]]
     argv = ["gonality", CI52]
-    assert build_parser(argv) is not build_parser(argv)
+    first, second = build_parser(argv), build_parser(argv)
+    assert first is not second
+    # a caller that rebinds an attribute, as perfbench's tracer rebinds
+    # parse_args, rebinds it on its own parser only
+    first.parse_args = lambda *args, **kwargs: None
+    assert "parse_args" not in vars(build_parser(argv))
+    assert "parse_args" not in vars(second)
+    assert len(builds) == 1
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from cli_golden import DIGESTS, cases, changes, digest, transcript
+from cli_golden import DIGESTS, LEAVES, USAGE, cases, changes, digest, transcript
+from curvebounds import cli
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import gonality_bound, restriction_threshold
 from curvebounds.scalar import decimal_str, parse_rational, quad_from_json
@@ -36,6 +37,26 @@ def test_cli_transcript_matches_golden(label, argv):
     if digest(code, out, err) != GOLDEN[label]:
         pytest.fail(f"transcript changed for argv {argv!r}\n"
                     f"exit code: {code}\n--- stdout ---\n{out}--- stderr ---\n{err}")
+
+
+# every label whose transcript argparse wraps to the terminal width
+WRAPPED = {"-h", "verify -h", *(" ".join([*leaf, "-h"]) for leaf in LEAVES),
+           *(label for label, _ in USAGE)}
+
+
+def test_a_parser_built_at_another_width_wraps_to_the_current_one(monkeypatch):
+    # each tree is built once per process: one built (and used) under a
+    # wide terminal must wrap help and usage to COLUMNS=80 afterwards
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setenv("COLUMNS", "200")
+    for argv in ([], *([*leaf, "-h"] for leaf in LEAVES)):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert len(cli._PARSERS) == len(LEAVES) + 1
+    wrapped = [(label, argv) for label, argv in CASES if label in WRAPPED]
+    assert len(wrapped) == len(WRAPPED)
+    for label, argv in wrapped:
+        assert digest(*transcript(argv)) == GOLDEN[label], label
 
 
 def exact_pairs(node):

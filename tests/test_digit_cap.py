@@ -5,11 +5,16 @@ at input with exit 2 and a message naming the cap."""
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from curvebounds import cli
-from curvebounds.errors import CurveBoundsError
+from curvebounds.blowup import CurveGeometry
+from curvebounds.bounds import gonality_bound
+from curvebounds.catalog import descriptor_from_dict
+from curvebounds.errors import (CurveBoundsError, InvariantViolation, ParseError,
+                               TooManyDigits)
 from curvebounds.scalar import MAX_DIGITS
 from curvebounds.seshadri import EVIDENCE_KINDS
 from test_cli import CI52, _fresh_process
@@ -234,3 +239,33 @@ def test_oversized_number_is_exit_2_at_input(argv):
     digits = sum(map(str.isdigit, argv[-1]))
     assert proc.stderr.endswith(f": a number of {digits} {CAP_MESSAGE}\n")
     assert RAW_LIMIT not in proc.stderr
+
+
+# A library caller's int skips the JSON decoder's cap: the descriptor
+# loader and CurveGeometry apply it to the int itself, without converting
+# it to text (a 4,400-digit one once ended in Python's raw limit).
+@pytest.mark.parametrize("digits", [MAX_DIGITS, MAX_DIGITS + 1, 4400])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_library_int_passes_the_digit_cap(digits, sign):
+    n = sign * 10 ** (digits - 1)
+    doc = {"kind": {"raw": {"d": 10, "g": n}}}
+    evidence = {"kind": {"raw": {"d": 10, "g": 0}},
+                "evidence": [{"kind": "global_generation", "n": n, "m": 1}]}
+    if digits > MAX_DIGITS:
+        message = f"a number of {digits} {CAP_MESSAGE}"
+        with pytest.raises(ParseError, match=rf"^\$\.kind\.raw\.g: {message}$"):
+            descriptor_from_dict(doc)
+        with pytest.raises(ParseError, match=rf"^\$\.evidence\[0\]\.n: {message}$"):
+            descriptor_from_dict(evidence)
+        with pytest.raises(TooManyDigits, match=f"^{message}$"):
+            CurveGeometry(d=10, g=n)
+        with pytest.raises(TooManyDigits, match=f"^{message}$"):
+            CurveGeometry(d=n, g=0)
+    elif sign > 0:
+        assert descriptor_from_dict(doc).curve.g == n
+        assert descriptor_from_dict(evidence).evidence
+        assert RAW_LIMIT not in gonality_bound(CurveGeometry(d=10, g=n),
+                                               Fraction(1, 5)).trace
+    else:  # refused for its sign, in a message that prints it
+        with pytest.raises(InvariantViolation, match=f"got -1{'0' * (digits - 1)}$"):
+            descriptor_from_dict(doc)

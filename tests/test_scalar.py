@@ -20,6 +20,7 @@ from curvebounds.scalar import (
     MAX_DIGITS,
     MAX_RADICAND,
     QuadNumber,
+    capped_int,
     decimal_str,
     format_rational,
     parse_int,
@@ -320,6 +321,17 @@ def test_parse_int_caps_the_digit_count(text):
     with pytest.raises(TooManyDigits, match=f"^a number of {len(text.lstrip('-'))} "
                        f"digits, above the cap of {MAX_DIGITS}$"):
         parse_int(text)
+
+
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, MAX_DIGITS + 2, 4301, 10**5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_capped_int_counts_the_digits_it_refuses(digits, sign):
+    # 10**(k-1) and 10**k - 1 are the least and largest of k digits
+    assert capped_int(sign * (10**MAX_DIGITS - 1)) == sign * (10**MAX_DIGITS - 1)
+    for n in (10 ** (digits - 1), 10**digits - 1):
+        with pytest.raises(TooManyDigits, match=f"^a number of {digits} digits, "
+                           f"above the cap of {MAX_DIGITS}$"):
+            capped_int(sign * n)
 
 
 @pytest.mark.parametrize("text", ["x", "", "1.5", "1/2"])
