@@ -22,7 +22,7 @@ from typing import Sequence
 
 from ._record import record
 from .errors import ArityMismatch, UnsupportedDimension, WorkTooLarge
-from .scalar import RationalLike
+from .scalar import MAX_CURVE_DIGITS, RationalLike
 from .scalar import capped_int as _capped_int
 from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 
@@ -60,7 +60,7 @@ class CurveGeometry:
 
     def __post_init__(self) -> None:
         for n in (self.d, self.g, self.r):
-            _capped_int(_exact_int(n))
+            _capped_int(_exact_int(n), MAX_CURVE_DIGITS)
         if self.r < 3:
             raise ValueError(f"ambient dimension must be >= 3, got {self.r}")
         if self.d < 1:

@@ -36,8 +36,9 @@ before any factoring, so hostile input cannot stall the trial division.
 Numbers that enter as text, through :func:`parse_int` and
 :func:`parse_rational`, pass one digit cap, :data:`MAX_DIGITS`, and a
 longer one raises :class:`TooManyDigits` before it is converted; an
-``int`` that enters a descriptor or a curve passes the same cap through
-:func:`capped_int`.
+``int`` that enters a descriptor passes the same cap through
+:func:`capped_int`, and a curve's ``d``, ``g`` and ``r`` the wider
+:data:`MAX_CURVE_DIGITS`, which bounds what a descriptor derives.
 
 Every comparison is decided by exact integer sign analysis of the
 difference's numerator ``A + B*sqrt(m)``, which is never normalised
@@ -72,8 +73,12 @@ MAX_RADICAND = 10**10
 # the 4,300 that Python converts to text by default: every derived
 # value prints.
 MAX_DIGITS = 1400
-# the least integer of MAX_DIGITS + 1 digits
-_INT_CAP = 10**MAX_DIGITS
+# The most digits a curve's d or g may have: a descriptor derives them
+# from inputs within MAX_DIGITS, and a complete intersection's or a
+# linked curve's genus, the widest, is of degree 3 in a and b.
+MAX_CURVE_DIGITS = 3 * MAX_DIGITS
+# the least integer of one digit more than each cap
+_TEN_TO = {n: 10**n for n in (MAX_DIGITS, MAX_CURVE_DIGITS)}
 
 _ZERO = Fraction(0)
 
@@ -411,15 +416,11 @@ def _check_digits(count: int) -> None:
         raise TooManyDigits(f"a number of {count} digits, above the cap of {MAX_DIGITS}")
 
 
-def capped_int(n: int) -> int:
-    """``n``, or TooManyDigits when it has more than MAX_DIGITS digits,
-    which are counted without converting ``n`` to text."""
-    size = abs(n)
-    if size >= _INT_CAP:
-        count = size.bit_length() * 1233 >> 12  # 1233 / 2**12 < log10(2)
-        while 10**count <= size:
-            count += 1
-        _check_digits(count)
+def capped_int(n: int, digits: int = MAX_DIGITS) -> int:
+    """``n``, or TooManyDigits when it has more than ``digits`` digits
+    (MAX_DIGITS or MAX_CURVE_DIGITS); ``n`` is not converted to text."""
+    if abs(n) >= _TEN_TO[digits]:
+        raise TooManyDigits(f"a number of more than {digits} digits, above the cap")
     return n
 
 

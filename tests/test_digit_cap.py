@@ -15,7 +15,7 @@ from curvebounds.bounds import gonality_bound
 from curvebounds.catalog import descriptor_from_dict
 from curvebounds.errors import (CurveBoundsError, InvariantViolation, ParseError,
                                TooManyDigits)
-from curvebounds.scalar import MAX_DIGITS
+from curvebounds.scalar import MAX_CURVE_DIGITS, MAX_DIGITS
 from curvebounds.seshadri import EVIDENCE_KINDS
 from test_cli import CI52, _fresh_process
 
@@ -182,6 +182,9 @@ def test_a_number_at_the_cap_runs_and_every_value_prints(monkeypatch, capsys,
             code, out, err = run(monkeypatch, capsys, fill(template, text) + mode)
             assert code in (0, 1), (code, err[:300])
             assert code == 0 or err.splitlines()[-1].startswith("error: ")
+            # nothing at the cap, nor anything derived from it, is refused
+            # for its width
+            assert "digits, above the cap" not in err
             assert RAW_LIMIT not in out + err
             if mode:
                 assert code == 1 or json.loads(out)
@@ -242,8 +245,10 @@ def test_oversized_number_is_exit_2_at_input(argv):
 
 
 # A library caller's int skips the JSON decoder's cap: the descriptor
-# loader and CurveGeometry apply it to the int itself, without converting
-# it to text (a 4,400-digit one once ended in Python's raw limit).
+# loader applies MAX_DIGITS to the int itself, and CurveGeometry the
+# wider MAX_CURVE_DIGITS, which every d and g a descriptor derives meets;
+# neither converts it to text (a 4,400-digit one once ended in Python's
+# raw limit).
 @pytest.mark.parametrize("digits", [MAX_DIGITS, MAX_DIGITS + 1, 4400])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_library_int_passes_the_digit_cap(digits, sign):
@@ -252,20 +257,32 @@ def test_a_library_int_passes_the_digit_cap(digits, sign):
     evidence = {"kind": {"raw": {"d": 10, "g": 0}},
                 "evidence": [{"kind": "global_generation", "n": n, "m": 1}]}
     if digits > MAX_DIGITS:
-        message = f"a number of {digits} {CAP_MESSAGE}"
+        message = f"a number of more than {MAX_DIGITS} digits, above the cap"
         with pytest.raises(ParseError, match=rf"^\$\.kind\.raw\.g: {message}$"):
             descriptor_from_dict(doc)
         with pytest.raises(ParseError, match=rf"^\$\.evidence\[0\]\.n: {message}$"):
             descriptor_from_dict(evidence)
-        with pytest.raises(TooManyDigits, match=f"^{message}$"):
-            CurveGeometry(d=10, g=n)
-        with pytest.raises(TooManyDigits, match=f"^{message}$"):
-            CurveGeometry(d=n, g=0)
     elif sign > 0:
         assert descriptor_from_dict(doc).curve.g == n
         assert descriptor_from_dict(evidence).evidence
-        assert RAW_LIMIT not in gonality_bound(CurveGeometry(d=10, g=n),
-                                               Fraction(1, 5)).trace
     else:  # refused for its sign, in a message that prints it
         with pytest.raises(InvariantViolation, match=f"got -1{'0' * (digits - 1)}$"):
             descriptor_from_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["d", "g"])
+def test_a_curve_takes_every_width_a_descriptor_derives(field):
+    widest = 10**MAX_CURVE_DIGITS - 1
+    # a = b = 10**1400 - 1: d = ab, and g = ab(a + b - 4)/2 + 1 has
+    # MAX_CURVE_DIGITS digits
+    a = 10**MAX_DIGITS - 1
+    curve = descriptor_from_dict({"kind": {"complete_intersection":
+                                           {"a": a, "b": a}}}).curve
+    assert len(str(curve.g)) == MAX_CURVE_DIGITS
+    if field == "g":
+        trace = gonality_bound(CurveGeometry(d=10, g=widest), Fraction(1, 5)).trace
+        assert RAW_LIMIT not in "\n".join(trace)
+    for n in (10**MAX_CURVE_DIGITS, 10**4400):
+        with pytest.raises(TooManyDigits, match=f"^a number of more than "
+                           f"{MAX_CURVE_DIGITS} digits, above the cap$"):
+            CurveGeometry(**{"d": 10, "g": 0, field: n})

@@ -323,15 +323,12 @@ def test_parse_int_caps_the_digit_count(text):
         parse_int(text)
 
 
-@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, MAX_DIGITS + 2, 4301, 10**5])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_capped_int_counts_the_digits_it_refuses(digits, sign):
-    # 10**(k-1) and 10**k - 1 are the least and largest of k digits
+def test_capped_int_refuses_one_digit_past_the_cap(sign):
     assert capped_int(sign * (10**MAX_DIGITS - 1)) == sign * (10**MAX_DIGITS - 1)
-    for n in (10 ** (digits - 1), 10**digits - 1):
-        with pytest.raises(TooManyDigits, match=f"^a number of {digits} digits, "
-                           f"above the cap of {MAX_DIGITS}$"):
-            capped_int(sign * n)
+    with pytest.raises(TooManyDigits, match=f"^a number of more than {MAX_DIGITS} "
+                       "digits, above the cap$"):
+        capped_int(sign * 10**MAX_DIGITS)
 
 
 @pytest.mark.parametrize("text", ["x", "", "1.5", "1/2"])
