@@ -43,11 +43,11 @@ from .scalar import (
     QuadNumber,
     RationalLike,
     _quad,
+    _rational_cmp,
     _sign,
     _sqrt_parts,
+    capped_rational as _capped_rational,
     exact_int as _exact_int,
-    exact_rational as _exact_rational,
-    quad_cmp,
 )
 from .seshadri import SeshadriInterval, linked_line_genus
 
@@ -165,8 +165,9 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
     with alpha = min{1, sqrt(u)/w - length*scale} clamped at 0 for
     root = (u, w), and its certified ceiling.  ``length`` and ``scale``
     are (numerator, denominator) pairs, denominators and scale positive.
-    One pass over integer numerators: signs come from ``_sign``, and
-    each QuadNumber is normalised once, by ``_quad``.  ``templates``
+    One pass over integer numerators: the raw alpha's signs come from
+    ``_sign``, the smaller term from ``_rational_cmp``, and each
+    QuadNumber is normalised once, by ``_quad``.  ``templates``
     come from ``_templates``, with ``alpha_args`` filling the raw
     alpha's name; the caller has already stepped its inputs and delta.
     With ``trivial`` (a ``*_TRIVIAL`` pair), a ceiling at or below its
@@ -196,7 +197,7 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
     steps.append((templates[3], term_alpha))
 
     dn, dd = term_delta.numerator, term_delta.denominator
-    if _sign(dn * tq - ta * dd, -tb * dd, m) > 0:  # delta term > alpha term
+    if _rational_cmp(dn, dd, term_alpha) > 0:  # delta term > alpha term
         value = term_alpha
     else:
         value = _quad(dn, 0, dd, 0)
@@ -214,14 +215,8 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
 
 def _interval_warning(eps: Fraction, interval: Optional[SeshadriInterval],
                       name: str, steps: list[tuple]) -> None:
-    if interval is None:
-        return
-    lower, (A, B, Q, m) = interval.lower, interval.upper.parts
-    p, q = eps.numerator, eps.denominator
-    # eps < lower, or eps - upper = (p*Q - q*A - q*B*sqrt(m)) / (q*Q) > 0
-    if (p * lower.denominator < lower.numerator * q
-            or _sign(p * Q - q * A, -q * B, m) > 0):
-        steps.append((_OUTSIDE, name, eps, lower, interval.upper))
+    if interval is not None and eps not in interval:
+        steps.append((_OUTSIDE, name, eps, interval.lower, interval.upper))
 
 
 def gonality_bound(c: CurveGeometry, eps: RationalLike,
@@ -232,7 +227,7 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     eps falls outside it."""
     if c.r != 3:
         raise UnsupportedDimension(f"gonality bound is certified for r = 3, got r = {c.r}")
-    eps = _exact_rational(eps)
+    eps = _capped_rational(eps)
     if eps.numerator <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
 
@@ -270,7 +265,7 @@ def gonality_bound_general_r(c: CurveGeometry, eps: RationalLike) -> GeneralRGon
     the intersection-table form eta^(r-2) deg_N - (r-2) eta^(r-3) d).
     They agree at r = 3, where the result matches gonality_bound and is
     certified; for r > 3 a disagreement is flagged, not resolved."""
-    eps = _exact_rational(eps)
+    eps = _capped_rational(eps)
     if eps.numerator <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
 
@@ -305,9 +300,9 @@ def pencil_degree_bound_subvariety(x_degree: RationalLike, deg_n_dot: RationalLi
     normal-bundle product c1(N).H^(n-1) and a Seshadri lower bound eps.
     Formula evaluator only; for n = 1, r = 3 it reduces exactly to
     gonality_bound with deg_N = deg_n_dot."""
-    d = _exact_rational(x_degree)
-    deg_n_dot = _exact_rational(deg_n_dot)
-    eps = _exact_rational(eps)
+    d = _capped_rational(x_degree)
+    deg_n_dot = _capped_rational(deg_n_dot)
+    eps = _capped_rational(eps)
     n, r = _exact_int(n), _exact_int(r)
     if d <= 0 or deg_n_dot <= 0 or n < 1 or r < 3:
         raise ValueError("x_degree, deg_n_dot must be positive; n >= 1, r >= 3")
@@ -365,7 +360,7 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
     if c.r != 3:
         raise UnsupportedDimension(
             f"restriction threshold is certified for r = 3, got r = {c.r}")
-    gamma = _exact_rational(gamma)
+    gamma = _capped_rational(gamma)
     if gamma.numerator <= 0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
 
@@ -393,9 +388,8 @@ def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
     exactly.  The bundle is assumed stable on P^3 with c1 = 0."""
     c2 = _exact_int(c2)
     report = restriction_threshold(c, gamma, interval)
-    A, B, Q, m = report.value.parts
-    # c2 < (A + B*sqrt(m))/Q iff c2*Q - A - B*sqrt(m) < 0, as Q > 0
-    verdict = "certified" if _sign(c2 * Q - A, -B, m) < 0 else "inconclusive"
+    verdict = ("certified" if _rational_cmp(c2, 1, report.value) < 0
+               else "inconclusive")
     return CertificationResult(verdict, c2, report)
 
 
@@ -457,7 +451,7 @@ def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
     eps = Fraction(1, a + b - 2)
     report = gonality_bound(c, eps)
     pencil = (a - 1) * (b - 1)
-    if quad_cmp(report.value, Fraction(pencil)) >= 0:
+    if _rational_cmp(pencil, 1, report.value) <= 0:
         return None
     return Discrepancy(
         code="linked-line-pencil-gap",

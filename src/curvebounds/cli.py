@@ -291,7 +291,10 @@ def cmd_verify_replay_restriction(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify_sweep(args: argparse.Namespace) -> Result:
-    flag = "eta" if args.mode == "gonality" else "gamma"
+    flag, other = ("eta", "gamma") if args.mode == "gonality" else ("gamma", "eta")
+    if getattr(args, other) is not None:
+        raise ParseError(f"--{other} does not apply in {args.mode} mode; "
+                         f"pass --{flag}")
     desc, eta, _, notes = _load(args, flag)
     if args.stop < args.start:
         raise ParseError(f"--stop {args.stop} is below --start {args.start}")

@@ -24,7 +24,7 @@ from ._record import record
 from .blowup import _SYSTEM_POINTS, CurveGeometry, _check_points, lambda_eta
 from .errors import LambdaNegative, NonpositiveEta, UnboundedBox
 from .scalar import RationalLike
-from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
+from .scalar import capped_rational as _capped_rational, exact_int as _exact_int
 
 NECESSARY_ONLY_NOTE = (
     "constraints are necessary conditions; a witness does not disprove "
@@ -89,7 +89,6 @@ class ReplayOutcome:
     empty: bool
     witness: Optional[tuple[int, int]]
     checked: int
-    system: ConstraintSystem
     note: str = NECESSARY_ONLY_NOTE
 
 
@@ -119,7 +118,7 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
     with ``math.isqrt``, and the saturation row tests x >= 0 and
     x^2 >= y^2*d.
     """
-    eta = _exact_rational(eta)
+    eta = _capped_rational(eta)
     if eta <= 0:
         raise NonpositiveEta(f"eta must be positive, got {eta}")
     lam = lambda_eta(curve, eta)
@@ -256,8 +255,8 @@ def region_empty(sys: ConstraintSystem, margin: int = 0) -> ReplayOutcome:
             if best is None or key < best:
                 best = key
     if best is None:
-        return ReplayOutcome(empty=True, witness=None, checked=checked, system=sys)
-    return ReplayOutcome(empty=False, witness=best[1:], checked=checked, system=sys)
+        return ReplayOutcome(empty=True, witness=None, checked=checked)
+    return ReplayOutcome(empty=False, witness=best[1:], checked=checked)
 
 
 def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
@@ -274,7 +273,7 @@ def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
     if mode_family not in ("gonality", "restriction"):
         raise ValueError(f"unknown mode family: {mode_family!r}")
     _check_margin(margin)
-    eta = _exact_rational(eta)
+    eta = _capped_rational(eta)
     if eta <= 0:
         raise NonpositiveEta(f"eta must be positive, got {eta}")
     if _exact_int(l_min) < 0:

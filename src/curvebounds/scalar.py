@@ -11,10 +11,11 @@ Values are kept in a canonical form at all times:
   ``B == 0``.  The form is unique, so equality is a tuple compare.  The
   public constructor is the one gate that validates input and sets this
   form up: it splits the radicand into ``core * k**2`` with ``core``
-  square-free, absorbs ``k`` into the coefficient, and collapses perfect
-  squares to a rational.  The modules that compute (``bounds``,
+  square-free, absorbs ``k`` into the coefficient, collapses perfect
+  squares to a rational, and hands the integer triple to :func:`_quad`,
+  the one normaliser.  The modules that compute (``bounds``,
   ``seshadri``) carry their values as integer numerators and build each
-  result once, through :func:`_quad`, which normalises with one
+  result once, through ``_quad`` too, which divides out one
   three-argument ``math.gcd`` and never re-splits a radicand.  Two
   values are therefore comparable exactly when their radicands are
   equal or one side is rational.  The properties ``a = A/Q`` and
@@ -43,7 +44,9 @@ longer one raises :class:`TooManyDigits` before it is converted; an
 Every comparison is decided by exact integer sign analysis of the
 difference's numerator ``A + B*sqrt(m)``, which is never normalised
 (case analysis on the signs of ``A`` and ``B``, then comparing ``A**2``
-against ``B**2 * m``); ``floor`` and ``ceil`` are closed forms over
+against ``B**2 * m``).  A rational against a value is one call of
+:func:`_rational_cmp`; ``bounds`` and ``seshadri`` decide each such
+verdict through it.  ``floor`` and ``ceil`` are closed forms over
 ``math.isqrt(B**2 * m)``.  Floating point is never consulted.  Decimal
 rendering exists for display and for non-certified cross-checks only.
 """
@@ -51,6 +54,7 @@ rendering exists for display and for non-certified cross-checks only.
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
@@ -151,6 +155,17 @@ def _sign(a: int, b: int, m: int) -> int:
     return -1 if a <= 0 or b * b * m > a * a else 1
 
 
+def _order(test):
+    """A rich comparison of QuadNumber: ``test(sign of x - y, 0)``, or
+    NotImplemented for a foreign type."""
+    def compare(self: QuadNumber, other: QuadLike) -> bool:
+        rhs = _coerce(other)
+        if rhs is NotImplemented:
+            return NotImplemented
+        return test(_cmp(self, rhs), 0)
+    return compare
+
+
 class QuadNumber:
     """An exact element ``a + b*sqrt(m)`` of Q(sqrt(m)), totally ordered
     by the real embedding with sqrt(m) >= 0.
@@ -168,24 +183,13 @@ class QuadNumber:
         b = exact_rational(b)
         if exact_int(m) < 0:
             raise NegativeRadicand(f"radicand must be nonnegative, got {m}")
-        if b == 0:
-            m = 0
-        else:
-            core, k = _square_free_split(m)
-            b *= k
-            m = core
-            if m == 0:
-                b = _ZERO
-            elif m == 1:
-                a += b
-                b = _ZERO
-                m = 0
-        # a and b are reduced, so no prime divides A, B and their lcm Q
-        q = math.lcm(a.denominator, b.denominator)
-        self._A = a.numerator * (q // a.denominator)
-        self._B = b.numerator * (q // b.denominator)
-        self._Q = q
-        self._m = m
+        # m = core * k**2; a square radicand (core 0 or 1) folds into a
+        core, k = _square_free_split(m) if b else (0, 1)
+        if core <= 1:
+            a, b, core = a + b * k * core, _ZERO, 0
+        self._A, self._B, self._Q, self._m = _quad(
+            a.numerator * b.denominator, b.numerator * k * a.denominator,
+            a.denominator * b.denominator, core).parts
 
     # -- canonical components ------------------------------------------
 
@@ -231,29 +235,10 @@ class QuadNumber:
         return ((self._A, self._B, self._Q, self._m)
                 == (other._A, other._B, other._Q, other._m))
 
-    def __lt__(self, other: QuadLike) -> bool:
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return _cmp(self, rhs) < 0
-
-    def __le__(self, other: QuadLike) -> bool:
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return _cmp(self, rhs) <= 0
-
-    def __gt__(self, other: QuadLike) -> bool:
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return _cmp(self, rhs) > 0
-
-    def __ge__(self, other: QuadLike) -> bool:
-        rhs = _coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return _cmp(self, rhs) >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __hash__(self) -> int:
         if self._B == 0:
@@ -358,6 +343,13 @@ def _cmp(x: QuadNumber, y: QuadNumber) -> int:
     return _sign(x._A * q - y._A * p, x._B * q - y._B * p, m)
 
 
+def _rational_cmp(p: int, q: int, x: QuadNumber) -> int:
+    """Sign of ``p/q - x`` for integers ``p`` and ``q > 0``: the one test
+    of a rational against a value.  With x = (A + B*sqrt(m))/Q it is the
+    sign of p*Q - q*A - q*B*sqrt(m), as q*Q > 0."""
+    return _sign(p * x._Q - q * x._A, -q * x._B, x._m)
+
+
 def _coerce(other: QuadLike) -> QuadNumber:
     """``other`` as a QuadNumber; NotImplemented for a foreign type."""
     if isinstance(other, QuadNumber):
@@ -422,6 +414,17 @@ def capped_int(n: int, digits: int = MAX_DIGITS) -> int:
     if abs(n) >= _TEN_TO[digits]:
         raise TooManyDigits(f"a number of more than {digits} digits, above the cap")
     return n
+
+
+def capped_rational(q: object) -> Fraction:
+    """``q`` as a Fraction (TypeError for a float or a bool), or
+    TooManyDigits when its numerator or its denominator has more than
+    MAX_DIGITS digits, the most either has in a rational that
+    :func:`parse_rational` takes; ``q`` is not converted to text."""
+    q = exact_rational(q)
+    capped_int(q.numerator)
+    capped_int(q.denominator)
+    return q
 
 
 def parse_int(text: str) -> int:

@@ -35,11 +35,12 @@ from .scalar import (
     QuadNumber,
     RationalLike,
     _quad,
+    _rational_cmp,
     _sign,
     _sqrt_parts,
+    capped_rational as _capped_rational,
     exact_int as _exact_int,
     exact_rational as _exact_rational,
-    quad_cmp,
 )
 
 BoundValue = Union[Fraction, QuadNumber]
@@ -182,7 +183,7 @@ def make_evidence(kind: str, params: tuple, note: str = "") -> Evidence:
     if len(params) != len(fields):
         raise TypeError(f"{kind} takes the parameters ({', '.join(fields)}), "
                         f"got {len(params)}")
-    params = tuple([_exact_rational(v) if name in row.rational else _exact_int(v)
+    params = tuple([_capped_rational(v) if name in row.rational else _exact_int(v)
                     for name, v in zip(fields, params)])
     for name, v in zip(fields, params):
         if v <= 0:
@@ -269,21 +270,25 @@ class SeshadriInterval:
 
     @property
     def lower_witness(self) -> Evidence:
-        """The evidence achieving the reported lower bound."""
-        return max(self.lower_trace, key=lambda t: t[1])[0]
+        """The evidence achieving the reported lower bound: the first
+        candidate equal to it, as ``combine`` chose it."""
+        return next(ev for ev, v in self.lower_trace if v == self.lower)
 
     @property
     def upper_witness(self) -> Evidence:
-        """The evidence achieving the reported upper bound."""
-        return min(self.upper_trace, key=lambda t: t[1])[0]
+        """The evidence achieving the reported upper bound: the first
+        candidate equal to it, as ``combine`` chose it."""
+        return next(ev for ev, v in self.upper_trace if self.upper == v)
 
     @property
     def is_point(self) -> bool:
-        return quad_cmp(self.lower, self.upper) == 0
+        return self.upper == self.lower
 
     def __contains__(self, q: RationalLike) -> bool:
         q = _exact_rational(q)
-        return self.lower <= q and quad_cmp(q, self.upper) <= 0
+        p, s = q.numerator, q.denominator
+        return (self.lower.numerator * s <= p * self.lower.denominator
+                and _rational_cmp(p, s, self.upper) <= 0)
 
 
 _PAIRED = "{} paired with exact eps1 = {}: eps >= min(eps1, {}) = {}"
@@ -296,7 +301,8 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     unconditional defaults, pairing residual-pencil bounds with exact
     sub-line-bundle data, and gating the result on the genus bound.
     The extremes are chosen by integer cross-multiplication and
-    ``_sign``; ties keep the first candidate, as ``max`` and ``min`` do."""
+    ``_sign``; ties keep the first candidate, which is the witness the
+    interval names."""
     defaults = [
         _DEGREE_DEFAULT,
         # valid by construction, as deg_N = (r+1)d + 2g - 2 >= 2
@@ -348,8 +354,7 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     if not isinstance(upper, QuadNumber):
         upper = _quad(A, 0, Q, 0)
 
-    # lower - upper = (p*Q - q*A - q*B*sqrt(m)) / (q*Q) for lower = p/q
-    if _sign(p * Q - q * A, -q * B, m) > 0:
+    if _rational_cmp(p, q, upper) > 0:
         raise InconsistentEvidence(
             f"lower bound {lower} exceeds upper bound {upper} "
             f"(lower from {lower_ev})")

@@ -10,6 +10,7 @@ from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import bounds_oracle as oracle
+import quad_model as model
 import seshadri_oracle
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import (
@@ -623,11 +624,12 @@ def test_table_calls_render_no_text(monkeypatch, descriptor):
     assert [r.verdict for r in certs] == ["certified", "inconclusive", "inconclusive"]
 
 
-# -- the integer sign tests against quad_cmp ----------------------------------
+# -- the verdicts against the model -------------------------------------------
 #
 # The interval warning and the certification verdict are decided by
-# integer sign tests on the parts of exact values; quad_cmp decides the
-# same comparisons through the public order.
+# scalar's one test of a rational against a value, on the parts of exact
+# values; the Fraction-pair model, which shares no code with scalar,
+# decides the same comparisons.
 
 
 @st.composite
@@ -653,10 +655,10 @@ INTERVAL_ARGS = interval_args()
 
 
 @given(INTERVAL_ARGS)
-def test_interval_warning_iff_eta_outside_by_quad_cmp(args):
+def test_interval_warning_iff_eta_outside_by_the_model(args):
     c, eta, interval = args
-    outside = (quad_cmp(eta, interval.lower) < 0
-               or quad_cmp(eta, interval.upper) > 0)
+    outside = (model.cmp(eta, interval.lower) < 0
+               or model.cmp(eta, model.of(interval.upper)) > 0)
     for bound in (gonality_bound, restriction_threshold):
         warnings = [t for t in bound(c, eta, interval).trace if t.startswith("warning:")]
         assert len(warnings) == outside
@@ -680,10 +682,10 @@ CERTIFICATION_ARGS = certification_args()
 
 
 @given(CERTIFICATION_ARGS)
-def test_certification_verdict_is_quad_cmp(args):
+def test_certification_verdict_is_the_models(args):
     c, gamma, c2 = args
     res = certify_restriction_stable(c, gamma, c2)
-    below = quad_cmp(c2, res.report.value) < 0
+    below = model.cmp(c2, model.of(res.report.value)) < 0
     assert res.verdict == ("certified" if below else "inconclusive")
     assert res.certified is below
 

@@ -307,6 +307,20 @@ def test_verify_sweep_restriction_uses_gamma(capsys):
     assert "frontier: c2 = 3" in out
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("mode, given, taken", [
+    ("gonality", "gamma", "eta"), ("restriction", "eta", "gamma")])
+def test_verify_sweep_refuses_the_other_modes_flag(capsys, json_flag, mode,
+                                                   given, taken):
+    # once the flag was dropped and eta defaulted, with exit 0
+    code, out, err = run(capsys, "verify", "sweep", CI52, "--mode", mode,
+                         "--start", "3", "--stop", "5", f"--{given}", "1/3",
+                         *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --{given} does not apply in {mode} mode; pass --{taken}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "replay-gonality", CI52, "--k", "30"),
     ("verify", "replay-restriction", CI504, "--c2", "2"),

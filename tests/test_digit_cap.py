@@ -11,12 +11,14 @@ import pytest
 
 from curvebounds import cli
 from curvebounds.blowup import CurveGeometry
-from curvebounds.bounds import gonality_bound
+from curvebounds.bounds import (gonality_bound, gonality_bound_general_r,
+                                pencil_degree_bound_subvariety, restriction_threshold)
 from curvebounds.catalog import descriptor_from_dict
 from curvebounds.errors import (CurveBoundsError, InvariantViolation, ParseError,
                                TooManyDigits)
 from curvebounds.scalar import MAX_CURVE_DIGITS, MAX_DIGITS
-from curvebounds.seshadri import EVIDENCE_KINDS
+from curvebounds.replay import GonalityMode, build_system, sweep
+from curvebounds.seshadri import EVIDENCE_KINDS, assert_exact, combine
 from test_cli import CI52, _fresh_process
 
 CAP_MESSAGE = f"digits, above the cap of {MAX_DIGITS}"
@@ -125,10 +127,11 @@ OPTION_FORMS = {
     "replay-restriction --box-margin": (["verify", "replay-restriction", CI52,
                                          "--c2", "1", "--box-margin", "X"],
                                         integer_texts),
+    # each mode takes its own flag and refuses the other one
     **{f"sweep {mode} --{flag}":
        (["verify", "sweep", CI52, "--mode", mode, "--start", "0", "--stop", "1",
          f"--{flag}", "X"], rational_texts)
-       for mode in ("gonality", "restriction") for flag in ("eta", "gamma")},
+       for mode, flag in (("gonality", "eta"), ("restriction", "gamma"))},
     **{f"sweep {mode} --{name}":
        (["verify", "sweep", CI52, "--mode", mode,
          "--start", "0" if name == "stop" else "X", "--stop", "X",
@@ -286,3 +289,37 @@ def test_a_curve_takes_every_width_a_descriptor_derives(field):
         with pytest.raises(TooManyDigits, match=f"^a number of more than "
                            f"{MAX_CURVE_DIGITS} digits, above the cap$"):
             CurveGeometry(**{"d": 10, "g": 0, field: n})
+
+
+# A Fraction that a library caller hands to a bound, to the replay or
+# to an evidence item skips the parser's cap: each applies MAX_DIGITS to
+# its numerator and to its denominator, without converting either to
+# text (at 4,400 digits each call once ended in Python's raw limit).
+RATIONAL_ENTRIES = {
+    "gonality_bound": lambda q: gonality_bound(CurveGeometry(d=10, g=0), q).trace,
+    "gonality_bound_general_r": lambda q: gonality_bound_general_r(
+        CurveGeometry(d=10, g=0), q).compact.trace,
+    "pencil_degree_bound_subvariety": lambda q: pencil_degree_bound_subvariety(
+        10, 70, 1, q, 3).trace,
+    "restriction_threshold": lambda q: restriction_threshold(
+        CurveGeometry(d=10, g=0), q).trace,
+    "build_system": lambda q: build_system(CurveGeometry(10, 16), q, GonalityMode(k=0)),
+    "sweep": lambda q: sweep(CurveGeometry(10, 16), q, "gonality", range(2)),
+    "assert_exact": lambda q: combine(CurveGeometry(10, 16), [assert_exact(q)]),
+}
+
+
+@pytest.mark.parametrize("entry", RATIONAL_ENTRIES.values(), ids=RATIONAL_ENTRIES)
+@pytest.mark.parametrize("numerator, denominator", [
+    (MAX_DIGITS, MAX_DIGITS), (MAX_DIGITS + 1, MAX_DIGITS),
+    (MAX_DIGITS, MAX_DIGITS + 1), (1, 4401)])
+def test_a_library_rational_passes_the_digit_cap(entry, numerator, denominator):
+    # (10**(n-1) + 1) / (6 * 10**(m-1)) is in lowest terms, with n and m
+    # digits; at n = m it is about 1/6, inside ci-5-2's interval
+    q = Fraction(10 ** (numerator - 1) + 1, 6 * 10 ** (denominator - 1))
+    if max(numerator, denominator) <= MAX_DIGITS:
+        entry(q)
+        return
+    with pytest.raises(TooManyDigits, match=f"^a number of more than {MAX_DIGITS} "
+                       "digits, above the cap$"):
+        entry(q)

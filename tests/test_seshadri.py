@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import quad_model as model
@@ -307,7 +307,7 @@ def test_combine_is_a_fold_of_bound_from_evidence(args):
 
 @pytest.mark.parametrize("case", [
     "inconsistent", "rational upper", "irrational upper", "residual paired",
-    "lower equals upper"])
+    "lower equals upper", "tie at an end"])
 def test_fold_strategy_reaches(case):
     def hit(args):
         out = seshadri_oracle.combine(*args)
@@ -318,8 +318,48 @@ def test_fold_strategy_reaches(case):
                 "irrational upper": not high.is_rational,
                 "residual paired": {"residual_reduced", "normal_bundle_s"}
                 <= {e.kind for e in args[1]},
-                "lower equals upper": low == high}[case]
+                "lower equals upper": low == high,
+                "tie at an end": sum(v == low for _, v in out[2]) > 1
+                or sum(high == v for _, v in out[3]) > 1}[case]
     find(seshadri_oracle.CURVE_EVIDENCE, hit, settings=REACH)
+
+
+def _in_model(v):
+    return model.of(v) if isinstance(v, QuadNumber) else v
+
+
+@given(seshadri_oracle.CURVE_EVIDENCE, st.data())
+def test_membership_point_and_witnesses_agree_with_the_model(args, data):
+    # the interval decides `in` through scalar's one rational test, and
+    # is_point and its witnesses by equality with its ends; the model,
+    # which shares no code with scalar, decides each from the traces,
+    # the first candidate winning a tie
+    c, evidence = args
+    # the oracle, not combine, says which intervals are empty, so that a
+    # fault that empties every interval cannot skip every example
+    assume(seshadri_oracle.combine(c, evidence) is not None)
+    iv = combine(c, evidence)
+    lows = [v for _, v in iv.lower_trace]
+    highs = [_in_model(v) for _, v in iv.upper_trace]
+    low, high = lows[0], highs[0]
+    for v in lows:
+        low = v if model.cmp(v, low) > 0 else low
+    for v in highs:
+        high = model.minimum(high, v)
+    assert model.cmp(iv.lower, low) == 0
+    assert model.cmp(model.of(iv.upper), high) == 0
+    assert iv.lower_witness == next(ev for ev, v in iv.lower_trace
+                                    if model.cmp(v, low) == 0)
+    assert iv.upper_witness == next(ev for (ev, _), v in zip(iv.upper_trace, highs)
+                                    if model.cmp(v, high) == 0)
+    assert iv.is_point == (model.cmp(low, high) == 0)
+    # the ends themselves where rational, and rationals next to them
+    top = (iv.upper.as_rational() if iv.upper.is_rational
+           else F(str(iv.upper.to_decimal(12))))
+    near = [low, top, *(x * F(k, 1000) for x in (low, top) for k in (999, 1001))]
+    q = data.draw(st.one_of(st.sampled_from(near),
+                            st.fractions(min_value=0, max_value=2, max_denominator=100)))
+    assert (q in iv) == (model.cmp(q, low) >= 0 and model.cmp(q, high) <= 0)
 
 
 # the rows build their values in canonical form, without generic
