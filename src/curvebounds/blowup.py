@@ -31,12 +31,14 @@ from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 # work in closed form before its first point, counted in replay points,
 # and refuses more than MAX_POINTS.  The weights are measured by
 # tools/work_weights.py on 2 cores (Python 3.11.7): a replay point costs
-# ~4.5-7.9 us, an identity class ~5.5 points (~24-44 us with the integer
-# top_product, _CLASS_POINTS) and a sweep parameter ~16 points beyond its
-# box for the system it builds (_SYSTEM_POINTS).  So an allowed
-# enumeration runs ~18-32 s at most: the scan to range 407 (664,225
-# classes) and the ci-5-2 sweep over k in [0, 2000) at margin 20
-# (3,444,000 points) still run.
+# ~4.3-7.9 us, an identity class ~4 points (~17-30 us) and a sweep
+# parameter ~16 points beyond its box for the system it builds
+# (_SYSTEM_POINTS).  _CLASS_POINTS = 6 is above the measured weight:
+# over-charging a class keeps the cap a bound on time, and keeps
+# --range 408 the first range refused.  So an allowed enumeration
+# runs ~18-32 s at most: the scan to range 407 (664,225 classes, ~11-20 s)
+# and the ci-5-2 sweep over k in [0, 2000) at margin 20 (3,444,000
+# points) still run.
 MAX_POINTS = 4 * 10**6
 _CLASS_POINTS = 6
 _SYSTEM_POINTS = 16
@@ -229,16 +231,16 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
                   f"the slope-identity scan to range {bound} has {classes} classes")
     lam = lambda_eta(c, eta)
     heta = h_eta(eta)
+    eta_d = eta * c.d
     violations: list[tuple[int, int]] = []
     checked = 0
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
             checked += 1
             dcls = DivisorClass(x, y)
-            lhs = (top_product(c, (dcls, dcls, heta))
-                   - top_product(c, (dcls, heta, E)))
+            lhs = top_product(c, (dcls, dcls, heta)) - top_product(c, (dcls, heta, E))
             s = top_product(c, (dcls, heta, H))
-            rhs = s * s - s * eta * c.d - lam * (Fraction(y) ** 2 - y)
+            rhs = s * (s - eta_d) - lam * (y * y - y)
             if lhs != rhs:
                 violations.append((x, y))
     return checked, violations

@@ -1,19 +1,23 @@
 """Test-only oracle for the Seshadri interval: ``combine`` as a fold of
 the public per-item view ``bound_from_evidence`` over the injected
-defaults and the given items, in generic ``QuadNumber`` arithmetic,
-and a strategy of generated curves with evidence to run it on.
+defaults and the given items, ordered in the Fraction-pair model
+``quad_model``, and a strategy of generated curves with evidence to run
+it on.
 
 ``combine`` reads each evidence row's bound directly and decides the
-interval's consistency by an integer sign test; this module rebuilds
-the same interval from one ``EvidenceBound`` per item and ``quad_cmp``.
+interval's extremes and consistency by ``scalar``'s integer sign tests;
+this module rebuilds the same interval from one ``EvidenceBound`` per
+item and decides every comparison in the model, which shares no code
+with ``scalar``.  The upper candidates share one radicand at most (the
+degree default's 1/sqrt(d)), as the model's ordering needs.
 """
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import quad_model as model
 from curvebounds.blowup import CurveGeometry, genus_consistency
-from curvebounds.scalar import QuadNumber, quad_cmp
 from curvebounds.seshadri import (
     Evidence,
     assert_exact,
@@ -30,9 +34,14 @@ from curvebounds.seshadri import (
 F = Fraction
 
 
+def _model(v):
+    """A bound as a model value: a rational, or a ``QuadNumber``."""
+    return model.lift(v) if isinstance(v, (int, Fraction)) else model.of(v)
+
+
 def combine(c, evidence):
-    """(lower, upper, lower_trace, upper_trace, number of notes), or
-    None where ``combine`` must raise InconsistentEvidence."""
+    """(lower, upper as a model value, lower_trace, upper_trace, number
+    of notes), or None where ``combine`` must raise InconsistentEvidence."""
     items = [degree_default(note="injected default"),
              Evidence("normal_bundle_s", (F(c.deg_n, 2),),
                       "injected default: worst-case instability measure"),
@@ -46,10 +55,13 @@ def combine(c, evidence):
     if exact_eps1:
         lower += [(b.evidence, min(min(exact_eps1), b.eps2_lower))
                   for b in residuals]
+    # the lower bounds are rational, so max orders them as Fractions; the
+    # first of equal upper candidates wins, as min keeps it
     low = max(v for _, v in lower)
-    high = min(v for _, v in upper)
-    high = high if isinstance(high, QuadNumber) else QuadNumber(high)
-    if quad_cmp(low, high) > 0 or not genus_consistency(c, low):
+    high = _model(upper[0][1])
+    for _, v in upper[1:]:
+        high = model.minimum(high, _model(v))
+    if model.cmp(low, high) > 0 or not genus_consistency(c, low):
         return None
     return low, high, tuple(lower), tuple(upper), len(residuals)
 

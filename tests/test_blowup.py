@@ -407,14 +407,21 @@ def test_slope_identity_scan_counts_every_class(c, eta):
         assert slope_identity_scan(c, eta, bound) == (expected, [])
 
 
-def test_slope_identity_scan_reports_violations(monkeypatch):
-    # a kernel off by one in D.D.H_eta on the classes with y = 2 must be
-    # reported as exactly those classes, in scan order
+@pytest.mark.parametrize("perturbs", [
+    lambda A, B, C: B is A,   # D.D.H_eta
+    lambda A, B, C: C is E,   # D.H_eta.E
+    lambda A, B, C: C is H,   # s = D.H_eta.H
+], ids=["D.D.H_eta", "D.H_eta.E", "D.H_eta.H"])
+def test_slope_identity_scan_reports_violations(monkeypatch, perturbs):
+    # a kernel off by one in one of the three products on the classes
+    # with y = 2 must be reported as exactly those classes, in scan
+    # order; a scan that evaluated that product in a closed form of its
+    # own would report none
     true_product = blowup.top_product
 
     def off_by_one(c, classes):
-        A, B = classes[0], classes[1]
-        return true_product(c, classes) + (1 if B is A and A.y == 2 else 0)
+        A, B, C = classes
+        return true_product(c, classes) + (1 if perturbs(A, B, C) and A.y == 2 else 0)
 
     monkeypatch.setattr(blowup, "top_product", off_by_one)
     checked, violations = slope_identity_scan(CI52, F(1, 5), 2)
@@ -461,6 +468,18 @@ def test_slope_identity_holds_for_every_curve_and_class():
     scan visits."""
     assert len(UNIVERSAL_GRID) == 162
     assert vanishes_on_the_grid(slope_identity_defect)
+
+
+def test_slope_identity_scan_holds_on_the_grid():
+    """The scan's own expression, not slope_identity_defect's copy of
+    it: its classes {-2..2}^2 contain the grid's {0,1,2}^2, so no
+    violation for each grid (eta, d, g) proves, by the degree argument
+    above, the identity as the scan evaluates it for every class, curve
+    and eta."""
+    curves = sorted({(eta, d, g) for _, _, eta, d, g in UNIVERSAL_GRID})
+    assert len(curves) == 18
+    for eta, d, g in curves:
+        assert slope_identity_scan(CurveGeometry(d=d, g=g), eta, 2) == (25, [])
 
 
 @pytest.mark.parametrize("perturbed", [
