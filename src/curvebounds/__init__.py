@@ -16,12 +16,9 @@ from .blowup import (
     bogomolov_unstable,
     chern_of_kernel,
     delta_eta,
-    delta_eta_compact,
-    delta_eta_segre,
     discriminant_dot_heta,
     genus_consistency,
     h_eta,
-    halphen_f,
     lambda_eta,
     slope_identity_scan,
     top_product,
@@ -30,7 +27,6 @@ from .bounds import (
     BoundReport,
     CertificationResult,
     Discrepancy,
-    GeneralRGonalityReport,
     StabilityConstant,
     barth_check,
     c2plus2_check,
@@ -38,9 +34,7 @@ from .bounds import (
     ci_curve_check,
     gamma_lower,
     gonality_bound,
-    gonality_bound_general_r,
     linked_line_claim_gap,
-    pencil_degree_bound_subvariety,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -72,7 +66,6 @@ from .errors import (
     RadicandTooLarge,
     TooManyDigits,
     UnboundedBox,
-    UnsupportedDimension,
     WorkTooLarge,
 )
 from .replay import (
@@ -91,10 +84,8 @@ from .scalar import (
     decimal_str,
     format_rational,
     parse_rational,
-    quad_cmp,
     quad_from_json,
     quad_to_json,
-    sqrt_rational,
 )
 from .seshadri import (
     Evidence,

@@ -1,17 +1,15 @@
-"""Intersection calculus on the blow-up of projective space along a
-smooth curve.
+"""Intersection calculus on the blow-up of P^3 along a smooth curve.
 
 The Picard group of the blow-up is generated by ``H`` (pullback of the
 hyperplane class) and the exceptional divisor ``E``.  Every quantity in
 this package flows through the monomial table
 
-    H^r = 1,   H^a E^b = 0 for 0 < b < r-1,
-    H * E^(r-1) = (-1)^(r-2) * d,   E^r = (-1)^r * deg_N,
+    H^3 = 1,   H^2 * E = 0,   H * E^2 = -d,   E^3 = -deg_N,
 
 where ``d`` is the degree of the curve and ``deg_N`` the degree of its
-normal bundle.  ``deg_N`` is always derived from (r, d, g) through the
-Euler-sequence formula ``deg_N = (r+1)d + 2g - 2`` and can never be set
-by hand: the derived invariants below are only mutually consistent with
+normal bundle.  ``deg_N`` is always derived from (d, g) through the
+Euler-sequence formula ``deg_N = 4d + 2g - 2`` and can never be set by
+hand: the derived invariants below are only mutually consistent with
 that value.
 """
 
@@ -21,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
-from .errors import ArityMismatch, UnsupportedDimension, WorkTooLarge
+from .errors import ArityMismatch, WorkTooLarge
 from .scalar import MAX_CURVE_DIGITS, RationalLike
 from .scalar import capped_int as _capped_int
 from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
@@ -53,18 +51,15 @@ def _check_points(work: int, what: str) -> None:
 
 @record
 class CurveGeometry:
-    """Ground facts of a smooth curve in P^r: ambient dimension,
-    degree and genus, with the normal-bundle degree derived."""
+    """Ground facts of a smooth curve in P^3: degree and genus, with
+    the normal-bundle degree derived."""
 
     d: int
     g: int
-    r: int = 3
 
     def __post_init__(self) -> None:
-        for n in (self.d, self.g, self.r):
+        for n in (self.d, self.g):
             _capped_int(_exact_int(n), MAX_CURVE_DIGITS)
-        if self.r < 3:
-            raise ValueError(f"ambient dimension must be >= 3, got {self.r}")
         if self.d < 1:
             raise ValueError(f"degree must be >= 1, got {self.d}")
         if self.g < 0:
@@ -72,8 +67,8 @@ class CurveGeometry:
 
     @property
     def deg_n(self) -> int:
-        """Degree of the normal bundle: (r+1)d + 2g - 2."""
-        return (self.r + 1) * self.d + 2 * self.g - 2
+        """Degree of the normal bundle: 4d + 2g - 2."""
+        return 4 * self.d + 2 * self.g - 2
 
 
 @record
@@ -87,18 +82,8 @@ class DivisorClass:
         object.__setattr__(self, "x", _exact_rational(x))
         object.__setattr__(self, "y", _exact_rational(y))
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.x, -self.y)
-
-    def scale(self, t: RationalLike) -> "DivisorClass":
-        t = _exact_rational(t)
-        return DivisorClass(t * self.x, t * self.y)
 
     def __str__(self) -> str:
         return f"{self.x}*H + {self.y}*E"
@@ -115,7 +100,7 @@ def h_eta(eta: RationalLike) -> DivisorClass:
 
 @record
 class ChernData:
-    """Chern data of a rank-two bundle on the blow-up (r = 3 only):
+    """Chern data of a rank-two bundle on the blow-up:
     ``c1`` a divisor class, plus a codimension-two class written as
     ``c2_h`` times the pullback of a point cycle (a line in P^3) and
     ``c2_f`` times the fiber class F of the exceptional divisor.
@@ -135,13 +120,13 @@ class ChernData:
 
 
 def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
-    """Top intersection number of r divisor classes, any r >= 3.
+    """Top intersection number of three divisor classes.
 
     Expanding the product of the linear forms x_i*H + y_i*E, only the
-    monomials H^r, H*E^(r-1) and E^r survive against the table; their
-    coefficients are prod x_i, sum_i x_i prod_{j != i} y_j and prod y_i,
-    carried through one pass over the classes.  Both nonzero E-entries
-    of the table carry the sign (-1)^r.
+    monomials H^3, H*E^2 and E^3 survive against the table
+    H^3 = 1, H*E^2 = -d, E^3 = -deg_N; their coefficients are prod x_i,
+    sum_i x_i prod_{j != i} y_j and prod y_i, carried through one pass
+    over the classes.
 
     The pass runs in integers: a class is (X*H + Y*E)/q with
     X = x.num * y.den, Y = y.num * x.den and q = x.den * y.den, so the
@@ -149,8 +134,8 @@ def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
     Fraction, reduced by one gcd, is built at the end.  The empty
     product (hh, he, ee) = (1, 0, 1) starts the pass.
     """
-    if len(classes) != c.r:
-        raise ArityMismatch(f"need exactly {c.r} classes, got {len(classes)}")
+    if len(classes) != 3:
+        raise ArityMismatch(f"need exactly 3 classes, got {len(classes)}")
     hh, he, ee, den = 1, 0, 1, 1
     for cl in classes:
         x, y = cl.x, cl.y
@@ -161,40 +146,16 @@ def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
         ee *= ey
         den *= xq * yq
     e_part = c.d * he + c.deg_n * ee
-    return Fraction(hh + e_part if c.r % 2 == 0 else hh - e_part, den)
+    return Fraction(hh - e_part, den)
 
 
 # -- derived invariants ----------------------------------------------------
 
 
 def delta_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
-    """eta * deg_N - d.  Equals E^2 . (H - eta*E) in the ring (r = 3)."""
-    if c.r != 3:
-        raise UnsupportedDimension(
-            "delta_eta is the r = 3 invariant; see delta_eta_compact / "
-            "delta_eta_segre for r > 3")
+    """eta * deg_N - d.  Equals E^2 . (H - eta*E) in the ring."""
     eta = _exact_rational(eta)
     return Fraction(eta.numerator * c.deg_n - eta.denominator * c.d, eta.denominator)
-
-
-def delta_eta_compact(c: CurveGeometry, eta: RationalLike) -> Fraction:
-    """The compact closed form eta^(r-3) * (eta*deg_N - d), any r >= 3.
-
-    For r > 3 this disagrees with the monomial-table value by a factor
-    (r-2) on the degree term; see :func:`delta_eta_segre`.
-    """
-    eta = _exact_rational(eta)
-    return eta ** (c.r - 3) * (eta * c.deg_n - c.d)
-
-
-def delta_eta_segre(c: CurveGeometry, eta: RationalLike) -> Fraction:
-    """E^2 . (H - eta*E)^(r-2) evaluated by the monomial table, any r >= 3.
-
-    Closed form: eta^(r-2)*deg_N - (r-2)*eta^(r-3)*d.  This is the
-    ground truth for r > 3; at r = 3 it coincides with
-    :func:`delta_eta_compact` and :func:`delta_eta`.
-    """
-    return top_product(c, [E, E] + [h_eta(eta)] * (c.r - 2))
 
 
 def lambda_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
@@ -202,13 +163,6 @@ def lambda_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
     Seshadri constant (Hodge-index constraint)."""
     eta = _exact_rational(eta)
     return eta ** 2 * c.d ** 2 - delta_eta(c, eta)
-
-
-def halphen_f(c: CurveGeometry, x: RationalLike) -> Fraction:
-    """The quadratic x^2 - (4 + (2g-2)/d)*x + d whose value at x = eta*d
-    equals lambda_eta.  Its discriminant controls the genus bound."""
-    x = _exact_rational(x)
-    return x ** 2 - (4 + Fraction(2 * c.g - 2, c.d)) * x + c.d
 
 
 def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
@@ -274,9 +228,6 @@ def discriminant_dot_heta(c: CurveGeometry, ch: ChernData,
                           eta: RationalLike) -> Fraction:
     """(c1^2 - 4c2) . (H - eta*E) for rank-two Chern data, using
     F.(H - eta*E) = eta and (pullback line).(H - eta*E) = 1."""
-    if c.r != 3:
-        raise UnsupportedDimension(
-            f"rank-two Chern data is evaluated on the blow-up of P^3, got r = {c.r}")
     eta = _exact_rational(eta)
     c1_sq = top_product(c, (ch.c1, ch.c1, h_eta(eta)))
     c2_part = ch.c2_h + ch.c2_f * eta

@@ -10,13 +10,11 @@ curve, with full step-by-step traces:
       c_2 < min{ delta_gamma/4, alpha gamma d - alpha^2 },
   with alpha = min{1, sqrt(3d)/2 - gamma d} clamped at 0.
 
-All four bounds here are one two-term computation (``_two_term_bound``)
+Both bounds here are one two-term computation (``_two_term_bound``)
 in the integer numerators of Q(sqrt(m)), fed a different delta, radicand,
 length and scale; each result is normalised once; ceilings are certified.
 A report records each trace line as a step ``(template, exact values...)``
 and renders its text only when ``trace`` is read.
-The general-r gonality variant evaluates both delta conventions side by
-side and flags disagreements; only r = 3 is certified.
 """
 
 from __future__ import annotations
@@ -26,18 +24,12 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import record, render
-from .blowup import (
-    CurveGeometry,
-    delta_eta,
-    delta_eta_compact,
-    delta_eta_segre,
-)
+from .blowup import CurveGeometry, delta_eta
 from .errors import (
     NoEvidence,
     NonpositiveEpsilon,
     NonpositiveGamma,
     NullCorrelationExcluded,
-    UnsupportedDimension,
 )
 from .scalar import (
     QuadNumber,
@@ -89,18 +81,6 @@ class BoundReport:
 
 
 @record
-class GeneralRGonalityReport:
-    """Side-by-side evaluation of the gonality bound for r >= 3 under
-    the two delta conventions; certified only when they are the same
-    (always at r = 3)."""
-
-    compact: BoundReport
-    segre: BoundReport
-    certified: bool
-    discrepancies: tuple[Discrepancy, ...] = ()
-
-
-@record
 class StabilityConstant:
     """A certified lower bound on the stability constant gamma, from
     surfaces through the curve on which the bundle restricts stably."""
@@ -139,13 +119,9 @@ def _templates(delta_term: str, alpha: str, alpha_term: str) -> tuple[str, ...]:
             f"alpha term: {alpha_term} = {{}}")
 
 
-# the raw alpha of the two r = 3 bounds names d: its "{}" takes c.d
+# the raw alpha of each bound names d: its "{}" takes c.d
 _GONALITY = _templates("delta/(4*eta)", "sqrt({}) - eta*d", "alpha*(d - alpha/eta)")
 _THRESHOLD = _templates("delta/4", "sqrt(3*{})/2 - gamma*d", "alpha*gamma*d - alpha^2")
-_GENERAL_R = _templates("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
-                        "alpha*(d - alpha/eta^(r-2))")
-_PENCIL = _templates("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
-                     "alpha*(d - alpha/eps^(r-2))")
 _VALUE = "value = min of the two terms = {}; smallest integer >= value: {}"
 # (the bound every input meets, why): an integer bound at or below it is
 # vacuous, and the report says so
@@ -157,28 +133,29 @@ _OUTSIDE = ("warning: {} = {} lies outside the certified interval "
 
 
 def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
-                    root: tuple[RationalLike, int], length: tuple[int, int],
+                    root: tuple[int, int], length: tuple[int, int],
                     scale: tuple[int, int], templates: tuple[str, ...],
-                    alpha_args: tuple = (), trivial: tuple = ()) -> BoundReport:
-    """The computation all four bounds share:
+                    alpha_args: tuple, trivial: tuple) -> BoundReport:
+    """The computation both bounds share:
         min{ delta/(4 scale), alpha (length - alpha/scale) },
     with alpha = min{1, sqrt(u)/w - length*scale} clamped at 0 for
-    root = (u, w), and its certified ceiling.  ``length`` and ``scale``
-    are (numerator, denominator) pairs, denominators and scale positive.
+    root = (u, w) in integers, and its certified ceiling.  ``length``
+    and ``scale`` are (numerator, denominator) pairs, denominators and
+    scale positive.
     One pass over integer numerators: the raw alpha's signs come from
     ``_sign``, the smaller term from ``_rational_cmp``, and each
     QuadNumber is normalised once, by ``_quad``.  ``templates``
     come from ``_templates``, with ``alpha_args`` filling the raw
     alpha's name; the caller has already stepped its inputs and delta.
-    With ``trivial`` (a ``*_TRIVIAL`` pair), a ceiling at or below its
-    bound gets a ``vacuous-bound`` discrepancy."""
+    ``trivial`` is a ``*_TRIVIAL`` pair: a ceiling at or below its bound
+    gets a ``vacuous-bound`` discrepancy."""
     (ln, lq), (sn, sq) = length, scale
     term_delta = Fraction(delta.numerator * sq, 4 * delta.denominator * sn)
     steps.append((templates[0], term_delta))
 
     # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in the split
     u, w = root
-    a, b, s, m = _sqrt_parts(u.numerator, u.denominator)
+    a, b, s, m = _sqrt_parts(u, 1)
     a, b, q = a * lq * sq - ln * sn * s * w, b * lq * sq, s * w * lq * sq
     if _sign(a, b, m) < 0:
         steps.append((templates[1], *alpha_args, _quad(a, b, q, m)))
@@ -204,7 +181,7 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
     ceiling = math.ceil(value)
     steps.append((_VALUE, value, ceiling))
     vacuous: tuple[Discrepancy, ...] = ()
-    if trivial and ceiling <= trivial[0]:
+    if ceiling <= trivial[0]:
         vacuous = (Discrepancy(
             "vacuous-bound", f"the integer bound {ceiling} is at or below the "
             f"trivial bound {trivial[0]}: {trivial[1]}",
@@ -225,8 +202,6 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     at eta = eps.  Valid when eps is at most the Seshadri constant of
     the curve; pass the certified interval to get a trace warning when
     eps falls outside it."""
-    if c.r != 3:
-        raise UnsupportedDimension(f"gonality bound is certified for r = 3, got r = {c.r}")
     eps = _capped_rational(eps)
     if eps.numerator <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
@@ -240,86 +215,9 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     delta = delta_eta(c, eps)
     steps.append(("delta = eta*deg_N - d = {}", delta))
     return _two_term_bound(
-        {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, steps, delta,
+        {"d": c.d, "g": c.g, "r": 3, "eta": eps}, steps, delta,
         (c.d, 1), (c.d, 1), (eps.numerator, eps.denominator), _GONALITY, (c.d,),
         _GONALITY_TRIVIAL)
-
-
-def _general_r_report(c: CurveGeometry, eps: Fraction, delta: Fraction,
-                      convention: str) -> BoundReport:
-    steps: list[tuple] = [
-        ("inputs: d = {}, g = {}, r = {}, eta = {}", c.d, c.g, c.r, eps),
-        (_DEG_N, c.deg_n),
-        ("delta ({} convention) = {}", convention, delta),
-    ]
-    p, q, e = eps.numerator, eps.denominator, c.r - 2
-    return _two_term_bound(
-        {"d": c.d, "g": c.g, "r": c.r, "eta": eps,
-         "delta_convention": convention}, steps, delta,
-        (eps ** (e - 1) * c.d, 1), (c.d, 1), (p ** e, q ** e), _GENERAL_R)
-
-
-def gonality_bound_general_r(c: CurveGeometry, eps: RationalLike) -> GeneralRGonalityReport:
-    """Gonality bound for a curve in P^r, r >= 3, evaluated under BOTH
-    delta conventions (the compact eta^(r-3)(eta deg_N - d) form and
-    the intersection-table form eta^(r-2) deg_N - (r-2) eta^(r-3) d).
-    They agree at r = 3, where the result matches gonality_bound and is
-    certified; for r > 3 a disagreement is flagged, not resolved."""
-    eps = _capped_rational(eps)
-    if eps.numerator <= 0:
-        raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
-
-    d_compact = delta_eta_compact(c, eps)
-    d_segre = delta_eta_segre(c, eps)
-    compact = _general_r_report(c, eps, d_compact, "compact")
-    segre = _general_r_report(c, eps, d_segre, "intersection-table")
-
-    discrepancies: tuple[Discrepancy, ...] = ()
-    if d_compact != d_segre:
-        discrepancies = (Discrepancy(
-            code="delta-convention-mismatch",
-            message=(f"the two delta conventions disagree at r = {c.r}: "
-                     f"compact {d_compact} vs intersection-table {d_segre}; "
-                     "both bounds are reported, neither is certified"),
-            data={"delta_compact": d_compact, "delta_segre": d_segre,
-                  "term_delta_compact": compact.term_delta,
-                  "term_delta_segre": segre.term_delta},
-        ),)
-    return GeneralRGonalityReport(
-        compact=compact,
-        segre=segre,
-        certified=(c.r == 3),
-        discrepancies=discrepancies,
-    )
-
-
-def pencil_degree_bound_subvariety(x_degree: RationalLike, deg_n_dot: RationalLike,
-                                   n: int, eps: RationalLike, r: int) -> BoundReport:
-    """Degree bound for a member of a pencil with small base locus on an
-    n-dimensional subvariety of P^r of degree x_degree, given the
-    normal-bundle product c1(N).H^(n-1) and a Seshadri lower bound eps.
-    Formula evaluator only; for n = 1, r = 3 it reduces exactly to
-    gonality_bound with deg_N = deg_n_dot."""
-    d = _capped_rational(x_degree)
-    deg_n_dot = _capped_rational(deg_n_dot)
-    eps = _capped_rational(eps)
-    n, r = _exact_int(n), _exact_int(r)
-    if d <= 0 or deg_n_dot <= 0 or n < 1 or r < 3:
-        raise ValueError("x_degree, deg_n_dot must be positive; n >= 1, r >= 3")
-    if eps.numerator <= 0:
-        raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
-
-    steps: list[tuple] = [
-        ("inputs: deg X = {}, c1(N).H^(n-1) = {}, n = {}, r = {}, eps = {}",
-         d, deg_n_dot, n, r, eps),
-    ]
-    delta = eps * (deg_n_dot + (n - 1) * d) - d
-    steps.append(("delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = {}", delta))
-    p, q, e = eps.numerator, eps.denominator, r - 2
-    return _two_term_bound(
-        {"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r, "eps": eps},
-        steps, delta, (eps ** (e - 1) * d, 1), (d.numerator, d.denominator),
-        (p ** e, q ** e), _PENCIL)
 
 
 def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
@@ -357,9 +255,6 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
     """Threshold on c2: a stable rank-two bundle on P^3 with c1 = 0 and
     c2 strictly below this value restricts stably to the curve.  Valid
     when gamma is at most the stability constant of the pair."""
-    if c.r != 3:
-        raise UnsupportedDimension(
-            f"restriction threshold is certified for r = 3, got r = {c.r}")
     gamma = _capped_rational(gamma)
     if gamma.numerator <= 0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
@@ -376,7 +271,7 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
     # capped radicand; at length gamma*d and scale 1 the kernel's alpha
     # term is alpha*gamma*d - alpha^2
     return _two_term_bound(
-        {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, steps, delta,
+        {"d": c.d, "g": c.g, "r": 3, "gamma": gamma}, steps, delta,
         (3 * c.d, 2), (gamma.numerator * c.d, gamma.denominator), (1, 1),
         _THRESHOLD, (c.d,), _THRESHOLD_TRIVIAL)
 

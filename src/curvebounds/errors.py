@@ -29,12 +29,8 @@ class RadicandTooLarge(CurveBoundsError):
 
 # --- intersection ring -------------------------------------------------
 
-class UnsupportedDimension(CurveBoundsError):
-    """Operation only defined for ambient dimension r = 3."""
-
-
 class ArityMismatch(CurveBoundsError):
-    """Top product called with a number of classes different from r."""
+    """Top product called with a number of classes other than 3."""
 
 
 # --- evidence / intervals ---------------------------------------------

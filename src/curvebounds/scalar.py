@@ -30,15 +30,14 @@ value is rational.
 
 Floats and bools are rejected with ``TypeError`` wherever a value
 enters: the constructor's components and its radicand (which must be an
-``int``), comparison operands, :func:`sqrt_rational` and
-:func:`quad_cmp`.
+``int``), comparison operands and :func:`decimal_str`.
 Radicands above :data:`MAX_RADICAND` raise :class:`RadicandTooLarge`
 before any factoring, so hostile input cannot stall the trial division.
 Numbers that enter as text, through :func:`parse_int` and
 :func:`parse_rational`, pass one digit cap, :data:`MAX_DIGITS`, and a
 longer one raises :class:`TooManyDigits` before it is converted; an
 ``int`` that enters a descriptor passes the same cap through
-:func:`capped_int`, and a curve's ``d``, ``g`` and ``r`` the wider
+:func:`capped_int`, and a curve's ``d`` and ``g`` the wider
 :data:`MAX_CURVE_DIGITS`, which bounds what a descriptor derives.
 
 Every comparison is decided by exact integer sign analysis of the
@@ -370,29 +369,12 @@ def _operand(x: QuadLike) -> QuadNumber:
     return q
 
 
-# -- operation layer ---------------------------------------------------
-
-
-def quad_cmp(x: QuadLike, y: QuadLike) -> int:
-    """Exact three-way comparison: -1, 0 or 1 as x <, =, > y."""
-    return _cmp(_operand(x), _operand(y))
-
-
 def _sqrt_parts(n: int, s: int) -> tuple[int, int, int, int]:
     """sqrt(n/s) for integers n >= 0 and s > 0 as integers (a, b, s, m),
     value (a + b*sqrt(m))/s with m square-free or 0, not reduced:
     sqrt(n/s) = sqrt(n*s)/s = k*sqrt(m)/s for n*s = m*k**2."""
     m, k = _square_free_split(n * s)
     return (k * m, 0, s, 0) if m <= 1 else (0, k, s, m)  # m <= 1: a square
-
-
-def sqrt_rational(q: RationalLike) -> QuadNumber:
-    """Exact square root of a nonnegative rational, with minimal
-    integer radicand: sqrt(p/s) = sqrt(p*s)/s."""
-    q = exact_rational(q)
-    if q < 0:
-        raise NegativeRadicand(f"cannot take sqrt of {q}")
-    return _quad(*_sqrt_parts(q.numerator, q.denominator))
 
 
 # -- serialization -------------------------------------------------------

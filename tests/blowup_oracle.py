@@ -1,10 +1,14 @@
-"""Test-only oracle for the intersection kernel: the coefficient-list
-expansion that ``curvebounds.blowup.top_product`` replaced with a single
-pass carrying only the three surviving coefficients.
+"""Test-only oracles for the intersection kernel.
 
-The product of the linear forms x_i + y_i*t is expanded in full in the
-E-degree t, and the monomial table is read off the coefficients of
-t^0, t^(r-1) and t^r with its signs written out.
+``top_product`` is the coefficient-list expansion that
+``curvebounds.blowup.top_product`` replaced with a single pass carrying
+only the three surviving coefficients: the product of the linear forms
+x_i + y_i*t is expanded in full in the E-degree t, and the monomial
+table of P^3 (H^3 = 1, H*E^2 = -d, E^3 = -deg_N) is read off the
+coefficients of t^0, t^2 and t^3.
+
+``halphen_f`` is the Halphen quadratic, a second derivation of
+lambda_eta.
 """
 
 from fractions import Fraction
@@ -18,9 +22,10 @@ def top_product(c, classes):
             nxt[i] += v * cl.x
             nxt[i + 1] += v * cl.y
         coeffs = nxt
-    r = c.r
-    sign_he = Fraction((-1) ** (r - 2))
-    sign_e = Fraction((-1) ** r)
-    return (coeffs[0]
-            + coeffs[r - 1] * sign_he * c.d
-            + coeffs[r] * sign_e * c.deg_n)
+    return coeffs[0] - coeffs[2] * c.d - coeffs[3] * c.deg_n
+
+
+def halphen_f(c, x):
+    """The quadratic x^2 - (4 + (2g-2)/d)*x + d whose value at x = eta*d
+    equals lambda_eta.  Its discriminant controls the genus bound."""
+    return x ** 2 - (4 + Fraction(2 * c.g - 2, c.d)) * x + c.d

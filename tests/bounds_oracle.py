@@ -94,7 +94,7 @@ def gonality_bound(c, eps, interval=None):
     delta = eps * c.deg_n - c.d
     trace.append(f"delta = eta*deg_N - d = {delta}")
     return _vacuous(two_term_bound(
-        {"d": c.d, "g": c.g, "r": c.r, "eta": eps}, trace, delta,
+        {"d": c.d, "g": c.g, "r": 3, "eta": eps}, trace, delta,
         model.sub(model.sqrt(c.d), eps * c.d), c.d, eps,
         ("delta/(4*eta)", f"sqrt({c.d}) - eta*d", "alpha*(d - alpha/eta)")),
         1, "every curve has gonality at least 1")
@@ -109,45 +109,7 @@ def restriction_threshold(c, gamma, interval=None):
     trace.append(f"delta = gamma*deg_N - d = {delta}")
     gamma_d = gamma * c.d
     return _vacuous(two_term_bound(
-        {"d": c.d, "g": c.g, "r": c.r, "gamma": gamma}, trace, delta,
+        {"d": c.d, "g": c.g, "r": 3, "gamma": gamma}, trace, delta,
         model.sub(model.div(model.sqrt(3 * c.d), 2), gamma_d), gamma_d, 1,
         ("delta/4", f"sqrt(3*{c.d})/2 - gamma*d", "alpha*gamma*d - alpha^2")),
         0, "no c2 >= 0 lies below it")
-
-
-def general_r_reports(c, eps):
-    """The (compact, intersection-table) pair of gonality_bound_general_r."""
-    eps = Fraction(eps)
-    r = c.r
-    deltas = (("compact", eps ** (r - 3) * (eps * c.deg_n - c.d)),
-              ("intersection-table",
-               eps ** (r - 2) * c.deg_n - (r - 2) * eps ** (r - 3) * c.d))
-    reports = []
-    for convention, delta in deltas:
-        trace = [f"inputs: d = {c.d}, g = {c.g}, r = {r}, eta = {eps}",
-                 f"deg_N = (r+1)d + 2g - 2 = {c.deg_n}",
-                 f"delta ({convention} convention) = {delta}"]
-        eps_pow = eps ** (r - 2)
-        reports.append(two_term_bound(
-            {"d": c.d, "g": c.g, "r": r, "eta": eps,
-             "delta_convention": convention}, trace, delta,
-            model.sub(model.sqrt(eps ** (r - 3) * c.d), eps_pow * c.d),
-            c.d, eps_pow,
-            ("delta/(4*eta^(r-2))", "sqrt(eta^(r-3)*d) - eta^(r-2)*d",
-             "alpha*(d - alpha/eta^(r-2))")))
-    return tuple(reports)
-
-
-def pencil_degree_bound_subvariety(x_degree, deg_n_dot, n, eps, r):
-    d, deg_n_dot, eps = Fraction(x_degree), Fraction(deg_n_dot), Fraction(eps)
-    trace = [f"inputs: deg X = {d}, c1(N).H^(n-1) = {deg_n_dot}, n = {n}, "
-             f"r = {r}, eps = {eps}"]
-    delta = eps * (deg_n_dot + (n - 1) * d) - d
-    trace.append(f"delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = {delta}")
-    eps_pow = eps ** (r - 2)
-    return two_term_bound(
-        {"x_degree": d, "deg_n_dot": deg_n_dot, "n": n, "r": r, "eps": eps},
-        trace, delta, model.sub(model.sqrt(eps ** (r - 3) * d), eps_pow * d),
-        d, eps_pow,
-        ("delta/(4*eps^(r-2))", "sqrt(eps^(r-3)*d) - eps^(r-2)*d",
-         "alpha*(d - alpha/eps^(r-2))"))

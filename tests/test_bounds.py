@@ -21,9 +21,7 @@ from curvebounds.bounds import (
     ci_curve_check,
     gamma_lower,
     gonality_bound,
-    gonality_bound_general_r,
     linked_line_claim_gap,
-    pencil_degree_bound_subvariety,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -35,9 +33,8 @@ from curvebounds.errors import (
     NonpositiveGamma,
     NullCorrelationExcluded,
     RadicandTooLarge,
-    UnsupportedDimension,
 )
-from curvebounds.scalar import MAX_RADICAND, QuadNumber, quad_cmp
+from curvebounds.scalar import MAX_RADICAND, QuadNumber
 from curvebounds.seshadri import SeshadriInterval, combine, complete_intersection
 
 F = Fraction
@@ -120,8 +117,6 @@ def test_gonality_input_validation():
         gonality_bound(CI52, 0)
     with pytest.raises(NonpositiveEpsilon):
         gonality_bound(CI52, F(-1, 5))
-    with pytest.raises(UnsupportedDimension):
-        gonality_bound(CurveGeometry(d=8, g=5, r=4), F(1, 4))
 
 
 def test_gonality_interval_warning():
@@ -145,7 +140,7 @@ def test_gonality_monotone_in_genus(d, g, extra, eta):
     lo = gonality_bound(CurveGeometry(d=d, g=g), eta)
     hi = gonality_bound(CurveGeometry(d=d, g=g + extra), eta)
     # only the delta term depends on g, and it grows with deg_N
-    assert quad_cmp(lo.value, hi.value) <= 0
+    assert lo.value <= hi.value
 
 
 # -- restriction threshold: frozen values -------------------------------------
@@ -184,8 +179,6 @@ def test_restriction_report_details():
 def test_restriction_input_validation():
     with pytest.raises(NonpositiveGamma):
         restriction_threshold(CI52, 0)
-    with pytest.raises(UnsupportedDimension):
-        restriction_threshold(CurveGeometry(d=8, g=5, r=4), F(1, 4))
 
 
 @given(st.integers(min_value=2, max_value=40),
@@ -195,7 +188,7 @@ def test_restriction_input_validation():
 def test_restriction_monotone_in_genus(d, g, extra, gamma):
     lo = restriction_threshold(CurveGeometry(d=d, g=g), gamma)
     hi = restriction_threshold(CurveGeometry(d=d, g=g + extra), gamma)
-    assert quad_cmp(lo.value, hi.value) <= 0
+    assert lo.value <= hi.value
 
 
 # -- certification ------------------------------------------------------------
@@ -223,158 +216,6 @@ def test_certify_antitone_in_c2():
                 for c2 in range(6)]
     assert verdicts == sorted(verdicts, reverse=True)
     assert verdicts == [True, True, True, False, False, False]
-
-
-# -- the two-convention evaluation for higher-dimensional ambients -------------
-
-
-def test_general_r_reduces_to_the_certified_bound_at_r3():
-    rep = gonality_bound_general_r(CI52, F(1, 5))
-    direct = gonality_bound(CI52, F(1, 5))
-    assert rep.certified
-    assert rep.discrepancies == ()
-    assert rep.compact.value == rep.segre.value == direct.value
-    assert rep.compact.value_ceiling == direct.value_ceiling
-
-
-def test_general_r4_reports_both_conventions_uncertified():
-    c4 = CurveGeometry(d=8, g=5, r=4)
-    rep = gonality_bound_general_r(c4, F(1, 4))
-    assert not rep.certified
-    assert rep.compact.term_delta == 4
-    assert rep.segre.term_delta == -4
-    assert rep.compact.value == QuadNumber(-40, 24, 2)
-    assert rep.segre.value == QuadNumber(-40, 24, 2)
-    assert rep.compact.value_ceiling == -6
-    assert len(rep.discrepancies) == 1
-    disc = rep.discrepancies[0]
-    assert disc.code == "delta-convention-mismatch"
-    assert disc.data["delta_compact"] == 1
-    assert disc.data["delta_segre"] == -1
-
-
-def test_general_r_traces_are_pinned_at_r3():
-    rep = gonality_bound_general_r(CurveGeometry(d=8, g=5), F(1, 4))
-    tail = (
-        "delta term: delta/(4*eta^(r-2)) = 2",
-        "alpha = min(1, sqrt(eta^(r-3)*d) - eta^(r-2)*d) = -2 + 2*sqrt(2)",
-        "alpha term: alpha*(d - alpha/eta^(r-2)) = -64 + 48*sqrt(2)",
-        "value = min of the two terms = 2; smallest integer >= value: 2",
-    )
-    for report, convention in ((rep.compact, "compact"),
-                               (rep.segre, "intersection-table")):
-        assert report.trace == (
-            "inputs: d = 8, g = 5, r = 3, eta = 1/4",
-            "deg_N = (r+1)d + 2g - 2 = 40",
-            f"delta ({convention} convention) = 2",
-        ) + tail
-
-
-def test_general_r_traces_are_pinned_at_r4():
-    rep = gonality_bound_general_r(CurveGeometry(d=8, g=5, r=4), F(1, 4))
-    head = (
-        "inputs: d = 8, g = 5, r = 4, eta = 1/4",
-        "deg_N = (r+1)d + 2g - 2 = 48",
-    )
-    tail = (
-        "alpha = min(1, sqrt(eta^(r-3)*d) - eta^(r-2)*d) = -1/2 + sqrt(2)",
-        "alpha term: alpha*(d - alpha/eta^(r-2)) = -40 + 24*sqrt(2)",
-        "value = min of the two terms = -40 + 24*sqrt(2); "
-        "smallest integer >= value: -6",
-    )
-    assert rep.compact.trace == head + (
-        "delta (compact convention) = 1",
-        "delta term: delta/(4*eta^(r-2)) = 4",
-    ) + tail
-    assert rep.segre.trace == head + (
-        "delta (intersection-table convention) = -1",
-        "delta term: delta/(4*eta^(r-2)) = -4",
-    ) + tail
-
-
-def test_general_r_alpha_clamps_to_zero():
-    c4 = CurveGeometry(d=2, g=0, r=4)
-    rep = gonality_bound_general_r(c4, 1)
-    assert rep.compact.alpha == 0
-    assert rep.compact.value == 0
-    assert not rep.certified
-
-
-def test_general_r_rejects_nonpositive_eta():
-    with pytest.raises(NonpositiveEpsilon):
-        gonality_bound_general_r(CI52, 0)
-
-
-# -- pencil bound on a subvariety ---------------------------------------------
-
-
-def test_pencil_bound_reduces_to_gonality_for_curves():
-    rep = pencil_degree_bound_subvariety(10, 70, 1, F(1, 5), 3)
-    direct = gonality_bound(CI52, F(1, 5))
-    assert rep.value == direct.value == 5
-    assert rep.term_delta == direct.term_delta
-    assert rep.term_alpha == direct.term_alpha
-
-
-@given(st.integers(min_value=1, max_value=30),
-       st.integers(min_value=0, max_value=30),
-       st.fractions(min_value=F(1, 20), max_value=2, max_denominator=20))
-def test_pencil_bound_reduction_is_exact(d, g, eps):
-    c = CurveGeometry(d=d, g=g)
-    rep = pencil_degree_bound_subvariety(d, c.deg_n, 1, eps, 3)
-    direct = gonality_bound(c, eps)
-    compact = gonality_bound_general_r(c, eps).compact
-    for other in (rep, compact):
-        assert other.value == direct.value
-        assert other.value_ceiling == direct.value_ceiling
-        assert other.alpha == direct.alpha
-        assert other.term_delta == direct.term_delta
-        assert other.term_alpha == direct.term_alpha
-
-
-def test_pencil_bound_traces_are_pinned():
-    tail = (
-        "alpha = min(1, sqrt(eps^(r-3)*d) - eps^(r-2)*d) = -3/2 + sqrt(6)",
-        "alpha term: alpha*(d - alpha/eps^(r-2)) = -42 + 18*sqrt(6)",
-    )
-    rep = pencil_degree_bound_subvariety(6, 30, 1, F(1, 4), 3)
-    assert rep.trace == (
-        "inputs: deg X = 6, c1(N).H^(n-1) = 30, n = 1, r = 3, eps = 1/4",
-        "delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = 3/2",
-        "delta term: delta/(4*eps^(r-2)) = 3/2",
-    ) + tail + (
-        "value = min of the two terms = 3/2; smallest integer >= value: 2",
-    )
-    rep = pencil_degree_bound_subvariety(6, 30, 2, F(1, 4), 3)
-    assert rep.trace == (
-        "inputs: deg X = 6, c1(N).H^(n-1) = 30, n = 2, r = 3, eps = 1/4",
-        "delta = eps*(c1(N).H^(n-1) + (n-1)d) - d = 3",
-        "delta term: delta/(4*eps^(r-2)) = 3",
-    ) + tail + (
-        "value = min of the two terms = -42 + 18*sqrt(6); "
-        "smallest integer >= value: 3",
-    )
-
-
-def test_pencil_bound_on_a_surface():
-    # degree-6 surface in P^3 with c1(N).H = 30 at eps = 1/4:
-    # delta = (30 + 6)/4 - 6 = 3, alpha = sqrt(6) - 3/2,
-    # min(3, 18*sqrt(6) - 42) is the alpha term
-    rep = pencil_degree_bound_subvariety(6, 30, 2, F(1, 4), 3)
-    assert rep.term_delta == 3
-    assert rep.value == QuadNumber(-42, 18, 6)
-    assert rep.value_ceiling == 3
-
-
-def test_pencil_bound_validation():
-    with pytest.raises(ValueError):
-        pencil_degree_bound_subvariety(0, 70, 1, F(1, 5), 3)
-    with pytest.raises(ValueError):
-        pencil_degree_bound_subvariety(10, 70, 0, F(1, 5), 3)
-    with pytest.raises(ValueError):
-        pencil_degree_bound_subvariety(10, 70, 1, F(1, 5), 2)
-    with pytest.raises(NonpositiveEpsilon):
-        pencil_degree_bound_subvariety(10, 70, 1, 0, 3)
 
 
 # -- stability constant from surfaces ------------------------------------------
@@ -499,16 +340,6 @@ def headline_args(draw):
 
 
 HEADLINE_ARGS = headline_args()
-GENERAL_R_ARGS = st.tuples(
-    st.builds(CurveGeometry, d=DEGREES, g=GENERA, r=st.sampled_from([3, 4, 5])),
-    st.fractions(min_value=F(1, 40), max_value=F(3, 2), max_denominator=40))
-PENCIL_ARGS = st.tuples(
-    st.one_of(st.integers(min_value=1, max_value=60),
-              st.fractions(min_value=F(1, 6), max_value=60, max_denominator=6)),
-    st.fractions(min_value=F(1, 4), max_value=400, max_denominator=4),
-    st.integers(min_value=1, max_value=3),
-    st.fractions(min_value=F(1, 30), max_value=F(3, 2), max_denominator=30),
-    st.integers(min_value=3, max_value=5))
 
 
 view = oracle.report_view
@@ -534,22 +365,10 @@ def test_restriction_threshold_matches_the_oracle(args):
     assert view(certify_restriction_stable(c, gamma, 0, interval).report) == expected
 
 
-@given(GENERAL_R_ARGS)
-def test_general_r_reports_match_the_oracle(args):
-    rep = gonality_bound_general_r(*args)
-    assert (view(rep.compact), view(rep.segre)) == oracle.general_r_reports(*args)
-
-
-@given(PENCIL_ARGS)
-def test_pencil_bound_matches_the_oracle(args):
-    assert (view(pencil_degree_bound_subvariety(*args))
-            == oracle.pencil_degree_bound_subvariety(*args))
-
-
 def _kernel_cases(rep):
     """The branches of the two-term kernel that one report went through."""
     clamped = any("clamped to 0" in line for line in rep.trace)
-    delta_wins = quad_cmp(rep.term_delta, rep.term_alpha) <= 0
+    delta_wins = rep.term_delta <= rep.term_alpha
     return {
         "alpha clamped to 0": clamped,
         "alpha = 1": not clamped and rep.alpha == 1,
@@ -573,16 +392,6 @@ REACH = settings(database=None, derandomize=True, phases=[Phase.generate])
 def test_differential_strategies_reach_every_kernel_case(bound, case):
     find(HEADLINE_ARGS, lambda args: _kernel_cases(bound(*args))[case],
          settings=REACH)
-
-
-@pytest.mark.parametrize("r", [3, 4, 5])
-def test_differential_strategies_reach_every_dimension(r):
-    find(GENERAL_R_ARGS, lambda args: args[0].r == r, settings=REACH)
-    find(PENCIL_ARGS, lambda args: args[4] == r, settings=REACH)
-
-
-def test_differential_strategies_reach_a_rational_x_degree():
-    find(PENCIL_ARGS, lambda args: F(args[0]).denominator > 1, settings=REACH)
 
 
 # -- text is rendered only when it is read -----------------------------------
@@ -722,8 +531,6 @@ def test_radicand_cap_is_unchanged():
     assert view(gonality_bound(CurveGeometry(MAX_RADICAND, 0), 1)) == \
         oracle.gonality_bound(CurveGeometry(MAX_RADICAND, 0), 1)
     for call in (lambda: restriction_threshold(CurveGeometry(d + 1, 0), 1),
-                 lambda: gonality_bound(CurveGeometry(MAX_RADICAND + 1, 0), 1),
-                 lambda: pencil_degree_bound_subvariety(
-                     F(MAX_RADICAND + 1, 1), 1, 1, 1, 3)):
+                 lambda: gonality_bound(CurveGeometry(MAX_RADICAND + 1, 0), 1)):
         with pytest.raises(RadicandTooLarge):
             call()

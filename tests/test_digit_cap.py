@@ -11,8 +11,7 @@ import pytest
 
 from curvebounds import cli
 from curvebounds.blowup import CurveGeometry
-from curvebounds.bounds import (gonality_bound, gonality_bound_general_r,
-                                pencil_degree_bound_subvariety, restriction_threshold)
+from curvebounds.bounds import gonality_bound, restriction_threshold
 from curvebounds.catalog import descriptor_from_dict
 from curvebounds.errors import (CurveBoundsError, InvariantViolation, ParseError,
                                TooManyDigits)
@@ -297,10 +296,6 @@ def test_a_curve_takes_every_width_a_descriptor_derives(field):
 # text (at 4,400 digits each call once ended in Python's raw limit).
 RATIONAL_ENTRIES = {
     "gonality_bound": lambda q: gonality_bound(CurveGeometry(d=10, g=0), q).trace,
-    "gonality_bound_general_r": lambda q: gonality_bound_general_r(
-        CurveGeometry(d=10, g=0), q).compact.trace,
-    "pencil_degree_bound_subvariety": lambda q: pencil_degree_bound_subvariety(
-        10, 70, 1, q, 3).trace,
     "restriction_threshold": lambda q: restriction_threshold(
         CurveGeometry(d=10, g=0), q).trace,
     "build_system": lambda q: build_system(CurveGeometry(10, 16), q, GonalityMode(k=0)),

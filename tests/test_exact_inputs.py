@@ -16,12 +16,9 @@ from curvebounds.blowup import (
     bogomolov_unstable,
     chern_of_kernel,
     delta_eta,
-    delta_eta_compact,
-    delta_eta_segre,
     discriminant_dot_heta,
     genus_consistency,
     h_eta,
-    halphen_f,
     lambda_eta,
     slope_identity_scan,
 )
@@ -32,9 +29,7 @@ from curvebounds.bounds import (
     ci_curve_check,
     gamma_lower,
     gonality_bound,
-    gonality_bound_general_r,
     linked_line_claim_gap,
-    pencil_degree_bound_subvariety,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -51,8 +46,6 @@ from curvebounds.scalar import (
     exact_int,
     exact_rational,
     format_rational,
-    quad_cmp,
-    sqrt_rational,
 )
 from curvebounds.seshadri import (
     assert_exact,
@@ -75,35 +68,24 @@ RATIONAL_ENTRY_POINTS = {
     "format_rational": format_rational,
     "QuadNumber.a": QuadNumber,
     "QuadNumber.b": lambda q: QuadNumber(0, q, 2),
-    "quad_cmp.x": lambda q: quad_cmp(q, 0),
-    "quad_cmp.y": lambda q: quad_cmp(0, q),
-    "sqrt_rational": sqrt_rational,
+    # the order's two operands, as (x > y) - (x < y)
+    "order.x": lambda q: (q > QuadNumber(0, 1, 2)) - (q < QuadNumber(0, 1, 2)),
+    "order.y": lambda q: (QuadNumber(0, 1, 2) > q) - (QuadNumber(0, 1, 2) < q),
     "decimal_str.x": decimal_str,
     "DivisorClass.x": lambda q: DivisorClass(q, 0),
     "DivisorClass.y": lambda q: DivisorClass(0, q),
-    "DivisorClass.scale": lambda q: H.scale(q),
     "h_eta": h_eta,
     "ChernData.c2_h": lambda q: ChernData(H, q, 0),
     "ChernData.c2_f": lambda q: ChernData(H, 0, q),
     "chern_of_kernel.c2": lambda q: chern_of_kernel(H, q, 1, "pencil"),
     "chern_of_kernel.degree": lambda q: chern_of_kernel(H, 0, q, "pencil"),
     "delta_eta": lambda q: delta_eta(CI52, q),
-    "delta_eta_compact": lambda q: delta_eta_compact(CI52, q),
-    "delta_eta_segre": lambda q: delta_eta_segre(CI52, q),
     "lambda_eta": lambda q: lambda_eta(CI52, q),
-    "halphen_f": lambda q: halphen_f(CI52, q),
     "discriminant_dot_heta": lambda q: discriminant_dot_heta(
         CI52, ChernData(H, 0, 0), q),
     "bogomolov_unstable": lambda q: bogomolov_unstable(CI52, ChernData(H, 0, 0), q),
     "genus_consistency": lambda q: genus_consistency(CI52, q),
     "gonality_bound": lambda q: gonality_bound(CI52, q),
-    "gonality_bound_general_r": lambda q: gonality_bound_general_r(CI52, q),
-    "pencil_degree_bound_subvariety": lambda q: pencil_degree_bound_subvariety(
-        10, 70, 1, q, 3),
-    "pencil_degree_bound_subvariety.x_degree": lambda q: pencil_degree_bound_subvariety(
-        q, 70, 1, Fraction(1, 5), 3),
-    "pencil_degree_bound_subvariety.deg_n_dot": lambda q: pencil_degree_bound_subvariety(
-        10, q, 1, Fraction(1, 5), 3),
     "restriction_threshold": lambda q: restriction_threshold(CI52, q),
     "certify_restriction_stable": lambda q: certify_restriction_stable(CI52, q, 0),
     "build_system.gonality": lambda q: build_system(CI52, q, GonalityMode(3)),
@@ -143,14 +125,9 @@ INTEGER_ENTRY_POINTS = {
     "residual_reduced.b": lambda n: residual_reduced(5, n),
     "CurveGeometry.d": lambda n: CurveGeometry(d=n, g=1),
     "CurveGeometry.g": lambda n: CurveGeometry(d=5, g=n),
-    "CurveGeometry.r": lambda n: CurveGeometry(d=5, g=1, r=n),
     "certify_restriction_stable.c2": lambda n: certify_restriction_stable(
         CI52, Fraction(1, 5), n),
     "gamma_lower.degree": lambda n: gamma_lower(CI52, [(n, True)], IV52),
-    "pencil_degree_bound_subvariety.n": lambda n: pencil_degree_bound_subvariety(
-        10, 70, n, Fraction(1, 5), 3),
-    "pencil_degree_bound_subvariety.r": lambda n: pencil_degree_bound_subvariety(
-        10, 70, 1, Fraction(1, 5), n),
     "barth_check.a": lambda n: barth_check(n, 2),
     "barth_check.c2": lambda n: barth_check(9, n),
     "c2plus2_check.b": lambda n: c2plus2_check(n, 0),

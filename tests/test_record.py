@@ -28,17 +28,21 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 def test_positional_keyword_and_default_construction():
     c = CurveGeometry(5, 1)
-    assert (c.d, c.g, c.r) == (5, 1, 3)
-    assert c == CurveGeometry(d=5, g=1) == CurveGeometry(5, 1, 3) == CurveGeometry(5, g=1, r=3)
-    assert CurveGeometry(5, 1, r=4).r == 4
+    assert (c.d, c.g) == (5, 1)
+    assert c == CurveGeometry(d=5, g=1) == CurveGeometry(5, g=1)
+    m = RestrictionMode(4)
+    assert (m.c2, m.l_min) == (4, 0)
+    assert m == RestrictionMode(c2=4) == RestrictionMode(4, 0) == RestrictionMode(4, l_min=0)
+    assert RestrictionMode(4, l_min=2).l_min == 2
     assert Evidence("regularity", (3,)).note == ""
-    assert RestrictionMode(c2=4).l_min == 0
 
 
 @pytest.mark.parametrize("make", [
     lambda: CurveGeometry(5),
     lambda: CurveGeometry(g=1),
-    lambda: CurveGeometry(5, 1, 3, 4),
+    lambda: CurveGeometry(5, 1, 3),
+    lambda: CurveGeometry(5, 1, r=3),
+    lambda: RestrictionMode(4, 0, 1),
     lambda: CurveGeometry(5, 1, genus=1),
     lambda: CurveGeometry(5, 1, d=5),
     lambda: GonalityMode(),
@@ -63,17 +67,19 @@ def test_records_are_frozen():
 
 
 def test_equality_is_by_type_and_fields():
-    assert hash(CurveGeometry(5, 1)) == hash(CurveGeometry(d=5, g=1, r=3))
+    assert hash(CurveGeometry(5, 1)) == hash(CurveGeometry(d=5, g=1))
+    assert hash(RestrictionMode(4)) == hash(RestrictionMode(4, l_min=0))
     assert len({GonalityMode(3), GonalityMode(k=3), GonalityMode(4)}) == 2
     assert DivisorClass(1, 0) == H and hash(DivisorClass(1, 0)) == hash(H)
-    assert CurveGeometry(5, 1) != (5, 1, 3)
+    assert CurveGeometry(5, 1) != (5, 1)
+    assert RestrictionMode(4) != RestrictionMode(4, 1)
     assert GonalityMode(3) != (3,)
     assert RestrictionMode(3, 0) != GonalityMode(3)
     assert CurveGeometry(5, 1) != CurveGeometry(5, 2)
 
 
 def test_repr_matches_the_dataclass_format():
-    assert repr(CurveGeometry(d=5, g=1)) == "CurveGeometry(d=5, g=1, r=3)"
+    assert repr(CurveGeometry(d=5, g=1)) == "CurveGeometry(d=5, g=1)"
     assert repr(GonalityMode(3)) == "GonalityMode(k=3)"
     assert repr(RestrictionMode(c2=4)) == "RestrictionMode(c2=4, l_min=0)"
     assert repr(DivisorClass(1, Fraction(-1, 5))) == (
@@ -91,16 +97,21 @@ def test_post_init_and_own_init_still_run():
     with pytest.raises(ValueError):
         CurveGeometry(d=0, g=0)
     with pytest.raises(ValueError):
-        CurveGeometry(5, 1, r=2)
+        CurveGeometry(5, -1)
     assert DivisorClass(1, 2).y == Fraction(2) and isinstance(DivisorClass(1, 2).y, Fraction)
     assert ChernData(H, 1, 2).c2_f == Fraction(2)
 
 
 def test_replace_and_asdict():
     c = CurveGeometry(5, 1)
-    assert asdict(c) == {"d": 5, "g": 1, "r": 3}
+    assert asdict(c) == {"d": 5, "g": 1}
     assert replace(c, g=2) == CurveGeometry(5, 2)
     assert c == CurveGeometry(5, 1)
+    m = RestrictionMode(4)
+    assert asdict(m) == {"c2": 4, "l_min": 0}
+    assert replace(m, l_min=2) == RestrictionMode(4, 2)
+    assert asdict(Evidence("regularity", (3,))) == {
+        "kind": "regularity", "params": (3,), "note": ""}
     with pytest.raises(ValueError):
         replace(c, d=0)
     with pytest.raises(TypeError):

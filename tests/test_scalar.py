@@ -25,13 +25,23 @@ from curvebounds.scalar import (
     format_rational,
     parse_int,
     parse_rational,
-    quad_cmp,
     quad_from_json,
     quad_to_json,
-    sqrt_rational,
 )
+from curvebounds.scalar import _quad, _sqrt_parts
 
 F = Fraction
+
+
+def order(x, y):
+    """-1, 0 or 1 as x <, =, > y, by the rich comparisons."""
+    return (x > y) - (x < y)
+
+
+def sqrt_of(q):
+    """sqrt(q) for a rational q >= 0, as the bound kernel builds its
+    roots: the integer parts of ``_sqrt_parts``, normalised by ``_quad``."""
+    return _quad(*_sqrt_parts(q.numerator, q.denominator))
 
 
 # -- construction and normalization -----------------------------------------
@@ -78,15 +88,14 @@ def test_float_components_rejected(bad):
         QuadNumber(0, bad, 2)
     with pytest.raises(TypeError):
         QuadNumber(0, 1, bad)
-    with pytest.raises(TypeError):
-        sqrt_rational(bad)
 
 
 def test_float_operands_rejected():
     x = QuadNumber(0, 1, 2)
     for bad in (1.5, 0.5, True, False):
         for op in (lambda: x < bad, lambda: x <= bad, lambda: x > bad,
-                   lambda: x >= bad, lambda: bad >= x, lambda: quad_cmp(bad, x)):
+                   lambda: x >= bad, lambda: bad >= x, lambda: bad < x,
+                   lambda: order(bad, x), lambda: order(x, bad)):
             with pytest.raises(TypeError):
                 op()
 
@@ -94,13 +103,13 @@ def test_float_operands_rejected():
 def test_radicand_cap():
     prime_below_cap = 9_999_999_967
     assert QuadNumber(0, 1, prime_below_cap).m == prime_below_cap
-    assert sqrt_rational(MAX_RADICAND) == 10**5
+    assert sqrt_of(F(MAX_RADICAND)) == 10**5
     # trial division of this prime near 10**14 takes seconds; the cap
     # refuses it before factoring
     start = time.perf_counter()
     for make in (lambda: QuadNumber(0, 1, 99_999_999_999_973),
-                 lambda: sqrt_rational(99_999_999_999_973),
-                 lambda: sqrt_rational(F(1, MAX_RADICAND + 1)),
+                 lambda: _sqrt_parts(99_999_999_999_973, 1),
+                 lambda: _sqrt_parts(1, MAX_RADICAND + 1),
                  lambda: QuadNumber(0, 1, MAX_RADICAND + 1)):
         with pytest.raises(RadicandTooLarge):
             make()
@@ -118,18 +127,21 @@ def test_rational_constructor_and_back():
 # -- square roots ------------------------------------------------------------
 
 
-def test_sqrt_rational():
-    assert sqrt_rational(F(9, 4)) == F(3, 2)
-    assert sqrt_rational(F(1, 2)) == QuadNumber(0, F(1, 2), 2)
-    assert sqrt_rational(0) == 0
-    assert sqrt_rational(18) == QuadNumber(0, 3, 2)
+def test_sqrt_parts():
+    assert sqrt_of(F(9, 4)) == F(3, 2)
+    assert sqrt_of(F(1, 2)) == QuadNumber(0, F(1, 2), 2)
+    assert sqrt_of(F(0)) == 0
+    assert sqrt_of(F(18)) == QuadNumber(0, 3, 2)
+    # the radicand is the square-free core of n*s: sqrt(18/1) = 3*sqrt(2)
+    assert _sqrt_parts(18, 1) == (0, 3, 1, 2)
+    assert _sqrt_parts(9, 4) == (6, 0, 4, 0)
     with pytest.raises(NegativeRadicand):
-        sqrt_rational(-1)
+        _sqrt_parts(-1, 1)
 
 
 def test_sqrt_squares_back():
     for q in [F(2), F(3, 5), F(49), F(7, 11)]:
-        r = model.of(sqrt_rational(q))
+        r = model.of(sqrt_of(q))
         assert model.mul(r, r) == model.lift(q)
 
 
@@ -159,7 +171,7 @@ def test_incompatible_radicands_do_not_combine():
     with pytest.raises(IncompatibleRadicand):
         r2 < r3
     with pytest.raises(IncompatibleRadicand):
-        quad_cmp(r3, r2)
+        order(r3, r2)
 
 
 def test_rational_combines_with_any_radicand():
@@ -173,16 +185,16 @@ def test_rational_combines_with_any_radicand():
 
 def test_sign_cases():
     # the sign of a value is its comparison with 0
-    assert quad_cmp(QuadNumber(0, 1, 2), 0) == 1
-    assert quad_cmp(QuadNumber(0, -1, 2), 0) == -1
-    assert quad_cmp(QuadNumber(0), 0) == 0
+    assert order(QuadNumber(0, 1, 2), 0) == 1
+    assert order(QuadNumber(0, -1, 2), 0) == -1
+    assert order(QuadNumber(0), 0) == 0
     # mixed-sign components: 3 - 2*sqrt(2) > 0, 1 - sqrt(2) < 0
-    assert quad_cmp(QuadNumber(3, -2, 2), 0) == 1
-    assert quad_cmp(QuadNumber(1, -1, 2), 0) == -1
-    assert quad_cmp(QuadNumber(-3, 2, 2), 0) == -1
-    assert quad_cmp(QuadNumber(-1, 1, 2), 0) == 1
+    assert order(QuadNumber(3, -2, 2), 0) == 1
+    assert order(QuadNumber(1, -1, 2), 0) == -1
+    assert order(QuadNumber(-3, 2, 2), 0) == -1
+    assert order(QuadNumber(-1, 1, 2), 0) == 1
     # exact zero needs m a perfect square, which normalizes away
-    assert quad_cmp(QuadNumber(-2, 1, 4), 0) == 0
+    assert order(QuadNumber(-2, 1, 4), 0) == 0
 
 
 def test_ordering():
@@ -190,8 +202,8 @@ def test_ordering():
     assert x > 2 and 2 < x
     assert x < F(5, 2) and F(5, 2) >= x
     assert x >= x and x <= x
-    assert quad_cmp(F(1), QuadNumber(0, 1, 2)) == -1
-    assert quad_cmp(QuadNumber(0, 1, 2), QuadNumber(0, 1, 2)) == 0
+    assert order(F(1), QuadNumber(0, 1, 2)) == -1
+    assert order(QuadNumber(0, 1, 2), QuadNumber(0, 1, 2)) == 0
 
 
 def test_cross_radicand_equality_is_false_not_an_error():
@@ -378,11 +390,11 @@ def quad_tuples(draw, n=2):
 @given(quad_tuples(n=2))
 def test_trichotomy(xy):
     x, y = xy
-    c = quad_cmp(x, y)
-    assert c in (-1, 0, 1)
-    assert (x == y) == (c == 0)
-    assert (x < y) == (c == -1)
-    assert (x > y) == (c == 1)
+    # exactly one of <, ==, > holds, and <= and >= agree with them
+    assert [x < y, x == y, x > y].count(True) == 1
+    assert (x <= y) == (x < y or x == y)
+    assert (x >= y) == (x > y or x == y)
+    assert order(x, y) == -order(y, x)
 
 
 def _library(x):
@@ -394,7 +406,7 @@ def _library(x):
 def test_order_respects_translation_and_positive_scaling(xyz):
     # sums and products in the model, the order in the library
     x, y, z = xyz
-    if quad_cmp(x, y) >= 0:
+    if x >= y:
         x, y = y, x
     if x == y:
         return
@@ -438,8 +450,8 @@ def test_slope_implication_over_quadratics(p, q, r, w, m):
 def test_floor_sandwich(xs):
     (x,) = xs
     n = math.floor(x)
-    assert quad_cmp(F(n), x) <= 0
-    assert quad_cmp(x, F(n + 1)) < 0
+    assert F(n) <= x
+    assert x < F(n + 1)
     assert math.ceil(x) == -math.floor(QuadNumber(-x.a, -x.b, x.m))
 
 
@@ -456,7 +468,7 @@ def test_decimal_matches_exact_comparison(xs):
 @given(quad_tuples(n=2))
 def test_decimal_order_agrees(xy):
     x, y = xy
-    c = quad_cmp(x, y)
+    c = order(x, y)
     dx, dy = x.to_decimal(60), y.to_decimal(60)
     if c == 0:
         assert dx == dy
@@ -501,8 +513,8 @@ def test_constructed_values_are_canonical(xs):
 
 
 @given(rationals.filter(lambda q: q >= 0))
-def test_sqrt_rational_is_canonical(q):
-    r = sqrt_rational(q)
+def test_sqrt_parts_are_canonical(q):
+    r = sqrt_of(q)
     assert_canonical(r)
     assert model.of(r) == model.sqrt(q)
     assert model.mul(model.of(r), model.of(r)) == model.lift(q)
@@ -578,8 +590,8 @@ def test_kernel_matches_fraction_pair_model(m, a1, b1, a2, b2):
     c = model.cmp(mx, my)
     assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
     assert (x == y) == (mx == my) == (c == 0)
-    assert quad_cmp(x, y) == c
-    assert quad_cmp(x, 0) == model.sign(mx)
+    assert order(x, y) == c
+    assert order(x, 0) == model.sign(mx)
     assert hash(x) == model.model_hash(mx)
 
     assert math.floor(x) == model.floor(mx)
