@@ -54,6 +54,10 @@ def test_curve_validation():
     (CUBIC, 10),
     (CI52, 70),
     (CurveGeometry(d=9, g=12), 58),
+    (CurveGeometry(d=8, g=5), 40),
+    (CurveGeometry(d=7, g=2), 30),
+    (CurveGeometry(d=2, g=0), 6),
+    (ci(3, 2), 30),
 ])
 def test_normal_bundle_degree(c, expected):
     assert c.deg_n == expected
@@ -74,6 +78,17 @@ def test_divisor_class_arithmetic():
         DivisorClass(1.0, 2)
 
 
+@pytest.mark.parametrize("op,error", [
+    (lambda: H + E, TypeError),
+    (lambda: -E, TypeError),
+    (lambda: E.scale(F(2, 3)), AttributeError),
+], ids=["sum", "negation", "scale"])
+def test_divisor_class_has_only_subtraction(op, error):
+    # a class is built from its coefficients; A - B is the one operator
+    with pytest.raises(error):
+        op()
+
+
 # -- the monomial table ------------------------------------------------------
 
 
@@ -88,16 +103,35 @@ def test_top_product_table():
                for cls in ([H, H, H], [H, E, E], [E, E, E]))
 
 
-def test_top_product_polarization_cube():
-    # (H - eta*E)^3 = 1 - 3*eta^2*d + eta^3*deg_N
-    eta = F(1, 5)
-    assert top_product(CI52, [h_eta(eta), h_eta(eta), h_eta(eta)]) == F(9, 25)
+@pytest.mark.parametrize("c", [LINE, CUBIC, CI52, CurveGeometry(d=8, g=5),
+                               CurveGeometry(d=9, g=12)],
+                         ids=["line", "cubic", "ci52", "d8g5", "d9g12"])
+def test_top_product_table_on_p3(c):
+    # H^3 = 1, H^2.E = 0, H.E^2 = -d, E^3 = -deg_N, in every order
+    assert top_product(c, [H, H, H]) == 1
+    for cls in ([H, H, E], [H, E, H], [E, H, H]):
+        assert top_product(c, cls) == 0
+    for cls in ([H, E, E], [E, H, E], [E, E, H]):
+        assert top_product(c, cls) == -c.d
+    assert top_product(c, [E, E, E]) == -c.deg_n
 
 
-def test_top_product_arity():
-    for classes in ([H, H], [H, H, H, H]):
-        with pytest.raises(ArityMismatch, match="^need exactly 3 classes, got "):
-            top_product(CI52, classes)
+# (H - eta*E)^3 = 1 - 3*eta^2*d + eta^3*deg_N, worked by hand
+@pytest.mark.parametrize("c,eta,cube", [
+    (CI52, F(1, 5), F(9, 25)),       # 1 - 6/5 + 14/25
+    (CI52, F(1, 10), F(77, 100)),    # 1 - 3/10 + 7/100
+    (CurveGeometry(d=8, g=5), F(1, 4), F(1, 8)),  # 1 - 3/2 + 5/8
+    (CUBIC, F(1, 2), 0),             # 1 - 9/4 + 5/4
+    (LINE, F(1), 0),                 # 1 - 3 + 2
+], ids=["ci52-1/5", "ci52-1/10", "d8g5-1/4", "cubic-1/2", "line-1"])
+def test_top_product_polarization_cube(c, eta, cube):
+    assert top_product(c, [h_eta(eta), h_eta(eta), h_eta(eta)]) == cube
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4, 5])
+def test_top_product_arity(count):
+    with pytest.raises(ArityMismatch, match=f"^need exactly 3 classes, got {count}$"):
+        top_product(CI52, [H] * count)
 
 
 curves = st.builds(
@@ -153,20 +187,26 @@ def grid(eta_points, d_points=2, g_points=2):
                         GRID_GS[:g_points]))
 
 
-def test_top_product_polarization_closed_form_on_a_grid():
-    """H_eta^3 = 1 - 3*eta^2*d + eta^3*deg_N, for every (d, g, eta).
+# H_eta^3 = 1 - 3*eta^2*d + eta^3*deg_N, for every (d, g, eta): the
+# three classes H - eta*E give hh = 1, he = 3*eta^2 and ee = -eta^3
+# against H*E^2 = -d and E^3 = -deg_N, and deg_N = 4d + 2g - 2 is
+# linear, so both sides have degree <= 3 in eta and <= 1 in d and in g,
+# and the 16 points of a 4 x 2 x 2 grid prove it.
+POLARIZATION_GRID = grid(4)
 
-    The three classes H - eta*E give hh = 1, he = 3*eta^2 and
-    ee = -eta^3 against H*E^2 = -d and E^3 = -deg_N, and
-    deg_N = 4d + 2g - 2 is linear: both sides have degree <= 3 in eta
-    and <= 1 in d and in g, so the 16 points of a 4 x 2 x 2 grid prove
-    it."""
-    points = grid(4)
-    assert len(points) == 16
-    for eta, d, g in points:
-        c = CurveGeometry(d=d, g=g)
-        assert top_product(c, [h_eta(eta)] * 3) == \
-            1 - 3 * eta ** 2 * d + eta ** 3 * c.deg_n
+
+def test_polarization_grid_is_4_by_2_by_2():
+    assert len(set(POLARIZATION_GRID)) == 16
+    assert [len({point[axis] for point in POLARIZATION_GRID})
+            for axis in range(3)] == [4, 2, 2]
+
+
+@pytest.mark.parametrize("eta,d,g", POLARIZATION_GRID,
+                         ids=[f"eta={eta}-d={d}-g={g}" for eta, d, g in POLARIZATION_GRID])
+def test_top_product_polarization_closed_form_on_a_grid(eta, d, g):
+    c = CurveGeometry(d=d, g=g)
+    assert top_product(c, [h_eta(eta)] * 3) == \
+        1 - 3 * eta ** 2 * d + eta ** 3 * c.deg_n
 
 
 # -- derived invariants ------------------------------------------------------

@@ -92,6 +92,23 @@ def test_gonality_report_details_cubic():
     assert rep.term_alpha == QuadNumber(-15, 9, 3)
 
 
+def test_gonality_trace_is_pinned_at_d8_g5():
+    # the values the removed general-r report printed at r = 3, under
+    # the certified bound's own step texts
+    rep = gonality_bound(CurveGeometry(d=8, g=5), F(1, 4))
+    assert rep.trace == (
+        "inputs: d = 8, g = 5, r = 3, eta = 1/4",
+        "deg_N = (r+1)d + 2g - 2 = 40",
+        "delta = eta*deg_N - d = 2",
+        "delta term: delta/(4*eta) = 2",
+        "alpha = min(1, sqrt(8) - eta*d) = -2 + 2*sqrt(2)",
+        "alpha term: alpha*(d - alpha/eta) = -64 + 48*sqrt(2)",
+        "value = min of the two terms = 2; smallest integer >= value: 2",
+    )
+    assert rep.alpha == QuadNumber(-2, 2, 2)
+    assert rep.term_alpha == QuadNumber(-64, 48, 2)
+
+
 @pytest.mark.parametrize("b", range(2, 6))
 def test_gonality_matches_pencil_degree_for_spread_types(b):
     # alpha saturates at 1 once a >= b + 3, and the delta term never

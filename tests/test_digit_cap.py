@@ -11,13 +11,14 @@ import pytest
 
 from curvebounds import cli
 from curvebounds.blowup import CurveGeometry
-from curvebounds.bounds import gonality_bound, restriction_threshold
+from curvebounds.bounds import (certify_restriction_stable, gonality_bound,
+                                restriction_threshold)
 from curvebounds.catalog import descriptor_from_dict
 from curvebounds.errors import (CurveBoundsError, InvariantViolation, ParseError,
                                TooManyDigits)
 from curvebounds.scalar import MAX_CURVE_DIGITS, MAX_DIGITS
 from curvebounds.replay import GonalityMode, build_system, sweep
-from curvebounds.seshadri import EVIDENCE_KINDS, assert_exact, combine
+from curvebounds.seshadri import EVIDENCE_KINDS, assert_exact, combine, normal_bundle_s
 from test_cli import CI52, _fresh_process
 
 CAP_MESSAGE = f"digits, above the cap of {MAX_DIGITS}"
@@ -298,9 +299,12 @@ RATIONAL_ENTRIES = {
     "gonality_bound": lambda q: gonality_bound(CurveGeometry(d=10, g=0), q).trace,
     "restriction_threshold": lambda q: restriction_threshold(
         CurveGeometry(d=10, g=0), q).trace,
+    "certify_restriction_stable": lambda q: certify_restriction_stable(
+        CurveGeometry(d=10, g=0), q, 0).report.trace,
     "build_system": lambda q: build_system(CurveGeometry(10, 16), q, GonalityMode(k=0)),
     "sweep": lambda q: sweep(CurveGeometry(10, 16), q, "gonality", range(2)),
     "assert_exact": lambda q: combine(CurveGeometry(10, 16), [assert_exact(q)]),
+    "normal_bundle_s": normal_bundle_s,
 }
 
 

@@ -512,6 +512,15 @@ def test_constructed_values_are_canonical(xs):
     assert_canonical(xs[0])
 
 
+@given(st.integers(min_value=0, max_value=10**4),
+       st.integers(min_value=1, max_value=10**3))
+def test_the_readme_replacement_for_sqrt_rational(p, s):
+    # README: sqrt_rational(Fraction(p, s)) is QuadNumber(0, Fraction(1, s), p*s)
+    root = QuadNumber(0, F(1, s), p * s)
+    assert root == sqrt_of(F(p, s))
+    assert_canonical(root)
+
+
 @given(rationals.filter(lambda q: q >= 0))
 def test_sqrt_parts_are_canonical(q):
     r = sqrt_of(q)
