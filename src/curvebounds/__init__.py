@@ -91,19 +91,10 @@ from .seshadri import (
     Evidence,
     EvidenceBound,
     SeshadriInterval,
-    assert_exact,
     bound_from_evidence,
-    bundle_seshadri,
     castelnuovo_default,
     combine,
-    complete_intersection,
-    degree_default,
-    global_generation,
-    linked_line,
-    normal_bundle_s,
-    regularity,
-    residual_reduced,
-    secant_line,
+    make_evidence,
 )
 
 __version__ = "0.1.0"

@@ -27,16 +27,15 @@ from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 
 # Every enumeration (replay box, sweep, slope-identity scan) prices its
 # work in closed form before its first point, counted in replay points,
-# and refuses more than MAX_POINTS.  The weights are measured by
-# tools/work_weights.py on 2 cores (Python 3.11.7): a replay point costs
-# ~4.3-7.9 us, an identity class ~4 points (~17-30 us) and a sweep
-# parameter ~16 points beyond its box for the system it builds
-# (_SYSTEM_POINTS).  _CLASS_POINTS = 6 is above the measured weight:
-# over-charging a class keeps the cap a bound on time, and keeps
-# --range 408 the first range refused.  So an allowed enumeration
-# runs ~18-32 s at most: the scan to range 407 (664,225 classes, ~11-20 s)
-# and the ci-5-2 sweep over k in [0, 2000) at margin 20 (3,444,000
-# points) still run.
+# and refuses more than MAX_POINTS.  tools/work_weights.py, on 2 cores
+# (Python 3.11.7), reads a replay point at ~4.3-7.9 us, and in its
+# medians an identity class at 3-4 points and the system a sweep
+# parameter builds at 10-12 points beyond its box.  _CLASS_POINTS = 6
+# and _SYSTEM_POINTS = 16 over-charge both on purpose: the cap stays a
+# bound on time, and --range 408 stays the first range refused.  So an
+# allowed enumeration runs ~18-32 s at most: the scan to range 407
+# (664,225 classes, ~11-20 s) and the ci-5-2 sweep over k in [0, 2000)
+# at margin 20 (3,444,000 points) still run.
 MAX_POINTS = 4 * 10**6
 _CLASS_POINTS = 6
 _SYSTEM_POINTS = 16

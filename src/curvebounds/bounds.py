@@ -11,8 +11,10 @@ curve, with full step-by-step traces:
   with alpha = min{1, sqrt(3d)/2 - gamma d} clamped at 0.
 
 Both bounds here are one two-term computation (``_two_term_bound``)
-in the integer numerators of Q(sqrt(m)), fed a different delta, radicand,
-length and scale; each result is normalised once; ceilings are certified.
+in the integer numerators of Q(sqrt(m)), fed a different parameter,
+radicand, length and scale; it also steps the inputs and delta, so an
+entry point only checks its parameter.  Each result is normalised
+once; ceilings are certified.
 A report records each trace line as a step ``(template, exact values...)``
 and renders its text only when ``trace`` is read.
 """
@@ -23,13 +25,14 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from ._record import record, render
+from ._record import record, render, replace
 from .blowup import CurveGeometry, delta_eta
 from .errors import (
     NoEvidence,
     NonpositiveEpsilon,
     NonpositiveGamma,
     NullCorrelationExcluded,
+    TooManyDigits,
 )
 from .scalar import (
     QuadNumber,
@@ -109,69 +112,90 @@ class CertificationResult:
         return f"c2 = {self.c2} is not strictly below threshold {self.report.value}"
 
 
-def _templates(delta_term: str, alpha: str, alpha_term: str) -> tuple[str, ...]:
-    """The kernel's trace templates for one bound, from the names of its
-    delta term, raw alpha and alpha term: (delta term, clamped alpha,
-    alpha, alpha term).  Each ``{}`` left open takes an exact value."""
-    return (f"delta term: {delta_term} = {{}}",
-            f"alpha = {alpha} clamped to 0 (raw value {{}} < 0)",
-            f"alpha = min(1, {alpha}) = {{}}",
-            f"alpha term: {alpha_term} = {{}}")
+def _spec(name: str, trivial: tuple, delta_term: str, alpha: str,
+          alpha_term: str) -> tuple:
+    """What the kernel needs to know of one bound beyond its numbers:
+    its parameter's name, its ``trivial`` pair (the bound every input
+    meets, why: an integer bound at or below it is vacuous, and the
+    report says so) and its trace templates (inputs, delta, delta term,
+    clamped alpha, alpha, alpha term), built here once from the names
+    of its delta term, raw alpha and alpha term.  Each ``{}`` left open
+    takes an exact value."""
+    return (name, trivial,
+            (f"inputs: d = {{}}, g = {{}}, r = 3, {name} = {{}}",
+             f"delta = {name}*deg_N - d = {{}}",
+             f"delta term: {delta_term} = {{}}",
+             f"alpha = {alpha} clamped to 0 (raw value {{}} < 0)",
+             f"alpha = min(1, {alpha}) = {{}}",
+             f"alpha term: {alpha_term} = {{}}"))
 
 
 # the raw alpha of each bound names d: its "{}" takes c.d
-_GONALITY = _templates("delta/(4*eta)", "sqrt({}) - eta*d", "alpha*(d - alpha/eta)")
-_THRESHOLD = _templates("delta/4", "sqrt(3*{})/2 - gamma*d", "alpha*gamma*d - alpha^2")
+_GONALITY = _spec("eta", (1, "every curve has gonality at least 1"),
+                  "delta/(4*eta)", "sqrt({}) - eta*d", "alpha*(d - alpha/eta)")
+_THRESHOLD = _spec("gamma", (0, "no c2 >= 0 lies below it"),
+                   "delta/4", "sqrt(3*{})/2 - gamma*d", "alpha*gamma*d - alpha^2")
 _VALUE = "value = min of the two terms = {}; smallest integer >= value: {}"
-# (the bound every input meets, why): an integer bound at or below it is
-# vacuous, and the report says so
-_GONALITY_TRIVIAL = (1, "every curve has gonality at least 1")
-_THRESHOLD_TRIVIAL = (0, "no c2 >= 0 lies below it")
 _DEG_N = "deg_N = (r+1)d + 2g - 2 = {}"
 _OUTSIDE = ("warning: {} = {} lies outside the certified interval "
             "[{}, {}]; the bound is hypothetical")
+# Python prints an int of at most 4,300 digits by default; a curve at
+# MAX_CURVE_DIGITS and a rational at MAX_DIGITS each pass their own cap,
+# but delta's numerator p*deg_N - q*d can then have ~5,600
+_PRINTABLE = 10**4300
 
 
-def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
-                    root: tuple[int, int], length: tuple[int, int],
-                    scale: tuple[int, int], templates: tuple[str, ...],
-                    alpha_args: tuple, trivial: tuple) -> BoundReport:
-    """The computation both bounds share:
+def _two_term_bound(c: CurveGeometry, x: Fraction,
+                    interval: Optional[SeshadriInterval], root: tuple[int, int],
+                    length: tuple[int, int], scale: tuple[int, int],
+                    spec: tuple) -> BoundReport:
+    """The computation both bounds share, at x = eta or gamma:
         min{ delta/(4 scale), alpha (length - alpha/scale) },
-    with alpha = min{1, sqrt(u)/w - length*scale} clamped at 0 for
-    root = (u, w) in integers, and its certified ceiling.  ``length``
-    and ``scale`` are (numerator, denominator) pairs, denominators and
-    scale positive.
+    with delta = x deg_N - d and alpha = min{1, sqrt(u)/w - length*scale}
+    clamped at 0 for root = (u, w) in integers, and its certified
+    ceiling.  ``length`` and ``scale`` are (numerator, denominator)
+    pairs, denominators and scale positive; ``spec`` comes from
+    ``_spec``.  The kernel steps the inputs, deg_N, a warning when x
+    falls outside ``interval`` and delta, then the two terms.
     One pass over integer numerators: the raw alpha's signs come from
     ``_sign``, the smaller term from ``_rational_cmp``, and each
-    QuadNumber is normalised once, by ``_quad``.  ``templates``
-    come from ``_templates``, with ``alpha_args`` filling the raw
-    alpha's name; the caller has already stepped its inputs and delta.
-    ``trivial`` is a ``*_TRIVIAL`` pair: a ceiling at or below its bound
-    gets a ``vacuous-bound`` discrepancy."""
+    QuadNumber is normalised once, by ``_quad``."""
+    name, trivial, (t_inputs, t_delta, t_term, t_clamped, t_alpha, t_alpha_term) = spec
+    steps: list[tuple] = [(t_inputs, c.d, c.g, x), (_DEG_N, c.deg_n)]
+    if interval is not None and x not in interval:
+        steps.append((_OUTSIDE, name, x, interval.lower, interval.upper))
+    delta = delta_eta(c, x)
+    steps.append((t_delta, delta))
+
     (ln, lq), (sn, sq) = length, scale
     term_delta = Fraction(delta.numerator * sq, 4 * delta.denominator * sn)
-    steps.append((templates[0], term_delta))
+    steps.append((t_term, term_delta))
 
     # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in the split
     u, w = root
     a, b, s, m = _sqrt_parts(u, 1)
+    # every value delta enters has a numerator that divides this one
+    if abs(x.numerator * c.deg_n - x.denominator * c.d) >= _PRINTABLE:
+        raise TooManyDigits(
+            f"delta = {name}*deg_N - d has a numerator of more than 4300 digits, "
+            f"too many to print: {name} and the curve each pass their digit cap, "
+            "but not together")
     a, b, q = a * lq * sq - ln * sn * s * w, b * lq * sq, s * w * lq * sq
     if _sign(a, b, m) < 0:
-        steps.append((templates[1], *alpha_args, _quad(a, b, q, m)))
+        steps.append((t_clamped, c.d, _quad(a, b, q, m)))
         a, b, q = 0, 0, 1
         alpha = _quad(0, 0, 1, 0)
     else:
         if _sign(a - q, b, m) > 0:  # raw alpha > 1
             a, b, q = 1, 0, 1
         alpha = _quad(a, b, q, m)
-        steps.append((templates[2], *alpha_args, alpha))
+        steps.append((t_alpha, c.d, alpha))
 
-    # length - alpha/scale = (x + y*sqrt(m)) / (lq*q*sn)
-    x, y = ln * q * sn - lq * sq * a, -lq * sq * b
-    ta, tb, tq = a * x + b * y * m, a * y + b * x, q * lq * q * sn
+    # length - alpha/scale = (xn + yn*sqrt(m)) / (lq*q*sn)
+    xn, yn = ln * q * sn - lq * sq * a, -lq * sq * b
+    ta, tb, tq = a * xn + b * yn * m, a * yn + b * xn, q * lq * q * sn
     term_alpha = _quad(ta, tb, tq, m)
-    steps.append((templates[3], term_alpha))
+    steps.append((t_alpha_term, term_alpha))
 
     dn, dd = term_delta.numerator, term_delta.denominator
     if _rational_cmp(dn, dd, term_alpha) > 0:  # delta term > alpha term
@@ -186,14 +210,8 @@ def _two_term_bound(inputs: dict, steps: list[tuple], delta: Fraction,
             "vacuous-bound", f"the integer bound {ceiling} is at or below the "
             f"trivial bound {trivial[0]}: {trivial[1]}",
             {"value_ceiling": ceiling, "trivial_bound": trivial[0]}),)
-    return BoundReport(inputs, alpha, term_delta, term_alpha, value, ceiling,
-                       tuple(steps), vacuous)
-
-
-def _interval_warning(eps: Fraction, interval: Optional[SeshadriInterval],
-                      name: str, steps: list[tuple]) -> None:
-    if interval is not None and eps not in interval:
-        steps.append((_OUTSIDE, name, eps, interval.lower, interval.upper))
+    return BoundReport({"d": c.d, "g": c.g, "r": 3, name: x}, alpha, term_delta,
+                       term_alpha, value, ceiling, tuple(steps), vacuous)
 
 
 def gonality_bound(c: CurveGeometry, eps: RationalLike,
@@ -205,19 +223,8 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     eps = _capped_rational(eps)
     if eps.numerator <= 0:
         raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
-
-    steps: list[tuple] = [
-        ("inputs: d = {}, g = {}, r = 3, eta = {}", c.d, c.g, eps),
-        (_DEG_N, c.deg_n),
-    ]
-    _interval_warning(eps, interval, "eta", steps)
-
-    delta = delta_eta(c, eps)
-    steps.append(("delta = eta*deg_N - d = {}", delta))
-    return _two_term_bound(
-        {"d": c.d, "g": c.g, "r": 3, "eta": eps}, steps, delta,
-        (c.d, 1), (c.d, 1), (eps.numerator, eps.denominator), _GONALITY, (c.d,),
-        _GONALITY_TRIVIAL)
+    return _two_term_bound(c, eps, interval, (c.d, 1), (c.d, 1),
+                           (eps.numerator, eps.denominator), _GONALITY)
 
 
 def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
@@ -258,22 +265,19 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
     gamma = _capped_rational(gamma)
     if gamma.numerator <= 0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
-
-    steps: list[tuple] = [
-        ("inputs: d = {}, g = {}, r = 3, gamma = {}", c.d, c.g, gamma),
-        (_DEG_N, c.deg_n),
-    ]
-    _interval_warning(gamma, interval, "gamma", steps)
-
-    delta = delta_eta(c, gamma)
-    steps.append(("delta = gamma*deg_N - d = {}", delta))
     # sqrt(d)*sqrt(3/4) = sqrt(3d)/2: the root (3d, 2) keeps 3d as the
     # capped radicand; at length gamma*d and scale 1 the kernel's alpha
     # term is alpha*gamma*d - alpha^2
-    return _two_term_bound(
-        {"d": c.d, "g": c.g, "r": 3, "gamma": gamma}, steps, delta,
-        (3 * c.d, 2), (gamma.numerator * c.d, gamma.denominator), (1, 1),
-        _THRESHOLD, (c.d,), _THRESHOLD_TRIVIAL)
+    return _two_term_bound(c, gamma, interval, (3 * c.d, 2),
+                           (gamma.numerator * c.d, gamma.denominator), (1, 1),
+                           _THRESHOLD)
+
+
+def _certify(report: BoundReport, c2: int) -> CertificationResult:
+    """The verdict on an exact int c2 against a threshold report."""
+    verdict = ("certified" if _rational_cmp(c2, 1, report.value) < 0
+               else "inconclusive")
+    return CertificationResult(verdict, c2, report)
 
 
 def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
@@ -282,10 +286,7 @@ def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
     """Certified iff c2 < restriction_threshold value, strictly and
     exactly.  The bundle is assumed stable on P^3 with c1 = 0."""
     c2 = _exact_int(c2)
-    report = restriction_threshold(c, gamma, interval)
-    verdict = ("certified" if _rational_cmp(c2, 1, report.value) < 0
-               else "inconclusive")
-    return CertificationResult(verdict, c2, report)
+    return _certify(restriction_threshold(c, gamma, interval), c2)
 
 
 def barth_check(a: int, c2: int) -> bool:
@@ -332,19 +333,10 @@ def surface_restriction_checks(variant: str, c2: int, *,
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
-    """For the curve linked to a line by surfaces of type (a, b), with
-    its liaison genus, compare the gonality bound at eta = 1/(a+b-2)
-    with the residual-pencil degree (a-1)(b-1).  The bound falls short;
-    the gap is reported as a structured warning.  (a, b) must be a
-    surface type with a line on it: a, b >= 1 and ab >= 2."""
-    a, b = _exact_int(a), _exact_int(b)
-    if a < 1 or b < 1 or a * b < 2:
-        raise ValueError("linked_line_claim_gap needs a surface type with "
-                         f"a, b >= 1 and ab >= 2, got ({a}, {b})")
-    c = CurveGeometry(d=a * b - 1, g=linked_line_genus(a, b))
-    eps = Fraction(1, a + b - 2)
-    report = gonality_bound(c, eps)
+def _pencil_gap(report: BoundReport, a: int, b: int) -> Optional[Discrepancy]:
+    """The linked-line gap of a gonality report on the liaison curve of
+    type (a, b) at its liaison eta, or None when the bound reaches the
+    residual-pencil degree."""
     pencil = (a - 1) * (b - 1)
     if _rational_cmp(pencil, 1, report.value) <= 0:
         return None
@@ -358,3 +350,31 @@ def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
               "bound_ceiling": report.value_ceiling,
               "pencil_degree": pencil},
     )
+
+
+def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
+    """For the curve linked to a line by surfaces of type (a, b), with
+    its liaison genus, compare the gonality bound at eta = 1/(a+b-2)
+    with the residual-pencil degree (a-1)(b-1).  The bound falls short;
+    the gap is reported as a structured warning.  (a, b) must be a
+    surface type with a line on it: a, b >= 1 and ab >= 2."""
+    a, b = _exact_int(a), _exact_int(b)
+    if a < 1 or b < 1 or a * b < 2:
+        raise ValueError("linked_line_claim_gap needs a surface type with "
+                         f"a, b >= 1 and ab >= 2, got ({a}, {b})")
+    c = CurveGeometry(d=a * b - 1, g=linked_line_genus(a, b))
+    return _pencil_gap(gonality_bound(c, Fraction(1, a + b - 2)), a, b)
+
+
+def _with_liaison_gap(report: BoundReport, a: int, b: int) -> BoundReport:
+    """A gonality report on a ``linked_line(a, b)`` descriptor, with the
+    pencil gap appended when its inputs are the liaison curve at its
+    liaison eta = 1/(a+b-2); a genus override or another eta gives a
+    report on a different curve, which is returned as it is."""
+    i = report.inputs
+    if (i["d"], i["g"], i["eta"]) != (a * b - 1, linked_line_genus(a, b),
+                                      Fraction(1, a + b - 2)):
+        return report
+    gap = _pencil_gap(report, a, b)
+    return report if gap is None else replace(
+        report, discrepancies=report.discrepancies + (gap,))

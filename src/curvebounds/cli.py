@@ -27,9 +27,9 @@ from .blowup import delta_eta, lambda_eta
 from .blowup import slope_identity_scan as _slope_identity_scan
 from .bounds import (
     BoundReport,
-    certify_restriction_stable,
+    _certify,
+    _with_liaison_gap,
     gonality_bound,
-    linked_line_claim_gap,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -49,7 +49,7 @@ from .scalar import (
     parse_rational,
     quad_to_json,
 )
-from .seshadri import Evidence, combine, linked_line_genus
+from .seshadri import Evidence, combine
 
 SCHEMA = 1
 
@@ -182,15 +182,7 @@ def cmd_gonality(args: argparse.Namespace) -> Result:
     desc, eta, interval, notes = _load(args, "eta")
     report = gonality_bound(desc.curve, eta, interval)
     if desc.kind == "linked_line":
-        a, b = desc.params["a"], desc.params["b"]
-        # the gap is about the liaison curve at eta = 1/(a+b-2); a genus
-        # override or another eta gives a report on a different curve
-        liaison = (linked_line_genus(a, b), Fraction(1, a + b - 2))
-        gap = (linked_line_claim_gap(a, b)
-               if (desc.curve.g, eta) == liaison else None)
-        if gap is not None:
-            report = _record.replace(
-                report, discrepancies=report.discrepancies + (gap,))
+        report = _with_liaison_gap(report, desc.params["a"], desc.params["b"])
     lines = _report_lines(
         f"gonality bound for {desc.name} at eta = {_show(eta)}", notes, report,
         f"gon >= {_show(report.value)}; as an integer bound, "
@@ -200,23 +192,17 @@ def cmd_gonality(args: argparse.Namespace) -> Result:
 
 def cmd_restrict(args: argparse.Namespace) -> Result:
     desc, gamma, interval, notes = _load(args, "gamma")
-    verdict: dict = {}
-    code = 0
-    if args.c2 is None:
-        report = restriction_threshold(desc.curve, gamma, interval)
-    else:
-        result = certify_restriction_stable(desc.curve, gamma, args.c2, interval)
-        report = result.report
-        verdict = {"verdict": result.verdict, "c2": args.c2,
-                   "reason": result.reason}
-        code = 1 if args.strict and not result.certified else 0
+    report = restriction_threshold(desc.curve, gamma, interval)
     lines = _report_lines(
         f"restriction threshold for {desc.name} at gamma = {_show(gamma)}",
         notes, report, f"stable restriction certified for c2 < {_show(report.value)}")
-    if verdict:
-        lines.append(f"  c2 = {args.c2}: {result.verdict} ({result.reason})")
-    payload = {"curve": _curve(desc), "report": report, "notes": notes, **verdict}
-    return payload, lines, code
+    payload = {"curve": _curve(desc), "report": report, "notes": notes}
+    if args.c2 is None:
+        return payload, lines, 0
+    result = _certify(report, args.c2)
+    lines.append(f"  c2 = {args.c2}: {result.verdict} ({result.reason})")
+    payload.update(verdict=result.verdict, c2=args.c2, reason=result.reason)
+    return payload, lines, 1 if args.strict and not result.certified else 0
 
 
 def cmd_surface_restrict(args: argparse.Namespace) -> Result:

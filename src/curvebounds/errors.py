@@ -97,7 +97,8 @@ class ParseError(CurveBoundsError):
 class TooManyDigits(CurveBoundsError, ValueError):
     """A number with more digits than ``scalar.MAX_DIGITS``, refused
     where it enters (a descriptor, an option) before it is converted,
-    so that every value derived from it prints."""
+    so that every value derived from it prints; or a bound's inputs
+    whose delta would be too wide to print, refused by the kernel."""
 
 
 class InvariantViolation(CurveBoundsError):

@@ -78,7 +78,9 @@ MAX_RADICAND = 10**10
 MAX_DIGITS = 1400
 # The most digits a curve's d or g may have: a descriptor derives them
 # from inputs within MAX_DIGITS, and a complete intersection's or a
-# linked curve's genus, the widest, is of degree 3 in a and b.
+# linked curve's genus, the widest, is of degree 3 in a and b.  With a
+# rational at MAX_DIGITS, delta = eta*deg_N - d can pass 4,300 digits;
+# the bound kernel refuses that pair.
 MAX_CURVE_DIGITS = 3 * MAX_DIGITS
 # the least integer of one digit more than each cap
 _TEN_TO = {n: 10**n for n in (MAX_DIGITS, MAX_CURVE_DIGITS)}

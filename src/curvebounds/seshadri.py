@@ -49,8 +49,8 @@ BoundValue = Union[Fraction, QuadNumber]
 @record
 class Evidence:
     """One typed assertion about the curve, with an optional free-text
-    note.  Build instances through :func:`make_evidence` or the factory
-    functions below, which validate parameters."""
+    note.  Build instances through :func:`make_evidence`, which
+    validates parameters against the kind's row."""
 
     kind: str
     params: tuple
@@ -141,8 +141,7 @@ _A_AT_LEAST_B = ("a >= b", lambda a, b: a >= b)
 _NOT_BOTH_ONE = ("a + b >= 3", lambda a, b: a + b >= 3)
 
 # The one place an evidence kind is declared: construction, bounds, JSON
-# and printing all read this table, so a new kind is one new row (plus
-# its public factory below).
+# and printing all read this table, so a new kind is one new row.
 EVIDENCE_KINDS: dict[str, EvidenceKind] = {
     # 1/sqrt(d) = sqrt(1/d), from the square-free split of d
     "degree_default": EvidenceKind(
@@ -194,47 +193,7 @@ def make_evidence(kind: str, params: tuple, note: str = "") -> Evidence:
     return Evidence(kind, params, note)
 
 
-def degree_default(note: str = "") -> Evidence:
-    return make_evidence("degree_default", (), note)
-
-
-def global_generation(n: int, m: int, note: str = "") -> Evidence:
-    return make_evidence("global_generation", (n, m), note)
-
-
-def regularity(m: int, note: str = "") -> Evidence:
-    return make_evidence("regularity", (m,), note)
-
-
-def secant_line(l: int, note: str = "") -> Evidence:
-    return make_evidence("secant_line", (l,), note)
-
-
-def complete_intersection(a: int, b: int, note: str = "") -> Evidence:
-    return make_evidence("complete_intersection", (a, b), note)
-
-
-def linked_line(a: int, b: int, note: str = "") -> Evidence:
-    return make_evidence("linked_line", (a, b), note)
-
-
-def normal_bundle_s(s_n: RationalLike, note: str = "") -> Evidence:
-    return make_evidence("normal_bundle_s", (s_n,), note)
-
-
-def bundle_seshadri(n: int, m: int, note: str = "") -> Evidence:
-    return make_evidence("bundle_seshadri", (n, m), note)
-
-
-def residual_reduced(a: int, b: int, note: str = "") -> Evidence:
-    return make_evidence("residual_reduced", (a, b), note)
-
-
-def assert_exact(q: RationalLike, note: str = "") -> Evidence:
-    return make_evidence("assert_exact", (q,), note)
-
-
-_DEGREE_DEFAULT = degree_default(note="injected default")
+_DEGREE_DEFAULT = make_evidence("degree_default", (), "injected default")
 
 
 def bound_from_evidence(c: CurveGeometry, e: Evidence) -> EvidenceBound:

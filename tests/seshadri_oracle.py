@@ -20,15 +20,8 @@ import quad_model as model
 from curvebounds.blowup import CurveGeometry, genus_consistency
 from curvebounds.seshadri import (
     Evidence,
-    assert_exact,
     bound_from_evidence,
-    bundle_seshadri,
-    degree_default,
-    global_generation,
-    normal_bundle_s,
-    regularity,
-    residual_reduced,
-    secant_line,
+    make_evidence,
 )
 
 F = Fraction
@@ -42,7 +35,7 @@ def _model(v):
 def combine(c, evidence):
     """(lower, upper as a model value, lower_trace, upper_trace, number
     of notes), or None where ``combine`` must raise InconsistentEvidence."""
-    items = [degree_default(note="injected default"),
+    items = [make_evidence("degree_default", (), note="injected default"),
              Evidence("normal_bundle_s", (F(c.deg_n, 2),),
                       "injected default: worst-case instability measure"),
              *evidence]
@@ -72,20 +65,25 @@ def _evidence(c):
     d, deg_n = c.d, c.deg_n
     small = st.integers(min_value=1, max_value=12)
     return st.one_of(
-        st.integers(min_value=1, max_value=2 * d + 2).map(regularity),
-        st.integers(min_value=1, max_value=d).map(secant_line),
+        st.integers(min_value=1, max_value=2 * d + 2).map(
+            lambda m: make_evidence("regularity", (m,))),
+        st.integers(min_value=1, max_value=d).map(
+            lambda l: make_evidence("secant_line", (l,))),
         st.tuples(small, st.integers(min_value=1, max_value=4 * d)).map(
-            lambda t: global_generation(*t)),
+            lambda t: make_evidence("global_generation", t)),
         st.tuples(small, st.integers(min_value=1, max_value=4 * d)).map(
-            lambda t: bundle_seshadri(*t)),
+            lambda t: make_evidence("bundle_seshadri", t)),
         st.fractions(min_value=F(deg_n, 2), max_value=2 * deg_n,
-                     max_denominator=4).map(normal_bundle_s),
+                     max_denominator=4).map(
+            lambda s: make_evidence("normal_bundle_s", (s,))),
         st.fractions(min_value=F(1, 4 * d), max_value=1,
-                     max_denominator=4 * d).map(assert_exact),
+                     max_denominator=4 * d).map(
+            lambda q: make_evidence("assert_exact", (q,))),
         # a*b - 1 >= d, as the kind requires
         st.tuples(st.integers(min_value=1, max_value=8),
                   st.integers(min_value=0, max_value=3)).map(
-            lambda t: residual_reduced(t[0], -(-(d + 1) // t[0]) + t[1])),
+            lambda t: make_evidence("residual_reduced",
+                                    (t[0], -(-(d + 1) // t[0]) + t[1]))),
     )
 
 

@@ -21,11 +21,7 @@ from curvebounds.errors import InvariantViolation, ParseError
 from curvebounds.scalar import MAX_DIGITS
 from curvebounds.seshadri import (
     EVIDENCE_KINDS,
-    complete_intersection,
-    linked_line,
-    normal_bundle_s,
-    regularity,
-    secant_line,
+    make_evidence,
 )
 
 F = Fraction
@@ -53,20 +49,22 @@ def test_linked_line_derivation():
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
        st.sampled_from(["complete_intersection", "linked_line", "raw"]))
-def test_auto_included_evidence_equals_the_validated_factory(a, b, kind):
+def test_auto_included_evidence_equals_make_evidence(a, b, kind):
     # the kind's item is built without make_evidence's checks, which the
-    # derivation has already made; it must be what the factory returns
+    # derivation has already made; it must be what make_evidence returns
     if kind == "complete_intersection":
         a, b = max(a, b), min(a, b)
-        expected = complete_intersection(a, b, note="from descriptor kind")
+        expected = make_evidence("complete_intersection", (a, b),
+                                 note="from descriptor kind")
         params = {"a": a, "b": b}
     elif kind == "linked_line":
         a += 1  # ab >= 2
-        expected = linked_line(a, b, note="from descriptor kind")
+        expected = make_evidence("linked_line", (a, b), note="from descriptor kind")
         params = {"a": a, "b": b}
     else:
         params = {"d": a + 1, "g": 0}  # d >= 2
-        expected = regularity(a, note="regularity from degree (nondegenerate curve)")
+        expected = make_evidence(
+            "regularity", (a,), note="regularity from degree (nondegenerate curve)")
     d = descriptor_from_dict({"kind": {kind: params},
                               "flags": {"nondegenerate": True}})
     assert d.evidence == (expected,)
@@ -161,18 +159,18 @@ def test_invariant_violations(doc):
 def test_evidence_json_round_trip():
     ev = evidence_from_json({"kind": "normal_bundle_s", "s_n": "35/2",
                              "note": "measured"})
-    assert ev == normal_bundle_s(F(35, 2), note="measured")
+    assert ev == make_evidence("normal_bundle_s", (F(35, 2),), note="measured")
     assert evidence_to_json(ev) == {"kind": "normal_bundle_s", "s_n": "35/2",
                                     "note": "measured"}
 
 
 def test_integral_rational_serializes_as_int():
-    assert evidence_to_json(normal_bundle_s(35)) == \
+    assert evidence_to_json(make_evidence("normal_bundle_s", (35,))) == \
         {"kind": "normal_bundle_s", "s_n": 35}
 
 
 def test_empty_note_is_omitted():
-    assert "note" not in evidence_to_json(secant_line(3))
+    assert "note" not in evidence_to_json(make_evidence("secant_line", (3,)))
 
 
 def test_bad_rational_is_a_parse_error():

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from curvebounds import cli
+from curvebounds import bounds, cli
 from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS
+from curvebounds.bounds import linked_line_claim_gap
 from curvebounds.cli import build_parser, main
 from curvebounds.scalar import MAX_DIGITS, QuadNumber, quad_from_json
 
@@ -135,6 +136,39 @@ def test_gonality_linked_line_gap_only_on_the_liaison_curve(capsys, desc, eta):
     code, doc, _ = run_json(capsys, "gonality", desc, *eta)
     assert "linked-line-pencil-gap" not in [
         d["code"] for d in doc["report"]["discrepancies"]]
+
+
+def test_gonality_runs_the_bound_kernel_once_on_the_liaison_curve(capsys,
+                                                                  monkeypatch):
+    # the gap is read off the command's own report, not a second bound
+    calls = []
+    kernel = bounds._two_term_bound
+    monkeypatch.setattr(bounds, "_two_term_bound",
+                        lambda *args: calls.append(args) or kernel(*args))
+    code, out, _ = run(capsys, "gonality", LL52)
+    assert code == 0
+    assert "warning[linked-line-pencil-gap]" in out
+    assert len(calls) == 1
+
+
+SURFACE_TYPES = [(a, b) for a in range(1, 9) for b in range(1, 9) if a * b >= 2]
+
+
+@pytest.mark.parametrize("a, b", SURFACE_TYPES,
+                         ids=[f"ll-{a}-{b}" for a, b in SURFACE_TYPES])
+def test_gonality_gap_is_linked_line_claim_gap(capsys, a, b):
+    desc = json.dumps({"kind": {"linked_line": {"a": a, "b": b}}})
+    gap = linked_line_claim_gap(a, b)
+    code, out, _ = run(capsys, "gonality", desc)
+    assert code == 0
+    warnings = [line.strip() for line in out.splitlines()
+                if "linked-line-pencil-gap" in line]
+    assert warnings == ([] if gap is None else
+                        [f"warning[linked-line-pencil-gap]: {gap.message}"])
+    code, doc, _ = run_json(capsys, "gonality", desc)
+    discs = [d for d in doc["report"]["discrepancies"]
+             if d["code"] == "linked-line-pencil-gap"]
+    assert discs == ([] if gap is None else [json.loads(json.dumps(cli._json(gap)))])
 
 
 RAW400 = '{"kind":{"raw":{"d":400,"g":0}}}'

@@ -18,7 +18,7 @@ from curvebounds.errors import (CurveBoundsError, InvariantViolation, ParseError
                                TooManyDigits)
 from curvebounds.scalar import MAX_CURVE_DIGITS, MAX_DIGITS
 from curvebounds.replay import GonalityMode, build_system, sweep
-from curvebounds.seshadri import EVIDENCE_KINDS, assert_exact, combine, normal_bundle_s
+from curvebounds.seshadri import EVIDENCE_KINDS, combine, make_evidence
 from test_cli import CI52, _fresh_process
 
 CAP_MESSAGE = f"digits, above the cap of {MAX_DIGITS}"
@@ -291,6 +291,35 @@ def test_a_curve_takes_every_width_a_descriptor_derives(field):
             CurveGeometry(**{"d": 10, "g": 0, field: n})
 
 
+# A curve at MAX_CURVE_DIGITS and a rational at MAX_DIGITS each pass
+# their own cap, but delta's numerator p*deg_N - q*d, which bounds every
+# value delta enters, then has ~5,600 digits: both bounds refuse it,
+# where they once ended in Python's raw limit.
+BOUNDS = {"gonality_bound": gonality_bound,
+          "restriction_threshold": restriction_threshold,
+          "certify_restriction_stable": lambda c, q: certify_restriction_stable(
+              c, q, 0).report}
+
+
+@pytest.mark.parametrize("bound", BOUNDS.values(), ids=BOUNDS)
+def test_the_caps_compose(bound):
+    c = CurveGeometry(d=10, g=10 ** (MAX_CURVE_DIGITS - 1))
+    with pytest.raises(TooManyDigits, match="more than 4300 digits"):
+        bound(c, Fraction(10 ** (MAX_DIGITS - 1) + 1, 6 * 10 ** (MAX_DIGITS - 1))).trace
+    assert RAW_LIMIT not in "\n".join(bound(c, Fraction(1, 5)).trace)
+
+
+@pytest.mark.parametrize("bound", BOUNDS.values(), ids=BOUNDS)
+def test_delta_of_4300_digits_prints_and_of_4301_is_refused(bound):
+    # eta = 10**100: delta = 10**100 * (2g + 38) - 10 is 10**4300 - 10 at
+    # this g, and above 10**4300 at g + 1
+    eta, g = Fraction(10**100), (10**4200 - 38) // 2
+    trace = bound(CurveGeometry(d=10, g=g), eta).trace
+    assert f"= {10**4300 - 10}" in "\n".join(trace)
+    with pytest.raises(TooManyDigits):
+        bound(CurveGeometry(d=10, g=g + 1), eta)
+
+
 # A Fraction that a library caller hands to a bound, to the replay or
 # to an evidence item skips the parser's cap: each applies MAX_DIGITS to
 # its numerator and to its denominator, without converting either to
@@ -303,8 +332,9 @@ RATIONAL_ENTRIES = {
         CurveGeometry(d=10, g=0), q, 0).report.trace,
     "build_system": lambda q: build_system(CurveGeometry(10, 16), q, GonalityMode(k=0)),
     "sweep": lambda q: sweep(CurveGeometry(10, 16), q, "gonality", range(2)),
-    "assert_exact": lambda q: combine(CurveGeometry(10, 16), [assert_exact(q)]),
-    "normal_bundle_s": normal_bundle_s,
+    "assert_exact": lambda q: combine(CurveGeometry(10, 16),
+                                      [make_evidence("assert_exact", (q,))]),
+    "normal_bundle_s": lambda q: make_evidence("normal_bundle_s", (q,)),
 }
 
 

@@ -48,20 +48,13 @@ from curvebounds.scalar import (
     format_rational,
 )
 from curvebounds.seshadri import (
-    assert_exact,
-    bundle_seshadri,
+    EVIDENCE_KINDS,
     combine,
-    complete_intersection,
-    global_generation,
-    linked_line,
-    normal_bundle_s,
-    regularity,
-    residual_reduced,
-    secant_line,
+    make_evidence,
 )
 
 CI52 = CurveGeometry(10, 16)
-IV52 = combine(CI52, [complete_intersection(5, 2)])
+IV52 = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
 
 RATIONAL_ENTRY_POINTS = {
     "exact_rational": exact_rational,
@@ -90,8 +83,8 @@ RATIONAL_ENTRY_POINTS = {
     "certify_restriction_stable": lambda q: certify_restriction_stable(CI52, q, 0),
     "build_system.gonality": lambda q: build_system(CI52, q, GonalityMode(3)),
     "build_system.restriction": lambda q: build_system(CI52, q, RestrictionMode(3)),
-    "normal_bundle_s": normal_bundle_s,
-    "assert_exact": assert_exact,
+    "normal_bundle_s": lambda q: make_evidence("normal_bundle_s", (q,)),
+    "assert_exact": lambda q: make_evidence("assert_exact", (q,)),
     "SeshadriInterval.__contains__": lambda q: q in IV52,
     "slope_identity_scan.eta": lambda q: slope_identity_scan(CI52, q, 1),
     "sweep.eta": lambda q: sweep(CI52, q, "gonality", range(3, 5)),
@@ -111,18 +104,20 @@ def test_rational_entry_points_reject_float_and_bool(name):
 INTEGER_ENTRY_POINTS = {
     "exact_int": exact_int,
     "QuadNumber.m": lambda n: QuadNumber(0, 1, n),
-    "global_generation.n": lambda n: global_generation(n, 5),
-    "global_generation.m": lambda n: global_generation(1, n),
-    "regularity": regularity,
-    "secant_line": secant_line,
-    "complete_intersection.a": lambda n: complete_intersection(n, 2),
-    "complete_intersection.b": lambda n: complete_intersection(5, n),
-    "linked_line.a": lambda n: linked_line(n, 2),
-    "linked_line.b": lambda n: linked_line(5, n),
-    "bundle_seshadri.n": lambda n: bundle_seshadri(n, 5),
-    "bundle_seshadri.m": lambda n: bundle_seshadri(1, n),
-    "residual_reduced.a": lambda n: residual_reduced(n, 2),
-    "residual_reduced.b": lambda n: residual_reduced(5, n),
+    "global_generation.n": lambda n: make_evidence("global_generation", (n, 5)),
+    "global_generation.m": lambda n: make_evidence("global_generation", (1, n)),
+    "regularity": lambda n: make_evidence("regularity", (n,)),
+    "secant_line": lambda n: make_evidence("secant_line", (n,)),
+    "complete_intersection.a": lambda n: make_evidence(
+        "complete_intersection", (n, 2)),
+    "complete_intersection.b": lambda n: make_evidence(
+        "complete_intersection", (5, n)),
+    "linked_line.a": lambda n: make_evidence("linked_line", (n, 2)),
+    "linked_line.b": lambda n: make_evidence("linked_line", (5, n)),
+    "bundle_seshadri.n": lambda n: make_evidence("bundle_seshadri", (n, 5)),
+    "bundle_seshadri.m": lambda n: make_evidence("bundle_seshadri", (1, n)),
+    "residual_reduced.a": lambda n: make_evidence("residual_reduced", (n, 2)),
+    "residual_reduced.b": lambda n: make_evidence("residual_reduced", (5, n)),
     "CurveGeometry.d": lambda n: CurveGeometry(d=n, g=1),
     "CurveGeometry.g": lambda n: CurveGeometry(d=5, g=n),
     "certify_restriction_stable.c2": lambda n: certify_restriction_stable(
@@ -170,6 +165,18 @@ def test_integer_entry_points_reject_float_bool_and_fraction(name):
         with pytest.raises(TypeError):
             call(bad)
     call(3)
+
+
+def test_every_evidence_field_has_a_float_and_bool_test():
+    # evidence is built through make_evidence alone, whose parameters
+    # come in one tuple: each (kind, field) pair needs its own row, keyed
+    # "kind.field", or "kind" when the kind has one field
+    table = {**RATIONAL_ENTRY_POINTS, **INTEGER_ENTRY_POINTS}
+    missing = [f"{kind}.{field}" for kind, row in EVIDENCE_KINDS.items()
+               for field in row.fields
+               if f"{kind}.{field}" not in table
+               and not (row.fields == (field,) and kind in table)]
+    assert not missing
 
 
 # -- drift guard: every re-exported exact-scalar parameter is tested --------

@@ -31,6 +31,10 @@ REMOVED = [
     ("scalar", "quad_max"),
     ("scalar", "floor_quad"),
     ("scalar", "ceil_quad"),
+    *[("seshadri", kind) for kind in (
+        "degree_default", "global_generation", "regularity", "secant_line",
+        "complete_intersection", "linked_line", "normal_bundle_s",
+        "bundle_seshadri", "residual_reduced", "assert_exact")],
 ]
 
 

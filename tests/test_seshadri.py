@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import quad_model as model
 import seshadri_oracle
-from curvebounds import _record, seshadri
+from curvebounds import _record
 from curvebounds.blowup import CurveGeometry
 from curvebounds.catalog import evidence_from_json, evidence_to_json
 from curvebounds.errors import (
@@ -22,19 +22,10 @@ from curvebounds.scalar import QuadNumber
 from curvebounds.seshadri import (
     EVIDENCE_KINDS,
     Evidence,
-    assert_exact,
     bound_from_evidence,
-    bundle_seshadri,
     castelnuovo_default,
     combine,
-    complete_intersection,
-    degree_default,
-    global_generation,
-    linked_line,
-    normal_bundle_s,
-    regularity,
-    residual_reduced,
-    secant_line,
+    make_evidence,
 )
 
 F = Fraction
@@ -50,26 +41,26 @@ OCTIC = CurveGeometry(d=8, g=5)       # deg_N = 40
 # -- evidence construction ---------------------------------------------------
 
 
-def test_factories_validate_positivity():
+def test_make_evidence_validates_positivity():
     with pytest.raises(ValueError):
-        global_generation(0, 1)
+        make_evidence("global_generation", (0, 1))
     with pytest.raises(ValueError):
-        regularity(0)
+        make_evidence("regularity", (0,))
     with pytest.raises(ValueError):
-        secant_line(-1)
+        make_evidence("secant_line", (-1,))
     with pytest.raises(ValueError):
-        normal_bundle_s(F(0))
+        make_evidence("normal_bundle_s", (F(0),))
     with pytest.raises(ValueError):
-        assert_exact(F(-1, 2))
+        make_evidence("assert_exact", (F(-1, 2),))
 
 
-def test_factories_validate_shape():
+def test_make_evidence_validates_shape():
     with pytest.raises(ValueError):
-        complete_intersection(2, 3)       # needs a >= b
+        make_evidence("complete_intersection", (2, 3))  # needs a >= b
     with pytest.raises(ValueError):
-        linked_line(1, 1)                 # residual to a line needs ab >= 2
+        make_evidence("linked_line", (1, 1))  # residual to a line needs ab >= 2
     with pytest.raises(ValueError):
-        residual_reduced(1, 1)
+        make_evidence("residual_reduced", (1, 1))
 
 
 # -- the evidence table, row by row --------------------------------------------
@@ -85,9 +76,8 @@ def _sample_params(row):
 @pytest.mark.parametrize("kind", sorted(EVIDENCE_KINDS))
 def test_every_kind_round_trips_through_json(kind):
     row = EVIDENCE_KINDS[kind]
-    factory = getattr(seshadri, kind)
     for note in ("", "a note"):
-        ev = factory(*_sample_params(row), note=note)
+        ev = make_evidence(kind, _sample_params(row), note=note)
         assert ev.kind == kind and len(ev.params) == len(row.fields)
         doc = evidence_to_json(ev)
         assert set(doc) == {"kind", *row.fields} | ({"note"} if note else set())
@@ -97,15 +87,14 @@ def test_every_kind_round_trips_through_json(kind):
 @pytest.mark.parametrize("kind", sorted(EVIDENCE_KINDS))
 def test_every_kind_rejects_inexact_and_nonpositive_fields(kind):
     row = EVIDENCE_KINDS[kind]
-    factory = getattr(seshadri, kind)
     params = _sample_params(row)
     for i in range(len(params)):
         for bad in (2.0, True):
             with pytest.raises(TypeError):
-                factory(*params[:i], bad, *params[i + 1:])
+                make_evidence(kind, (*params[:i], bad, *params[i + 1:]))
         for bad in (0, -1):
             with pytest.raises(ValueError, match="must be positive"):
-                factory(*params[:i], bad, *params[i + 1:])
+                make_evidence(kind, (*params[:i], bad, *params[i + 1:]))
 
 
 def test_readme_lists_exactly_the_evidence_table():
@@ -122,82 +111,84 @@ def test_readme_lists_exactly_the_evidence_table():
 
 
 def test_evidence_str():
-    assert str(complete_intersection(5, 2)) == "complete_intersection(a=5, b=2)"
-    assert str(degree_default()) == "degree_default()"
-    assert str(normal_bundle_s(F(35, 2))) == "normal_bundle_s(s_n=35/2)"
+    assert str(make_evidence("complete_intersection", (5, 2))) == \
+        "complete_intersection(a=5, b=2)"
+    assert str(make_evidence("degree_default", ())) == "degree_default()"
+    assert str(make_evidence("normal_bundle_s", (F(35, 2),))) == "normal_bundle_s(s_n=35/2)"
 
 
 # -- single-evidence bounds --------------------------------------------------
 
 
 def test_degree_default_bounds():
-    eb = bound_from_evidence(CI52, degree_default())
+    eb = bound_from_evidence(CI52, make_evidence("degree_default", ()))
     assert eb.eps2_lower is None
     assert eb.lower == F(1, 10)
     assert eb.upper == QuadNumber(0, F(1, 10), 10)   # 1/sqrt(10)
 
 
 def test_global_generation_bound():
-    eb = bound_from_evidence(CI52, global_generation(2, 3))
+    eb = bound_from_evidence(CI52, make_evidence("global_generation", (2, 3)))
     assert eb.eps2_lower is None
     assert eb.lower == F(2, 3) and eb.upper is None
 
 
 def test_regularity_bounds():
-    eb = bound_from_evidence(CI52, regularity(3))
+    eb = bound_from_evidence(CI52, make_evidence("regularity", (3,)))
     assert (eb.lower, eb.upper) == (F(1, 3), 1)
     # m = 1 certifies no upper bound: 2/(m-1) is undefined
-    eb = bound_from_evidence(CI52, regularity(1))
+    eb = bound_from_evidence(CI52, make_evidence("regularity", (1,)))
     assert eb.eps2_lower is None
     assert (eb.lower, eb.upper) == (1, None)
 
 
 def test_secant_line_bound():
-    assert bound_from_evidence(CI52, secant_line(5)).upper == F(1, 5)
-    assert bound_from_evidence(CI52, secant_line(10)).upper == F(1, 10)
+    assert bound_from_evidence(CI52, make_evidence("secant_line", (5,))).upper == F(1, 5)
+    assert bound_from_evidence(CI52, make_evidence("secant_line", (10,))).upper == F(1, 10)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, secant_line(11))
+        bound_from_evidence(CI52, make_evidence("secant_line", (11,)))
 
 
 def test_complete_intersection_bound():
-    eb = bound_from_evidence(CI52, complete_intersection(5, 2))
+    eb = bound_from_evidence(CI52, make_evidence("complete_intersection", (5, 2)))
     assert eb.eps2_lower is None
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, complete_intersection(3, 2))
+        bound_from_evidence(CI52, make_evidence("complete_intersection", (3, 2)))
 
 
 def test_linked_line_bound():
     c = CurveGeometry(d=9, g=12)
-    eb = bound_from_evidence(c, linked_line(5, 2))
+    eb = bound_from_evidence(c, make_evidence("linked_line", (5, 2)))
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, linked_line(5, 2))
+        bound_from_evidence(CI52, make_evidence("linked_line", (5, 2)))
 
 
 def test_normal_bundle_bound():
-    eb = bound_from_evidence(CI52, normal_bundle_s(35))
+    eb = bound_from_evidence(CI52, make_evidence("normal_bundle_s", (35,)))
     assert (eb.lower, eb.eps2_lower) == (None, None)
     assert eb.upper == F(2, 7)
     # s_N below deg_N/2 contradicts rank two
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, normal_bundle_s(34))
+        bound_from_evidence(CI52, make_evidence("normal_bundle_s", (34,)))
 
 
 def test_bundle_seshadri_bound():
-    assert bound_from_evidence(CI52, bundle_seshadri(1, 4)).lower == F(1, 4)
+    eb = bound_from_evidence(CI52, make_evidence("bundle_seshadri", (1, 4)))
+    assert eb.lower == F(1, 4)
 
 
 def test_residual_reduced_bound():
-    eb = bound_from_evidence(CI52, residual_reduced(4, 3))
+    eb = bound_from_evidence(CI52, make_evidence("residual_reduced", (4, 3)))
     assert (eb.lower, eb.upper) == (None, None)
     assert eb.eps2_lower == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, residual_reduced(3, 3))   # d = 10 > 8
+        bound_from_evidence(CI52, make_evidence("residual_reduced", (3, 3)))   # d = 10 > 8
 
 
 def test_assert_exact_bound():
-    eb = bound_from_evidence(CI52, assert_exact(F(1, 5)))
+    eb = bound_from_evidence(CI52, make_evidence("assert_exact", (F(1, 5),)))
     assert eb.lower == eb.upper == F(1, 5)
 
 
@@ -207,7 +198,7 @@ def test_assert_exact_bound():
 @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (5, 2), (6, 3), (8, 5), (50, 4)])
 def test_complete_intersections_pin_the_constant(a, b):
     c = CurveGeometry(d=a * b, g=a * b * (a + b - 4) // 2 + 1)
-    iv = combine(c, [complete_intersection(a, b)])
+    iv = combine(c, [make_evidence("complete_intersection", (a, b))])
     assert iv.is_point
     assert iv.lower == F(1, a)
     assert iv.upper == F(1, a)
@@ -218,13 +209,13 @@ def test_complete_intersections_pin_the_constant(a, b):
 
 
 def test_witness_kinds_without_ties():
-    iv = combine(CI52, [complete_intersection(5, 2)])
+    iv = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
     assert iv.lower_witness.kind == "complete_intersection"
     assert iv.upper_witness.kind == "complete_intersection"
 
 
 def test_line_interval_is_one():
-    iv = combine(LINE, [global_generation(1, 1)])
+    iv = combine(LINE, [make_evidence("global_generation", (1, 1))])
     assert iv.is_point and iv.lower == 1 and iv.upper == 1
 
 
@@ -246,7 +237,8 @@ def test_defaults_alone_give_the_degree_interval():
 
 
 def test_residual_pairs_with_exact_sub_line_bundle_degree():
-    iv = combine(OCTIC, [normal_bundle_s(20), residual_reduced(3, 3)])
+    iv = combine(OCTIC, [make_evidence("normal_bundle_s", (20,)),
+                         make_evidence("residual_reduced", (3, 3))])
     # eps1 = d/s_N = 2/5 exactly; eps >= min(eps1, eps2) = 1/4
     assert iv.lower == F(1, 4)
     assert any("paired with exact eps1 = 2/5" in n for n in iv.notes)
@@ -254,7 +246,7 @@ def test_residual_pairs_with_exact_sub_line_bundle_degree():
 
 
 def test_residual_without_exact_eps1_is_recorded_not_combined():
-    iv = combine(OCTIC, [residual_reduced(3, 3)])
+    iv = combine(OCTIC, [make_evidence("residual_reduced", (3, 3))])
     assert iv.lower == F(1, 8)
     assert any("not combined" in n for n in iv.notes)
 
@@ -262,30 +254,30 @@ def test_residual_without_exact_eps1_is_recorded_not_combined():
 def test_worst_case_instability_is_not_treated_as_exact():
     # the injected normal-bundle default is an upper bound only, so a
     # residual bound must not pair with it
-    iv = combine(OCTIC, [residual_reduced(4, 4)])
+    iv = combine(OCTIC, [make_evidence("residual_reduced", (4, 4))])
     assert iv.lower == F(1, 8)
     assert any("not combined" in n for n in iv.notes)
 
 
 def test_assert_exact_combines():
-    iv = combine(CUBIC, [assert_exact(F(1, 2))])
+    iv = combine(CUBIC, [make_evidence("assert_exact", (F(1, 2),))])
     assert iv.is_point and iv.lower == F(1, 2)
 
 
 def test_conflicting_evidence_raises():
     c = CurveGeometry(d=4, g=1)
     with pytest.raises(InconsistentEvidence):
-        combine(c, [global_generation(2, 1)])
+        combine(c, [make_evidence("global_generation", (2, 1))])
 
 
 def test_genus_gate_rejects_overlarge_lower_bound():
     # 1/4 exceeds what genus 16 allows in degree 10
     with pytest.raises(InconsistentEvidence, match="genus"):
-        combine(CI52, [bundle_seshadri(1, 4)])
+        combine(CI52, [make_evidence("bundle_seshadri", (1, 4))])
 
 
 def test_lower_never_below_defaults():
-    iv = combine(CI52, [bundle_seshadri(1, 100)])
+    iv = combine(CI52, [make_evidence("bundle_seshadri", (1, 100))])
     assert iv.lower == F(1, 10)
 
 
@@ -370,7 +362,8 @@ def test_membership_point_and_witnesses_agree_with_the_model(args, data):
 
 def test_degree_default_upper_is_one_over_sqrt_d():
     for d in range(1, 2001):
-        upper = bound_from_evidence(CurveGeometry(d=d, g=0), degree_default()).upper
+        upper = bound_from_evidence(CurveGeometry(d=d, g=0),
+                                    make_evidence("degree_default", ())).upper
         generic = QuadNumber(*model.inverse(model.sqrt(d)))
         assert upper == generic and upper.parts == generic.parts
 
@@ -380,7 +373,8 @@ def test_degree_default_upper_is_one_over_sqrt_d():
 def test_normal_bundle_upper_is_d_over_s_n(d, ratio):
     c = CurveGeometry(d=d, g=0)
     s_n = F(c.deg_n, 2) * (1 + ratio)  # at least deg_N/2, as the kind requires
-    assert bound_from_evidence(c, normal_bundle_s(s_n)).upper == F(d) / s_n
+    eb = bound_from_evidence(c, make_evidence("normal_bundle_s", (s_n,)))
+    assert eb.upper == F(d) / s_n
 
 
 def test_combine_ties_keep_the_first_candidate():
@@ -388,16 +382,19 @@ def test_combine_ties_keep_the_first_candidate():
     # names the first lower candidate, as max over the trace would, and
     # the upper end is the value both uppers share
     c = CurveGeometry(d=10, g=0)
-    for first, second in ((assert_exact(F(1, 2)), global_generation(1, 2)),
-                          (global_generation(1, 2), assert_exact(F(1, 2)))):
+    half = make_evidence("assert_exact", (F(1, 2),))
+    generated = make_evidence("global_generation", (1, 2))
+    for first, second in ((half, generated), (generated, half)):
         with pytest.raises(InconsistentEvidence, match=re.escape(f"lower from {first}")):
-            combine(c, [first, second, secant_line(3)])
-    iv = combine(c, [secant_line(4), regularity(8)])  # uppers 1/4 and 2/7
-    assert iv.upper == F(1, 4) and iv.upper_witness == secant_line(4)
-    iv = combine(c, [secant_line(4), normal_bundle_s(40)])  # uppers 1/4 and 1/4
-    assert iv.upper == F(1, 4) and iv.upper_witness == secant_line(4)
-    assert iv.lower == F(1, 10) and iv.lower_witness == degree_default(
-        note="injected default")
+            combine(c, [first, second, make_evidence("secant_line", (3,))])
+    secant = make_evidence("secant_line", (4,))
+    iv = combine(c, [secant, make_evidence("regularity", (8,))])  # uppers 1/4 and 2/7
+    assert iv.upper == F(1, 4) and iv.upper_witness == secant
+    # uppers 1/4 and 1/4
+    iv = combine(c, [secant, make_evidence("normal_bundle_s", (40,))])
+    assert iv.upper == F(1, 4) and iv.upper_witness == secant
+    assert iv.lower == F(1, 10) and iv.lower_witness == make_evidence(
+        "degree_default", (), note="injected default")
 
 
 def test_interval_notes_render_on_read(monkeypatch):
@@ -406,8 +403,9 @@ def test_interval_notes_render_on_read(monkeypatch):
     def no_text(self):
         raise AssertionError("rendered before it was read")
 
-    evidence = [normal_bundle_s(F(41, 2)), residual_reduced(3, 3),
-                residual_reduced(4, 4)]
+    evidence = [make_evidence("normal_bundle_s", (F(41, 2),)),
+                make_evidence("residual_reduced", (3, 3)),
+                make_evidence("residual_reduced", (4, 4))]
     for cls in (Fraction, QuadNumber, Evidence):
         monkeypatch.setattr(cls, "__str__", no_text)
     paired = combine(OCTIC, evidence)
@@ -441,8 +439,8 @@ def test_castelnuovo_default():
 
 
 @given(st.integers(min_value=2, max_value=10**6))
-def test_castelnuovo_default_equals_the_validated_factory(d):
+def test_castelnuovo_default_equals_make_evidence(d):
     # built without make_evidence's checks, which it passes by construction
     ev = castelnuovo_default(CurveGeometry(d=d, g=0))
-    assert ev == regularity(d - 1, note=ev.note)
+    assert ev == make_evidence("regularity", (d - 1,), note=ev.note)
     assert ev.note == "regularity from degree (nondegenerate curve)"
