@@ -28,13 +28,14 @@ from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 # Every enumeration (replay box, sweep, slope-identity scan) prices its
 # work in closed form before its first point, counted in replay points,
 # and refuses more than MAX_POINTS.  tools/work_weights.py, on 2 cores
-# (Python 3.11.7), reads a replay point at ~4.3-7.9 us, and in its
-# medians an identity class at 3-4 points and the system a sweep
-# parameter builds at 10-12 points beyond its box.  _CLASS_POINTS = 6
-# and _SYSTEM_POINTS = 16 over-charge both on purpose: the cap stays a
-# bound on time, and --range 408 stays the first range refused.  So an
-# allowed enumeration runs ~18-32 s at most: the scan to range 407
-# (664,225 classes, ~11-20 s) and the ci-5-2 sweep over k in [0, 2000)
+# (Python 3.11.7), reads a replay point at ~3.8-9.4 us as the host's
+# load varies, and in its medians an identity class at 2 points and the
+# system a sweep parameter builds at 10-12 points beyond its box.
+# _CLASS_POINTS = 6 and _SYSTEM_POINTS = 16 over-charge both on
+# purpose: the cap stays a bound on time, and --range 408 stays the
+# first range refused.  So an allowed enumeration runs ~15-38 s at
+# most (MAX_POINTS points at 3.8-9.4 us): the scan to range 407
+# (664,225 classes, ~6-10 s) and the ci-5-2 sweep over k in [0, 2000)
 # at margin 20 (3,444,000 points) still run.
 MAX_POINTS = 4 * 10**6
 _CLASS_POINTS = 6
@@ -175,7 +176,16 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
     Returns (classes checked, the (x, y) that violate it).  A negative
     bound would check nothing and report no violation, so it raises
     ValueError; a class is charged _CLASS_POINTS replay points against
-    MAX_POINTS, and more work raises WorkTooLarge."""
+    MAX_POINTS, and more work raises WorkTooLarge.
+
+    Each class reads the three top_product values A = D^2.H_eta,
+    B = D.H_eta.E and s as numerator over denominator, with
+    eta*d = en/ed and lambda_eta = ln/ld, and is decided by one integer
+    equation, both sides over their positive common denominators
+    cross-multiplied:
+
+        (An*Bd - Bn*Ad) * sd^2*ed*ld
+            == (sn*(sn*ed - en*sd)*ld - ln*(y^2 - y)*sd^2*ed) * Ad*Bd."""
     eta = _exact_rational(eta)
     if _exact_int(bound) < 0:
         raise ValueError(f"scan range must be nonnegative, got {bound}")
@@ -185,16 +195,23 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
     lam = lambda_eta(c, eta)
     heta = h_eta(eta)
     eta_d = eta * c.d
+    ln, ld = lam.numerator, lam.denominator
+    en, ed = eta_d.numerator, eta_d.denominator
     violations: list[tuple[int, int]] = []
     checked = 0
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
             checked += 1
             dcls = DivisorClass(x, y)
-            lhs = top_product(c, (dcls, dcls, heta)) - top_product(c, (dcls, heta, E))
+            a = top_product(c, (dcls, dcls, heta))
+            b = top_product(c, (dcls, heta, E))
             s = top_product(c, (dcls, heta, H))
-            rhs = s * (s - eta_d) - lam * (y * y - y)
-            if lhs != rhs:
+            an, ad = a.numerator, a.denominator
+            bn, bd = b.numerator, b.denominator
+            sn, sd = s.numerator, s.denominator
+            sded = sd * sd * ed
+            if ((an * bd - bn * ad) * sded * ld
+                    != (sn * (sn * ed - en * sd) * ld - ln * (y * y - y) * sded) * ad * bd):
                 violations.append((x, y))
     return checked, violations
 

@@ -49,12 +49,33 @@ BoundValue = Union[Fraction, QuadNumber]
 @record
 class Evidence:
     """One typed assertion about the curve, with an optional free-text
-    note.  Build instances through :func:`make_evidence`, which
-    validates parameters against the kind's row."""
+    note.  Construction validates the parameters against the kind's
+    row: an unknown kind raises ValueError, a wrong parameter count
+    TypeError; then each parameter must be an exact integer (or a
+    rational where the row says so, within the digit cap; a float or
+    bool raises TypeError), positive, and fit the kind's shape rule
+    (ValueError).  ``params`` keeps the checked values."""
 
     kind: str
     params: tuple
     note: str = ""
+
+    def __post_init__(self) -> None:
+        kind, params = self.kind, self.params
+        row = _row(kind)
+        fields = row.fields
+        if len(params) != len(fields):
+            raise TypeError(f"{kind} takes the parameters ({', '.join(fields)}), "
+                            f"got {len(params)}")
+        params = tuple([_capped_rational(v) if name in row.rational else _exact_int(v)
+                        for name, v in zip(fields, params)])
+        for name, v in zip(fields, params):
+            if v <= 0:
+                raise ValueError(f"{kind}: parameter {name} must be positive, got {v}")
+        if row.shape is not None and not row.shape[1](*params):
+            raise ValueError(f"{kind} requires {row.shape[0]}, "
+                             f"got ({', '.join(map(str, params))})")
+        object.__setattr__(self, "params", params)
 
     def __str__(self) -> str:
         names = EVIDENCE_KINDS[self.kind].fields
@@ -173,23 +194,8 @@ def _row(kind: str) -> EvidenceKind:
 
 
 def make_evidence(kind: str, params: tuple, note: str = "") -> Evidence:
-    """An evidence item of a known kind, validated through its row: each
-    parameter an exact integer (or rational where the row says so; a
-    float or bool raises TypeError), then positive, then the kind's
-    shape rule (ValueError)."""
-    row = _row(kind)
-    fields = row.fields
-    if len(params) != len(fields):
-        raise TypeError(f"{kind} takes the parameters ({', '.join(fields)}), "
-                        f"got {len(params)}")
-    params = tuple([_capped_rational(v) if name in row.rational else _exact_int(v)
-                    for name, v in zip(fields, params)])
-    for name, v in zip(fields, params):
-        if v <= 0:
-            raise ValueError(f"{kind}: parameter {name} must be positive, got {v}")
-    if row.shape is not None and not row.shape[1](*params):
-        raise ValueError(f"{kind} requires {row.shape[0]}, "
-                         f"got ({', '.join(map(str, params))})")
+    """``Evidence(kind, params, note)``, which validates the item
+    through its row."""
     return Evidence(kind, params, note)
 
 
@@ -250,6 +256,19 @@ class SeshadriInterval:
                 and _rational_cmp(p, s, self.upper) <= 0)
 
 
+def _normal_bundle_default(c: CurveGeometry) -> Evidence:
+    """The injected worst case s_N = deg_N/2, built without Evidence's
+    checks: it is positive, as deg_N = 4d + 2g - 2 >= 2, and it is
+    derived from the curve, so it may be as wide as MAX_CURVE_DIGITS
+    allows, where the digit cap is for rationals that enter the program
+    (a complete intersection at the cap would be refused for its
+    width)."""
+    ev = object.__new__(Evidence)
+    ev.__dict__.update(kind="normal_bundle_s", params=(Fraction(c.deg_n, 2),),
+                       note="injected default: worst-case instability measure")
+    return ev
+
+
 _PAIRED = "{} paired with exact eps1 = {}: eps >= min(eps1, {}) = {}"
 _NOT_COMBINED = ("{} certifies eps2 >= {} only; not combined "
                  "(no exact sub-line-bundle degree for eps1)")
@@ -262,12 +281,7 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     The extremes are chosen by integer cross-multiplication and
     ``_sign``; ties keep the first candidate, which is the witness the
     interval names."""
-    defaults = [
-        _DEGREE_DEFAULT,
-        # valid by construction, as deg_N = (r+1)d + 2g - 2 >= 2
-        Evidence("normal_bundle_s", (Fraction(c.deg_n, 2),),
-                 "injected default: worst-case instability measure"),
-    ]
+    defaults = [_DEGREE_DEFAULT, _normal_bundle_default(c)]
     lower_trace: list[tuple[Evidence, Fraction]] = []
     upper_trace: list[tuple[Evidence, BoundValue]] = []
     note_steps: list[tuple] = []

@@ -27,6 +27,7 @@ from curvebounds.blowup import (
     top_product,
 )
 from curvebounds.errors import ArityMismatch, WorkTooLarge
+from curvebounds.scalar import MAX_DIGITS
 
 F = Fraction
 
@@ -369,12 +370,23 @@ def test_slope_identity_scan_counts_every_class(c, eta):
         assert slope_identity_scan(c, eta, bound) == (expected, [])
 
 
-@pytest.mark.parametrize("perturbs", [
-    lambda A, B, C: B is A,   # D.D.H_eta
-    lambda A, B, C: C is E,   # D.H_eta.E
-    lambda A, B, C: C is H,   # s = D.H_eta.H
-], ids=["D.D.H_eta", "D.H_eta.E", "D.H_eta.H"])
-def test_slope_identity_scan_reports_violations(monkeypatch, perturbs):
+PERTURBED_PRODUCTS = {
+    "D.D.H_eta": lambda A, B, C: B is A,
+    "D.H_eta.E": lambda A, B, C: C is E,
+    "D.H_eta.H": lambda A, B, C: C is H,   # s
+}
+
+
+# ci-5-2 at eta = 1/5 has eta*d = 2 and lambda = 0; the twisted cubic at
+# eta = 2/7 has eta*d = 6/7 and lambda = 43/49, so there every term of
+# the scan's integer equation carries a denominator
+@pytest.mark.parametrize("c,eta,perturbs", [
+    *(pytest.param(CI52, F(1, 5), perturbs, id=name)
+      for name, perturbs in PERTURBED_PRODUCTS.items()),
+    *(pytest.param(CUBIC, F(2, 7), perturbs, id=f"cubic-2/7-{name}")
+      for name, perturbs in PERTURBED_PRODUCTS.items()),
+])
+def test_slope_identity_scan_reports_violations(monkeypatch, c, eta, perturbs):
     # a kernel off by one in one of the three products on the classes
     # with y = 2 must be reported as exactly those classes, in scan
     # order; a scan that evaluated that product in a closed form of its
@@ -386,9 +398,17 @@ def test_slope_identity_scan_reports_violations(monkeypatch, perturbs):
         return true_product(c, classes) + (1 if perturbs(A, B, C) and A.y == 2 else 0)
 
     monkeypatch.setattr(blowup, "top_product", off_by_one)
-    checked, violations = slope_identity_scan(CI52, F(1, 5), 2)
+    checked, violations = slope_identity_scan(c, eta, 2)
     assert checked == 25
     assert violations == [(x, 2) for x in range(-2, 3)]
+
+
+def test_slope_identity_scan_takes_an_eta_denominator_at_the_digit_cap():
+    # the denominators the scan cross-multiplies grow with eta's: one of
+    # MAX_DIGITS digits still decides every class exactly
+    eta = F(3, 10 ** (MAX_DIGITS - 1) + 7)
+    assert len(str(eta.denominator)) == MAX_DIGITS
+    assert slope_identity_scan(CI52, eta, 2) == (25, [])
 
 
 def slope_identity_defect(x, y, eta, d, g, lam=lambda_eta):

@@ -49,6 +49,7 @@ from curvebounds.scalar import (
 )
 from curvebounds.seshadri import (
     EVIDENCE_KINDS,
+    Evidence,
     combine,
     make_evidence,
 )
@@ -85,6 +86,8 @@ RATIONAL_ENTRY_POINTS = {
     "build_system.restriction": lambda q: build_system(CI52, q, RestrictionMode(3)),
     "normal_bundle_s": lambda q: make_evidence("normal_bundle_s", (q,)),
     "assert_exact": lambda q: make_evidence("assert_exact", (q,)),
+    "Evidence.normal_bundle_s": lambda q: Evidence("normal_bundle_s", (q,)),
+    "Evidence.assert_exact": lambda q: Evidence("assert_exact", (q,)),
     "SeshadriInterval.__contains__": lambda q: q in IV52,
     "slope_identity_scan.eta": lambda q: slope_identity_scan(CI52, q, 1),
     "sweep.eta": lambda q: sweep(CI52, q, "gonality", range(3, 5)),
@@ -118,6 +121,20 @@ INTEGER_ENTRY_POINTS = {
     "bundle_seshadri.m": lambda n: make_evidence("bundle_seshadri", (1, n)),
     "residual_reduced.a": lambda n: make_evidence("residual_reduced", (n, 2)),
     "residual_reduced.b": lambda n: make_evidence("residual_reduced", (5, n)),
+    "Evidence.global_generation.n": lambda n: Evidence("global_generation", (n, 5)),
+    "Evidence.global_generation.m": lambda n: Evidence("global_generation", (1, n)),
+    "Evidence.regularity": lambda n: Evidence("regularity", (n,)),
+    "Evidence.secant_line": lambda n: Evidence("secant_line", (n,)),
+    "Evidence.complete_intersection.a": lambda n: Evidence(
+        "complete_intersection", (n, 2)),
+    "Evidence.complete_intersection.b": lambda n: Evidence(
+        "complete_intersection", (5, n)),
+    "Evidence.linked_line.a": lambda n: Evidence("linked_line", (n, 2)),
+    "Evidence.linked_line.b": lambda n: Evidence("linked_line", (5, n)),
+    "Evidence.bundle_seshadri.n": lambda n: Evidence("bundle_seshadri", (n, 5)),
+    "Evidence.bundle_seshadri.m": lambda n: Evidence("bundle_seshadri", (1, n)),
+    "Evidence.residual_reduced.a": lambda n: Evidence("residual_reduced", (n, 2)),
+    "Evidence.residual_reduced.b": lambda n: Evidence("residual_reduced", (5, n)),
     "CurveGeometry.d": lambda n: CurveGeometry(d=n, g=1),
     "CurveGeometry.g": lambda n: CurveGeometry(d=5, g=n),
     "certify_restriction_stable.c2": lambda n: certify_restriction_stable(
@@ -168,14 +185,15 @@ def test_integer_entry_points_reject_float_bool_and_fraction(name):
 
 
 def test_every_evidence_field_has_a_float_and_bool_test():
-    # evidence is built through make_evidence alone, whose parameters
-    # come in one tuple: each (kind, field) pair needs its own row, keyed
-    # "kind.field", or "kind" when the kind has one field
+    # evidence is built through Evidence, or make_evidence, which calls
+    # it; the parameters come in one tuple, so each (kind, field) pair
+    # needs its own row for each, keyed "kind.field", or "kind" when the
+    # kind has one field, and prefixed "Evidence." for the record itself
     table = {**RATIONAL_ENTRY_POINTS, **INTEGER_ENTRY_POINTS}
-    missing = [f"{kind}.{field}" for kind, row in EVIDENCE_KINDS.items()
-               for field in row.fields
-               if f"{kind}.{field}" not in table
-               and not (row.fields == (field,) and kind in table)]
+    missing = [f"{prefix}{kind}.{field}" for kind, row in EVIDENCE_KINDS.items()
+               for field in row.fields for prefix in ("", "Evidence.")
+               if f"{prefix}{kind}.{field}" not in table
+               and not (row.fields == (field,) and f"{prefix}{kind}" in table)]
     assert not missing
 
 

@@ -63,6 +63,43 @@ def test_make_evidence_validates_shape():
         make_evidence("residual_reduced", (1, 1))
 
 
+# (the parameters, the error make_evidence gives for them); floats and
+# bools are in tests/test_exact_inputs.py
+REFUSED_EVIDENCE = [
+    (("bogus", ()), ValueError),
+    (("regularity", (0,)), ValueError),
+    (("normal_bundle_s", (F(-1, 2),)), ValueError),
+    (("complete_intersection", (2, 3)), ValueError),
+    (("regularity", (3, 4)), TypeError),
+    (("linked_line", (5,)), TypeError),
+]
+
+
+@pytest.mark.parametrize("args,error", REFUSED_EVIDENCE)
+def test_evidence_built_directly_is_checked_as_make_evidence_checks_it(args, error):
+    # Evidence is re-exported: building it directly may not skip the
+    # kind's row, which combine and printing read
+    for build in (make_evidence, Evidence):
+        with pytest.raises(error) as caught:
+            build(*args)
+        assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("kind,params", [("bogus", ()), ("regularity", (0,))])
+def test_combine_with_a_bad_evidence_fails_with_a_typed_error(kind, params):
+    # unchecked, these would reach combine, which looks up the kind's row
+    # and divides by the regularity
+    with pytest.raises(ValueError) as caught:
+        combine(CI52, [Evidence(kind, params)])
+    assert type(caught.value) is ValueError
+
+
+def test_evidence_keeps_its_checked_parameters():
+    ev = Evidence("normal_bundle_s", (35,))
+    assert ev == make_evidence("normal_bundle_s", (F(35),))
+    assert type(ev.params[0]) is F
+
+
 # -- the evidence table, row by row --------------------------------------------
 
 
