@@ -29,14 +29,15 @@ from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 # work in closed form before its first point, counted in replay points,
 # and refuses more than MAX_POINTS.  tools/work_weights.py, on 2 cores
 # (Python 3.11.7), reads a replay point at ~3.8-9.4 us as the host's
-# load varies, and in its medians an identity class at 2 points and the
-# system a sweep parameter builds at 10-12 points beyond its box.
+# load varies, and in its medians an identity class at 2 points (~13 us
+# against a ~7.7 us point) and the system a sweep parameter builds at
+# 10-12 points beyond its box.
 # _CLASS_POINTS = 6 and _SYSTEM_POINTS = 16 over-charge both on
 # purpose: the cap stays a bound on time, and --range 408 stays the
 # first range refused.  So an allowed enumeration runs ~15-38 s at
 # most (MAX_POINTS points at 3.8-9.4 us): the scan to range 407
-# (664,225 classes, ~6-10 s) and the ci-5-2 sweep over k in [0, 2000)
-# at margin 20 (3,444,000 points) still run.
+# (664,225 classes, ~6 s at that load) and the ci-5-2 sweep over k in
+# [0, 2000) at margin 20 (3,444,000 points) still run.
 MAX_POINTS = 4 * 10**6
 _CLASS_POINTS = 6
 _SYSTEM_POINTS = 16
@@ -129,7 +130,8 @@ def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
     over the classes.
 
     The pass runs in integers: a class is (X*H + Y*E)/q with
-    X = x.num * y.den, Y = y.num * x.den and q = x.den * y.den, so the
+    X = x.num * y.den, Y = y.num * x.den and q = x.den * y.den, each
+    coordinate read as (num, den) by one as_integer_ratio() call, so the
     three coefficients share the running denominator prod q_i and one
     Fraction, reduced by one gcd, is built at the end.  The empty
     product (hh, he, ee) = (1, 0, 1) starts the pass.
@@ -138,9 +140,9 @@ def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
         raise ArityMismatch(f"need exactly 3 classes, got {len(classes)}")
     hh, he, ee, den = 1, 0, 1, 1
     for cl in classes:
-        x, y = cl.x, cl.y
-        xq, yq = x.denominator, y.denominator
-        hx, ey = x.numerator * yq, y.numerator * xq
+        xn, xq = cl.x.as_integer_ratio()
+        yn, yq = cl.y.as_integer_ratio()
+        hx, ey = xn * yq, yn * xq
         he = he * ey + ee * hx
         hh *= hx
         ee *= ey
@@ -178,8 +180,10 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
     ValueError; a class is charged _CLASS_POINTS replay points against
     MAX_POINTS, and more work raises WorkTooLarge.
 
-    Each class reads the three top_product values A = D^2.H_eta,
-    B = D.H_eta.E and s as numerator over denominator, with
+    The 2*bound + 1 coordinates are built as Fractions once per scan,
+    so each class D takes them as they are.  Each class reads the three
+    top_product values A = D^2.H_eta, B = D.H_eta.E and s as numerator
+    over denominator (one as_integer_ratio() call each), with
     eta*d = en/ed and lambda_eta = ln/ld, and is decided by one integer
     equation, both sides over their positive common denominators
     cross-multiplied:
@@ -197,18 +201,17 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
     eta_d = eta * c.d
     ln, ld = lam.numerator, lam.denominator
     en, ed = eta_d.numerator, eta_d.denominator
+    # each coordinate as the int it is reported as and its Fraction
+    coords = [(n, Fraction(n)) for n in range(-bound, bound + 1)]
     violations: list[tuple[int, int]] = []
     checked = 0
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
+    for x, fx in coords:
+        for y, fy in coords:
             checked += 1
-            dcls = DivisorClass(x, y)
-            a = top_product(c, (dcls, dcls, heta))
-            b = top_product(c, (dcls, heta, E))
-            s = top_product(c, (dcls, heta, H))
-            an, ad = a.numerator, a.denominator
-            bn, bd = b.numerator, b.denominator
-            sn, sd = s.numerator, s.denominator
+            dcls = DivisorClass(fx, fy)
+            an, ad = top_product(c, (dcls, dcls, heta)).as_integer_ratio()
+            bn, bd = top_product(c, (dcls, heta, E)).as_integer_ratio()
+            sn, sd = top_product(c, (dcls, heta, H)).as_integer_ratio()
             sded = sd * sd * ed
             if ((an * bd - bn * ad) * sded * ld
                     != (sn * (sn * ed - en * sd) * ld - ln * (y * y - y) * sded) * ad * bd):

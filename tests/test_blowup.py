@@ -377,30 +377,66 @@ PERTURBED_PRODUCTS = {
 }
 
 
+# the classes D a perturbation fires on, and the (x, y) the scan must
+# report for them: the row y = 2, or the one class -H + 2E, which pins x
+# as well as y
+ROW_Y_2 = (lambda D: D.y == 2, [(x, 2) for x in range(-2, 3)])
+AT_MINUS_1_2 = (lambda D: D.x == -1 and D.y == 2, [(-1, 2)])
+
+
 # ci-5-2 at eta = 1/5 has eta*d = 2 and lambda = 0; the twisted cubic at
 # eta = 2/7 has eta*d = 6/7 and lambda = 43/49, so there every term of
 # the scan's integer equation carries a denominator
-@pytest.mark.parametrize("c,eta,perturbs", [
-    *(pytest.param(CI52, F(1, 5), perturbs, id=name)
+@pytest.mark.parametrize("c,eta,perturbs,fires,expected", [
+    *(pytest.param(CI52, F(1, 5), perturbs, *ROW_Y_2, id=name)
       for name, perturbs in PERTURBED_PRODUCTS.items()),
-    *(pytest.param(CUBIC, F(2, 7), perturbs, id=f"cubic-2/7-{name}")
+    *(pytest.param(CUBIC, F(2, 7), perturbs, *ROW_Y_2, id=f"cubic-2/7-{name}")
+      for name, perturbs in PERTURBED_PRODUCTS.items()),
+    *(pytest.param(CI52, F(1, 5), perturbs, *AT_MINUS_1_2, id=f"{name}-at-(-1,2)")
+      for name, perturbs in PERTURBED_PRODUCTS.items()),
+    *(pytest.param(CUBIC, F(2, 7), perturbs, *AT_MINUS_1_2,
+                   id=f"cubic-2/7-{name}-at-(-1,2)")
       for name, perturbs in PERTURBED_PRODUCTS.items()),
 ])
-def test_slope_identity_scan_reports_violations(monkeypatch, c, eta, perturbs):
-    # a kernel off by one in one of the three products on the classes
-    # with y = 2 must be reported as exactly those classes, in scan
-    # order; a scan that evaluated that product in a closed form of its
-    # own would report none
+def test_slope_identity_scan_reports_violations(monkeypatch, c, eta, perturbs,
+                                                fires, expected):
+    # a kernel off by one in one of the three products on the classes a
+    # perturbation fires on must be reported as exactly those classes,
+    # in scan order; a scan that evaluated that product in a closed form
+    # of its own would report none
     true_product = blowup.top_product
 
     def off_by_one(c, classes):
         A, B, C = classes
-        return true_product(c, classes) + (1 if perturbs(A, B, C) and A.y == 2 else 0)
+        return true_product(c, classes) + (1 if perturbs(A, B, C) and fires(A) else 0)
 
     monkeypatch.setattr(blowup, "top_product", off_by_one)
     checked, violations = slope_identity_scan(c, eta, 2)
     assert checked == 25
-    assert violations == [(x, 2) for x in range(-2, 3)]
+    assert violations == expected
+
+
+def test_slope_identity_scan_feeds_the_kernel_the_classes_it_reports(monkeypatch):
+    # every class the scan decides reaches top_product as D = x*H + y*E
+    # for the (x, y) it would report, x outer and y inner, in three
+    # calls whose results are the expansion oracle's
+    c, eta = CurveGeometry(d=37, g=100), F(3, 41)
+    true_product = blowup.top_product
+    calls = []
+
+    def recording(c, classes):
+        result = true_product(c, classes)
+        calls.append((classes, result))
+        return result
+
+    monkeypatch.setattr(blowup, "top_product", recording)
+    checked, violations = slope_identity_scan(c, eta, 2)
+    assert (checked, violations) == (25, [])
+    assert len(calls) == 3 * checked
+    assert [classes[0] for classes, _ in calls] == [
+        DivisorClass(x, y) for x in range(-2, 3) for y in range(-2, 3) for _ in range(3)]
+    for classes, result in calls:
+        assert result == oracle.top_product(c, classes)
 
 
 def test_slope_identity_scan_takes_an_eta_denominator_at_the_digit_cap():
