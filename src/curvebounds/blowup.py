@@ -29,14 +29,14 @@ from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 # work in closed form before its first point, counted in replay points,
 # and refuses more than MAX_POINTS.  tools/work_weights.py, on 2 cores
 # (Python 3.11.7), reads a replay point at ~3.8-9.4 us as the host's
-# load varies, and in its medians an identity class at 2 points (~13 us
-# against a ~7.7 us point) and the system a sweep parameter builds at
-# 10-12 points beyond its box.
+# load varies, and in its medians an identity class (D built with its
+# integer triple) at 1 point (~4.7 us against a ~4.2 us point) and the
+# system a sweep parameter builds at 10-15 points beyond its box.
 # _CLASS_POINTS = 6 and _SYSTEM_POINTS = 16 over-charge both on
 # purpose: the cap stays a bound on time, and --range 408 stays the
 # first range refused.  So an allowed enumeration runs ~15-38 s at
 # most (MAX_POINTS points at 3.8-9.4 us): the scan to range 407
-# (664,225 classes, ~6 s at that load) and the ci-5-2 sweep over k in
+# (664,225 classes, ~3 s at that load) and the ci-5-2 sweep over k in
 # [0, 2000) at margin 20 (3,444,000 points) still run.
 MAX_POINTS = 4 * 10**6
 _CLASS_POINTS = 6
@@ -65,11 +65,8 @@ class CurveGeometry:
             raise ValueError(f"degree must be >= 1, got {self.d}")
         if self.g < 0:
             raise ValueError(f"genus must be >= 0, got {self.g}")
-
-    @property
-    def deg_n(self) -> int:
-        """Degree of the normal bundle: 4d + 2g - 2."""
-        return 4 * self.d + 2 * self.g - 2
+        # degree of the normal bundle, worked out once; not a field
+        self.__dict__["deg_n"] = 4 * self.d + 2 * self.g - 2
 
 
 @record
@@ -80,8 +77,12 @@ class DivisorClass:
     y: Fraction
 
     def __init__(self, x: RationalLike, y: RationalLike) -> None:
-        object.__setattr__(self, "x", _exact_rational(x))
-        object.__setattr__(self, "y", _exact_rational(y))
+        x, y = _exact_rational(x), _exact_rational(y)
+        xn, xq = x.as_integer_ratio()
+        yn, yq = y.as_integer_ratio()
+        fields = self.__dict__
+        # the class as (X*H + Y*E)/q in integers, for top_product; not a field
+        fields["x"], fields["y"], fields["triple"] = x, y, (xn * yq, yn * xq, xq * yq)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.x - other.x, self.y - other.y)
@@ -126,29 +127,21 @@ def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
     Expanding the product of the linear forms x_i*H + y_i*E, only the
     monomials H^3, H*E^2 and E^3 survive against the table
     H^3 = 1, H*E^2 = -d, E^3 = -deg_N; their coefficients are prod x_i,
-    sum_i x_i prod_{j != i} y_j and prod y_i, carried through one pass
-    over the classes.
+    sum_i x_i prod_{j != i} y_j and prod y_i.
 
-    The pass runs in integers: a class is (X*H + Y*E)/q with
-    X = x.num * y.den, Y = y.num * x.den and q = x.den * y.den, each
-    coordinate read as (num, den) by one as_integer_ratio() call, so the
-    three coefficients share the running denominator prod q_i and one
-    Fraction, reduced by one gcd, is built at the end.  The empty
-    product (hh, he, ee) = (1, 0, 1) starts the pass.
+    Each class carries its integer triple (X, Y, q), the class as
+    (X*H + Y*E)/q, so the three coefficients are products of triples
+    over the common denominator q_1*q_2*q_3, and one Fraction, reduced
+    by one gcd, is built from them.
     """
     if len(classes) != 3:
         raise ArityMismatch(f"need exactly 3 classes, got {len(classes)}")
-    hh, he, ee, den = 1, 0, 1, 1
-    for cl in classes:
-        xn, xq = cl.x.as_integer_ratio()
-        yn, yq = cl.y.as_integer_ratio()
-        hx, ey = xn * yq, yn * xq
-        he = he * ey + ee * hx
-        hh *= hx
-        ee *= ey
-        den *= xq * yq
-    e_part = c.d * he + c.deg_n * ee
-    return Fraction(hh - e_part, den)
+    a, b, e = classes
+    (x1, y1, q1), (x2, y2, q2), (x3, y3, q3) = a.triple, b.triple, e.triple
+    hh = x1 * x2 * x3
+    he = x1 * y2 * y3 + y1 * x2 * y3 + y1 * y2 * x3
+    ee = y1 * y2 * y3
+    return Fraction(hh - c.d * he - c.deg_n * ee, q1 * q2 * q3)
 
 
 # -- derived invariants ----------------------------------------------------
@@ -180,13 +173,14 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
     ValueError; a class is charged _CLASS_POINTS replay points against
     MAX_POINTS, and more work raises WorkTooLarge.
 
-    The 2*bound + 1 coordinates are built as Fractions once per scan,
-    so each class D takes them as they are.  Each class reads the three
-    top_product values A = D^2.H_eta, B = D.H_eta.E and s as numerator
-    over denominator (one as_integer_ratio() call each), with
-    eta*d = en/ed and lambda_eta = ln/ld, and is decided by one integer
-    equation, both sides over their positive common denominators
-    cross-multiplied:
+    The 2*bound + 1 coordinates are built as Fractions once per scan.
+    Each class D is built once, with its integer triple, so its three
+    top_product calls (against H_eta, E and H, whose triples are built
+    once) only multiply triples.  The three values A = D^2.H_eta,
+    B = D.H_eta.E and s are read as numerator over denominator, with
+    eta*d = en/ed and lambda_eta = ln/ld, and the class is decided by
+    one integer equation, both sides over their positive common
+    denominators cross-multiplied:
 
         (An*Bd - Bn*Ad) * sd^2*ed*ld
             == (sn*(sn*ed - en*sd)*ld - ln*(y^2 - y)*sd^2*ed) * Ad*Bd."""

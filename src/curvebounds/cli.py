@@ -8,13 +8,15 @@ the payload through the one JSON encoder ``_json``.
 
 Exit codes: 0 success; 1 inconsistent input, a failed verification, or
 an inconclusive verdict under --strict; 2 malformed descriptors or
-arguments.
+arguments; EXIT_CLOSED_PIPE (141) when the reader closed the pipe
+before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -434,6 +436,10 @@ def _build_parser(named: Optional[tuple]) -> argparse.ArgumentParser:
     return parser
 
 
+# 128 + SIGPIPE: what a shell reports for a writer a closed pipe stops
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -451,7 +457,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     elif payload is not None:
         lines = [json.dumps(_json({"schema": SCHEMA, "command": args.command_name,
                                    **payload}), indent=2)]
-    print("\n".join(lines), file=sys.stderr if payload is None else sys.stdout)
+    out = sys.stderr if payload is None else sys.stdout
+    try:
+        print("\n".join(lines), file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is left, and the flush at exit, go
+        # to os.devnull instead of a traceback on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_CLOSED_PIPE
     return code
 
 

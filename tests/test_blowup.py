@@ -3,6 +3,7 @@ derived from it."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -27,7 +28,7 @@ from curvebounds.blowup import (
     top_product,
 )
 from curvebounds.errors import ArityMismatch, WorkTooLarge
-from curvebounds.scalar import MAX_DIGITS
+from curvebounds.scalar import MAX_CURVE_DIGITS, MAX_DIGITS
 
 F = Fraction
 
@@ -162,6 +163,32 @@ def test_top_product_matches_the_expansion_oracle(c, cls):
     # Fractions compare numerator and denominator, so this also pins a
     # result in lowest terms
     assert type(got) is Fraction and got == oracle.top_product(c, cls)
+
+
+# coordinates whose numerators and denominators have MAX_DIGITS digits,
+# on a curve whose d and g have MAX_CURVE_DIGITS: the triple multiplies
+# each numerator by the other coordinate's denominator
+_BIG = 10 ** (MAX_DIGITS - 1)
+_BIG_CURVE = CurveGeometry(d=10 ** (MAX_CURVE_DIGITS - 1) + 7,
+                           g=2 * 10 ** (MAX_CURVE_DIGITS - 1) + 3)
+_BIG_CLASSES = [DivisorClass(F(_BIG + 1, _BIG + 3), F(-_BIG - 7, 3 * _BIG + 11)),
+                DivisorClass(F(-9 * _BIG - 1, _BIG + 9), F(_BIG + 13, 7 * _BIG + 3)),
+                DivisorClass(F(5 * _BIG + 1, 8 * _BIG + 7), 2),
+                h_eta(F(_BIG + 19, 9 * _BIG + 1))]
+
+
+def test_big_classes_sit_at_the_caps():
+    assert {len(str(_BIG_CURVE.d)), len(str(_BIG_CURVE.g))} == {MAX_CURVE_DIGITS}
+    assert {len(str(n)) for cl in _BIG_CLASSES for v in (cl.x, cl.y) if v.denominator > 1
+            for n in (abs(v.numerator), v.denominator)} == {MAX_DIGITS}
+
+
+@pytest.mark.parametrize("picks", [(0, 1, 2), (0, 0, 3), (1, 3, 3), (2, 1, 0), (3, 3, 3)])
+def test_top_product_at_the_digit_caps(picks):
+    cls = [_BIG_CLASSES[i] for i in picks]
+    got = top_product(_BIG_CURVE, cls)
+    assert type(got) is Fraction and got == oracle.top_product(_BIG_CURVE, cls)
+    assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=40),

@@ -497,13 +497,33 @@ def test_invalid_json_is_exit_2(capsys):
     assert "invalid JSON" in err
 
 
+def _fresh_env():
+    """The environment of a fresh CLI process that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def _fresh_process(argv, timeout):
     """Run the CLI in a fresh process, as a user runs it, with a timeout."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-m", "curvebounds", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout,
+                          env=_fresh_env())
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # ~200 KB of JSON, more than a pipe holds, so the write is still
+    # running when the reader goes away after one byte, as with
+    # `| head -c 1`: a documented exit code and nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "curvebounds", "verify", "sweep", CI52, "--mode",
+         "gonality", "--start", "0", "--stop", "2000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_CLOSED_PIPE, b"")
+    assert cli.EXIT_CLOSED_PIPE == 141  # 128 + SIGPIPE, as README documents
 
 
 @pytest.mark.parametrize("text, message", [

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from curvebounds._record import asdict, record, replace
-from curvebounds.blowup import E, H, ChernData, CurveGeometry, DivisorClass
+from curvebounds import cli
+from curvebounds._record import FrozenRecordError, asdict, record, replace
+from curvebounds.blowup import E, H, ChernData, CurveGeometry, DivisorClass, top_product
 from curvebounds.replay import Box, GonalityMode, RestrictionMode
 from curvebounds.seshadri import Evidence, make_evidence
 
@@ -116,6 +117,29 @@ def test_replace_and_asdict():
         replace(c, d=0)
     with pytest.raises(TypeError):
         replace(c, genus=2)
+
+
+def test_derived_integer_data_is_no_field():
+    # a class's integer triple and a curve's deg_N are worked out on
+    # construction, but equality, hashing, repr, asdict, the JSON and
+    # replace() see only the fields
+    c = CurveGeometry(10, 16)
+    a, b = DivisorClass(1, 0), DivisorClass(Fraction(1), Fraction(0))
+    assert a == b and hash(a) == hash(b)
+    assert top_product(c, [a, E, E]) == top_product(c, [b, E, E]) == -10
+    half = DivisorClass(Fraction(1, 2), Fraction(-2, 3))
+    assert half.triple == (3, -4, 6)  # (3*H - 4*E)/6
+    assert c.deg_n == 70
+    assert repr(half) == "DivisorClass(x=Fraction(1, 2), y=Fraction(-2, 3))"
+    assert asdict(half) == {"x": Fraction(1, 2), "y": Fraction(-2, 3)}
+    assert list(cli._json(half)) == ["x", "y"]
+    assert asdict(c) == {"d": 10, "g": 16} and cli._json(c) == {"d": 10, "g": 16}
+    assert replace(half, y=Fraction(1, 5)).triple == (5, 2, 10)
+    assert replace(c, g=0).deg_n == 38
+    for obj, name, value in ((half, "triple", (1, 0, 1)), (c, "deg_n", 0)):
+        with pytest.raises(FrozenRecordError):
+            setattr(obj, name, value)
+    assert half.triple == (3, -4, 6) and c.deg_n == 70
 
 
 @record
