@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -457,14 +456,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     elif payload is not None:
         lines = [json.dumps(_json({"schema": SCHEMA, "command": args.command_name,
                                    **payload}), indent=2)]
-    out = sys.stderr if payload is None else sys.stdout
     try:
-        print("\n".join(lines), file=out)
-        out.flush()
+        print("\n".join(lines), file=sys.stderr if payload is None else sys.stdout, flush=True)
     except BrokenPipeError:
-        # the reader is gone: what is left, and the flush at exit, go
-        # to os.devnull instead of a traceback on stderr
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        # the reader is gone; the process's streams are left as they
+        # are (``python -m curvebounds`` points stdout at os.devnull)
         return EXIT_CLOSED_PIPE
     return code
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, text output, JSON payloads."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -524,6 +525,19 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback():
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (cli.EXIT_CLOSED_PIPE, b"")
     assert cli.EXIT_CLOSED_PIPE == 141  # 128 + SIGPIPE, as README documents
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_main_in_process_returns_the_code_and_leaves_the_streams(monkeypatch):
+    # a caller that runs main in its own process keeps its streams: only
+    # ``python -m curvebounds`` points them at os.devnull before it exits,
+    # and this stream has no file descriptor to point anywhere
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["invariants", CI52, "--json"]) == cli.EXIT_CLOSED_PIPE
 
 
 @pytest.mark.parametrize("text, message", [

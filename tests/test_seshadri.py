@@ -29,8 +29,13 @@ from curvebounds.seshadri import (
 )
 
 F = Fraction
-# a fixed draw without shrinking: the first example that hits the case
-REACH = settings(database=None, derandomize=True, phases=[Phase.generate])
+# a fixed draw without shrinking: the first example that hits the case.
+# Hypothesis mixes the literals of the loaded src/ modules into its draws,
+# so a new literal there changes the draw; 1,000 draws keep the rarest
+# case (a consistent residual pair, ~1 draw in 125) from being missed by
+# luck, where 100 missed it on 45 of 100 random draw sequences
+REACH = settings(database=None, derandomize=True, phases=[Phase.generate],
+                 max_examples=1_000)
 
 LINE = CurveGeometry(d=1, g=0)
 CUBIC = CurveGeometry(d=3, g=0)
