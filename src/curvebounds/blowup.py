@@ -28,16 +28,18 @@ from .scalar import exact_int as _exact_int, exact_rational as _exact_rational
 # Every enumeration (replay box, sweep, slope-identity scan) prices its
 # work in closed form before its first point, counted in replay points,
 # and refuses more than MAX_POINTS.  tools/work_weights.py, on 2 cores
-# (Python 3.11.7), reads a replay point at ~3.8-9.4 us as the host's
+# (Python 3.11.7), reads a replay point at ~3.7-9.4 us as the host's
 # load varies, and in its medians an identity class (D built with its
-# integer triple) at 1 point (~4.7 us against a ~4.2 us point) and the
-# system a sweep parameter builds at 10-15 points beyond its box.
+# integer triple, its three products from the integer kernel) at under
+# 1 point (~2.5 us against a ~3.7 us point on an idle host, 3.5-4.0 us
+# against 6.4-7.3 us under load), counted as the least weight, 1, and
+# the system a sweep parameter builds at 10-15 points beyond its box.
 # _CLASS_POINTS = 6 and _SYSTEM_POINTS = 16 over-charge both on
 # purpose: the cap stays a bound on time, and --range 408 stays the
 # first range refused.  So an allowed enumeration runs ~15-38 s at
-# most (MAX_POINTS points at 3.8-9.4 us): the scan to range 407
-# (664,225 classes, ~3 s at that load) and the ci-5-2 sweep over k in
-# [0, 2000) at margin 20 (3,444,000 points) still run.
+# most (MAX_POINTS points at 3.7-9.4 us): the scan to range 407
+# (664,225 classes, ~1.6 s on an idle host) and the ci-5-2 sweep over
+# k in [0, 2000) at margin 20 (3,444,000 points) still run.
 MAX_POINTS = 4 * 10**6
 _CLASS_POINTS = 6
 _SYSTEM_POINTS = 16
@@ -121,19 +123,14 @@ class ChernData:
         object.__setattr__(self, "c2_f", _exact_rational(c2_f))
 
 
-def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
-    """Top intersection number of three divisor classes.
-
-    Expanding the product of the linear forms x_i*H + y_i*E, only the
-    monomials H^3, H*E^2 and E^3 survive against the table
-    H^3 = 1, H*E^2 = -d, E^3 = -deg_N; their coefficients are prod x_i,
-    sum_i x_i prod_{j != i} y_j and prod y_i.
+def _top_ratio(c: CurveGeometry, classes: Sequence[DivisorClass]) -> tuple[int, int]:
+    """top_product of three classes as (numerator, denominator), the
+    denominator positive and the pair not reduced: the kernel that
+    top_product and slope_identity_scan share.
 
     Each class carries its integer triple (X, Y, q), the class as
-    (X*H + Y*E)/q, so the three coefficients are products of triples
-    over the common denominator q_1*q_2*q_3, and one Fraction, reduced
-    by one gcd, is built from them.
-    """
+    (X*H + Y*E)/q, so the three surviving coefficients are products of
+    triples over the common denominator q_1*q_2*q_3."""
     if len(classes) != 3:
         raise ArityMismatch(f"need exactly 3 classes, got {len(classes)}")
     a, b, e = classes
@@ -141,7 +138,20 @@ def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
     hh = x1 * x2 * x3
     he = x1 * y2 * y3 + y1 * x2 * y3 + y1 * y2 * x3
     ee = y1 * y2 * y3
-    return Fraction(hh - c.d * he - c.deg_n * ee, q1 * q2 * q3)
+    return hh - c.d * he - c.deg_n * ee, q1 * q2 * q3
+
+
+def top_product(c: CurveGeometry, classes: Sequence[DivisorClass]) -> Fraction:
+    """Top intersection number of three divisor classes, in lowest terms.
+
+    Expanding the product of the linear forms x_i*H + y_i*E, only the
+    monomials H^3, H*E^2 and E^3 survive against the table
+    H^3 = 1, H*E^2 = -d, E^3 = -deg_N; their coefficients are prod x_i,
+    sum_i x_i prod_{j != i} y_j and prod y_i.  The integer kernel
+    _top_ratio multiplies them out of the classes' triples, and one
+    Fraction, reduced by one gcd, is built from its pair.
+    """
+    return Fraction(*_top_ratio(c, classes))
 
 
 # -- derived invariants ----------------------------------------------------
@@ -174,13 +184,14 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
     MAX_POINTS, and more work raises WorkTooLarge.
 
     The 2*bound + 1 coordinates are built as Fractions once per scan.
-    Each class D is built once, with its integer triple, so its three
-    top_product calls (against H_eta, E and H, whose triples are built
-    once) only multiply triples.  The three values A = D^2.H_eta,
-    B = D.H_eta.E and s are read as numerator over denominator, with
-    eta*d = en/ed and lambda_eta = ln/ld, and the class is decided by
-    one integer equation, both sides over their positive common
-    denominators cross-multiplied:
+    Each class D is built once, with its integer triple, and its three
+    products (against H_eta, E and H, whose triples are built once) are
+    top_product's integer kernel _top_ratio: each value A = D^2.H_eta,
+    B = D.H_eta.E and s comes as numerator over positive denominator,
+    not reduced, with no Fraction built for it.  With eta*d = en/ed and
+    lambda_eta = ln/ld, the class is decided by one integer equation,
+    both sides over their positive common denominators
+    cross-multiplied:
 
         (An*Bd - Bn*Ad) * sd^2*ed*ld
             == (sn*(sn*ed - en*sd)*ld - ln*(y^2 - y)*sd^2*ed) * Ad*Bd."""
@@ -203,9 +214,9 @@ def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
         for y, fy in coords:
             checked += 1
             dcls = DivisorClass(fx, fy)
-            an, ad = top_product(c, (dcls, dcls, heta)).as_integer_ratio()
-            bn, bd = top_product(c, (dcls, heta, E)).as_integer_ratio()
-            sn, sd = top_product(c, (dcls, heta, H)).as_integer_ratio()
+            an, ad = _top_ratio(c, (dcls, dcls, heta))
+            bn, bd = _top_ratio(c, (dcls, heta, E))
+            sn, sd = _top_ratio(c, (dcls, heta, H))
             sded = sd * sd * ed
             if ((an * bd - bn * ad) * sded * ld
                     != (sn * (sn * ed - en * sd) * ld - ln * (y * y - y) * sded) * ad * bd):

@@ -21,11 +21,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import _record
-from .blowup import delta_eta, lambda_eta
-# private alias: perfbench's tracer wraps public names only, so the scan
-# loop stays charged to the command that runs it and blowup's per-class
-# time keeps measuring the intersection products
-from .blowup import slope_identity_scan as _slope_identity_scan
+from .blowup import delta_eta, lambda_eta, slope_identity_scan
 from .bounds import (
     BoundReport,
     _certify,
@@ -221,7 +217,7 @@ def cmd_surface_restrict(args: argparse.Namespace) -> Result:
 
 def cmd_verify_identity(args: argparse.Namespace) -> Result:
     desc, eta, _, notes = _load(args, "eta")
-    checked, violations = _slope_identity_scan(desc.curve, eta, args.range)
+    checked, violations = slope_identity_scan(desc.curve, eta, args.range)
     payload = {"curve": _curve(desc), "eta": eta, "range": args.range,
                "checked": checked, "violations": violations, "notes": notes}
     lines = [

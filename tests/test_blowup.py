@@ -163,6 +163,8 @@ def test_top_product_matches_the_expansion_oracle(c, cls):
     # Fractions compare numerator and denominator, so this also pins a
     # result in lowest terms
     assert type(got) is Fraction and got == oracle.top_product(c, cls)
+    num, den = blowup._top_ratio(c, cls)
+    assert den > 0 and Fraction(num, den) == got
 
 
 # coordinates whose numerators and denominators have MAX_DIGITS digits,
@@ -189,6 +191,16 @@ def test_top_product_at_the_digit_caps(picks):
     got = top_product(_BIG_CURVE, cls)
     assert type(got) is Fraction and got == oracle.top_product(_BIG_CURVE, cls)
     assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+    num, den = blowup._top_ratio(_BIG_CURVE, cls)
+    assert den > 0 and Fraction(num, den) == got
+
+
+def test_top_product_is_the_kernel_reduced(monkeypatch):
+    # top_product is the scan's kernel in lowest terms, so a fault in
+    # the kernel shows in both
+    monkeypatch.setattr(blowup, "_top_ratio", lambda c, classes: (14, 4))
+    got = top_product(CI52, [H, H, H])
+    assert (got.numerator, got.denominator) == (7, 2)
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=40),
@@ -431,32 +443,35 @@ def test_slope_identity_scan_reports_violations(monkeypatch, c, eta, perturbs,
     # perturbation fires on must be reported as exactly those classes,
     # in scan order; a scan that evaluated that product in a closed form
     # of its own would report none
-    true_product = blowup.top_product
+    true_ratio = blowup._top_ratio
 
     def off_by_one(c, classes):
         A, B, C = classes
-        return true_product(c, classes) + (1 if perturbs(A, B, C) and fires(A) else 0)
+        num, den = true_ratio(c, classes)
+        # + den on the numerator is + 1 on the value
+        return num + (den if perturbs(A, B, C) and fires(A) else 0), den
 
-    monkeypatch.setattr(blowup, "top_product", off_by_one)
+    monkeypatch.setattr(blowup, "_top_ratio", off_by_one)
     checked, violations = slope_identity_scan(c, eta, 2)
     assert checked == 25
     assert violations == expected
 
 
 def test_slope_identity_scan_feeds_the_kernel_the_classes_it_reports(monkeypatch):
-    # every class the scan decides reaches top_product as D = x*H + y*E
+    # every class the scan decides reaches the kernel as D = x*H + y*E
     # for the (x, y) it would report, x outer and y inner, in three
     # calls whose results are the expansion oracle's
     c, eta = CurveGeometry(d=37, g=100), F(3, 41)
-    true_product = blowup.top_product
+    true_ratio = blowup._top_ratio
     calls = []
 
     def recording(c, classes):
-        result = true_product(c, classes)
-        calls.append((classes, result))
-        return result
+        num, den = true_ratio(c, classes)
+        assert den > 0
+        calls.append((classes, Fraction(num, den)))
+        return num, den
 
-    monkeypatch.setattr(blowup, "top_product", recording)
+    monkeypatch.setattr(blowup, "_top_ratio", recording)
     checked, violations = slope_identity_scan(c, eta, 2)
     assert (checked, violations) == (25, [])
     assert len(calls) == 3 * checked
@@ -561,7 +576,7 @@ def test_slope_identity_scan_refuses_more_classes_than_the_cap(monkeypatch):
     monkeypatch.setattr(blowup, "MAX_POINTS", work)
     assert slope_identity_scan(CI52, F(1, 5), 2) == (25, [])
     monkeypatch.setattr(blowup, "MAX_POINTS", work - 1)
-    monkeypatch.setattr(blowup, "top_product", None)  # no class is evaluated
+    monkeypatch.setattr(blowup, "_top_ratio", None)  # no class is evaluated
     with pytest.raises(WorkTooLarge, match=f"range 2 has 25 classes: work of {work} "):
         slope_identity_scan(CI52, F(1, 5), 2)
     monkeypatch.undo()
