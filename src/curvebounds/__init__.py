@@ -58,7 +58,6 @@ from .errors import (
     LambdaNegative,
     NegativeRadicand,
     NoEvidence,
-    NonpositiveEpsilon,
     NonpositiveEta,
     NonpositiveGamma,
     NullCorrelationExcluded,
@@ -94,7 +93,6 @@ from .seshadri import (
     bound_from_evidence,
     castelnuovo_default,
     combine,
-    make_evidence,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from ._record import record, render, replace
 from .blowup import CurveGeometry, delta_eta
 from .errors import (
     NoEvidence,
-    NonpositiveEpsilon,
+    NonpositiveEta,
     NonpositiveGamma,
     NullCorrelationExcluded,
     TooManyDigits,
@@ -222,7 +222,7 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     eps falls outside it."""
     eps = _capped_rational(eps)
     if eps.numerator <= 0:
-        raise NonpositiveEpsilon(f"eta must be positive, got {eps}")
+        raise NonpositiveEta(f"eta must be positive, got {eps}")
     return _two_term_bound(c, eps, interval, (c.d, 1), (c.d, 1),
                            (eps.numerator, eps.denominator), _GONALITY)
 

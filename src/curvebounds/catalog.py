@@ -33,7 +33,6 @@ from .seshadri import (
     Evidence,
     castelnuovo_default,
     linked_line_genus,
-    make_evidence,
 )
 
 KINDS = ("complete_intersection", "linked_line", "raw")
@@ -111,7 +110,7 @@ def evidence_from_json(obj: Any, loc: str = "$") -> Evidence:
     if not isinstance(note, str):
         raise ParseError(f"{loc}.note: expected a string, got {note!r}")
     try:
-        return make_evidence(kind, params, note)
+        return Evidence(kind, params, note)
     except ValueError as exc:
         raise InvariantViolation(f"{loc}: {exc}") from None
 

@@ -49,8 +49,8 @@ class DegenerateInput(CurveBoundsError):
 
 # --- theorem evaluation -------------------------------------------------
 
-class NonpositiveEpsilon(CurveBoundsError):
-    """Gonality bound evaluated at eps <= 0."""
+class NonpositiveEta(CurveBoundsError):
+    """Gonality bound, constraint system or sweep requested at eta <= 0."""
 
 
 class NonpositiveGamma(CurveBoundsError):
@@ -71,10 +71,6 @@ class NullCorrelationExcluded(CurveBoundsError):
 class LambdaNegative(CurveBoundsError):
     """lambda_eta < 0: the quadratic-form step behind the constraint
     system does not apply, so no system is built."""
-
-
-class NonpositiveEta(CurveBoundsError):
-    """Constraint system requested at eta <= 0."""
 
 
 class UnboundedBox(CurveBoundsError):

@@ -97,7 +97,6 @@ class SweepResult:
     """region_empty across a parameter range; frontier is the first
     parameter with a witness (None when the region never fills)."""
 
-    mode_family: str
     entries: tuple[tuple[int, ReplayOutcome], ...]
     frontier: Optional[int]
     note: str = NECESSARY_ONLY_NOTE
@@ -113,10 +112,10 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         x >= 1, eta*d >= 2s, c2 >= s*eta*d - s^2 + eta*l_min,
         x^2 >= y^2*d - c2.
 
-    Integers decide everything irrational: in both modes the box's
-    |y| <= t_max floors the larger root of an integer quadratic in t
-    with ``math.isqrt``, and the saturation row tests x >= 0 and
-    x^2 >= y^2*d.
+    Integers decide everything irrational: the box's |y| <= t_max
+    floors, with ``math.isqrt``, the larger root of one integer
+    quadratic in t, the restriction row's, taken at c2 = 0 in gonality
+    mode; the saturation row tests x >= 0 and x^2 >= y^2*d.
     """
     eta = _capped_rational(eta)
     if eta <= 0:
@@ -139,41 +138,33 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         "y*(sqrt(d) + eta*d) <= eta*d/2 < y for every positive integer y",
     ]
 
-    # for y = -t the cap x <= eta*d/2 + t*eta*d meets the mode's lower
-    # bound on x only while an integer quadratic lead*t^2 - lin*t - const,
-    # with lead > 0 (because eta^2*d < 1) and const >= 0, is <= 0; that
-    # holds on [0, larger root], and the larger root
+    # for y = -t a class needs x^2 >= t^2*d - c2 below the cap
+    # x <= eta*d/2 + t*eta*d; in gonality mode c2 = 0 and the row is the
+    # saturation x >= t*sqrt(d) squared, both sides nonnegative.  A
+    # feasible x exists only while q(t) <= 0 where
+    # q(t) = t^2*d*(1 - eta^2*d) - t*eta^2*d^2 - (c2 + eta^2*d^2/4),
+    # and 4*r^2*q(t) (eta = p/r) is the integer quadratic
+    # lead*t^2 - lin*t - const, with lead > 0 (because eta^2*d < 1) and
+    # const >= 0; it is <= 0 on [0, larger root], and the larger root
     # (lin + sqrt(disc)) / (2*lead), disc = lin^2 + 4*lead*const,
-    # floors to (lin + isqrt(disc)) // (2*lead).  eta = p/r.
-    p, r = eta.numerator, eta.denominator
+    # floors to (lin + isqrt(disc)) // (2*lead).
     if isinstance(mode, GonalityMode):
         if _exact_int(mode.k) < 0:
             raise ValueError(f"pencil degree k must be nonnegative, got {mode.k}")
-
-        # saturation x >= t*sqrt(d) against the cap: 2*r*t*sqrt(d) <=
-        # p*d*(2t + 1), both sides nonnegative, so squared and divided by
-        # d it is 4*r^2*t^2 <= p^2*d*(2t + 1)^2
-        lead = 4 * (r * r - p * p * d)
-        lin = 4 * p * p * d
-        const = p * p * d
-        x_min, t_rule = 0, "t^2*d"
+        c2, x_min, t_rule = 0, 0, "t^2*d"
     elif isinstance(mode, RestrictionMode):
         c2 = _exact_int(mode.c2)
         if c2 < 0 or _exact_int(mode.l_min) < 0:
             raise ValueError(
                 f"c2 and l_min must be nonnegative, got c2 = {c2}, "
                 f"l_min = {mode.l_min}")
-
-        # x^2 >= t^2*d - c2 against the cap: a feasible x exists only
-        # while q(t) <= 0 where
-        # q(t) = t^2*d*(1 - eta^2*d) - t*eta^2*d^2 - (c2 + eta^2*d^2/4),
-        # and 4*r^2*q(t) is the integer quadratic
-        lead = 4 * d * (r * r - p * p * d)
-        lin = 4 * p * p * d * d
-        const = 4 * r * r * c2 + p * p * d * d
         x_min, t_rule = 1, "t^2*d - c2"
     else:
         raise TypeError(f"unknown mode: {mode!r}")
+    p, r = eta.numerator, eta.denominator
+    lead = 4 * d * (r * r - p * p * d)
+    lin = 4 * p * p * d * d
+    const = 4 * r * r * c2 + p * p * d * d
     t_max = (lin + math.isqrt(lin * lin + 4 * lead * const)) // (2 * lead)
 
     x_max = int(ed / 2 + t_max * ed)  # Fraction floor for nonneg values
@@ -247,16 +238,14 @@ def region_empty(sys: ConstraintSystem, margin: int = 0) -> ReplayOutcome:
     tests = [test for _, test in _rows(sys.curve, sys.eta, sys.mode)]
     ed = sys.eta * sys.curve.d
     best: Optional[tuple[int, int, int]] = None  # (|y|, x, y) of the best witness
-    checked = 0
     for x, y in sys.box.points(margin):
-        checked += 1
         if _satisfies(tests, ed, x, y):
             key = (abs(y), x, y)
             if best is None or key < best:
                 best = key
     if best is None:
-        return ReplayOutcome(empty=True, witness=None, checked=checked)
-    return ReplayOutcome(empty=False, witness=best[1:], checked=checked)
+        return ReplayOutcome(empty=True, witness=None, checked=points)
+    return ReplayOutcome(empty=False, witness=best[1:], checked=points)
 
 
 def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
@@ -301,5 +290,4 @@ def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
         entries.append((param, outcome))
         if frontier is None and not outcome.empty:
             frontier = param
-    return SweepResult(mode_family=mode_family, entries=tuple(entries),
-                       frontier=frontier)
+    return SweepResult(entries=tuple(entries), frontier=frontier)

@@ -193,13 +193,7 @@ def _row(kind: str) -> EvidenceKind:
     return row
 
 
-def make_evidence(kind: str, params: tuple, note: str = "") -> Evidence:
-    """``Evidence(kind, params, note)``, which validates the item
-    through its row."""
-    return Evidence(kind, params, note)
-
-
-_DEGREE_DEFAULT = make_evidence("degree_default", (), "injected default")
+_DEGREE_DEFAULT = Evidence("degree_default", (), "injected default")
 
 
 def bound_from_evidence(c: CurveGeometry, e: Evidence) -> EvidenceBound:

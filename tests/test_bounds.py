@@ -29,13 +29,13 @@ from curvebounds.catalog import load_descriptor
 from curvebounds.errors import (
     InconsistentEvidence,
     NoEvidence,
-    NonpositiveEpsilon,
+    NonpositiveEta,
     NonpositiveGamma,
     NullCorrelationExcluded,
     RadicandTooLarge,
 )
 from curvebounds.scalar import MAX_RADICAND, QuadNumber
-from curvebounds.seshadri import SeshadriInterval, combine, make_evidence
+from curvebounds.seshadri import Evidence, SeshadriInterval, combine
 
 F = Fraction
 
@@ -130,14 +130,14 @@ def test_gonality_vanishes_on_balanced_types(a):
 
 
 def test_gonality_input_validation():
-    with pytest.raises(NonpositiveEpsilon):
+    with pytest.raises(NonpositiveEta):
         gonality_bound(CI52, 0)
-    with pytest.raises(NonpositiveEpsilon):
+    with pytest.raises(NonpositiveEta):
         gonality_bound(CI52, F(-1, 5))
 
 
 def test_gonality_interval_warning():
-    iv = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
+    iv = combine(CI52, [Evidence("complete_intersection", (5, 2))])
     rep = gonality_bound(CI52, F(1, 4), interval=iv)
     assert any("outside the certified interval" in t for t in rep.trace)
     rep = gonality_bound(CI52, F(1, 5), interval=iv)
@@ -239,21 +239,21 @@ def test_certify_antitone_in_c2():
 
 
 def test_gamma_lower_from_one_surface():
-    iv = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
+    iv = combine(CI52, [Evidence("complete_intersection", (5, 2))])
     sc = gamma_lower(CI52, [(5, True)], iv)
     assert sc.gamma_lower == F(1, 5)
     assert any("degree 5" in t for t in sc.trace)
 
 
 def test_gamma_lower_picks_the_best_stable_surface():
-    iv = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
+    iv = combine(CI52, [Evidence("complete_intersection", (5, 2))])
     sc = gamma_lower(CI52, [(3, False), (7, True), (9, True)], iv)
     assert sc.gamma_lower == F(1, 7)
     assert any("skipped" in t for t in sc.trace)
 
 
 def test_gamma_lower_needs_a_stable_surface():
-    iv = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
+    iv = combine(CI52, [Evidence("complete_intersection", (5, 2))])
     with pytest.raises(NoEvidence):
         gamma_lower(CI52, [(3, False)], iv)
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from curvebounds.errors import (CurveBoundsError, InvariantViolation, ParseError
                                TooManyDigits)
 from curvebounds.scalar import MAX_CURVE_DIGITS, MAX_DIGITS
 from curvebounds.replay import GonalityMode, build_system, sweep
-from curvebounds.seshadri import EVIDENCE_KINDS, combine, make_evidence
+from curvebounds.seshadri import EVIDENCE_KINDS, Evidence, combine
 from test_cli import CI52, _fresh_process
 
 CAP_MESSAGE = f"digits, above the cap of {MAX_DIGITS}"
@@ -333,8 +333,8 @@ RATIONAL_ENTRIES = {
     "build_system": lambda q: build_system(CurveGeometry(10, 16), q, GonalityMode(k=0)),
     "sweep": lambda q: sweep(CurveGeometry(10, 16), q, "gonality", range(2)),
     "assert_exact": lambda q: combine(CurveGeometry(10, 16),
-                                      [make_evidence("assert_exact", (q,))]),
-    "normal_bundle_s": lambda q: make_evidence("normal_bundle_s", (q,)),
+                                      [Evidence("assert_exact", (q,))]),
+    "normal_bundle_s": lambda q: Evidence("normal_bundle_s", (q,)),
 }
 
 

@@ -51,11 +51,10 @@ from curvebounds.seshadri import (
     EVIDENCE_KINDS,
     Evidence,
     combine,
-    make_evidence,
 )
 
 CI52 = CurveGeometry(10, 16)
-IV52 = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
+IV52 = combine(CI52, [Evidence("complete_intersection", (5, 2))])
 
 RATIONAL_ENTRY_POINTS = {
     "exact_rational": exact_rational,
@@ -84,8 +83,6 @@ RATIONAL_ENTRY_POINTS = {
     "certify_restriction_stable": lambda q: certify_restriction_stable(CI52, q, 0),
     "build_system.gonality": lambda q: build_system(CI52, q, GonalityMode(3)),
     "build_system.restriction": lambda q: build_system(CI52, q, RestrictionMode(3)),
-    "normal_bundle_s": lambda q: make_evidence("normal_bundle_s", (q,)),
-    "assert_exact": lambda q: make_evidence("assert_exact", (q,)),
     "Evidence.normal_bundle_s": lambda q: Evidence("normal_bundle_s", (q,)),
     "Evidence.assert_exact": lambda q: Evidence("assert_exact", (q,)),
     "SeshadriInterval.__contains__": lambda q: q in IV52,
@@ -107,20 +104,6 @@ def test_rational_entry_points_reject_float_and_bool(name):
 INTEGER_ENTRY_POINTS = {
     "exact_int": exact_int,
     "QuadNumber.m": lambda n: QuadNumber(0, 1, n),
-    "global_generation.n": lambda n: make_evidence("global_generation", (n, 5)),
-    "global_generation.m": lambda n: make_evidence("global_generation", (1, n)),
-    "regularity": lambda n: make_evidence("regularity", (n,)),
-    "secant_line": lambda n: make_evidence("secant_line", (n,)),
-    "complete_intersection.a": lambda n: make_evidence(
-        "complete_intersection", (n, 2)),
-    "complete_intersection.b": lambda n: make_evidence(
-        "complete_intersection", (5, n)),
-    "linked_line.a": lambda n: make_evidence("linked_line", (n, 2)),
-    "linked_line.b": lambda n: make_evidence("linked_line", (5, n)),
-    "bundle_seshadri.n": lambda n: make_evidence("bundle_seshadri", (n, 5)),
-    "bundle_seshadri.m": lambda n: make_evidence("bundle_seshadri", (1, n)),
-    "residual_reduced.a": lambda n: make_evidence("residual_reduced", (n, 2)),
-    "residual_reduced.b": lambda n: make_evidence("residual_reduced", (5, n)),
     "Evidence.global_generation.n": lambda n: Evidence("global_generation", (n, 5)),
     "Evidence.global_generation.m": lambda n: Evidence("global_generation", (1, n)),
     "Evidence.regularity": lambda n: Evidence("regularity", (n,)),
@@ -185,15 +168,14 @@ def test_integer_entry_points_reject_float_bool_and_fraction(name):
 
 
 def test_every_evidence_field_has_a_float_and_bool_test():
-    # evidence is built through Evidence, or make_evidence, which calls
-    # it; the parameters come in one tuple, so each (kind, field) pair
-    # needs its own row for each, keyed "kind.field", or "kind" when the
-    # kind has one field, and prefixed "Evidence." for the record itself
+    # evidence is built through Evidence; the parameters come in one
+    # tuple, so each (kind, field) pair needs its own row, keyed
+    # "Evidence.kind.field", or "Evidence.kind" when the kind has one field
     table = {**RATIONAL_ENTRY_POINTS, **INTEGER_ENTRY_POINTS}
-    missing = [f"{prefix}{kind}.{field}" for kind, row in EVIDENCE_KINDS.items()
-               for field in row.fields for prefix in ("", "Evidence.")
-               if f"{prefix}{kind}.{field}" not in table
-               and not (row.fields == (field,) and f"{prefix}{kind}" in table)]
+    missing = [f"Evidence.{kind}.{field}" for kind, row in EVIDENCE_KINDS.items()
+               for field in row.fields
+               if f"Evidence.{kind}.{field}" not in table
+               and not (row.fields == (field,) and f"Evidence.{kind}" in table)]
     assert not missing
 
 

@@ -1,7 +1,8 @@
 """tools/mutants.py's table stays applicable to the code: each row's old
 texts occur exactly once in its file, the mutated file still compiles,
-its tests exist and its CHANGES.md entry is there.  No mutant is run
-here; ``python tools/mutants.py`` runs them."""
+its tests exist and its CHANGES.md entry is there; each equivalent
+mutant applies and compiles too.  No mutant is run here;
+``python tools/mutants.py`` runs them."""
 
 import importlib.util
 import os
@@ -25,7 +26,7 @@ CHANGES_LINES = read("CHANGES.md").splitlines()
 
 def test_rows_have_distinct_names():
     names = [m.name for m in mutants.MUTANTS]
-    assert len(names) == len(set(names)) >= 13
+    assert len(names) == len(set(names)) >= 25
 
 
 @pytest.mark.parametrize("m", mutants.MUTANTS, ids=lambda m: m.name)
@@ -38,7 +39,15 @@ def test_row_applies_once_and_compiles(m):
     assert any(line.startswith(m.source) for line in CHANGES_LINES)
 
 
+@pytest.mark.parametrize("m", mutants.EQUIVALENT, ids=lambda m: m.name)
+def test_equivalent_row_applies_once_and_compiles(m):
+    text = read(m.file)
+    changed = mutants.mutated(m, text)
+    assert changed != text and m.reason
+    compile(changed, m.file, "exec")
+
+
 def test_an_old_text_that_is_not_there_is_refused():
-    row = mutants.blowup("absent", "-", ("no such text", ""))
+    row = mutants.row("blowup", "absent", "-", ("no such text", ""))
     with pytest.raises(ValueError, match="occurs 0 times"):
         mutants.mutated(row, "x = 1\n")

@@ -13,7 +13,7 @@ from curvebounds import cli
 from curvebounds._record import FrozenRecordError, asdict, record, replace
 from curvebounds.blowup import E, H, ChernData, CurveGeometry, DivisorClass, top_product
 from curvebounds.replay import Box, GonalityMode, RestrictionMode
-from curvebounds.seshadri import Evidence, make_evidence
+from curvebounds.seshadri import Evidence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -85,7 +85,7 @@ def test_repr_matches_the_dataclass_format():
     assert repr(RestrictionMode(c2=4)) == "RestrictionMode(c2=4, l_min=0)"
     assert repr(DivisorClass(1, Fraction(-1, 5))) == (
         "DivisorClass(x=Fraction(1, 1), y=Fraction(-1, 5))")
-    assert repr(make_evidence("global_generation", (1, 2), note="x")) == (
+    assert repr(Evidence("global_generation", (1, 2), note="x")) == (
         "Evidence(kind='global_generation', params=(1, 2), note='x')")
     assert repr(Box(0, 2, -1, 0, ("n",))) == (
         "Box(x_min=0, x_max=2, y_min=-1, y_max=0, notes=('n',))")

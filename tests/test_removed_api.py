@@ -22,6 +22,7 @@ REMOVED = [
     ("blowup", "halphen_f"),
     ("blowup", "triple_product"),
     ("errors", "UnsupportedDimension"),
+    ("errors", "NonpositiveEpsilon"),
     ("scalar", "quad_cmp"),
     ("scalar", "sqrt_rational"),
     ("scalar", "quad_add"),
@@ -31,6 +32,7 @@ REMOVED = [
     ("scalar", "quad_max"),
     ("scalar", "floor_quad"),
     ("scalar", "ceil_quad"),
+    ("seshadri", "make_evidence"),
     *[("seshadri", kind) for kind in (
         "degree_default", "global_generation", "regularity", "secant_line",
         "complete_intersection", "linked_line", "normal_bundle_s",

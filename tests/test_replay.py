@@ -11,6 +11,7 @@ import quad_model as model
 import replay_oracle as oracle
 from curvebounds import blowup, replay
 from curvebounds.blowup import MAX_POINTS, CurveGeometry, lambda_eta
+from curvebounds.catalog import standard_catalog
 from curvebounds.errors import LambdaNegative, NonpositiveEta, UnboundedBox, WorkTooLarge
 from curvebounds.replay import (
     NECESSARY_ONLY_NOTE,
@@ -21,6 +22,7 @@ from curvebounds.replay import (
     region_empty,
     sweep,
 )
+from curvebounds.seshadri import combine
 
 F = Fraction
 
@@ -168,6 +170,41 @@ def test_gonality_t_max_is_the_last_t_the_saturation_allows(d_eta):
     assert t_max >= 0
     assert _saturation_meets_cap(t_max, d, eta)
     assert not _saturation_meets_cap(t_max + 1, d, eta)
+
+
+@st.composite
+def gonality_systems(draw):
+    """(curve, eta) that build_system takes in gonality mode: a (d, eta)
+    of gonality_etas and a genus up to the largest with lambda_eta >= 0."""
+    d, eta = draw(gonality_etas())
+    # lambda_eta >= 0 iff 2*eta*g <= eta^2*d^2 + d - 4*eta*d + 2*eta
+    g_max = math.floor((eta * eta * d * d + d - 4 * eta * d + 2 * eta) / (2 * eta))
+    assume(g_max >= 0)
+    return CurveGeometry(d=d, g=draw(st.integers(min_value=0, max_value=g_max))), eta
+
+
+@given(gonality_systems())
+@example((CurveGeometry(d=4, g=0), F(2, 5)))
+def test_gonality_box_matches_the_saturation_quadratic(case):
+    # build_system solves the restriction row's quadratic at c2 = 0,
+    # d times the saturation's own: the roots, and so the boxes, agree
+    curve, eta = case
+    box = build_system(curve, eta, GonalityMode(k=0)).box
+    assert (box.y_min, box.x_max) == oracle.gonality_box_extent(curve.d, eta)
+
+
+def test_catalog_gonality_boxes_match_the_saturation_quadratic():
+    built = 0
+    for desc in standard_catalog():
+        lower = combine(desc.curve, list(desc.evidence)).lower
+        for eta in {lower, *(F(1, n) for n in range(1, 60))}:
+            try:
+                box = build_system(desc.curve, eta, GonalityMode(k=0)).box
+            except (LambdaNegative, UnboundedBox):
+                continue
+            built += 1
+            assert (box.y_min, box.x_max) == oracle.gonality_box_extent(desc.curve.d, eta)
+    assert built == 509
 
 
 # -- emptiness below the bound ---------------------------------------------------

@@ -25,7 +25,6 @@ from curvebounds.seshadri import (
     bound_from_evidence,
     castelnuovo_default,
     combine,
-    make_evidence,
 )
 
 F = Fraction
@@ -46,48 +45,32 @@ OCTIC = CurveGeometry(d=8, g=5)       # deg_N = 40
 # -- evidence construction ---------------------------------------------------
 
 
-def test_make_evidence_validates_positivity():
-    with pytest.raises(ValueError):
-        make_evidence("global_generation", (0, 1))
-    with pytest.raises(ValueError):
-        make_evidence("regularity", (0,))
-    with pytest.raises(ValueError):
-        make_evidence("secant_line", (-1,))
-    with pytest.raises(ValueError):
-        make_evidence("normal_bundle_s", (F(0),))
-    with pytest.raises(ValueError):
-        make_evidence("assert_exact", (F(-1, 2),))
-
-
-def test_make_evidence_validates_shape():
-    with pytest.raises(ValueError):
-        make_evidence("complete_intersection", (2, 3))  # needs a >= b
-    with pytest.raises(ValueError):
-        make_evidence("linked_line", (1, 1))  # residual to a line needs ab >= 2
-    with pytest.raises(ValueError):
-        make_evidence("residual_reduced", (1, 1))
-
-
-# (the parameters, the error make_evidence gives for them); floats and
-# bools are in tests/test_exact_inputs.py
+# (the parameters, the error Evidence gives for them); every kind's
+# zero and negative fields are also tested below, floats and bools in
+# tests/test_exact_inputs.py
 REFUSED_EVIDENCE = [
     (("bogus", ()), ValueError),
+    (("global_generation", (0, 1)), ValueError),
     (("regularity", (0,)), ValueError),
+    (("secant_line", (-1,)), ValueError),
+    (("normal_bundle_s", (F(0),)), ValueError),
     (("normal_bundle_s", (F(-1, 2),)), ValueError),
-    (("complete_intersection", (2, 3)), ValueError),
+    (("assert_exact", (F(-1, 2),)), ValueError),
+    (("complete_intersection", (2, 3)), ValueError),  # needs a >= b
+    (("linked_line", (1, 1)), ValueError),  # residual to a line needs ab >= 2
+    (("residual_reduced", (1, 1)), ValueError),
     (("regularity", (3, 4)), TypeError),
     (("linked_line", (5,)), TypeError),
 ]
 
 
 @pytest.mark.parametrize("args,error", REFUSED_EVIDENCE)
-def test_evidence_built_directly_is_checked_as_make_evidence_checks_it(args, error):
-    # Evidence is re-exported: building it directly may not skip the
-    # kind's row, which combine and printing read
-    for build in (make_evidence, Evidence):
-        with pytest.raises(error) as caught:
-            build(*args)
-        assert type(caught.value) is error
+def test_evidence_checks_its_parameters(args, error):
+    # Evidence is the one constructor: combine and printing read the
+    # kind's row, so no item may skip it
+    with pytest.raises(error) as caught:
+        Evidence(*args)
+    assert type(caught.value) is error
 
 
 @pytest.mark.parametrize("kind,params", [("bogus", ()), ("regularity", (0,))])
@@ -101,7 +84,7 @@ def test_combine_with_a_bad_evidence_fails_with_a_typed_error(kind, params):
 
 def test_evidence_keeps_its_checked_parameters():
     ev = Evidence("normal_bundle_s", (35,))
-    assert ev == make_evidence("normal_bundle_s", (F(35),))
+    assert ev == Evidence("normal_bundle_s", (F(35),))
     assert type(ev.params[0]) is F
 
 
@@ -119,7 +102,7 @@ def _sample_params(row):
 def test_every_kind_round_trips_through_json(kind):
     row = EVIDENCE_KINDS[kind]
     for note in ("", "a note"):
-        ev = make_evidence(kind, _sample_params(row), note=note)
+        ev = Evidence(kind, _sample_params(row), note=note)
         assert ev.kind == kind and len(ev.params) == len(row.fields)
         doc = evidence_to_json(ev)
         assert set(doc) == {"kind", *row.fields} | ({"note"} if note else set())
@@ -133,10 +116,10 @@ def test_every_kind_rejects_inexact_and_nonpositive_fields(kind):
     for i in range(len(params)):
         for bad in (2.0, True):
             with pytest.raises(TypeError):
-                make_evidence(kind, (*params[:i], bad, *params[i + 1:]))
+                Evidence(kind, (*params[:i], bad, *params[i + 1:]))
         for bad in (0, -1):
             with pytest.raises(ValueError, match="must be positive"):
-                make_evidence(kind, (*params[:i], bad, *params[i + 1:]))
+                Evidence(kind, (*params[:i], bad, *params[i + 1:]))
 
 
 def test_readme_lists_exactly_the_evidence_table():
@@ -153,84 +136,84 @@ def test_readme_lists_exactly_the_evidence_table():
 
 
 def test_evidence_str():
-    assert str(make_evidence("complete_intersection", (5, 2))) == \
+    assert str(Evidence("complete_intersection", (5, 2))) == \
         "complete_intersection(a=5, b=2)"
-    assert str(make_evidence("degree_default", ())) == "degree_default()"
-    assert str(make_evidence("normal_bundle_s", (F(35, 2),))) == "normal_bundle_s(s_n=35/2)"
+    assert str(Evidence("degree_default", ())) == "degree_default()"
+    assert str(Evidence("normal_bundle_s", (F(35, 2),))) == "normal_bundle_s(s_n=35/2)"
 
 
 # -- single-evidence bounds --------------------------------------------------
 
 
 def test_degree_default_bounds():
-    eb = bound_from_evidence(CI52, make_evidence("degree_default", ()))
+    eb = bound_from_evidence(CI52, Evidence("degree_default", ()))
     assert eb.eps2_lower is None
     assert eb.lower == F(1, 10)
     assert eb.upper == QuadNumber(0, F(1, 10), 10)   # 1/sqrt(10)
 
 
 def test_global_generation_bound():
-    eb = bound_from_evidence(CI52, make_evidence("global_generation", (2, 3)))
+    eb = bound_from_evidence(CI52, Evidence("global_generation", (2, 3)))
     assert eb.eps2_lower is None
     assert eb.lower == F(2, 3) and eb.upper is None
 
 
 def test_regularity_bounds():
-    eb = bound_from_evidence(CI52, make_evidence("regularity", (3,)))
+    eb = bound_from_evidence(CI52, Evidence("regularity", (3,)))
     assert (eb.lower, eb.upper) == (F(1, 3), 1)
     # m = 1 certifies no upper bound: 2/(m-1) is undefined
-    eb = bound_from_evidence(CI52, make_evidence("regularity", (1,)))
+    eb = bound_from_evidence(CI52, Evidence("regularity", (1,)))
     assert eb.eps2_lower is None
     assert (eb.lower, eb.upper) == (1, None)
 
 
 def test_secant_line_bound():
-    assert bound_from_evidence(CI52, make_evidence("secant_line", (5,))).upper == F(1, 5)
-    assert bound_from_evidence(CI52, make_evidence("secant_line", (10,))).upper == F(1, 10)
+    assert bound_from_evidence(CI52, Evidence("secant_line", (5,))).upper == F(1, 5)
+    assert bound_from_evidence(CI52, Evidence("secant_line", (10,))).upper == F(1, 10)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, make_evidence("secant_line", (11,)))
+        bound_from_evidence(CI52, Evidence("secant_line", (11,)))
 
 
 def test_complete_intersection_bound():
-    eb = bound_from_evidence(CI52, make_evidence("complete_intersection", (5, 2)))
+    eb = bound_from_evidence(CI52, Evidence("complete_intersection", (5, 2)))
     assert eb.eps2_lower is None
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, make_evidence("complete_intersection", (3, 2)))
+        bound_from_evidence(CI52, Evidence("complete_intersection", (3, 2)))
 
 
 def test_linked_line_bound():
     c = CurveGeometry(d=9, g=12)
-    eb = bound_from_evidence(c, make_evidence("linked_line", (5, 2)))
+    eb = bound_from_evidence(c, Evidence("linked_line", (5, 2)))
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, make_evidence("linked_line", (5, 2)))
+        bound_from_evidence(CI52, Evidence("linked_line", (5, 2)))
 
 
 def test_normal_bundle_bound():
-    eb = bound_from_evidence(CI52, make_evidence("normal_bundle_s", (35,)))
+    eb = bound_from_evidence(CI52, Evidence("normal_bundle_s", (35,)))
     assert (eb.lower, eb.eps2_lower) == (None, None)
     assert eb.upper == F(2, 7)
     # s_N below deg_N/2 contradicts rank two
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, make_evidence("normal_bundle_s", (34,)))
+        bound_from_evidence(CI52, Evidence("normal_bundle_s", (34,)))
 
 
 def test_bundle_seshadri_bound():
-    eb = bound_from_evidence(CI52, make_evidence("bundle_seshadri", (1, 4)))
+    eb = bound_from_evidence(CI52, Evidence("bundle_seshadri", (1, 4)))
     assert eb.lower == F(1, 4)
 
 
 def test_residual_reduced_bound():
-    eb = bound_from_evidence(CI52, make_evidence("residual_reduced", (4, 3)))
+    eb = bound_from_evidence(CI52, Evidence("residual_reduced", (4, 3)))
     assert (eb.lower, eb.upper) == (None, None)
     assert eb.eps2_lower == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, make_evidence("residual_reduced", (3, 3)))   # d = 10 > 8
+        bound_from_evidence(CI52, Evidence("residual_reduced", (3, 3)))   # d = 10 > 8
 
 
 def test_assert_exact_bound():
-    eb = bound_from_evidence(CI52, make_evidence("assert_exact", (F(1, 5),)))
+    eb = bound_from_evidence(CI52, Evidence("assert_exact", (F(1, 5),)))
     assert eb.lower == eb.upper == F(1, 5)
 
 
@@ -240,7 +223,7 @@ def test_assert_exact_bound():
 @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (5, 2), (6, 3), (8, 5), (50, 4)])
 def test_complete_intersections_pin_the_constant(a, b):
     c = CurveGeometry(d=a * b, g=a * b * (a + b - 4) // 2 + 1)
-    iv = combine(c, [make_evidence("complete_intersection", (a, b))])
+    iv = combine(c, [Evidence("complete_intersection", (a, b))])
     assert iv.is_point
     assert iv.lower == F(1, a)
     assert iv.upper == F(1, a)
@@ -251,13 +234,13 @@ def test_complete_intersections_pin_the_constant(a, b):
 
 
 def test_witness_kinds_without_ties():
-    iv = combine(CI52, [make_evidence("complete_intersection", (5, 2))])
+    iv = combine(CI52, [Evidence("complete_intersection", (5, 2))])
     assert iv.lower_witness.kind == "complete_intersection"
     assert iv.upper_witness.kind == "complete_intersection"
 
 
 def test_line_interval_is_one():
-    iv = combine(LINE, [make_evidence("global_generation", (1, 1))])
+    iv = combine(LINE, [Evidence("global_generation", (1, 1))])
     assert iv.is_point and iv.lower == 1 and iv.upper == 1
 
 
@@ -279,8 +262,8 @@ def test_defaults_alone_give_the_degree_interval():
 
 
 def test_residual_pairs_with_exact_sub_line_bundle_degree():
-    iv = combine(OCTIC, [make_evidence("normal_bundle_s", (20,)),
-                         make_evidence("residual_reduced", (3, 3))])
+    iv = combine(OCTIC, [Evidence("normal_bundle_s", (20,)),
+                         Evidence("residual_reduced", (3, 3))])
     # eps1 = d/s_N = 2/5 exactly; eps >= min(eps1, eps2) = 1/4
     assert iv.lower == F(1, 4)
     assert any("paired with exact eps1 = 2/5" in n for n in iv.notes)
@@ -288,7 +271,7 @@ def test_residual_pairs_with_exact_sub_line_bundle_degree():
 
 
 def test_residual_without_exact_eps1_is_recorded_not_combined():
-    iv = combine(OCTIC, [make_evidence("residual_reduced", (3, 3))])
+    iv = combine(OCTIC, [Evidence("residual_reduced", (3, 3))])
     assert iv.lower == F(1, 8)
     assert any("not combined" in n for n in iv.notes)
 
@@ -296,30 +279,30 @@ def test_residual_without_exact_eps1_is_recorded_not_combined():
 def test_worst_case_instability_is_not_treated_as_exact():
     # the injected normal-bundle default is an upper bound only, so a
     # residual bound must not pair with it
-    iv = combine(OCTIC, [make_evidence("residual_reduced", (4, 4))])
+    iv = combine(OCTIC, [Evidence("residual_reduced", (4, 4))])
     assert iv.lower == F(1, 8)
     assert any("not combined" in n for n in iv.notes)
 
 
 def test_assert_exact_combines():
-    iv = combine(CUBIC, [make_evidence("assert_exact", (F(1, 2),))])
+    iv = combine(CUBIC, [Evidence("assert_exact", (F(1, 2),))])
     assert iv.is_point and iv.lower == F(1, 2)
 
 
 def test_conflicting_evidence_raises():
     c = CurveGeometry(d=4, g=1)
     with pytest.raises(InconsistentEvidence):
-        combine(c, [make_evidence("global_generation", (2, 1))])
+        combine(c, [Evidence("global_generation", (2, 1))])
 
 
 def test_genus_gate_rejects_overlarge_lower_bound():
     # 1/4 exceeds what genus 16 allows in degree 10
     with pytest.raises(InconsistentEvidence, match="genus"):
-        combine(CI52, [make_evidence("bundle_seshadri", (1, 4))])
+        combine(CI52, [Evidence("bundle_seshadri", (1, 4))])
 
 
 def test_lower_never_below_defaults():
-    iv = combine(CI52, [make_evidence("bundle_seshadri", (1, 100))])
+    iv = combine(CI52, [Evidence("bundle_seshadri", (1, 100))])
     assert iv.lower == F(1, 10)
 
 
@@ -405,7 +388,7 @@ def test_membership_point_and_witnesses_agree_with_the_model(args, data):
 def test_degree_default_upper_is_one_over_sqrt_d():
     for d in range(1, 2001):
         upper = bound_from_evidence(CurveGeometry(d=d, g=0),
-                                    make_evidence("degree_default", ())).upper
+                                    Evidence("degree_default", ())).upper
         generic = QuadNumber(*model.inverse(model.sqrt(d)))
         assert upper == generic and upper.parts == generic.parts
 
@@ -415,7 +398,7 @@ def test_degree_default_upper_is_one_over_sqrt_d():
 def test_normal_bundle_upper_is_d_over_s_n(d, ratio):
     c = CurveGeometry(d=d, g=0)
     s_n = F(c.deg_n, 2) * (1 + ratio)  # at least deg_N/2, as the kind requires
-    eb = bound_from_evidence(c, make_evidence("normal_bundle_s", (s_n,)))
+    eb = bound_from_evidence(c, Evidence("normal_bundle_s", (s_n,)))
     assert eb.upper == F(d) / s_n
 
 
@@ -424,18 +407,18 @@ def test_combine_ties_keep_the_first_candidate():
     # names the first lower candidate, as max over the trace would, and
     # the upper end is the value both uppers share
     c = CurveGeometry(d=10, g=0)
-    half = make_evidence("assert_exact", (F(1, 2),))
-    generated = make_evidence("global_generation", (1, 2))
+    half = Evidence("assert_exact", (F(1, 2),))
+    generated = Evidence("global_generation", (1, 2))
     for first, second in ((half, generated), (generated, half)):
         with pytest.raises(InconsistentEvidence, match=re.escape(f"lower from {first}")):
-            combine(c, [first, second, make_evidence("secant_line", (3,))])
-    secant = make_evidence("secant_line", (4,))
-    iv = combine(c, [secant, make_evidence("regularity", (8,))])  # uppers 1/4 and 2/7
+            combine(c, [first, second, Evidence("secant_line", (3,))])
+    secant = Evidence("secant_line", (4,))
+    iv = combine(c, [secant, Evidence("regularity", (8,))])  # uppers 1/4 and 2/7
     assert iv.upper == F(1, 4) and iv.upper_witness == secant
     # uppers 1/4 and 1/4
-    iv = combine(c, [secant, make_evidence("normal_bundle_s", (40,))])
+    iv = combine(c, [secant, Evidence("normal_bundle_s", (40,))])
     assert iv.upper == F(1, 4) and iv.upper_witness == secant
-    assert iv.lower == F(1, 10) and iv.lower_witness == make_evidence(
+    assert iv.lower == F(1, 10) and iv.lower_witness == Evidence(
         "degree_default", (), note="injected default")
 
 
@@ -445,9 +428,9 @@ def test_interval_notes_render_on_read(monkeypatch):
     def no_text(self):
         raise AssertionError("rendered before it was read")
 
-    evidence = [make_evidence("normal_bundle_s", (F(41, 2),)),
-                make_evidence("residual_reduced", (3, 3)),
-                make_evidence("residual_reduced", (4, 4))]
+    evidence = [Evidence("normal_bundle_s", (F(41, 2),)),
+                Evidence("residual_reduced", (3, 3)),
+                Evidence("residual_reduced", (4, 4))]
     for cls in (Fraction, QuadNumber, Evidence):
         monkeypatch.setattr(cls, "__str__", no_text)
     paired = combine(OCTIC, evidence)
@@ -481,8 +464,7 @@ def test_castelnuovo_default():
 
 
 @given(st.integers(min_value=2, max_value=10**6))
-def test_castelnuovo_default_equals_make_evidence(d):
-    # built without make_evidence's checks, which it passes by construction
+def test_castelnuovo_default_is_the_regularity_evidence(d):
     ev = castelnuovo_default(CurveGeometry(d=d, g=0))
-    assert ev == make_evidence("regularity", (d - 1,), note=ev.note)
+    assert ev == Evidence("regularity", (d - 1,), note=ev.note)
     assert ev.note == "regularity from degree (nondegenerate curve)"

@@ -12,7 +12,8 @@ to a temporary directory, applies the row there and runs
 ``python -m pytest -x -q`` on the row's tests.  It prints one
 "<killed|survived|error> <seconds>s <name>" line per row and exits 1
 if any row survived or could not be run: a surviving row is a gap in
-the tests, to be reported, not deleted.
+the tests, to be reported, not deleted.  ``EQUIVALENT`` lists mutants
+that no test can kill, each with its reason; they are never run.
 """
 
 from __future__ import annotations
@@ -43,39 +44,102 @@ SHARED_KERNEL = "- One integer kernel for the triple product"
 SCAN_CAP = ("    _check_points(classes * _CLASS_POINTS,\n"
             "                  f\"the slope-identity scan to range {bound} has {classes} classes\")\n")
 SCAN_RETURN = "    return checked, violations\n"
+ONE_QUADRATIC = "- Finish one way to build each result"
+QUAD_KERNEL = "- Fraction-free `QuadNumber`"
+EXACT_ORDER = "- One exact order"
+BOUND_KERNEL = "- One two-term bound kernel and one evidence table"
+INTEGER_BOUNDS = "- Two-term bounds over integer numerators"
+TABLE_IN_INTEGERS = "- The `table` path in integers"
+CONSTRAINT_TABLE = "- One intersection kernel and one constraint table"
 
 
-def blowup(name: str, source: str, *edits: tuple[str, str]) -> Mutant:
-    """A row on blowup.py, run against its tests."""
-    return Mutant(name, "src/curvebounds/blowup.py", edits, ("tests/test_blowup.py",), source)
+class Equivalent(NamedTuple):
+    """A mutant that no test can kill, with the reason; never run."""
+    name: str
+    file: str
+    edits: tuple[tuple[str, str], ...]
+    reason: str
+
+
+def row(module: str, name: str, source: str, *edits: tuple[str, str],
+        tests: tuple[str, ...] = ()) -> Mutant:
+    """A row on src/curvebounds/<module>.py, run against the named tests,
+    by default tests/test_<module>.py."""
+    return Mutant(name, f"src/curvebounds/{module}.py", edits,
+                  tests or (f"tests/test_{module}.py",), source)
 
 
 MUTANTS = [
-    blowup("kernel he sign", INTEGER_NUMERATORS, ("hh - c.d * he", "hh + c.d * he")),
-    blowup("kernel he term", INTEGER_NUMERATORS, ("y1 * y2 * x3", "y1 * y2 * x2")),
-    blowup("kernel denominator", INTEGER_CLASSES, ("q1 * q2 * q3", "q1 * q2")),
-    blowup("triple denominator", INTEGER_CLASSES, ("xq * yq", "xq * xq")),
-    blowup("triple X and Y swapped", INTEGER_CLASSES,
-           ("(xn * yq, yn * xq, xq * yq)", "(yn * xq, xn * yq, xq * yq)")),
-    blowup("deg_N constant", "- Certify P³ only",
-           ("4 * self.d + 2 * self.g - 2", "4 * self.d + 2 * self.g - 1")),
-    blowup("scan lambda sign", INTEGER_SCAN,
-           ("- ln * (y * y - y) * sded", "+ ln * (y * y - y) * sded")),
-    blowup("scan ld dropped", INTEGER_SCAN, ("* sded * ld", "* sded")),
-    blowup("scan eta*d unscaled", INTEGER_SCAN, ("(sn * ed - en * sd)", "(sn * ed - en)")),
-    blowup("scan range reversed", "- Cheaper slope-identity classes",
-           ("range(-bound, bound + 1)", "range(bound, -bound - 1, -1)")),
-    blowup("class weight 5", INTEGER_NUMERATORS,
-           ("\n_CLASS_POINTS = 6\n", "\n_CLASS_POINTS = 5\n")),
+    row("blowup", "kernel he sign", INTEGER_NUMERATORS, ("hh - c.d * he", "hh + c.d * he")),
+    row("blowup", "kernel he term", INTEGER_NUMERATORS, ("y1 * y2 * x3", "y1 * y2 * x2")),
+    row("blowup", "kernel denominator", INTEGER_CLASSES, ("q1 * q2 * q3", "q1 * q2")),
+    row("blowup", "triple denominator", INTEGER_CLASSES, ("xq * yq", "xq * xq")),
+    row("blowup", "triple X and Y swapped", INTEGER_CLASSES,
+        ("(xn * yq, yn * xq, xq * yq)", "(yn * xq, xn * yq, xq * yq)")),
+    row("blowup", "deg_N constant", "- Certify P³ only",
+        ("4 * self.d + 2 * self.g - 2", "4 * self.d + 2 * self.g - 1")),
+    row("blowup", "scan lambda sign", INTEGER_SCAN,
+        ("- ln * (y * y - y) * sded", "+ ln * (y * y - y) * sded")),
+    row("blowup", "scan ld dropped", INTEGER_SCAN, ("* sded * ld", "* sded")),
+    row("blowup", "scan eta*d unscaled", INTEGER_SCAN, ("(sn * ed - en * sd)", "(sn * ed - en)")),
+    row("blowup", "scan range reversed", "- Cheaper slope-identity classes",
+        ("range(-bound, bound + 1)", "range(bound, -bound - 1, -1)")),
+    row("blowup", "class weight 5", INTEGER_NUMERATORS,
+        ("\n_CLASS_POINTS = 6\n", "\n_CLASS_POINTS = 5\n")),
     # s = x + y*eta*d worked out by the scan, not by the kernel
-    blowup("scan s in closed form", SHARED_KERNEL,
-           ("sn, sd = _top_ratio(c, (dcls, heta, H))", "sn, sd = x * ed + y * en, ed")),
-    blowup("scan cap after its loop", SHARED_KERNEL,
-           (SCAN_CAP, ""), (SCAN_RETURN, SCAN_CAP + SCAN_RETURN)),
+    row("blowup", "scan s in closed form", SHARED_KERNEL,
+        ("sn, sd = _top_ratio(c, (dcls, heta, H))", "sn, sd = x * ed + y * en, ed")),
+    row("blowup", "scan cap after its loop", SHARED_KERNEL,
+        (SCAN_CAP, ""), (SCAN_RETURN, SCAN_CAP + SCAN_RETURN)),
+    # the one box quadratic, the restriction row's at c2 = 0 in gonality mode
+    row("replay", "box c2 term", ONE_QUADRATIC, ("4 * r * r * c2", "4 * r * c2")),
+    row("replay", "gonality box at c2 = 1", ONE_QUADRATIC,
+        ('c2, x_min, t_rule = 0, 0, "t^2*d"', 'c2, x_min, t_rule = 1, 0, "t^2*d"')),
+    row("replay", "box lin d for d*d", ONE_QUADRATIC,
+        ("lin = 4 * p * p * d * d", "lin = 4 * p * p * d")),
+    row("replay", "strict saturation", CONSTRAINT_TABLE,
+        ("x * x >= y * y * d)", "x * x > y * y * d)")),
+    row("replay", "box points one short", TABLE_IN_INTEGERS,
+        ("box.x_max - box.x_min + 2 * margin + 1", "box.x_max - box.x_min + 2 * margin")),
+    row("replay", "witness key signed", TABLE_IN_INTEGERS,
+        ("key = (abs(y), x, y)", "key = (y, x, y)")),
+    row("scalar", "sign tie read as less", EXACT_ORDER,
+        ("return (a > 0) - (a < 0)", "return (a > 0) - (a <= 0)")),
+    row("scalar", "quad keeps a negative q", QUAD_KERNEL,
+        ("    if q < 0:\n        g = -g\n", "")),
+    row("scalar", "floor of a negative root", QUAD_KERNEL, ("-root - 1", "-root")),
+    row("bounds", "delta term over 2", INTEGER_BOUNDS,
+        ("4 * delta.denominator", "2 * delta.denominator")),
+    row("bounds", "minimum reversed", BOUND_KERNEL,
+        ("_rational_cmp(dn, dd, term_alpha) > 0", "_rational_cmp(dn, dd, term_alpha) < 0")),
+    row("bounds", "clamp flipped", BOUND_KERNEL,
+        ("if _sign(a, b, m) < 0:", "if _sign(a, b, m) > 0:")),
+    row("seshadri", "lower pick takes the last tie", TABLE_IN_INTEGERS,
+        ("if v.numerator * q > p * v.denominator:", "if v.numerator * q >= p * v.denominator:")),
+    # combine's genus gate, which blowup decides
+    row("blowup", "genus test strict", INTEGER_BOUNDS,
+        ("2 * p * q * c.g <= d * d", "2 * p * q * c.g < d * d"),
+        tests=("tests/test_seshadri.py", "tests/test_blowup.py")),
+]
+
+_SQUARE_TIE = "a^2 = b^2*m is impossible for a square-free m >= 2"
+EQUIVALENT = [
+    Equivalent("sign square tie, b > 0", "src/curvebounds/scalar.py",
+               (("a >= 0 or b * b * m > a * a", "a >= 0 or b * b * m >= a * a"),),
+               _SQUARE_TIE),
+    Equivalent("sign square tie, b < 0", "src/curvebounds/scalar.py",
+               (("a <= 0 or b * b * m > a * a", "a <= 0 or b * b * m >= a * a"),),
+               _SQUARE_TIE),
+    Equivalent("sign at a = 0, b > 0", "src/curvebounds/scalar.py",
+               (("a >= 0 or b * b * m", "a > 0 or b * b * m"),),
+               "at a = 0 the square test b^2*m > 0 gives 1 as well"),
+    Equivalent("witness key tie", "src/curvebounds/replay.py",
+               (("key < best", "key <= best"),),
+               "two points never share the key (|y|, x, y), so no tie reaches the test"),
 ]
 
 
-def mutated(m: Mutant, text: str) -> str:
+def mutated(m: Mutant | Equivalent, text: str) -> str:
     """``text`` with the row's edits applied in order; ValueError unless
     each old text occurs exactly once when its edit is applied."""
     for old, new in m.edits:
