@@ -34,7 +34,6 @@ from .bounds import (
     ci_curve_check,
     gamma_lower,
     gonality_bound,
-    linked_line_claim_gap,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -88,9 +87,7 @@ from .scalar import (
 )
 from .seshadri import (
     Evidence,
-    EvidenceBound,
     SeshadriInterval,
-    bound_from_evidence,
     castelnuovo_default,
     combine,
 )

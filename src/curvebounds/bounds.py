@@ -333,14 +333,19 @@ def surface_restriction_checks(variant: str, c2: int, *,
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def _pencil_gap(report: BoundReport, a: int, b: int) -> Optional[Discrepancy]:
-    """The linked-line gap of a gonality report on the liaison curve of
-    type (a, b) at its liaison eta, or None when the bound reaches the
-    residual-pencil degree."""
+def _with_liaison_gap(report: BoundReport, a: int, b: int) -> BoundReport:
+    """A gonality report on a ``linked_line(a, b)`` descriptor, with the
+    pencil gap appended when its inputs are the liaison curve at its
+    liaison eta = 1/(a+b-2) and its value falls below the
+    residual-pencil degree (a-1)(b-1); a genus override or another eta
+    gives a report on a different curve, which is returned as it is."""
+    i = report.inputs
     pencil = (a - 1) * (b - 1)
-    if _rational_cmp(pencil, 1, report.value) <= 0:
-        return None
-    return Discrepancy(
+    if ((i["d"], i["g"], i["eta"]) != (a * b - 1, linked_line_genus(a, b),
+                                       Fraction(1, a + b - 2))
+            or _rational_cmp(pencil, 1, report.value) <= 0):
+        return report
+    gap = Discrepancy(
         code="linked-line-pencil-gap",
         message=(f"for the curve linked to a line by type ({a}, {b}) surfaces, "
                  f"the bound value {report.value} (ceiling {report.value_ceiling}) "
@@ -350,31 +355,4 @@ def _pencil_gap(report: BoundReport, a: int, b: int) -> Optional[Discrepancy]:
               "bound_ceiling": report.value_ceiling,
               "pencil_degree": pencil},
     )
-
-
-def linked_line_claim_gap(a: int, b: int) -> Optional[Discrepancy]:
-    """For the curve linked to a line by surfaces of type (a, b), with
-    its liaison genus, compare the gonality bound at eta = 1/(a+b-2)
-    with the residual-pencil degree (a-1)(b-1).  The bound falls short;
-    the gap is reported as a structured warning.  (a, b) must be a
-    surface type with a line on it: a, b >= 1 and ab >= 2."""
-    a, b = _exact_int(a), _exact_int(b)
-    if a < 1 or b < 1 or a * b < 2:
-        raise ValueError("linked_line_claim_gap needs a surface type with "
-                         f"a, b >= 1 and ab >= 2, got ({a}, {b})")
-    c = CurveGeometry(d=a * b - 1, g=linked_line_genus(a, b))
-    return _pencil_gap(gonality_bound(c, Fraction(1, a + b - 2)), a, b)
-
-
-def _with_liaison_gap(report: BoundReport, a: int, b: int) -> BoundReport:
-    """A gonality report on a ``linked_line(a, b)`` descriptor, with the
-    pencil gap appended when its inputs are the liaison curve at its
-    liaison eta = 1/(a+b-2); a genus override or another eta gives a
-    report on a different curve, which is returned as it is."""
-    i = report.inputs
-    if (i["d"], i["g"], i["eta"]) != (a * b - 1, linked_line_genus(a, b),
-                                      Fraction(1, a + b - 2)):
-        return report
-    gap = _pencil_gap(report, a, b)
-    return report if gap is None else replace(
-        report, discrepancies=report.discrepancies + (gap,))
+    return replace(report, discrepancies=report.discrepancies + (gap,))

@@ -62,10 +62,6 @@ class Box:
     y_max: int
     notes: tuple[str, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.x_max < self.x_min or self.y_max < self.y_min
-
     def points(self, margin: int = 0):
         for y in range(self.y_min - margin, self.y_max + margin + 1):
             for x in range(self.x_min - margin, self.x_max + margin + 1):

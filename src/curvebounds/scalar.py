@@ -15,11 +15,11 @@ Values are kept in a canonical form at all times:
   squares to a rational, and hands the integer triple to :func:`_quad`,
   the one normaliser.  The modules that compute (``bounds``,
   ``seshadri``) carry their values as integer numerators and build each
-  result once, through ``_quad`` too, which divides out one
-  three-argument ``math.gcd`` and never re-splits a radicand.  Two
-  values are therefore comparable exactly when their radicands are
-  equal or one side is rational.  The properties ``a = A/Q`` and
-  ``b = B/Q`` are Fractions built on access.
+  result once, through ``_quad`` too, which takes a positive
+  denominator, divides out one three-argument ``math.gcd`` and never
+  re-splits a radicand.  Two values are therefore comparable exactly
+  when their radicands are equal or one side is rational.  The
+  properties ``a = A/Q`` and ``b = B/Q`` are Fractions built on access.
 
 A ``QuadNumber`` is a value, not a field: it compares, hashes, rounds,
 prints and round-trips through JSON, and it has no arithmetic
@@ -311,16 +311,15 @@ def _ratio_str(n: int, q: int) -> str:
 
 
 def _quad(a: int, b: int, q: int, m: int) -> QuadNumber:
-    """Build ``(a + b*sqrt(m)) / q`` from integers, ``q != 0``.
+    """Build ``(a + b*sqrt(m)) / q`` from integers, ``q > 0``.
 
-    The caller guarantees that ``m`` is square-free or 0 (as in a
-    result computed from canonical parts); this divides out
-    ``gcd(a, b, q)`` with the sign of ``q`` and sets ``m = 0`` when
-    ``b == 0``, the only normalisation such a result needs.
+    The caller guarantees that ``q`` is positive (every call site passes
+    a product of denominators) and that ``m`` is square-free or 0 (as in
+    a result computed from canonical parts); this divides out
+    ``gcd(a, b, q)`` and sets ``m = 0`` when ``b == 0``, the only
+    normalisation such a result needs.
     """
     g = math.gcd(a, b, q)
-    if q < 0:
-        g = -g
     if g != 1:
         a //= g
         b //= g

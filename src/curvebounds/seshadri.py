@@ -84,19 +84,6 @@ class Evidence:
 
 
 @record
-class EvidenceBound:
-    """What one evidence item certifies: a lower bound on eps, an upper
-    bound on eps, a lower bound on the residual-pencil component eps2
-    (which only bounds eps when paired with an exact eps1 source), or a
-    combination."""
-
-    evidence: Evidence
-    lower: Optional[Fraction] = None
-    upper: Optional[BoundValue] = None
-    eps2_lower: Optional[Fraction] = None
-
-
-@record
 class EvidenceKind:
     """One row of the evidence table: the kind's parameter names in
     order, the bound it certifies, which parameters are rationals (the
@@ -104,7 +91,9 @@ class EvidenceKind:
     given as (text, predicate)."""
 
     fields: tuple[str, ...]
-    # (curve, *params) -> the EvidenceBound fields it certifies
+    # (curve, *params) -> {field: bound} over "lower" and "upper" (on eps)
+    # and "eps2_lower" (on the residual-pencil component eps2, which bounds
+    # eps only when paired with an exact eps1)
     bound: Callable[..., dict]
     rational: tuple[str, ...] = ()
     shape: Optional[tuple[str, Callable[..., bool]]] = None
@@ -194,12 +183,6 @@ def _row(kind: str) -> EvidenceKind:
 
 
 _DEGREE_DEFAULT = Evidence("degree_default", (), "injected default")
-
-
-def bound_from_evidence(c: CurveGeometry, e: Evidence) -> EvidenceBound:
-    """Exact bound(s) certified by one evidence item for the curve: the
-    per-item view of what ``combine`` reads from the same table row."""
-    return EvidenceBound(e, **_row(e.kind).bound(c, *e.params))
 
 
 @record

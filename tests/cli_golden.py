@@ -53,6 +53,14 @@ EXTRA_CURVES = (
     '{"kind":{"complete_intersection":{"a":5,"b":2}}}',
     '{"kind":{"linked_line":{"a":5,"b":2,"g":3}}}',
 )
+# the evidence output paths no other curve enters: a secant line, a
+# residual pencil paired with an exact s_N, and a rational field given
+# as "p/q", run under the commands that print evidence
+EVIDENCE_CURVES = (
+    '{"kind":{"raw":{"d":9,"g":10}},"evidence":[{"kind":"secant_line","l":3},'
+    '{"kind":"residual_reduced","a":5,"b":2},{"kind":"normal_bundle_s","s_n":"55/2"}]}',
+)
+EVIDENCE_COMMANDS = (("seshadri",), ("gonality",), ("restrict",))
 EXTRA_COMMANDS = (
     ("invariants", "--eta", "1/5"),
     ("gonality", "--eta", "1/5"),
@@ -132,9 +140,9 @@ def cases() -> list[tuple[str, list[str]]]:
     """Every (label, argv) of the golden set: catalog curve x command x
     {text, JSON}, where the label names the curve in place of its
     descriptor; the extra forms on ci-5-2 and ll-5-2-3 (which also runs
-    every catalog form, being outside the catalog) and the surface
-    criteria, each in text and JSON; then -h at every level and the
-    usage errors."""
+    every catalog form, being outside the catalog), the evidence forms
+    on raw-9-10 and the surface criteria, each in text and JSON; then
+    -h at every level and the usage errors."""
     out = []
 
     def both(label: str, argv: list[str]) -> None:
@@ -156,6 +164,8 @@ def cases() -> list[tuple[str, list[str]]]:
         name = load_descriptor(text).name
         curve_forms(name, text,
                     EXTRA_COMMANDS + (() if name in names else COMMANDS))
+    for text in EVIDENCE_CURVES:
+        curve_forms(load_descriptor(text).name, text, EVIDENCE_COMMANDS)
     for args in SURFACE:
         both(" ".join(["surface-restrict", *args]),
              ["surface-restrict", *args])

@@ -1,29 +1,36 @@
 """Test-only oracle for the Seshadri interval: ``combine`` as a fold of
-the public per-item view ``bound_from_evidence`` over the injected
-defaults and the given items, ordered in the Fraction-pair model
-``quad_model``, and a strategy of generated curves with evidence to run
-it on.
+the per-item bounds, each read off its ``EVIDENCE_KINDS`` row by
+``row_bound``, over the injected defaults and the given items, ordered
+in the Fraction-pair model ``quad_model``, and a strategy of generated
+curves with evidence to run it on.
 
 ``combine`` reads each evidence row's bound directly and decides the
 interval's extremes and consistency by ``scalar``'s integer sign tests;
-this module rebuilds the same interval from one ``EvidenceBound`` per
-item and decides every comparison in the model, which shares no code
+this module rebuilds the same interval from one ``row_bound`` per item
+and decides every comparison in the model, which shares no code
 with ``scalar``.  The upper candidates share one radicand at most (the
 degree default's 1/sqrt(d)), as the model's ordering needs.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
 import quad_model as model
 from curvebounds.blowup import CurveGeometry, genus_consistency
-from curvebounds.seshadri import (
-    Evidence,
-    bound_from_evidence,
-)
+from curvebounds.seshadri import EVIDENCE_KINDS, Evidence
 
 F = Fraction
+
+
+def row_bound(c, e):
+    """What one item certifies on the curve, read off its table row:
+    ``evidence``, and ``lower``, ``upper`` and ``eps2_lower``, each None
+    where the row certifies no such bound."""
+    bound = EVIDENCE_KINDS[e.kind].bound(c, *e.params)
+    return SimpleNamespace(evidence=e, **{field: bound.get(field) for field in
+                                          ("lower", "upper", "eps2_lower")})
 
 
 def _model(v):
@@ -38,7 +45,7 @@ def combine(c, evidence):
              Evidence("normal_bundle_s", (F(c.deg_n, 2),),
                       "injected default: worst-case instability measure"),
              *evidence]
-    bounds = [bound_from_evidence(c, e) for e in items]
+    bounds = [row_bound(c, e) for e in items]
     lower = [(b.evidence, b.lower) for b in bounds if b.lower is not None]
     upper = [(b.evidence, b.upper) for b in bounds if b.upper is not None]
     exact_eps1 = [F(c.d) / e.params[0] for e in evidence

@@ -24,8 +24,8 @@ from curvebounds.blowup import (
     top_product,
 )
 from curvebounds.bounds import (
+    _with_liaison_gap,
     gonality_bound,
-    linked_line_claim_gap,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -222,12 +222,14 @@ def test_pencil_gap_surfaces_as_a_warning():
     with verdict("6/6 linked-line pencil gap reported as a warning, "
                  "never certified"):
         for a, b in [(5, 2), (7, 3)]:
-            gap = linked_line_claim_gap(a, b)
-            assert gap is not None
+            # the liaison curve at its liaison eta, as `gonality` reports it
+            c = CurveGeometry(d=a * b - 1, g=(a + b - 4) * (a * b - 2) // 2)
+            report = gonality_bound(c, F(1, a + b - 2))
+            (gap,) = _with_liaison_gap(report, a, b).discrepancies
             assert gap.code == "linked-line-pencil-gap"
             assert gap.data["pencil_degree"] == (a - 1) * (b - 1)
+            assert gap.data["bound_value"] == report.value
 
         # the certified value itself is never inflated to the claimed degree
         ll73 = CurveGeometry(d=20, g=57)
         assert gonality_bound(ll73, F(1, 8)).value == 8
-        assert linked_line_claim_gap(7, 3).data["pencil_degree"] == 12

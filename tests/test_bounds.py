@@ -15,13 +15,13 @@ import seshadri_oracle
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import (
     BoundReport,
+    _with_liaison_gap,
     barth_check,
     c2plus2_check,
     certify_restriction_stable,
     ci_curve_check,
     gamma_lower,
     gonality_bound,
-    linked_line_claim_gap,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -296,31 +296,39 @@ def test_surface_restriction_dispatch():
 # -- sharpness gap for curves linked to a line ---------------------------------
 
 
+def liaison_gap(a, b):
+    """The pencil gap of the gonality report on the curve linked to a
+    line by type (a, b) surfaces, at its liaison eta, or None."""
+    c = CurveGeometry(d=a * b - 1, g=(a + b - 4) * (a * b - 2) // 2)
+    report = _with_liaison_gap(gonality_bound(c, F(1, a + b - 2)), a, b)
+    gaps = [d for d in report.discrepancies if d.code == "linked-line-pencil-gap"]
+    assert len(gaps) <= 1
+    return gaps[0] if gaps else None
+
+
 def test_linked_line_gap_is_reported():
-    disc = linked_line_claim_gap(5, 2)
+    disc = liaison_gap(5, 2)
     assert disc is not None
     assert disc.code == "linked-line-pencil-gap"
     assert disc.data["pencil_degree"] == 4
     assert disc.data["bound_value"] == F(13, 4)
     assert disc.data["bound_ceiling"] == 4
 
-    disc = linked_line_claim_gap(7, 3)
+    disc = liaison_gap(7, 3)
     assert disc.data["pencil_degree"] == 12
     assert disc.data["bound_value"] == 8
 
 
 def test_linked_line_gap_absent_in_the_degenerate_case():
     # type (2,1) links the line to itself: bound 0, pencil degree 0
-    assert linked_line_claim_gap(2, 1) is None
+    assert liaison_gap(2, 1) is None
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (-2, -3), (-1, -2), (0, 5)])
-def test_linked_line_gap_rejects_a_pair_that_is_no_surface_type(a, b):
-    # the catalog's rule, checked up front: before, these failed deep
-    # inside, on the derived curve (degree, genus, or a nonpositive eta)
-    with pytest.raises(ValueError, match=r"^linked_line_claim_gap needs a surface "
-                       rf"type with a, b >= 1 and ab >= 2, got \({a}, {b}\)$"):
-        linked_line_claim_gap(a, b)
+def test_linked_line_gap_only_on_the_liaison_curve():
+    # a genus override or another eta is a report on a different curve
+    for g, eta in [(3, F(1, 5)), (12, F(1, 6))]:
+        report = gonality_bound(CurveGeometry(d=9, g=g), eta)
+        assert _with_liaison_gap(report, 5, 2) is report
 
 
 # -- differential tests against the generic-arithmetic oracle -----------------

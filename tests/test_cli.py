@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+import bounds_oracle
+import quad_model as model
 from curvebounds import bounds, cli
-from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS
-from curvebounds.bounds import linked_line_claim_gap
+from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS, CurveGeometry
+from curvebounds.bounds import Discrepancy
 from curvebounds.cli import build_parser, main
 from curvebounds.scalar import MAX_DIGITS, QuadNumber, quad_from_json
 
@@ -157,9 +160,20 @@ SURFACE_TYPES = [(a, b) for a in range(1, 9) for b in range(1, 9) if a * b >= 2]
 
 @pytest.mark.parametrize("a, b", SURFACE_TYPES,
                          ids=[f"ll-{a}-{b}" for a, b in SURFACE_TYPES])
-def test_gonality_gap_is_linked_line_claim_gap(capsys, a, b):
+def test_gonality_gap_matches_the_oracle(capsys, a, b):
+    # the liaison curve at eta = 1/(a+b-2), its bound from the oracle
     desc = json.dumps({"kind": {"linked_line": {"a": a, "b": b}}})
-    gap = linked_line_claim_gap(a, b)
+    c = CurveGeometry(d=a * b - 1, g=(a + b - 4) * (a * b - 2) // 2)
+    report = bounds_oracle.gonality_bound(c, Fraction(1, a + b - 2))
+    value, ceiling, pencil = report["value"], report["value_ceiling"], (a - 1) * (b - 1)
+    gap = None
+    if model.cmp(model.of(value), model.lift(pencil)) < 0:
+        gap = Discrepancy(
+            "linked-line-pencil-gap",
+            f"for the curve linked to a line by type ({a}, {b}) surfaces, the bound "
+            f"value {value} (ceiling {ceiling}) is below the residual-pencil degree "
+            f"(a-1)(b-1) = {pencil}; the bound is not sharp for this family",
+            {"bound_value": value, "bound_ceiling": ceiling, "pencil_degree": pencil})
     code, out, _ = run(capsys, "gonality", desc)
     assert code == 0
     warnings = [line.strip() for line in out.splitlines()

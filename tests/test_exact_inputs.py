@@ -29,7 +29,6 @@ from curvebounds.bounds import (
     ci_curve_check,
     gamma_lower,
     gonality_bound,
-    linked_line_claim_gap,
     restriction_threshold,
     surface_restriction_checks,
 )
@@ -136,8 +135,6 @@ INTEGER_ENTRY_POINTS = {
         "barth", 2, a=n),
     "surface_restriction_checks.b": lambda n: surface_restriction_checks(
         "c2plus2", 2, b=n),
-    "linked_line_claim_gap.a": lambda n: linked_line_claim_gap(n, 2),
-    "linked_line_claim_gap.b": lambda n: linked_line_claim_gap(5, n),
     "GonalityMode.k": lambda n: build_system(CI52, Fraction(1, 5), GonalityMode(n)),
     "RestrictionMode.c2": lambda n: build_system(
         CI52, Fraction(1, 5), RestrictionMode(n)),

@@ -33,6 +33,9 @@ REMOVED = [
     ("scalar", "floor_quad"),
     ("scalar", "ceil_quad"),
     ("seshadri", "make_evidence"),
+    ("seshadri", "bound_from_evidence"),
+    ("seshadri", "EvidenceBound"),
+    ("bounds", "linked_line_claim_gap"),
     *[("seshadri", kind) for kind in (
         "degree_default", "global_generation", "regularity", "secant_line",
         "complete_intersection", "linked_line", "normal_bundle_s",

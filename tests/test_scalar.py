@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import quad_model as model
@@ -527,17 +527,6 @@ def test_sqrt_parts_are_canonical(q):
     assert_canonical(r)
     assert model.of(r) == model.sqrt(q)
     assert model.mul(model.of(r), model.of(r)) == model.lift(q)
-
-
-@given(st.integers(min_value=-50, max_value=50), st.integers(min_value=-50, max_value=50),
-       st.integers(min_value=1, max_value=50), st.sampled_from([0, 2, 3, 5, 6]))
-def test_quad_takes_the_sign_of_a_negative_denominator(a, b, q, m):
-    # the builder's contract: gcd(a, b, q) divided out with the sign of q,
-    # so the stored denominator is positive
-    assume(m or b == 0)
-    r = _quad(a, b, -q, m)
-    assert r.parts[2] > 0
-    assert r == _quad(-a, -b, q, m)
 
 
 def _int_sign(p, q, m):

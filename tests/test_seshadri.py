@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import quad_model as model
 import seshadri_oracle
+from seshadri_oracle import row_bound
 from curvebounds import _record
 from curvebounds.blowup import CurveGeometry
 from curvebounds.catalog import evidence_from_json, evidence_to_json
@@ -22,7 +23,6 @@ from curvebounds.scalar import QuadNumber
 from curvebounds.seshadri import (
     EVIDENCE_KINDS,
     Evidence,
-    bound_from_evidence,
     castelnuovo_default,
     combine,
 )
@@ -146,74 +146,74 @@ def test_evidence_str():
 
 
 def test_degree_default_bounds():
-    eb = bound_from_evidence(CI52, Evidence("degree_default", ()))
+    eb = row_bound(CI52, Evidence("degree_default", ()))
     assert eb.eps2_lower is None
     assert eb.lower == F(1, 10)
     assert eb.upper == QuadNumber(0, F(1, 10), 10)   # 1/sqrt(10)
 
 
 def test_global_generation_bound():
-    eb = bound_from_evidence(CI52, Evidence("global_generation", (2, 3)))
+    eb = row_bound(CI52, Evidence("global_generation", (2, 3)))
     assert eb.eps2_lower is None
     assert eb.lower == F(2, 3) and eb.upper is None
 
 
 def test_regularity_bounds():
-    eb = bound_from_evidence(CI52, Evidence("regularity", (3,)))
+    eb = row_bound(CI52, Evidence("regularity", (3,)))
     assert (eb.lower, eb.upper) == (F(1, 3), 1)
     # m = 1 certifies no upper bound: 2/(m-1) is undefined
-    eb = bound_from_evidence(CI52, Evidence("regularity", (1,)))
+    eb = row_bound(CI52, Evidence("regularity", (1,)))
     assert eb.eps2_lower is None
     assert (eb.lower, eb.upper) == (1, None)
 
 
 def test_secant_line_bound():
-    assert bound_from_evidence(CI52, Evidence("secant_line", (5,))).upper == F(1, 5)
-    assert bound_from_evidence(CI52, Evidence("secant_line", (10,))).upper == F(1, 10)
+    assert row_bound(CI52, Evidence("secant_line", (5,))).upper == F(1, 5)
+    assert row_bound(CI52, Evidence("secant_line", (10,))).upper == F(1, 10)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, Evidence("secant_line", (11,)))
+        row_bound(CI52, Evidence("secant_line", (11,)))
 
 
 def test_complete_intersection_bound():
-    eb = bound_from_evidence(CI52, Evidence("complete_intersection", (5, 2)))
+    eb = row_bound(CI52, Evidence("complete_intersection", (5, 2)))
     assert eb.eps2_lower is None
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, Evidence("complete_intersection", (3, 2)))
+        row_bound(CI52, Evidence("complete_intersection", (3, 2)))
 
 
 def test_linked_line_bound():
     c = CurveGeometry(d=9, g=12)
-    eb = bound_from_evidence(c, Evidence("linked_line", (5, 2)))
+    eb = row_bound(c, Evidence("linked_line", (5, 2)))
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, Evidence("linked_line", (5, 2)))
+        row_bound(CI52, Evidence("linked_line", (5, 2)))
 
 
 def test_normal_bundle_bound():
-    eb = bound_from_evidence(CI52, Evidence("normal_bundle_s", (35,)))
+    eb = row_bound(CI52, Evidence("normal_bundle_s", (35,)))
     assert (eb.lower, eb.eps2_lower) == (None, None)
     assert eb.upper == F(2, 7)
     # s_N below deg_N/2 contradicts rank two
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, Evidence("normal_bundle_s", (34,)))
+        row_bound(CI52, Evidence("normal_bundle_s", (34,)))
 
 
 def test_bundle_seshadri_bound():
-    eb = bound_from_evidence(CI52, Evidence("bundle_seshadri", (1, 4)))
+    eb = row_bound(CI52, Evidence("bundle_seshadri", (1, 4)))
     assert eb.lower == F(1, 4)
 
 
 def test_residual_reduced_bound():
-    eb = bound_from_evidence(CI52, Evidence("residual_reduced", (4, 3)))
+    eb = row_bound(CI52, Evidence("residual_reduced", (4, 3)))
     assert (eb.lower, eb.upper) == (None, None)
     assert eb.eps2_lower == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
-        bound_from_evidence(CI52, Evidence("residual_reduced", (3, 3)))   # d = 10 > 8
+        row_bound(CI52, Evidence("residual_reduced", (3, 3)))   # d = 10 > 8
 
 
 def test_assert_exact_bound():
-    eb = bound_from_evidence(CI52, Evidence("assert_exact", (F(1, 5),)))
+    eb = row_bound(CI52, Evidence("assert_exact", (F(1, 5),)))
     assert eb.lower == eb.upper == F(1, 5)
 
 
@@ -307,10 +307,10 @@ def test_lower_never_below_defaults():
 
 
 @given(seshadri_oracle.CURVE_EVIDENCE)
-def test_combine_is_a_fold_of_bound_from_evidence(args):
+def test_combine_is_a_fold_of_the_row_bounds(args):
     # combine reads each row's bound directly and decides its extremes
     # and consistency by scalar's integer sign tests; the oracle folds
-    # one EvidenceBound per item in the model, which shares no code
+    # one row bound per item in the model, which shares no code
     # with scalar
     c, evidence = args
     expected = seshadri_oracle.combine(c, evidence)
@@ -387,8 +387,8 @@ def test_membership_point_and_witnesses_agree_with_the_model(args, data):
 
 def test_degree_default_upper_is_one_over_sqrt_d():
     for d in range(1, 2001):
-        upper = bound_from_evidence(CurveGeometry(d=d, g=0),
-                                    Evidence("degree_default", ())).upper
+        upper = row_bound(CurveGeometry(d=d, g=0),
+                          Evidence("degree_default", ())).upper
         generic = QuadNumber(*model.inverse(model.sqrt(d)))
         assert upper == generic and upper.parts == generic.parts
 
@@ -398,7 +398,7 @@ def test_degree_default_upper_is_one_over_sqrt_d():
 def test_normal_bundle_upper_is_d_over_s_n(d, ratio):
     c = CurveGeometry(d=d, g=0)
     s_n = F(c.deg_n, 2) * (1 + ratio)  # at least deg_N/2, as the kind requires
-    eb = bound_from_evidence(c, Evidence("normal_bundle_s", (s_n,)))
+    eb = row_bound(c, Evidence("normal_bundle_s", (s_n,)))
     assert eb.upper == F(d) / s_n
 
 

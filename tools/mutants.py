@@ -51,6 +51,9 @@ BOUND_KERNEL = "- One two-term bound kernel and one evidence table"
 INTEGER_BOUNDS = "- Two-term bounds over integer numerators"
 TABLE_IN_INTEGERS = "- The `table` path in integers"
 CONSTRAINT_TABLE = "- One intersection kernel and one constraint table"
+DIGIT_CAP = "- One digit cap where numbers enter"
+ONE_PAYLOAD = "- One payload per CLI command"
+REACH = "- What the product reaches"
 
 
 class Equivalent(NamedTuple):
@@ -105,8 +108,6 @@ MUTANTS = [
         ("key = (abs(y), x, y)", "key = (y, x, y)")),
     row("scalar", "sign tie read as less", EXACT_ORDER,
         ("return (a > 0) - (a < 0)", "return (a > 0) - (a <= 0)")),
-    row("scalar", "quad keeps a negative q", QUAD_KERNEL,
-        ("    if q < 0:\n        g = -g\n", "")),
     row("scalar", "floor of a negative root", QUAD_KERNEL, ("-root - 1", "-root")),
     row("bounds", "delta term over 2", INTEGER_BOUNDS,
         ("4 * delta.denominator", "2 * delta.denominator")),
@@ -116,6 +117,16 @@ MUTANTS = [
         ("if _sign(a, b, m) < 0:", "if _sign(a, b, m) > 0:")),
     row("seshadri", "lower pick takes the last tie", TABLE_IN_INTEGERS,
         ("if v.numerator * q > p * v.denominator:", "if v.numerator * q >= p * v.denominator:")),
+    # json converts an integer literal of any length; the fields read
+    # later cap it with their own message
+    row("catalog", "no digit cap in the JSON decoder", DIGIT_CAP,
+        ("json.JSONDecoder(parse_int=parse_int)", "json.JSONDecoder()")),
+    row("catalog", "missing integer field unchecked", REACH,
+        ("-> int:\n    if key not in obj:\n", "-> int:\n    if False:\n")),
+    row("cli", "restrict --strict exits 0", ONE_PAYLOAD,
+        ("1 if args.strict and not result.certified else 0", "0")),
+    row("cli", "closed pipe returns the command's code", INTEGER_CLASSES,
+        ("return EXIT_CLOSED_PIPE", "return code")),
     # combine's genus gate, which blowup decides
     row("blowup", "genus test strict", INTEGER_BOUNDS,
         ("2 * p * q * c.g <= d * d", "2 * p * q * c.g < d * d"),
