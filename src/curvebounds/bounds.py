@@ -10,11 +10,12 @@ curve, with full step-by-step traces:
       c_2 < min{ delta_gamma/4, alpha gamma d - alpha^2 },
   with alpha = min{1, sqrt(3d)/2 - gamma d} clamped at 0.
 
-Both bounds here are one two-term computation (``_two_term_bound``)
+Both bounds here are one two-term computation (``_two_term_core``)
 in the integer numerators of Q(sqrt(m)), fed a different parameter,
-radicand, length and scale; it also steps the inputs and delta, so an
-entry point only checks its parameter.  Each result is normalised
-once; ceilings are certified.
+radicand, length and scale; ``_two_term_bound`` turns its integers into
+a report that also steps the inputs and delta, so an entry point only
+checks its parameter.  Each result is normalised once; ceilings are
+certified.  A c2 certification runs the core alone and builds no report.
 A report records each trace line as a step ``(template, exact values...)``
 and renders its text only when ``trace`` is read.
 """
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import record, render, replace
-from .blowup import CurveGeometry, delta_eta
+from .blowup import CurveGeometry
 from .errors import (
     NoEvidence,
     NonpositiveEta,
@@ -94,11 +95,12 @@ class StabilityConstant:
 
 @record
 class CertificationResult:
-    """Outcome of comparing c2 against the restriction threshold."""
+    """Outcome of comparing c2 against the restriction threshold's
+    value, ``threshold``."""
 
     verdict: str  # "certified" | "inconclusive"
     c2: int
-    report: BoundReport
+    threshold: QuadNumber
 
     @property
     def certified(self) -> bool:
@@ -108,8 +110,8 @@ class CertificationResult:
     def reason(self) -> str:
         """The verdict as text, rendered on read."""
         if self.certified:
-            return f"c2 = {self.c2} < threshold {self.report.value} (strict)"
-        return f"c2 = {self.c2} is not strictly below threshold {self.report.value}"
+            return f"c2 = {self.c2} < threshold {self.threshold} (strict)"
+        return f"c2 = {self.c2} is not strictly below threshold {self.threshold}"
 
 
 def _spec(name: str, trivial: tuple, delta_term: str, alpha: str,
@@ -145,63 +147,77 @@ _OUTSIDE = ("warning: {} = {} lies outside the certified interval "
 _PRINTABLE = 10**4300
 
 
-def _two_term_bound(c: CurveGeometry, x: Fraction,
-                    interval: Optional[SeshadriInterval], root: tuple[int, int],
-                    length: tuple[int, int], scale: tuple[int, int],
-                    spec: tuple) -> BoundReport:
-    """The computation both bounds share, at x = eta or gamma:
+def _two_term_core(c: CurveGeometry, x: Fraction, name: str,
+                   root: tuple[int, int], length: tuple[int, int],
+                   scale: tuple[int, int]) -> tuple:
+    """The integers of the computation both bounds share, at x = eta or
+    gamma (named ``name``):
         min{ delta/(4 scale), alpha (length - alpha/scale) },
     with delta = x deg_N - d and alpha = min{1, sqrt(u)/w - length*scale}
-    clamped at 0 for root = (u, w) in integers, and its certified
-    ceiling.  ``length`` and ``scale`` are (numerator, denominator)
-    pairs, denominators and scale positive; ``spec`` comes from
-    ``_spec``.  The kernel steps the inputs, deg_N, a warning when x
-    falls outside ``interval`` and delta, then the two terms.
-    One pass over integer numerators: the raw alpha's signs come from
-    ``_sign``, the smaller term from ``_rational_cmp``, and each
-    QuadNumber is normalised once, by ``_quad``."""
-    name, trivial, (t_inputs, t_delta, t_term, t_clamped, t_alpha, t_alpha_term) = spec
-    steps: list[tuple] = [(t_inputs, c.d, c.g, x), (_DEG_N, c.deg_n)]
-    if interval is not None and x not in interval:
-        steps.append((_OUTSIDE, name, x, interval.lower, interval.upper))
-    delta = delta_eta(c, x)
-    steps.append((t_delta, delta))
-
+    clamped at 0 for root = (u, w) in integers.  ``length`` and
+    ``scale`` are (numerator, denominator) pairs, denominators and scale
+    positive.  Returns (delta's numerator over x's denominator, the
+    delta term (n, q), the raw alpha when it was clamped to 0 or None,
+    alpha, the alpha term, the smaller term), each value of Q(sqrt(m))
+    as parts (a, b, q, m) of (a + b*sqrt(m))/q, q > 0, not reduced.
+    The raw alpha's signs and the smaller term come from ``_sign``."""
     (ln, lq), (sn, sq) = length, scale
-    term_delta = Fraction(delta.numerator * sq, 4 * delta.denominator * sn)
-    steps.append((t_term, term_delta))
-
+    dnum = x.numerator * c.deg_n - x.denominator * c.d
     # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in the split
     u, w = root
     a, b, s, m = _sqrt_parts(u, 1)
     # every value delta enters has a numerator that divides this one
-    if abs(x.numerator * c.deg_n - x.denominator * c.d) >= _PRINTABLE:
+    if abs(dnum) >= _PRINTABLE:
         raise TooManyDigits(
             f"delta = {name}*deg_N - d has a numerator of more than 4300 digits, "
             f"too many to print: {name} and the curve each pass their digit cap, "
             "but not together")
+    dn, dd = dnum * sq, 4 * x.denominator * sn
     a, b, q = a * lq * sq - ln * sn * s * w, b * lq * sq, s * w * lq * sq
+    raw = None
     if _sign(a, b, m) < 0:
-        steps.append((t_clamped, c.d, _quad(a, b, q, m)))
+        raw = (a, b, q, m)
         a, b, q = 0, 0, 1
-        alpha = _quad(0, 0, 1, 0)
-    else:
-        if _sign(a - q, b, m) > 0:  # raw alpha > 1
-            a, b, q = 1, 0, 1
-        alpha = _quad(a, b, q, m)
-        steps.append((t_alpha, c.d, alpha))
+    elif _sign(a - q, b, m) > 0:  # raw alpha > 1
+        a, b, q = 1, 0, 1
 
     # length - alpha/scale = (xn + yn*sqrt(m)) / (lq*q*sn)
     xn, yn = ln * q * sn - lq * sq * a, -lq * sq * b
     ta, tb, tq = a * xn + b * yn * m, a * yn + b * xn, q * lq * q * sn
-    term_alpha = _quad(ta, tb, tq, m)
-    steps.append((t_alpha_term, term_alpha))
-
-    dn, dd = term_delta.numerator, term_delta.denominator
-    if _rational_cmp(dn, dd, term_alpha) > 0:  # delta term > alpha term
-        value = term_alpha
+    # the sign of delta term - alpha term, over dd*tq > 0
+    if _sign(dn * tq - dd * ta, -dd * tb, m) > 0:  # delta term > alpha term
+        value = (ta, tb, tq, m)
     else:
-        value = _quad(dn, 0, dd, 0)
+        value = (dn, 0, dd, 0)
+    return dnum, (dn, dd), raw, (a, b, q, m), (ta, tb, tq, m), value
+
+
+def _two_term_bound(c: CurveGeometry, x: Fraction,
+                    interval: Optional[SeshadriInterval], root: tuple[int, int],
+                    length: tuple[int, int], scale: tuple[int, int],
+                    spec: tuple) -> BoundReport:
+    """The report of ``_two_term_core`` at x, with its certified
+    ceiling; ``spec`` comes from ``_spec``.  The report steps the
+    inputs, deg_N, a warning when x falls outside ``interval`` and
+    delta, then the two terms and their minimum.  Each QuadNumber is
+    normalised once, by ``_quad``."""
+    name, trivial, (t_inputs, t_delta, t_term, t_clamped, t_alpha, t_alpha_term) = spec
+    dnum, (dn, dd), raw, alpha, term_alpha, value = _two_term_core(
+        c, x, name, root, length, scale)
+    steps: list[tuple] = [(t_inputs, c.d, c.g, x), (_DEG_N, c.deg_n)]
+    if interval is not None and x not in interval:
+        steps.append((_OUTSIDE, name, x, interval.lower, interval.upper))
+    steps.append((t_delta, Fraction(dnum, x.denominator)))
+    term_delta = Fraction(dn, dd)
+    steps.append((t_term, term_delta))
+    alpha = _quad(*alpha)
+    if raw is None:
+        steps.append((t_alpha, c.d, alpha))
+    else:
+        steps.append((t_clamped, c.d, _quad(*raw)))
+    term_alpha = _quad(*term_alpha)
+    steps.append((t_alpha_term, term_alpha))
+    value = _quad(*value)
     ceiling = math.ceil(value)
     steps.append((_VALUE, value, ceiling))
     vacuous: tuple[Discrepancy, ...] = ()
@@ -257,36 +273,46 @@ def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
     return StabilityConstant(gamma_lower=best, trace=tuple(trace))
 
 
-def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
-                          interval: Optional[SeshadriInterval] = None) -> BoundReport:
-    """Threshold on c2: a stable rank-two bundle on P^3 with c1 = 0 and
-    c2 strictly below this value restricts stably to the curve.  Valid
-    when gamma is at most the stability constant of the pair."""
+def _threshold_shape(c: CurveGeometry, gamma: RationalLike) -> tuple:
+    """(gamma, root, length, scale): gamma checked, and the kernel's
+    arguments for the restriction threshold at it."""
     gamma = _capped_rational(gamma)
     if gamma.numerator <= 0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
     # sqrt(d)*sqrt(3/4) = sqrt(3d)/2: the root (3d, 2) keeps 3d as the
     # capped radicand; at length gamma*d and scale 1 the kernel's alpha
     # term is alpha*gamma*d - alpha^2
-    return _two_term_bound(c, gamma, interval, (3 * c.d, 2),
-                           (gamma.numerator * c.d, gamma.denominator), (1, 1),
-                           _THRESHOLD)
+    return gamma, (3 * c.d, 2), (gamma.numerator * c.d, gamma.denominator), (1, 1)
 
 
-def _certify(report: BoundReport, c2: int) -> CertificationResult:
-    """The verdict on an exact int c2 against a threshold report."""
-    verdict = ("certified" if _rational_cmp(c2, 1, report.value) < 0
+def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
+                          interval: Optional[SeshadriInterval] = None) -> BoundReport:
+    """Threshold on c2: a stable rank-two bundle on P^3 with c1 = 0 and
+    c2 strictly below this value restricts stably to the curve.  Valid
+    when gamma is at most the stability constant of the pair."""
+    gamma, root, length, scale = _threshold_shape(c, gamma)
+    return _two_term_bound(c, gamma, interval, root, length, scale, _THRESHOLD)
+
+
+def _certify(threshold: QuadNumber, c2: int) -> CertificationResult:
+    """The one verdict on an exact int c2 against a threshold value:
+    certified iff c2 < threshold, strictly and exactly."""
+    verdict = ("certified" if _rational_cmp(c2, 1, threshold) < 0
                else "inconclusive")
-    return CertificationResult(verdict, c2, report)
+    return CertificationResult(verdict, c2, threshold)
 
 
 def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
                                interval: Optional[SeshadriInterval] = None,
                                ) -> CertificationResult:
     """Certified iff c2 < restriction_threshold value, strictly and
-    exactly.  The bundle is assumed stable on P^3 with c1 = 0."""
+    exactly.  The bundle is assumed stable on P^3 with c1 = 0.  Only the
+    kernel's integer core runs, and no report is built: the verdict does
+    not read ``interval``, which feeds only a report's warning step."""
     c2 = _exact_int(c2)
-    return _certify(restriction_threshold(c, gamma, interval), c2)
+    gamma, root, length, scale = _threshold_shape(c, gamma)
+    value = _two_term_core(c, gamma, "gamma", root, length, scale)[-1]
+    return _certify(_quad(*value), c2)
 
 
 def barth_check(a: int, c2: int) -> bool:

@@ -196,7 +196,7 @@ def cmd_restrict(args: argparse.Namespace) -> Result:
     payload = {"curve": _curve(desc), "report": report, "notes": notes}
     if args.c2 is None:
         return payload, lines, 0
-    result = _certify(report, args.c2)
+    result = _certify(report.value, args.c2)
     lines.append(f"  c2 = {args.c2}: {result.verdict} ({result.reason})")
     payload.update(verdict=result.verdict, c2=args.c2, reason=result.reason)
     return payload, lines, 1 if args.strict and not result.certified else 0

@@ -133,7 +133,7 @@ def _linked_line_bound(c: CurveGeometry, a: int, b: int) -> dict:
 
 
 def _normal_bundle_bound(c: CurveGeometry, s_n: Fraction) -> dict:
-    if 2 * s_n < c.deg_n:
+    if 2 * s_n.numerator < c.deg_n * s_n.denominator:
         raise EvidenceInconsistentWithDegree(
             f"s_N = {s_n} is below deg_N/2 = {Fraction(c.deg_n, 2)}, "
             "impossible for a rank-two normal bundle")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bounds_oracle as oracle
 import quad_model as model
 import seshadri_oracle
+from curvebounds import bounds
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import (
     BoundReport,
@@ -387,7 +388,28 @@ def test_restriction_threshold_matches_the_oracle(args):
     c, gamma, interval = args
     expected = oracle.restriction_threshold(c, gamma, interval)
     assert view(restriction_threshold(c, gamma, interval)) == expected
-    assert view(certify_restriction_stable(c, gamma, 0, interval).report) == expected
+    assert certify_restriction_stable(c, gamma, 0, interval).threshold == expected["value"]
+
+
+@given(HEADLINE_ARGS)
+def test_certification_threshold_is_the_reports_value(args):
+    # the integer core alone gives the value the whole report gives
+    c, gamma, interval = args
+    assert (certify_restriction_stable(c, gamma, 0, interval).threshold
+            == restriction_threshold(c, gamma, interval).value)
+
+
+def test_certification_builds_no_report(monkeypatch):
+    # a verdict needs the threshold value only: no steps, no report
+    def no_report(*args):
+        raise AssertionError("a report was built")
+
+    monkeypatch.setattr(bounds, "BoundReport", no_report)
+    with pytest.raises(AssertionError, match="a report was built"):
+        restriction_threshold(CI504, F(1, 50))
+    res = certify_restriction_stable(CI504, F(1, 50), 2, combine(
+        CI504, [Evidence("complete_intersection", (50, 4))]))
+    assert (res.verdict, res.threshold) == ("certified", 3)
 
 
 def _kernel_cases(rep):
@@ -452,7 +474,7 @@ def test_table_calls_render_no_text(monkeypatch, descriptor):
     # eta outside the interval (every upper end is at most 1) adds the
     # warning step, unrendered too
     outside = gonality_bound(desc.curve, F(2), interval)
-    for rep in (gon, thr, outside, *(r.report for r in certs)):
+    for rep in (gon, thr, outside):
         with pytest.raises(AssertionError, match="rendered before"):
             rep.trace
     for res in certs:
@@ -524,7 +546,7 @@ CERTIFICATION_ARGS = certification_args()
 def test_certification_verdict_is_the_models(args):
     c, gamma, c2 = args
     res = certify_restriction_stable(c, gamma, c2)
-    below = model.cmp(c2, model.of(res.report.value)) < 0
+    below = model.cmp(c2, model.of(res.threshold)) < 0
     assert res.verdict == ("certified" if below else "inconclusive")
     assert res.certified is below
 

@@ -98,3 +98,6 @@ def test_readme_library_block_gives_the_commented_values():
     assert rep.value == QuadNumber(5)
     assert rep.value_ceiling == 5
     assert rep.trace
+    res = namespace["res"]
+    assert res.verdict == "certified"
+    assert res.threshold == QuadNumber(Fraction(-31, 2), 3, 30)

@@ -78,6 +78,15 @@ def test_equality_is_by_type_and_fields():
     assert RestrictionMode(3, 0) != GonalityMode(3)
     assert CurveGeometry(5, 1) != CurveGeometry(5, 2)
 
+    # another record class with the same fields and values is not equal
+    @record
+    class Curve:
+        d: int
+        g: int
+
+    assert CurveGeometry(5, 1) != Curve(5, 1)
+    assert Curve(5, 1) != CurveGeometry(5, 1)
+
 
 def test_repr_matches_the_dataclass_format():
     assert repr(CurveGeometry(d=5, g=1)) == "CurveGeometry(d=5, g=1)"

@@ -1,6 +1,6 @@
 """Names that the README lists as removed stay gone: neither their module
-nor the package re-exports them, and the README still names each one
-beside its replacement."""
+nor the package re-exports them, no record keeps a removed field, and
+the README still names each one beside its replacement."""
 
 import importlib
 import os
@@ -43,6 +43,12 @@ REMOVED = [
 ]
 
 
+# (module, record, field)
+REMOVED_FIELDS = [
+    ("bounds", "CertificationResult", "report"),
+]
+
+
 @pytest.fixture(scope="module")
 def readme():
     with open(README, encoding="utf-8") as f:
@@ -55,3 +61,12 @@ def test_a_removed_name_stays_gone(readme, module, name):
     assert not hasattr(curvebounds, name)
     # as `name`, `module.name` or the call `name(...)`
     assert re.search(rf"`({module}\.)?{name}[`(]", readme)
+
+
+@pytest.mark.parametrize("module,record,field", REMOVED_FIELDS,
+                         ids=[f"{r}.{f}" for _, r, f in REMOVED_FIELDS])
+def test_a_removed_field_stays_gone(readme, module, record, field):
+    cls = getattr(importlib.import_module(f"curvebounds.{module}"), record)
+    assert field not in cls.__record_fields__
+    assert not hasattr(cls, field)
+    assert f"`{record}.{field}`" in readme

@@ -194,9 +194,11 @@ def test_normal_bundle_bound():
     eb = row_bound(CI52, Evidence("normal_bundle_s", (35,)))
     assert (eb.lower, eb.eps2_lower) == (None, None)
     assert eb.upper == F(2, 7)
-    # s_N below deg_N/2 contradicts rank two
-    with pytest.raises(EvidenceInconsistentWithDegree):
-        row_bound(CI52, Evidence("normal_bundle_s", (34,)))
+    # s_N below deg_N/2 contradicts rank two, in halves too
+    for s_n in (34, F(69, 2)):
+        with pytest.raises(EvidenceInconsistentWithDegree):
+            row_bound(CI52, Evidence("normal_bundle_s", (s_n,)))
+    assert row_bound(CI52, Evidence("normal_bundle_s", (F(71, 2),))).upper == F(20, 71)
 
 
 def test_bundle_seshadri_bound():

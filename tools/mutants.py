@@ -54,6 +54,9 @@ CONSTRAINT_TABLE = "- One intersection kernel and one constraint table"
 DIGIT_CAP = "- One digit cap where numbers enter"
 ONE_PAYLOAD = "- One payload per CLI command"
 REACH = "- What the product reaches"
+CERTIFY_CORE = "- Certify c2 from the two-term bound's integer core"
+RECORDS = "- Cold-start CLI"
+RENDER_ON_READ = "- A `table` op pays only for arithmetic"
 
 
 class Equivalent(NamedTuple):
@@ -110,11 +113,16 @@ MUTANTS = [
         ("return (a > 0) - (a < 0)", "return (a > 0) - (a <= 0)")),
     row("scalar", "floor of a negative root", QUAD_KERNEL, ("-root - 1", "-root")),
     row("bounds", "delta term over 2", INTEGER_BOUNDS,
-        ("4 * delta.denominator", "2 * delta.denominator")),
+        ("4 * x.denominator * sn", "2 * x.denominator * sn")),
     row("bounds", "minimum reversed", BOUND_KERNEL,
-        ("_rational_cmp(dn, dd, term_alpha) > 0", "_rational_cmp(dn, dd, term_alpha) < 0")),
+        ("_sign(dn * tq - dd * ta, -dd * tb, m) > 0", "_sign(dn * tq - dd * ta, -dd * tb, m) < 0")),
     row("bounds", "clamp flipped", BOUND_KERNEL,
         ("if _sign(a, b, m) < 0:", "if _sign(a, b, m) > 0:")),
+    # the one verdict, which restrict --c2 and certify_restriction_stable share
+    row("bounds", "verdict certifies at the threshold", CERTIFY_CORE,
+        ("_rational_cmp(c2, 1, threshold) < 0", "_rational_cmp(c2, 1, threshold) <= 0")),
+    row("seshadri", "s_N test drops its denominator", CERTIFY_CORE,
+        ("c.deg_n * s_n.denominator", "c.deg_n")),
     row("seshadri", "lower pick takes the last tie", TABLE_IN_INTEGERS,
         ("if v.numerator * q > p * v.denominator:", "if v.numerator * q >= p * v.denominator:")),
     # json converts an integer literal of any length; the fields read
@@ -123,6 +131,15 @@ MUTANTS = [
         ("json.JSONDecoder(parse_int=parse_int)", "json.JSONDecoder()")),
     row("catalog", "missing integer field unchecked", REACH,
         ("-> int:\n    if key not in obj:\n", "-> int:\n    if False:\n")),
+    # a RecursionError that leaves the loader in place of a ParseError
+    row("catalog", "no nesting guard", RENDER_ON_READ,
+        ("    except RecursionError:\n", "    except ZeroDivisionError:\n")),
+    row("_record", "doubled argument accepted", RECORDS,
+        ("\n                        or not kwargs.keys().isdisjoint(names[:len(args)])):",
+         "):"), tests=("tests/test_record.py",)),
+    row("_record", "equal to another record class", RECORDS,
+        ("if other.__class__ is self.__class__:",
+         "if hasattr(other, \"__record_fields__\"):"), tests=("tests/test_record.py",)),
     row("cli", "restrict --strict exits 0", ONE_PAYLOAD,
         ("1 if args.strict and not result.certified else 0", "0")),
     row("cli", "closed pipe returns the command's code", INTEGER_CLASSES,
