@@ -230,12 +230,20 @@ def _two_term_bound(c: CurveGeometry, x: Fraction,
                        term_alpha, value, ceiling, tuple(steps), vacuous)
 
 
+def _check_interval(interval: Optional[SeshadriInterval]) -> None:
+    """TypeError unless ``interval`` is None or a SeshadriInterval."""
+    if interval is not None and not isinstance(interval, SeshadriInterval):
+        raise TypeError(f"interval must be a SeshadriInterval or None, "
+                        f"got {type(interval).__name__}")
+
+
 def gonality_bound(c: CurveGeometry, eps: RationalLike,
                    interval: Optional[SeshadriInterval] = None) -> BoundReport:
     """Lower bound for the gonality of a smooth curve in P^3, evaluated
     at eta = eps.  Valid when eps is at most the Seshadri constant of
     the curve; pass the certified interval to get a trace warning when
     eps falls outside it."""
+    _check_interval(interval)
     eps = _capped_rational(eps)
     if eps.numerator <= 0:
         raise NonpositiveEta(f"eta must be positive, got {eps}")
@@ -273,9 +281,12 @@ def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
     return StabilityConstant(gamma_lower=best, trace=tuple(trace))
 
 
-def _threshold_shape(c: CurveGeometry, gamma: RationalLike) -> tuple:
-    """(gamma, root, length, scale): gamma checked, and the kernel's
-    arguments for the restriction threshold at it."""
+def _threshold_shape(c: CurveGeometry, gamma: RationalLike,
+                     interval: Optional[SeshadriInterval]) -> tuple:
+    """(gamma, root, length, scale): gamma and the interval's type
+    checked, and the kernel's arguments for the restriction threshold at
+    gamma."""
+    _check_interval(interval)
     gamma = _capped_rational(gamma)
     if gamma.numerator <= 0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
@@ -290,7 +301,7 @@ def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
     """Threshold on c2: a stable rank-two bundle on P^3 with c1 = 0 and
     c2 strictly below this value restricts stably to the curve.  Valid
     when gamma is at most the stability constant of the pair."""
-    gamma, root, length, scale = _threshold_shape(c, gamma)
+    gamma, root, length, scale = _threshold_shape(c, gamma, interval)
     return _two_term_bound(c, gamma, interval, root, length, scale, _THRESHOLD)
 
 
@@ -308,9 +319,10 @@ def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
     """Certified iff c2 < restriction_threshold value, strictly and
     exactly.  The bundle is assumed stable on P^3 with c1 = 0.  Only the
     kernel's integer core runs, and no report is built: the verdict does
-    not read ``interval``, which feeds only a report's warning step."""
+    not read ``interval``, which feeds only a report's warning step, but
+    its type is checked as ``restriction_threshold`` checks it."""
     c2 = _exact_int(c2)
-    gamma, root, length, scale = _threshold_shape(c, gamma)
+    gamma, root, length, scale = _threshold_shape(c, gamma, interval)
     value = _two_term_core(c, gamma, "gamma", root, length, scale)[-1]
     return _certify(_quad(*value), c2)
 

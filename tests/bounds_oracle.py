@@ -1,7 +1,8 @@
 """Test-only oracle for the two-term bounds: the straightforward
 evaluation in ``Fraction`` and the Fraction-pair model of Q(sqrt(m))
 (``tests/quad_model.py``) that ``curvebounds.bounds`` replaced with a
-pass over integer numerators.
+pass over integer numerators; a value's ceiling is ``exact.ceil_quad``
+(``perfbench/exact.py``).
 
 Each function returns the whole report for valid inputs, as a dict of
 every value field and the rendered trace, which ``report_view`` builds
@@ -16,6 +17,7 @@ differing report.
 
 from fractions import Fraction
 
+import exact
 import quad_model as model
 from curvebounds.bounds import Discrepancy
 from curvebounds.scalar import QuadNumber
@@ -54,7 +56,7 @@ def two_term_bound(inputs, trace, delta, raw_alpha, length, scale, formulas):
     term_alpha = model.mul(alpha, model.sub(length, model.div(alpha, scale)))
     trace.append(f"alpha term: {formulas[2]} = {model.render(term_alpha)}")
     value = model.minimum(model.lift(term_delta), term_alpha)
-    ceiling = model.ceil(value)
+    ceiling = exact.ceil_quad(*value)
     trace.append(f"value = min of the two terms = {model.render(value)}; "
                  f"smallest integer >= value: {ceiling}")
     return {"inputs": inputs, "alpha": _library(alpha), "term_delta": term_delta,

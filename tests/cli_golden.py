@@ -26,7 +26,7 @@ from curvebounds.catalog import (
     serialize_descriptor,
     standard_catalog,
 )
-from curvebounds.cli import main
+from curvebounds.cli import COMMANDS as CLI_COMMANDS, main
 
 DIGESTS = Path(__file__).with_name("cli_golden.json")
 
@@ -55,10 +55,14 @@ EXTRA_CURVES = (
 )
 # the evidence output paths no other curve enters: a secant line, a
 # residual pencil paired with an exact s_N, and a rational field given
-# as "p/q", run under the commands that print evidence
+# as "p/q"; then a residual pencil with no exact s_N, which combine notes
+# as not combined (named, so that its labels differ from the first's);
+# each run under the commands that print evidence
 EVIDENCE_CURVES = (
     '{"kind":{"raw":{"d":9,"g":10}},"evidence":[{"kind":"secant_line","l":3},'
     '{"kind":"residual_reduced","a":5,"b":2},{"kind":"normal_bundle_s","s_n":"55/2"}]}',
+    '{"name":"raw-9-10-residual","kind":{"raw":{"d":9,"g":10}},'
+    '"evidence":[{"kind":"residual_reduced","a":5,"b":2}]}',
 )
 EVIDENCE_COMMANDS = (("seshadri",), ("gonality",), ("restrict",))
 EXTRA_COMMANDS = (
@@ -66,6 +70,7 @@ EXTRA_COMMANDS = (
     ("gonality", "--eta", "1/5"),
     ("gonality", "--eta", "1/4"),
     ("gonality", "--eta", "0"),
+    ("gonality", "--eta", "+1/5"),
     ("restrict", "--gamma", "1/5"),
     ("restrict", "--c2", "50", "--strict"),
     ("verify", "identity-sl", "--range", "2", "--eta", "1/5"),
@@ -81,6 +86,8 @@ EXTRA_COMMANDS = (
     ("verify", "sweep", "--mode", "restriction", "--start", "0", "--stop", "3",
      "--gamma", "1/5"),
     ("verify", "sweep", "--mode", "gonality", "--start", "3", "--stop", "0"),
+    ("verify", "sweep", "--mode", "gonality", "--start", "0", "--stop", "3",
+     "--gamma", "1/5"),
 )
 # every surface-restrict variant in both outcomes, --strict, and the two
 # error exits (c2 = 1 under Barth, a missing degree)
@@ -99,17 +106,8 @@ SURFACE = (
 )
 
 
-LEAVES = (
-    ("invariants",),
-    ("seshadri",),
-    ("gonality",),
-    ("restrict",),
-    ("surface-restrict",),
-    ("verify", "identity-sl"),
-    ("verify", "replay-gonality"),
-    ("verify", "replay-restriction"),
-    ("verify", "sweep"),
-)
+# every leaf command path, in the CLI's order
+LEAVES = tuple(path for path, *_ in CLI_COMMANDS)
 
 # argparse exits through SystemExit: -h with 0, a usage error with 2;
 # DESC stands for a catalog descriptor in the label

@@ -12,7 +12,10 @@ integer arithmetic or its normal form.
 
 Every operation takes model values or plain rationals.  The operands of
 one operation share a radicand or one of them is rational; the model
-does not check this.
+does not check this.  A model value's floor and ceiling are
+``exact.floor_quad(*x)`` and ``exact.ceil_quad(*x)``, from
+``perfbench/exact.py``, which imports nothing from ``curvebounds``
+either.
 """
 
 import math
@@ -109,24 +112,6 @@ def cmp(x, y):
 def minimum(x, y):
     """The smaller of x and y, the first on a tie, as ``min`` keeps it."""
     return y if cmp(y, x) < 0 else x
-
-
-def floor(x):
-    """Largest integer n with sign(x - n) >= 0, by bisection."""
-    a, b, m = lift(x)
-    reach = math.ceil(abs(b)) * (math.isqrt(m) + 1) + 1
-    lo, hi = math.floor(a) - reach, math.floor(a) + reach
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sign(sub(x, mid)) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def ceil(x):
-    return -floor(neg(x))
 
 
 def render(x):

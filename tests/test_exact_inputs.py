@@ -164,6 +164,26 @@ def test_integer_entry_points_reject_float_bool_and_fraction(name):
     call(3)
 
 
+INTERVAL_ENTRY_POINTS = {
+    "gonality_bound": lambda iv: gonality_bound(CI52, Fraction(1, 5), iv),
+    "restriction_threshold": lambda iv: restriction_threshold(CI52, Fraction(1, 5), iv),
+    "certify_restriction_stable": lambda iv: certify_restriction_stable(
+        CI52, Fraction(1, 5), 0, iv),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_ENTRY_POINTS))
+def test_interval_is_a_seshadri_interval_or_none(name):
+    # a tuple that holds eta, like a str or a float, is refused at entry
+    # with its own message, not by an accident of ``eta in interval``
+    call = INTERVAL_ENTRY_POINTS[name]
+    for bad in ("x", [], 0.2, (Fraction(1, 5), Fraction(1, 5))):
+        with pytest.raises(TypeError, match="interval must be a SeshadriInterval"):
+            call(bad)
+    call(None)
+    call(IV52)
+
+
 def test_every_evidence_field_has_a_float_and_bool_test():
     # evidence is built through Evidence; the parameters come in one
     # tuple, so each (kind, field) pair needs its own row, keyed

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import exact
 import quad_model as model
 import replay_oracle as oracle
 from curvebounds import blowup, replay
@@ -91,13 +92,9 @@ def test_build_system_validation():
         build_system(CI52, F(1, 5), RestrictionMode(c2=0, l_min=-1))
 
 
-def _scan_t_max(holds):
-    """Largest t >= 0 with holds(0), ..., holds(t): the linear scan that
-    the closed forms of the box derivation replace, kept as their oracle."""
-    t = 0
-    while holds(t + 1):
-        t += 1
-    return t
+def corners(box):
+    """(x_min, x_max, y_min, y_max), as ``exact.replay_box`` returns a box."""
+    return box.x_min, box.x_max, box.y_min, box.y_max
 
 
 @st.composite
@@ -114,25 +111,21 @@ def eta_below_critical(draw):
 
 @given(eta_below_critical(), st.integers(min_value=0, max_value=10**4),
        st.integers(min_value=1, max_value=40))
-def test_box_extent_matches_scan_oracle(d_eta, c2, k):
+def test_box_matches_the_exact_replay_box(d_eta, c2, k):
     d, eta = d_eta
     curve = CurveGeometry(d=d, g=0)  # lambda_eta > 0 for g = 0, d >= 4
     ed = eta * d
 
     gon = build_system(curve, eta, GonalityMode(k=0)).box
-    t_max = _scan_t_max(lambda t: t * t * d <= (ed / 2 + t * ed) ** 2)
-    assert (gon.y_min, gon.x_max) == (-t_max, math.floor(ed / 2 + t_max * ed))
+    assert corners(gon) == exact.replay_box(d, eta, "gonality")
 
-    def q(t, c2):
-        return t * t * d * (1 - eta * ed) - t * eta * ed * d - (c2 + ed * ed / 4)
-
-    # c2 = q(k, 0) is where |y| = k becomes reachable: take the integers
-    # on both sides of it as well as the drawn one
-    edge = math.ceil(q(k, 0))
+    # the least c2 whose box reaches |y| = k, from replay_box's closed
+    # form at t = k: take the integers on both sides of it as well as
+    # the drawn one
+    edge = math.ceil(k * k * d * (1 - eta * ed) - k * eta * ed * d - ed * ed / 4)
     for c2 in {c2, max(0, edge - 1), max(0, edge)}:
         res = build_system(curve, eta, RestrictionMode(c2=c2)).box
-        t_max = _scan_t_max(lambda t: q(t, c2) <= 0)
-        assert (res.y_min, res.x_max) == (-t_max, math.floor(ed / 2 + t_max * ed))
+        assert corners(res) == exact.replay_box(d, eta, "restriction", c2)
 
 
 @st.composite
@@ -190,7 +183,7 @@ def test_gonality_box_matches_the_saturation_quadratic(case):
     # d times the saturation's own: the roots, and so the boxes, agree
     curve, eta = case
     box = build_system(curve, eta, GonalityMode(k=0)).box
-    assert (box.y_min, box.x_max) == oracle.gonality_box_extent(curve.d, eta)
+    assert corners(box) == exact.replay_box(curve.d, eta, "gonality")
 
 
 def test_catalog_gonality_boxes_match_the_saturation_quadratic():
@@ -203,7 +196,7 @@ def test_catalog_gonality_boxes_match_the_saturation_quadratic():
             except (LambdaNegative, UnboundedBox):
                 continue
             built += 1
-            assert (box.y_min, box.x_max) == oracle.gonality_box_extent(desc.curve.d, eta)
+            assert corners(box) == exact.replay_box(desc.curve.d, eta, "gonality")
     assert built == 509
 
 

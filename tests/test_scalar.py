@@ -1,5 +1,6 @@
 """Exact values in Q(sqrt(m)): construction, comparison, rounding."""
 
+import ast
 import math
 import time
 from decimal import Decimal
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import exact
 import quad_model as model
 from curvebounds.errors import (
     IncompatibleRadicand,
@@ -582,7 +584,19 @@ def test_floor_ceil_match_sign_analysis_oracle(x):
 #
 # tests/quad_model.py keeps a + b*sqrt(m) as two Fractions over a
 # square-free m, as QuadNumber did before it moved to one integer triple
-# (A + B*sqrt(m))/Q, and decides signs by case analysis on a and b.
+# (A + B*sqrt(m))/Q, and decides signs by case analysis on a and b;
+# perfbench/exact.py floors a model value with one isqrt.
+
+
+@pytest.mark.parametrize("module", [exact, model], ids=lambda m: m.__name__)
+def test_the_oracles_import_nothing_from_curvebounds(module):
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] == "curvebounds"] == []
 
 
 def _parts(q):
@@ -603,8 +617,8 @@ def test_kernel_matches_fraction_pair_model(m, a1, b1, a2, b2):
     assert order(x, 0) == model.sign(mx)
     assert hash(x) == model.model_hash(mx)
 
-    assert math.floor(x) == model.floor(mx)
-    assert math.ceil(x) == model.ceil(mx)
+    assert math.floor(x) == exact.floor_quad(*mx)
+    assert math.ceil(x) == exact.ceil_quad(*mx)
     assert str(x) == model.render(mx)
     assert repr(x) == f"QuadNumber({mx[0]!r}, {mx[1]!r}, {mx[2]!r})"
 

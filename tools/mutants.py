@@ -7,8 +7,9 @@ Each row of ``MUTANTS`` names a file under ``src/``, its edits (an
 exact old text that occurs once in the file and the new text that
 replaces it; a moved line takes two), the tests to run and the
 CHANGES.md entry whose code or tests it checks (the start of that
-entry's line).  For each row, the tool copies ``src/`` and ``tests/``
-to a temporary directory, applies the row there and runs
+entry's line).  For each row, the tool copies ``src/``, ``tests/`` and
+``perfbench/exact.py`` (the tests' arithmetic that imports nothing from
+``curvebounds``) to a temporary directory, applies the row there and runs
 ``python -m pytest -x -q`` on the row's tests.  It prints one
 "<killed|survived|error> <seconds>s <name>" line per row and exits 1
 if any row survived or could not be run: a surviving row is a gap in
@@ -55,6 +56,7 @@ DIGIT_CAP = "- One digit cap where numbers enter"
 ONE_PAYLOAD = "- One payload per CLI command"
 REACH = "- What the product reaches"
 CERTIFY_CORE = "- Certify c2 from the two-term bound's integer core"
+ONE_ORACLE = "- One curvebounds-free oracle"
 RECORDS = "- Cold-start CLI"
 RENDER_ON_READ = "- A `table` op pays only for arithmetic"
 
@@ -121,6 +123,10 @@ MUTANTS = [
     # the one verdict, which restrict --c2 and certify_restriction_stable share
     row("bounds", "verdict certifies at the threshold", CERTIFY_CORE,
         ("_rational_cmp(c2, 1, threshold) < 0", "_rational_cmp(c2, 1, threshold) <= 0")),
+    # the one interval check of the three bound entry points
+    row("bounds", "interval type unchecked", ONE_ORACLE,
+        ("if interval is not None and not isinstance(interval, SeshadriInterval):",
+         "if False:"), tests=("tests/test_exact_inputs.py",)),
     row("seshadri", "s_N test drops its denominator", CERTIFY_CORE,
         ("c.deg_n * s_n.denominator", "c.deg_n")),
     row("seshadri", "lower pick takes the last tie", TABLE_IN_INTEGERS,
@@ -184,6 +190,9 @@ def run_row(m: Mutant) -> tuple[str, float]:
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
+        os.mkdir(os.path.join(tmp, "perfbench"))
+        shutil.copy(os.path.join(ROOT, "perfbench", "exact.py"),
+                    os.path.join(tmp, "perfbench"))
         path = os.path.join(tmp, m.file)
         with open(path, encoding="utf-8") as fh:
             text = mutated(m, fh.read())

@@ -10,7 +10,8 @@ and, for each catalog curve, the library calls of the benchmark's
 ``restriction_threshold`` and ``certify_restriction_stable`` at three
 c2).  The tracer is set before ``curvebounds`` is imported, so what
 runs at import time counts as entered; it must therefore run in a fresh
-interpreter.
+interpreter.  The harness's own work, building the argv list and the
+catalog, runs with the tracer off, so only the product's traffic counts.
 
 A function is named ``<module>.<qualified name>`` (``replay.Box.points``,
 ``_record.record.<locals>.__eq__``), found in the source by ``ast``;
@@ -61,15 +62,14 @@ def functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def table_calls() -> None:
+def table_calls(catalog: list) -> None:
     """The library calls of the ``table`` workload, on each catalog
     curve, as ``perfbench/workloads.execute_table`` makes them."""
     from curvebounds.bounds import (certify_restriction_stable, gonality_bound,
                                     restriction_threshold)
-    from curvebounds.catalog import standard_catalog
     from curvebounds.seshadri import combine
 
-    for desc in standard_catalog():
+    for desc in catalog:
         interval = combine(desc.curve, list(desc.evidence))
         eta = interval.lower
         gonality_bound(desc.curve, eta, interval)
@@ -113,9 +113,17 @@ def trace() -> tuple[set[str], list[str]]:
     sys.settrace(on_call)
     try:
         import cli_golden
-        for _, argv in cli_golden.cases():
+    finally:
+        sys.settrace(previous)
+    # the harness's inputs, untraced; cli_golden has imported the package
+    from curvebounds.catalog import standard_catalog
+    argvs = [argv for _, argv in cli_golden.cases()]
+    catalog = standard_catalog()
+    sys.settrace(on_call)
+    try:
+        for argv in argvs:
             cli_golden.transcript(argv)
-        table_calls()
+        table_calls(catalog)
     finally:
         sys.settrace(previous)
     return ({names[key] for key in entered if key in names},
