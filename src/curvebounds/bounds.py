@@ -11,20 +11,23 @@ curve, with full step-by-step traces:
   with alpha = min{1, sqrt(3d)/2 - gamma d} clamped at 0.
 
 Both bounds here are one two-term computation (``_two_term_core``)
-in the integer numerators of Q(sqrt(m)), fed a different parameter,
-radicand, length and scale; ``_two_term_bound`` turns its integers into
-a report that also steps the inputs and delta, so an entry point only
-checks its parameter.  Each result is normalised once; ceilings are
-certified.  A c2 certification runs the core alone and builds no report.
-A report records each trace line as a step ``(template, exact values...)``
-and renders its text only when ``trace`` is read.
+in the integer numerators of Q(sqrt(m)).  Each bound is declared once,
+by ``_spec``: its parameter's name and error, its trivial bound, its
+shape (the root, length and scale at x) and its trace templates.
+``_two_term_bound`` turns the core's integers into a report that also
+steps the inputs and delta, and ``_checked`` checks each entry point's
+parameter and interval, so an entry point is one call.  Each result is
+normalised once; ceilings are certified.  A c2 certification runs the
+core alone and builds no report.  A report records each trace line as a
+step ``(template, exact values...)`` and renders its text only when
+``trace`` is read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from ._record import record, render, replace
 from .blowup import CurveGeometry
@@ -114,16 +117,18 @@ class CertificationResult:
         return f"c2 = {self.c2} is not strictly below threshold {self.threshold}"
 
 
-def _spec(name: str, trivial: tuple, delta_term: str, alpha: str,
-          alpha_term: str) -> tuple:
-    """What the kernel needs to know of one bound beyond its numbers:
-    its parameter's name, its ``trivial`` pair (the bound every input
-    meets, why: an integer bound at or below it is vacuous, and the
-    report says so) and its trace templates (inputs, delta, delta term,
-    clamped alpha, alpha, alpha term), built here once from the names
-    of its delta term, raw alpha and alpha term.  Each ``{}`` left open
-    takes an exact value."""
-    return (name, trivial,
+def _spec(name: str, error: type, trivial: tuple, shape: Callable, delta_term: str,
+          alpha: str, alpha_term: str) -> tuple:
+    """All the kernel needs to know of one bound beyond the curve and x:
+    its parameter's name, the error a nonpositive x raises, its
+    ``trivial`` pair (the bound every input meets, why: an integer bound
+    at or below it is vacuous, and the report says so), its
+    ``shape(c, x) -> (root, length, scale)`` (the kernel's arguments at
+    x) and its trace templates (inputs, delta, delta term, clamped
+    alpha, alpha, alpha term), built here once from the names of its
+    delta term, raw alpha and alpha term.  Each ``{}`` left open takes
+    an exact value."""
+    return (name, error, trivial, shape,
             (f"inputs: d = {{}}, g = {{}}, r = 3, {name} = {{}}",
              f"delta = {name}*deg_N - d = {{}}",
              f"delta term: {delta_term} = {{}}",
@@ -133,9 +138,14 @@ def _spec(name: str, trivial: tuple, delta_term: str, alpha: str,
 
 
 # the raw alpha of each bound names d: its "{}" takes c.d
-_GONALITY = _spec("eta", (1, "every curve has gonality at least 1"),
+_GONALITY = _spec("eta", NonpositiveEta, (1, "every curve has gonality at least 1"),
+                  lambda c, x: ((c.d, 1), (c.d, 1), x.as_integer_ratio()),
                   "delta/(4*eta)", "sqrt({}) - eta*d", "alpha*(d - alpha/eta)")
-_THRESHOLD = _spec("gamma", (0, "no c2 >= 0 lies below it"),
+# sqrt(d)*sqrt(3/4) = sqrt(3d)/2: the root (3d, 2) keeps 3d as the capped
+# radicand; at length gamma*d and scale 1 the kernel's alpha term is
+# alpha*gamma*d - alpha^2
+_THRESHOLD = _spec("gamma", NonpositiveGamma, (0, "no c2 >= 0 lies below it"),
+                   lambda c, x: ((3 * c.d, 2), (x.numerator * c.d, x.denominator), (1, 1)),
                    "delta/4", "sqrt(3*{})/2 - gamma*d", "alpha*gamma*d - alpha^2")
 _VALUE = "value = min of the two terms = {}; smallest integer >= value: {}"
 _DEG_N = "deg_N = (r+1)d + 2g - 2 = {}"
@@ -147,24 +157,23 @@ _OUTSIDE = ("warning: {} = {} lies outside the certified interval "
 _PRINTABLE = 10**4300
 
 
-def _two_term_core(c: CurveGeometry, x: Fraction, name: str,
-                   root: tuple[int, int], length: tuple[int, int],
-                   scale: tuple[int, int]) -> tuple:
+def _two_term_core(c: CurveGeometry, x: Fraction, spec: tuple) -> tuple:
     """The integers of the computation both bounds share, at x = eta or
-    gamma (named ``name``):
+    gamma, for the bound ``spec`` declares (``_spec``):
         min{ delta/(4 scale), alpha (length - alpha/scale) },
     with delta = x deg_N - d and alpha = min{1, sqrt(u)/w - length*scale}
-    clamped at 0 for root = (u, w) in integers.  ``length`` and
-    ``scale`` are (numerator, denominator) pairs, denominators and scale
-    positive.  Returns (delta's numerator over x's denominator, the
-    delta term (n, q), the raw alpha when it was clamped to 0 or None,
-    alpha, the alpha term, the smaller term), each value of Q(sqrt(m))
-    as parts (a, b, q, m) of (a + b*sqrt(m))/q, q > 0, not reduced.
-    The raw alpha's signs and the smaller term come from ``_sign``."""
-    (ln, lq), (sn, sq) = length, scale
+    clamped at 0, where the spec's shape gives root = (u, w) in integers
+    and ``length`` and ``scale`` as (numerator, denominator) pairs,
+    denominators and scale positive.  Returns (delta's numerator over
+    x's denominator, the delta term (n, q), the raw alpha when it was
+    clamped to 0 or None, alpha, the alpha term, the smaller term), each
+    value of Q(sqrt(m)) as parts (a, b, q, m) of (a + b*sqrt(m))/q,
+    q > 0, not reduced.  The raw alpha's signs and the smaller term come
+    from ``_sign``."""
+    name, _, _, shape, _ = spec
+    (u, w), (ln, lq), (sn, sq) = shape(c, x)
     dnum = x.numerator * c.deg_n - x.denominator * c.d
     # raw alpha = (a + b*sqrt(m))/q; u meets the radicand cap in the split
-    u, w = root
     a, b, s, m = _sqrt_parts(u, 1)
     # every value delta enters has a numerator that divides this one
     if abs(dnum) >= _PRINTABLE:
@@ -193,17 +202,14 @@ def _two_term_core(c: CurveGeometry, x: Fraction, name: str,
 
 
 def _two_term_bound(c: CurveGeometry, x: Fraction,
-                    interval: Optional[SeshadriInterval], root: tuple[int, int],
-                    length: tuple[int, int], scale: tuple[int, int],
-                    spec: tuple) -> BoundReport:
+                    interval: Optional[SeshadriInterval], spec: tuple) -> BoundReport:
     """The report of ``_two_term_core`` at x, with its certified
     ceiling; ``spec`` comes from ``_spec``.  The report steps the
     inputs, deg_N, a warning when x falls outside ``interval`` and
     delta, then the two terms and their minimum.  Each QuadNumber is
     normalised once, by ``_quad``."""
-    name, trivial, (t_inputs, t_delta, t_term, t_clamped, t_alpha, t_alpha_term) = spec
-    dnum, (dn, dd), raw, alpha, term_alpha, value = _two_term_core(
-        c, x, name, root, length, scale)
+    name, _, trivial, _, (t_inputs, t_delta, t_term, t_clamped, t_alpha, t_alpha_term) = spec
+    dnum, (dn, dd), raw, alpha, term_alpha, value = _two_term_core(c, x, spec)
     steps: list[tuple] = [(t_inputs, c.d, c.g, x), (_DEG_N, c.deg_n)]
     if interval is not None and x not in interval:
         steps.append((_OUTSIDE, name, x, interval.lower, interval.upper))
@@ -230,11 +236,18 @@ def _two_term_bound(c: CurveGeometry, x: Fraction,
                        term_alpha, value, ceiling, tuple(steps), vacuous)
 
 
-def _check_interval(interval: Optional[SeshadriInterval]) -> None:
-    """TypeError unless ``interval`` is None or a SeshadriInterval."""
+def _checked(spec: tuple, x: RationalLike,
+             interval: Optional[SeshadriInterval]) -> Fraction:
+    """x as a capped rational, once the interval is None or a
+    SeshadriInterval (TypeError) and x is positive (the spec's error)."""
+    name, error, _, _, _ = spec
     if interval is not None and not isinstance(interval, SeshadriInterval):
         raise TypeError(f"interval must be a SeshadriInterval or None, "
                         f"got {type(interval).__name__}")
+    x = _capped_rational(x)
+    if x.numerator <= 0:
+        raise error(f"{name} must be positive, got {x}")
+    return x
 
 
 def gonality_bound(c: CurveGeometry, eps: RationalLike,
@@ -243,12 +256,8 @@ def gonality_bound(c: CurveGeometry, eps: RationalLike,
     at eta = eps.  Valid when eps is at most the Seshadri constant of
     the curve; pass the certified interval to get a trace warning when
     eps falls outside it."""
-    _check_interval(interval)
-    eps = _capped_rational(eps)
-    if eps.numerator <= 0:
-        raise NonpositiveEta(f"eta must be positive, got {eps}")
-    return _two_term_bound(c, eps, interval, (c.d, 1), (c.d, 1),
-                           (eps.numerator, eps.denominator), _GONALITY)
+    return _two_term_bound(c, _checked(_GONALITY, eps, interval), interval,
+                           _GONALITY)
 
 
 def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
@@ -281,28 +290,13 @@ def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
     return StabilityConstant(gamma_lower=best, trace=tuple(trace))
 
 
-def _threshold_shape(c: CurveGeometry, gamma: RationalLike,
-                     interval: Optional[SeshadriInterval]) -> tuple:
-    """(gamma, root, length, scale): gamma and the interval's type
-    checked, and the kernel's arguments for the restriction threshold at
-    gamma."""
-    _check_interval(interval)
-    gamma = _capped_rational(gamma)
-    if gamma.numerator <= 0:
-        raise NonpositiveGamma(f"gamma must be positive, got {gamma}")
-    # sqrt(d)*sqrt(3/4) = sqrt(3d)/2: the root (3d, 2) keeps 3d as the
-    # capped radicand; at length gamma*d and scale 1 the kernel's alpha
-    # term is alpha*gamma*d - alpha^2
-    return gamma, (3 * c.d, 2), (gamma.numerator * c.d, gamma.denominator), (1, 1)
-
-
 def restriction_threshold(c: CurveGeometry, gamma: RationalLike,
                           interval: Optional[SeshadriInterval] = None) -> BoundReport:
     """Threshold on c2: a stable rank-two bundle on P^3 with c1 = 0 and
     c2 strictly below this value restricts stably to the curve.  Valid
     when gamma is at most the stability constant of the pair."""
-    gamma, root, length, scale = _threshold_shape(c, gamma, interval)
-    return _two_term_bound(c, gamma, interval, root, length, scale, _THRESHOLD)
+    return _two_term_bound(c, _checked(_THRESHOLD, gamma, interval), interval,
+                           _THRESHOLD)
 
 
 def _certify(threshold: QuadNumber, c2: int) -> CertificationResult:
@@ -322,8 +316,7 @@ def certify_restriction_stable(c: CurveGeometry, gamma: RationalLike, c2: int,
     not read ``interval``, which feeds only a report's warning step, but
     its type is checked as ``restriction_threshold`` checks it."""
     c2 = _exact_int(c2)
-    gamma, root, length, scale = _threshold_shape(c, gamma, interval)
-    value = _two_term_core(c, gamma, "gamma", root, length, scale)[-1]
+    value = _two_term_core(c, _checked(_THRESHOLD, gamma, interval), _THRESHOLD)[-1]
     return _certify(_quad(*value), c2)
 
 

@@ -4,7 +4,8 @@ verification commands, over curve-descriptor JSON files.
 
 Each handler in ``COMMANDS`` returns one payload of exact values, its
 text lines and an exit code; ``main`` alone emits, either the lines or
-the payload through the one JSON encoder ``_json``.
+the payload through one ``json.dumps`` pass, whose ``default`` hook
+``_json`` gives the exact numbers, evidence and records their JSON form.
 
 Exit codes: 0 success; 1 inconsistent input, a failed verification, or
 an inconclusive verdict under --strict; 2 malformed descriptors or
@@ -72,35 +73,28 @@ _INT_ARG = _option_type(parse_int, "int")
 
 
 def _json(v: Any) -> Any:
-    """The JSON form of a payload value: an exact number as its exact
-    form and a decimal preview, evidence as in a descriptor, a record
-    field by field in order, containers item by item."""
-    if v is None or isinstance(v, (int, str)):  # most leaves; bool is an int
-        return v
-    if isinstance(v, dict):
-        return {k: _json(x) for k, x in v.items()}
-    if isinstance(v, (tuple, list)):
-        return [_json(x) for x in v]
+    """``json.dumps``'s ``default`` hook, for the payload values JSON
+    has no form of: an exact number as its exact form and a decimal
+    preview, evidence as in a descriptor, a record as its fields in
+    order.  Anything else raises TypeError, as ``default`` must."""
     if isinstance(v, (QuadNumber, Fraction)):
         # a rational value, of either type, prints as "p/q"; an object
         # with keys a/b/m in "exact" always means an irrational value
-        exact = str(v) if _rational(v) else quad_to_json(v)
+        exact = str(v) if getattr(v, "is_rational", True) else quad_to_json(v)
         return {"exact": exact, "decimal": decimal_str(v)}
     if isinstance(v, Evidence):
         return evidence_to_json(v)
     if hasattr(v, "__record_fields__"):
-        return _json(_record.asdict(v))
-    return v
-
-
-def _rational(v: Any) -> bool:
-    return not isinstance(v, QuadNumber) or v.is_rational
+        return _record.asdict(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _show(v: Any) -> str:
     """Human rendering: exact value, with a decimal preview when it is
-    not already plain.  A rational QuadNumber prints as its Fraction."""
-    return str(v) if _rational(v) else f"{v} (~ {decimal_str(v)})"
+    irrational.  Only a QuadNumber has ``is_rational``: an int or a
+    Fraction is rational, and a rational QuadNumber prints as its
+    Fraction."""
+    return str(v) if getattr(v, "is_rational", True) else f"{v} (~ {decimal_str(v)})"
 
 
 def _curve(desc: CurveDescriptor) -> dict:
@@ -450,8 +444,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for w in args.warnings:
             print(f"warning: {w}", file=sys.stderr)
     elif payload is not None:
-        lines = [json.dumps(_json({"schema": SCHEMA, "command": args.command_name,
-                                   **payload}), indent=2)]
+        lines = [json.dumps({"schema": SCHEMA, "command": args.command_name,
+                             **payload}, indent=2, default=_json)]
     try:
         print("\n".join(lines), file=sys.stderr if payload is None else sys.stdout, flush=True)
     except BrokenPipeError:

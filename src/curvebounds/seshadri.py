@@ -36,7 +36,6 @@ from .scalar import (
     RationalLike,
     _quad,
     _rational_cmp,
-    _sign,
     _sqrt_parts,
     capped_rational as _capped_rational,
     exact_int as _exact_int,
@@ -255,9 +254,11 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     """Combine evidence into a certified interval, injecting the
     unconditional defaults, pairing residual-pencil bounds with exact
     sub-line-bundle data, and gating the result on the genus bound.
-    The extremes are chosen by integer cross-multiplication and
-    ``_sign``; ties keep the first candidate, which is the witness the
-    interval names."""
+    The lower end is chosen by integer cross-multiplication, the upper
+    end by ``_rational_cmp`` of each Fraction candidate against the
+    degree default 1/sqrt(d) or the smaller candidate that replaced it;
+    ties keep the first candidate, which is the witness the interval
+    names."""
     defaults = [_DEGREE_DEFAULT, _normal_bundle_default(c)]
     lower_trace: list[tuple[Evidence, Fraction]] = []
     upper_trace: list[tuple[Evidence, BoundValue]] = []
@@ -292,17 +293,12 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     for ev, v in lower_trace:
         if v.numerator * q > p * v.denominator:
             lower_ev, lower, p, q = ev, v, v.numerator, v.denominator
+    # the upper end starts at 1/sqrt(d), the one candidate that is not
+    # a Fraction
     upper = upper_trace[0][1]
-    A, B, Q, m = upper.parts
-    for _, v in upper_trace:
-        a, b, s, n = (v.parts if isinstance(v, QuadNumber)
-                      else (v.numerator, 0, v.denominator, 0))
-        # v - upper = (a*Q - A*s + (b*Q - B*s)*sqrt(m)) / (s*Q); the only
-        # irrational candidate is 1/sqrt(d), so one radicand at most
-        if _sign(a * Q - A * s, b * Q - B * s, m or n) < 0:
-            upper, A, B, Q, m = v, a, b, s, n
-    if not isinstance(upper, QuadNumber):
-        upper = _quad(A, 0, Q, 0)
+    for _, v in upper_trace[1:]:
+        if _rational_cmp(v.numerator, v.denominator, upper) < 0:
+            upper = _quad(v.numerator, 0, v.denominator, 0)
 
     if _rational_cmp(p, q, upper) > 0:
         raise InconsistentEvidence(

@@ -65,6 +65,15 @@ EVIDENCE_CURVES = (
     '"evidence":[{"kind":"residual_reduced","a":5,"b":2}]}',
 )
 EVIDENCE_COMMANDS = (("seshadri",), ("gonality",), ("restrict",))
+# forms run on one curve each, (descriptor, commands): the scan the
+# benchmark's verify workload runs, and a scan at eta*d = 6/7 and
+# lambda = 43/49, where every term of its integer equation has a
+# denominator
+SINGLE_FORMS = (
+    (EXTRA_CURVES[0], (("verify", "identity-sl", "--range", "8"),)),
+    ('{"kind":{"raw":{"d":3,"g":0}},"flags":{"nondegenerate":true}}',
+     (("verify", "identity-sl", "--eta", "2/7", "--range", "3"),)),
+)
 EXTRA_COMMANDS = (
     ("invariants", "--eta", "1/5"),
     ("gonality", "--eta", "1/5"),
@@ -139,8 +148,9 @@ def cases() -> list[tuple[str, list[str]]]:
     {text, JSON}, where the label names the curve in place of its
     descriptor; the extra forms on ci-5-2 and ll-5-2-3 (which also runs
     every catalog form, being outside the catalog), the evidence forms
-    on raw-9-10 and the surface criteria, each in text and JSON; then
-    -h at every level and the usage errors."""
+    on raw-9-10, the single-curve forms and the surface criteria, each in
+    text and JSON; then -h at every level and the usage errors.
+    ValueError if a label repeats."""
     out = []
 
     def both(label: str, argv: list[str]) -> None:
@@ -164,6 +174,8 @@ def cases() -> list[tuple[str, list[str]]]:
                     EXTRA_COMMANDS + (() if name in names else COMMANDS))
     for text in EVIDENCE_CURVES:
         curve_forms(load_descriptor(text).name, text, EVIDENCE_COMMANDS)
+    for text, commands in SINGLE_FORMS:
+        curve_forms(load_descriptor(text).name, text, commands)
     for args in SURFACE:
         both(" ".join(["surface-restrict", *args]),
              ["surface-restrict", *args])
@@ -174,6 +186,12 @@ def cases() -> list[tuple[str, list[str]]]:
     text = json.dumps(serialize_descriptor(catalog[0]), sort_keys=True)
     for label, argv in USAGE:
         out.append((label, [text if a == "DESC" else a for a in argv]))
+    # a label names a curve by its descriptor's name, raw-<d>-<g> by
+    # default: a repeated one would replace a digest, not add one
+    labels = [label for label, _ in out]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"repeated golden labels: {repeated}")
     return out
 
 

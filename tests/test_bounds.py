@@ -131,9 +131,9 @@ def test_gonality_vanishes_on_balanced_types(a):
 
 
 def test_gonality_input_validation():
-    with pytest.raises(NonpositiveEta):
+    with pytest.raises(NonpositiveEta, match="^eta must be positive, got 0$"):
         gonality_bound(CI52, 0)
-    with pytest.raises(NonpositiveEta):
+    with pytest.raises(NonpositiveEta, match="^eta must be positive, got -1/5$"):
         gonality_bound(CI52, F(-1, 5))
 
 
@@ -195,8 +195,11 @@ def test_restriction_report_details():
 
 
 def test_restriction_input_validation():
-    with pytest.raises(NonpositiveGamma):
+    # both restriction entry points raise the threshold's own error
+    with pytest.raises(NonpositiveGamma, match="^gamma must be positive, got 0$"):
         restriction_threshold(CI52, 0)
+    with pytest.raises(NonpositiveGamma, match="^gamma must be positive, got -1/5$"):
+        certify_restriction_stable(CI52, F(-1, 5), 0)
 
 
 @given(st.integers(min_value=2, max_value=40),

@@ -91,6 +91,10 @@ def test_seshadri_json(capsys):
     assert upper == QuadNumber(0, "1/3", 3)
     kinds = [t["evidence"]["kind"] for t in iv["lower_trace"]]
     assert "regularity" in kinds and "degree_default" in kinds
+    # each item as a descriptor writes it: its fields by name, no tuple
+    assert iv["upper_trace"][0]["evidence"] == {"kind": "degree_default",
+                                                "note": "injected default"}
+    assert [t["evidence"].get("m") for t in iv["lower_trace"]] == [None, 2]
 
 
 # -- gonality --------------------------------------------------------------------
@@ -183,7 +187,18 @@ def test_gonality_gap_matches_the_oracle(capsys, a, b):
     code, doc, _ = run_json(capsys, "gonality", desc)
     discs = [d for d in doc["report"]["discrepancies"]
              if d["code"] == "linked-line-pencil-gap"]
-    assert discs == ([] if gap is None else [json.loads(json.dumps(cli._json(gap)))])
+    expected = [] if gap is None else [json.loads(json.dumps(gap, default=cli._json))]
+    assert discs == expected
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}], ids=["object", "set"])
+def test_the_json_hook_refuses_an_unknown_object(value):
+    # json.dumps's default contract: raise TypeError; a hook that gave
+    # the object back would send the encoder round to it again
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._json(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps({"x": [value]}, default=cli._json)
 
 
 RAW400 = '{"kind":{"raw":{"d":400,"g":0}}}'

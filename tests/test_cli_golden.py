@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import cli_golden
 from cli_golden import DIGESTS, LEAVES, USAGE, cases, changes, digest, transcript
 from curvebounds import cli
 from curvebounds.blowup import CurveGeometry
@@ -21,6 +22,17 @@ REPORTS = {"gonality": (gonality_bound, "eta"),
 
 def test_golden_set_matches_recorded_labels():
     assert sorted(label for label, _ in CASES) == sorted(GOLDEN)
+
+
+def test_a_repeated_label_is_refused(monkeypatch):
+    # a second raw-9-10 evidence curve without a "name" field is named
+    # raw-9-10 as well, so its labels repeat the first one's
+    unnamed = ('{"kind":{"raw":{"d":9,"g":10}},'
+               '"evidence":[{"kind":"residual_reduced","a":5,"b":2}]}')
+    monkeypatch.setattr(cli_golden, "EVIDENCE_CURVES",
+                        cli_golden.EVIDENCE_CURVES + (unnamed,))
+    with pytest.raises(ValueError, match="'raw-9-10 seshadri --json'"):
+        cli_golden.cases()
 
 
 def test_rerecord_lists_its_scope():

@@ -50,6 +50,9 @@ UNREACHED = {
     "scalar.QuadNumber.__floor__": LIBRARY,
     "scalar.QuadNumber.as_rational": LIBRARY,
     "scalar.QuadNumber.__repr__": LIBRARY,
+    # the integer view (A, B, Q, m); combine tests its Fraction
+    # candidates against 1/sqrt(d) through _rational_cmp
+    "scalar.QuadNumber.parts": LIBRARY,
     "scalar.quad_from_json": LIBRARY,
     # the slope-identity scan calls the kernel, _top_ratio
     "blowup.top_product": LIBRARY,

@@ -7,10 +7,11 @@ Each row of ``MUTANTS`` names a file under ``src/``, its edits (an
 exact old text that occurs once in the file and the new text that
 replaces it; a moved line takes two), the tests to run and the
 CHANGES.md entry whose code or tests it checks (the start of that
-entry's line).  For each row, the tool copies ``src/``, ``tests/`` and
+entry's line).  For each row, the tool copies ``src/``, ``tests/``,
 ``perfbench/exact.py`` (the tests' arithmetic that imports nothing from
-``curvebounds``) to a temporary directory, applies the row there and runs
-``python -m pytest -x -q`` on the row's tests.  It prints one
+``curvebounds``) and ``README.md`` (which some tests read, so that its
+absence kills no row) to a temporary directory, applies the row there
+and runs ``python -m pytest -x -q`` on the row's tests.  It prints one
 "<killed|survived|error> <seconds>s <name>" line per row and exits 1
 if any row survived or could not be run: a surviving row is a gap in
 the tests, to be reported, not deleted.  ``EQUIVALENT`` lists mutants
@@ -59,6 +60,8 @@ CERTIFY_CORE = "- Certify c2 from the two-term bound's integer core"
 ONE_ORACLE = "- One curvebounds-free oracle"
 RECORDS = "- Cold-start CLI"
 RENDER_ON_READ = "- A `table` op pays only for arithmetic"
+ONE_PATH = "- Three duplicate paths go"
+UPPER_PICK = "_rational_cmp(v.numerator, v.denominator, upper) < 0"
 
 
 class Equivalent(NamedTuple):
@@ -131,6 +134,12 @@ MUTANTS = [
         ("c.deg_n * s_n.denominator", "c.deg_n")),
     row("seshadri", "lower pick takes the last tie", TABLE_IN_INTEGERS,
         ("if v.numerator * q > p * v.denominator:", "if v.numerator * q >= p * v.denominator:")),
+    row("seshadri", "upper pick keeps the larger candidate", ONE_PATH,
+        (UPPER_PICK, UPPER_PICK.replace("< 0", "> 0"))),
+    # each bound's declaration names its error
+    row("bounds", "threshold raises NonpositiveEta", ONE_PATH,
+        ('_THRESHOLD = _spec("gamma", NonpositiveGamma,',
+         '_THRESHOLD = _spec("gamma", NonpositiveEta,')),
     # json converts an integer literal of any length; the fields read
     # later cap it with their own message
     row("catalog", "no digit cap in the JSON decoder", DIGIT_CAP,
@@ -150,6 +159,9 @@ MUTANTS = [
         ("1 if args.strict and not result.certified else 0", "0")),
     row("cli", "closed pipe returns the command's code", INTEGER_CLASSES,
         ("return EXIT_CLOSED_PIPE", "return code")),
+    # the JSON hook's record branch then shows kind, params and note
+    row("cli", "evidence as a plain record", ONE_PATH,
+        ("    if isinstance(v, Evidence):\n        return evidence_to_json(v)\n", "")),
     # combine's genus gate, which blowup decides
     row("blowup", "genus test strict", INTEGER_BOUNDS,
         ("2 * p * q * c.g <= d * d", "2 * p * q * c.g < d * d"),
@@ -167,6 +179,10 @@ EQUIVALENT = [
     Equivalent("sign at a = 0, b > 0", "src/curvebounds/scalar.py",
                (("a >= 0 or b * b * m", "a > 0 or b * b * m"),),
                "at a = 0 the square test b^2*m > 0 gives 1 as well"),
+    Equivalent("upper pick takes the last tie", "src/curvebounds/seshadri.py",
+               ((UPPER_PICK, UPPER_PICK.replace("< 0", "<= 0")),),
+               "an equal candidate gives the same canonical value, and upper_witness "
+               "re-derives the first equal candidate from the trace"),
     Equivalent("witness key tie", "src/curvebounds/replay.py",
                (("key < best", "key <= best"),),
                "two points never share the key (|y|, x, y), so no tie reaches the test"),
@@ -193,6 +209,7 @@ def run_row(m: Mutant) -> tuple[str, float]:
         os.mkdir(os.path.join(tmp, "perfbench"))
         shutil.copy(os.path.join(ROOT, "perfbench", "exact.py"),
                     os.path.join(tmp, "perfbench"))
+        shutil.copy(os.path.join(ROOT, "README.md"), tmp)
         path = os.path.join(tmp, m.file)
         with open(path, encoding="utf-8") as fh:
             text = mutated(m, fh.read())
