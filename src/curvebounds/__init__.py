@@ -17,7 +17,6 @@ from .blowup import (
     chern_of_kernel,
     delta_eta,
     discriminant_dot_heta,
-    genus_consistency,
     h_eta,
     lambda_eta,
     slope_identity_scan,

@@ -163,11 +163,20 @@ def delta_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
     return Fraction(eta.numerator * c.deg_n - eta.denominator * c.d, eta.denominator)
 
 
+def _lambda_num(c: CurveGeometry, p: int, q: int) -> int:
+    """lambda_eta * q^2 for eta = p/q, q > 0: the one formula for lambda,
+    whose sign lambda_eta and combine's genus gate both read."""
+    return p * p * c.d * c.d - p * q * c.deg_n + q * q * c.d
+
+
 def lambda_eta(c: CurveGeometry, eta: RationalLike) -> Fraction:
     """eta^2 d^2 - delta_eta; nonnegative whenever eta is at most the
-    Seshadri constant (Hodge-index constraint)."""
+    Seshadri constant (Hodge-index constraint).  At eta > 0 it is
+    nonnegative iff g <= d^2 eta/2 + d(1/(2 eta) - 2) + 1, the genus
+    bound a certified Seshadri lower end must pass."""
     eta = _exact_rational(eta)
-    return eta ** 2 * c.d ** 2 - delta_eta(c, eta)
+    q = eta.denominator
+    return Fraction(_lambda_num(c, eta.numerator, q), q * q)
 
 
 def slope_identity_scan(c: CurveGeometry, eta: RationalLike,
@@ -265,16 +274,3 @@ def bogomolov_unstable(c: CurveGeometry, ch: ChernData,
     Ampleness of the polarization (eta below the Seshadri constant) is
     the caller's responsibility."""
     return discriminant_dot_heta(c, ch, eta) > 0
-
-
-def genus_consistency(c: CurveGeometry, eps_lower: RationalLike) -> bool:
-    """True iff g <= d^2 eps/2 + d(1/(2 eps) - 2) + 1; equivalently,
-    lambda_eps >= 0.  A certified Seshadri lower bound must pass this.
-    Tested in integers, times 2pq > 0 for eps = p/q."""
-    eps = _exact_rational(eps_lower)
-    p, q, d = eps.numerator, eps.denominator, c.d
-    if p == 0:
-        raise ZeroDivisionError("eps_lower must be nonzero")
-    if p < 0:
-        raise ValueError(f"eps_lower must be positive, got {eps}")
-    return 2 * p * q * c.g <= d * d * p * p + d * q * q - 4 * d * p * q + 2 * p * q

@@ -266,6 +266,8 @@ def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
     curve: each surface of degree a on which the bundle restricts
     stably certifies gamma >= min(1/a, eps_lower); the best one wins.
 
+    Each surface is (degree, stable), the degree an int and the flag a
+    bool: any other flag, 1 or "no" among them, raises TypeError.
     Raises NoEvidence when no surface qualifies (the constant is then
     still positive, but no effective value is certified here)."""
     trace: list[str] = [f"eps lower bound: {eps_interval.lower}"]
@@ -273,6 +275,8 @@ def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
     for degree, stable in surfaces:
         if _exact_int(degree) <= 0:
             raise ValueError(f"surface degree must be positive, got {degree}")
+        if not isinstance(stable, bool):
+            raise TypeError(f"stable flag must be a bool, got {type(stable).__name__}")
         if not stable:
             trace.append(f"surface of degree {degree}: restriction not known "
                          "stable, skipped")

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from . import blowup
 from ._record import record
-from .blowup import _SYSTEM_POINTS, CurveGeometry, _check_points, lambda_eta
+from .blowup import _SYSTEM_POINTS, CurveGeometry, _check_points, _lambda_num, lambda_eta
 from .errors import LambdaNegative, NonpositiveEta, UnboundedBox
 from .scalar import RationalLike
 from .scalar import capped_rational as _capped_rational, exact_int as _exact_int
@@ -98,6 +98,27 @@ class SweepResult:
     note: str = NECESSARY_ONLY_NOTE
 
 
+def _eta_gate(curve: CurveGeometry, eta: RationalLike) -> Fraction:
+    """eta as a capped Fraction, once it is one a system can be built at:
+    positive (NonpositiveEta), with lambda_eta >= 0 (LambdaNegative) and
+    eta^2*d < 1 (UnboundedBox).  build_system and sweep both check eta
+    here."""
+    eta = _capped_rational(eta)
+    if eta <= 0:
+        raise NonpositiveEta(f"eta must be positive, got {eta}")
+    p, q = eta.numerator, eta.denominator
+    if _lambda_num(curve, p, q) < 0:
+        raise LambdaNegative(
+            f"lambda_eta = {lambda_eta(curve, eta)} < 0 for eta = {eta}: the "
+            "destabilizing second Chern class has no real bound, system not "
+            "buildable")
+    if p * p * curve.d >= q * q:
+        raise UnboundedBox(
+            f"eta^2*d = {eta * eta * curve.d} >= 1: the saturation inequality "
+            "no longer caps |y|, the solution set is unbounded")
+    return eta
+
+
 def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> ConstraintSystem:
     """Derive the constraint list and a provably sufficient search box.
 
@@ -108,26 +129,16 @@ def build_system(curve: CurveGeometry, eta: RationalLike, mode: Mode) -> Constra
         x >= 1, eta*d >= 2s, c2 >= s*eta*d - s^2 + eta*l_min,
         x^2 >= y^2*d - c2.
 
+    eta passes _eta_gate first (positive, lambda_eta >= 0, eta^2*d < 1),
+    then the mode's own parameters are checked.
     Integers decide everything irrational: the box's |y| <= t_max
     floors, with ``math.isqrt``, the larger root of one integer
     quadratic in t, the restriction row's, taken at c2 = 0 in gonality
     mode; the saturation row tests x >= 0 and x^2 >= y^2*d.
     """
-    eta = _capped_rational(eta)
-    if eta <= 0:
-        raise NonpositiveEta(f"eta must be positive, got {eta}")
-    lam = lambda_eta(curve, eta)
-    if lam < 0:
-        raise LambdaNegative(
-            f"lambda_eta = {lam} < 0 for eta = {eta}: the destabilizing "
-            "second Chern class has no real bound, system not buildable")
+    eta = _eta_gate(curve, eta)
     d = curve.d
     ed = eta * d
-    if eta * ed >= 1:
-        raise UnboundedBox(
-            f"eta^2*d = {eta * ed} >= 1: the saturation inequality no longer "
-            "caps |y|, the solution set is unbounded")
-
     notes: list[str] = [
         f"eta*d = {ed}; destabilizing cap s <= eta*d/2 = {ed / 2}",
         "y > 0 infeasible: saturation plus the cap force "
@@ -251,16 +262,15 @@ def sweep(curve: CurveGeometry, eta: RationalLike, mode_family: str,
     report the feasibility frontier: the first parameter whose region is
     non-empty.  The frontier can only sit at or above the corresponding
     bound; it may exceed it.  Every argument is checked before the first
-    parameter, in both families, so an empty range fails as a full one.
+    parameter, in both families, so an empty range fails as a full one:
+    eta passes the same _eta_gate as build_system.
     Every system is built before the first point is visited.  Each
     parameter is charged _SYSTEM_POINTS replay points for its system,
     plus its box, and work above MAX_POINTS raises WorkTooLarge."""
     if mode_family not in ("gonality", "restriction"):
         raise ValueError(f"unknown mode family: {mode_family!r}")
     _check_margin(margin)
-    eta = _capped_rational(eta)
-    if eta <= 0:
-        raise NonpositiveEta(f"eta must be positive, got {eta}")
+    eta = _eta_gate(curve, eta)
     if _exact_int(l_min) < 0:
         raise ValueError(f"l_min must be nonnegative, got {l_min}")
     # no more parameters than the cap pays systems for are drawn, so a

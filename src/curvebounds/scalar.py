@@ -293,21 +293,12 @@ class QuadNumber:
     def __str__(self) -> str:
         a, b, q, m = self._A, self._B, self._Q, self._m
         if b == 0:
-            return _ratio_str(a, q)
-        root = f"sqrt({m})" if abs(b) == q else f"{_ratio_str(abs(b), q)}*sqrt({m})"
+            return str(Fraction(a, q))
+        root = f"sqrt({m})" if abs(b) == q else f"{Fraction(abs(b), q)}*sqrt({m})"
         if a == 0:
             return root if b > 0 else f"-{root}"
         op = "+" if b > 0 else "-"
-        return f"{_ratio_str(a, q)} {op} {root}"
-
-
-def _ratio_str(n: int, q: int) -> str:
-    """``str(Fraction(n, q))`` for ``q > 0``, without building the Fraction."""
-    g = math.gcd(n, q)
-    if g != 1:
-        n //= g
-        q //= g
-    return str(n) if q == 1 else f"{n}/{q}"
+        return f"{Fraction(a, q)} {op} {root}"
 
 
 def _quad(a: int, b: int, q: int, m: int) -> QuadNumber:

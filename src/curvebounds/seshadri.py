@@ -12,7 +12,8 @@ always injecting two unconditional defaults:
 
 The result is rejected (``InconsistentEvidence``) when the interval is
 empty or when its lower endpoint violates the genus bound
-``g <= d^2 eps/2 + d(1/(2 eps) - 2) + 1``.
+``g <= d^2 eps/2 + d(1/(2 eps) - 2) + 1``, which at eps > 0 is
+``lambda_eps >= 0``.
 
 Facts asserted by evidence (regularity, global generation, secant
 structure, ...) are trusted as stated; nothing is computed from
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from ._record import record, render
-from .blowup import CurveGeometry, genus_consistency
+from .blowup import CurveGeometry, _lambda_num
 from .errors import (
     DegenerateInput,
     EvidenceInconsistentWithDegree,
@@ -258,7 +259,8 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
     end by ``_rational_cmp`` of each Fraction candidate against the
     degree default 1/sqrt(d) or the smaller candidate that replaced it;
     ties keep the first candidate, which is the witness the interval
-    names."""
+    names.  The genus gate refuses a lower end p/q whose lambda, from
+    blowup's one formula ``_lambda_num``, is negative, in integers."""
     defaults = [_DEGREE_DEFAULT, _normal_bundle_default(c)]
     lower_trace: list[tuple[Evidence, Fraction]] = []
     upper_trace: list[tuple[Evidence, BoundValue]] = []
@@ -304,7 +306,7 @@ def combine(c: CurveGeometry, evidence: list[Evidence]) -> SeshadriInterval:
         raise InconsistentEvidence(
             f"lower bound {lower} exceeds upper bound {upper} "
             f"(lower from {lower_ev})")
-    if not genus_consistency(c, lower):
+    if _lambda_num(c, p, q) < 0:
         raise InconsistentEvidence(
             f"lower bound {lower} violates the genus bound for d = {c.d}, g = {c.g}")
 

@@ -8,8 +8,11 @@ curves with evidence to run it on.
 interval's extremes and consistency by ``scalar``'s integer sign tests;
 this module rebuilds the same interval from one ``row_bound`` per item
 and decides every comparison in the model, which shares no code
-with ``scalar``.  The upper candidates share one radicand at most (the
-degree default's 1/sqrt(d)), as the model's ordering needs.
+with ``scalar``; its genus gate is the sign of the Halphen quadratic
+``blowup_oracle.halphen_f`` at eta*d, a second derivation of lambda,
+not ``blowup``'s own formula.  The upper candidates share one radicand
+at most (the degree default's 1/sqrt(d)), as the model's ordering
+needs.
 """
 
 from fractions import Fraction
@@ -18,7 +21,8 @@ from types import SimpleNamespace
 from hypothesis import strategies as st
 
 import quad_model as model
-from curvebounds.blowup import CurveGeometry, genus_consistency
+import blowup_oracle
+from curvebounds.blowup import CurveGeometry
 from curvebounds.seshadri import EVIDENCE_KINDS, Evidence
 
 F = Fraction
@@ -60,7 +64,7 @@ def combine(c, evidence):
     high = _model(upper[0][1])
     for _, v in upper[1:]:
         high = model.minimum(high, _model(v))
-    if model.cmp(low, high) > 0 or not genus_consistency(c, low):
+    if model.cmp(low, high) > 0 or blowup_oracle.halphen_f(c, low * c.d) < 0:
         return None
     return low, high, tuple(lower), tuple(upper), len(residuals)
 

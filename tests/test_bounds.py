@@ -264,6 +264,17 @@ def test_gamma_lower_needs_a_stable_surface():
         gamma_lower(CI52, [(0, True)], iv)
 
 
+@pytest.mark.parametrize("flag", ["no", "", 1, 0, 0.0, [0], None], ids=repr)
+def test_gamma_lower_takes_only_a_bool_stable_flag(flag):
+    # read by truthiness, "no", 1 and [0] would certify gamma >= 1/5 and
+    # 0.0 would skip the surface; only True or False is a flag
+    iv = combine(CI52, [Evidence("complete_intersection", (5, 2))])
+    with pytest.raises(TypeError, match="stable flag must be a bool"):
+        gamma_lower(CI52, [(4, flag)], iv)
+    with pytest.raises(TypeError):
+        gamma_lower(CI52, [(5, True), (4, flag)], iv)
+
+
 # -- surface/CI-curve restriction criteria -------------------------------------
 
 

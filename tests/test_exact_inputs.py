@@ -17,7 +17,6 @@ from curvebounds.blowup import (
     chern_of_kernel,
     delta_eta,
     discriminant_dot_heta,
-    genus_consistency,
     h_eta,
     lambda_eta,
     slope_identity_scan,
@@ -76,7 +75,6 @@ RATIONAL_ENTRY_POINTS = {
     "discriminant_dot_heta": lambda q: discriminant_dot_heta(
         CI52, ChernData(H, 0, 0), q),
     "bogomolov_unstable": lambda q: bogomolov_unstable(CI52, ChernData(H, 0, 0), q),
-    "genus_consistency": lambda q: genus_consistency(CI52, q),
     "gonality_bound": lambda q: gonality_bound(CI52, q),
     "restriction_threshold": lambda q: restriction_threshold(CI52, q),
     "certify_restriction_stable": lambda q: certify_restriction_stable(CI52, q, 0),

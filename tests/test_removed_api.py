@@ -20,6 +20,7 @@ REMOVED = [
     ("blowup", "delta_eta_compact"),
     ("blowup", "delta_eta_segre"),
     ("blowup", "halphen_f"),
+    ("blowup", "genus_consistency"),
     ("blowup", "triple_product"),
     ("errors", "UnsupportedDimension"),
     ("errors", "NonpositiveEpsilon"),

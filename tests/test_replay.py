@@ -1,6 +1,7 @@
 """Brute-force enumeration of destabilizing classes over a derived box."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,14 @@ def test_sweep_checks_eta_and_l_min_before_the_first_parameter(family, params):
         sweep(CI52, F(1, 5), family, params, l_min=-3)
     with pytest.raises(NonpositiveEta):
         sweep(CI52, F(0), family, params)
+    # no system is buildable on the (5, 2) complete intersection at
+    # eta = 1/3 (lambda_eta = -20/9) or at eta = 1/2 (eta^2*d = 5/2): the
+    # sweep raises build_system's own error, whatever its range
+    for eta, error in ((F(1, 3), LambdaNegative), (F(1, 2), UnboundedBox)):
+        with pytest.raises(error) as built:
+            build_system(CI52, eta, GonalityMode(k=0))
+        with pytest.raises(error, match=re.escape(str(built.value))):
+            sweep(CI52, eta, family, params)
 
 
 # -- margin invariance -------------------------------------------------------------

@@ -61,6 +61,7 @@ ONE_ORACLE = "- One curvebounds-free oracle"
 RECORDS = "- Cold-start CLI"
 RENDER_ON_READ = "- A `table` op pays only for arithmetic"
 ONE_PATH = "- Three duplicate paths go"
+ONE_GATE = "- One λ_η and one replay η gate"
 UPPER_PICK = "_rational_cmp(v.numerator, v.denominator, upper) < 0"
 
 
@@ -162,10 +163,19 @@ MUTANTS = [
     # the JSON hook's record branch then shows kind, params and note
     row("cli", "evidence as a plain record", ONE_PATH,
         ("    if isinstance(v, Evidence):\n        return evidence_to_json(v)\n", "")),
-    # combine's genus gate, which blowup decides
-    row("blowup", "genus test strict", INTEGER_BOUNDS,
-        ("2 * p * q * c.g <= d * d", "2 * p * q * c.g < d * d"),
-        tests=("tests/test_seshadri.py", "tests/test_blowup.py")),
+    # combine's genus gate, the sign of blowup's one lambda formula;
+    # ci-5-2's lower end 1/5 has lambda = 0
+    row("seshadri", "genus test strict", ONE_GATE,
+        ("_lambda_num(c, p, q) < 0", "_lambda_num(c, p, q) <= 0")),
+    row("blowup", "lambda sign flip", ONE_GATE,
+        ("- p * q * c.deg_n", "+ p * q * c.deg_n")),
+    # build_system still gates each parameter's eta, so only a range that
+    # builds no system, or one that ends before a bad eta is seen, tells
+    row("replay", "sweep without its eta gate", ONE_GATE,
+        ("    _check_margin(margin)\n    eta = _eta_gate(curve, eta)\n",
+         "    _check_margin(margin)\n")),
+    row("bounds", "stable flag read by truthiness", ONE_GATE,
+        ("        if not isinstance(stable, bool):\n", "        if False:\n")),
 ]
 
 _SQUARE_TIE = "a^2 = b^2*m is impossible for a square-free m >= 2"
