@@ -267,9 +267,13 @@ def gamma_lower(c: CurveGeometry, surfaces: list[tuple[int, bool]],
     stably certifies gamma >= min(1/a, eps_lower); the best one wins.
 
     Each surface is (degree, stable), the degree an int and the flag a
-    bool: any other flag, 1 or "no" among them, raises TypeError.
+    bool: any other flag, 1 or "no" among them, raises TypeError, as
+    does an eps_interval that is not a SeshadriInterval (None included).
     Raises NoEvidence when no surface qualifies (the constant is then
     still positive, but no effective value is certified here)."""
+    if not isinstance(eps_interval, SeshadriInterval):
+        raise TypeError(f"eps_interval must be a SeshadriInterval, "
+                        f"got {type(eps_interval).__name__}")
     trace: list[str] = [f"eps lower bound: {eps_interval.lower}"]
     best: Optional[Fraction] = None
     for degree, stable in surfaces:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import quad_model as model
 import blowup_oracle
-from curvebounds.blowup import CurveGeometry
+from cases import curves, degrees
 from curvebounds.seshadri import EVIDENCE_KINDS, Evidence
 
 F = Fraction
@@ -97,12 +97,9 @@ def _evidence(c):
     )
 
 
-# d = k^2 makes the degree default's upper bound 1/sqrt(d) rational
-CURVES = st.one_of(st.integers(min_value=1, max_value=60),
-                   st.integers(min_value=1, max_value=8).map(lambda k: k * k)
-                   ).flatmap(lambda d: st.builds(
-                       CurveGeometry, st.just(d),
-                       st.integers(min_value=0, max_value=(d - 1) * (d - 2) // 2 + 2)))
+# d = k^2 makes the degree default's upper bound 1/sqrt(d) rational; the
+# genus runs to 2 past the plane-curve bound (d - 1)(d - 2)/2
+CURVES = curves(degrees(60, 8), lambda d: (d - 1) * (d - 2) // 2 + 2)
 
 CURVE_EVIDENCE = CURVES.flatmap(
     lambda c: st.tuples(st.just(c), st.lists(_evidence(c), max_size=4)))

@@ -1,5 +1,8 @@
 """Acceptance suite: six end-to-end guarantees, each printing a single
 verdict line (run with ``pytest -s`` to see them on passing runs).
+Guarantee 4 runs twice: on the catalog curves, and on every system
+``build_system`` takes with d, q <= 16 (eta = p/q) that
+``cases.systems_up_to`` enumerates.
 
 Everything here is exact arithmetic; every assertion is equality or a
 structural check, never a tolerance.
@@ -14,6 +17,8 @@ import pytest
 
 import quad_model as model
 from blowup_oracle import halphen_f
+from cases import CUBIC, LINE, LL73, ci, ll, systems_up_to
+from curvebounds import replay
 from curvebounds.blowup import (
     E,
     CurveGeometry,
@@ -53,10 +58,6 @@ def verdict(label):
     print(f"PASS  {label}")
 
 
-def ci_geometry(a, b):
-    return CurveGeometry(d=a * b, g=a * b * (a + b - 4) // 2 + 1)
-
-
 def interval_of(desc):
     return combine(desc.curve, list(desc.evidence))
 
@@ -83,7 +84,7 @@ def test_pinned_values_match_the_catalog():
 
         for a in range(2, 9):
             for b in range(2, a + 1):
-                c = ci_geometry(a, b)
+                c = ci(a, b)
                 assert delta_eta(c, F(1, a)) == b * b
                 assert lambda_eta(c, F(1, a)) == 0
 
@@ -91,9 +92,9 @@ def test_pinned_values_match_the_catalog():
         # on balanced types it degenerates to zero
         for b in range(2, 6):
             for a in range(b + 3, 13):
-                assert gonality_bound(ci_geometry(a, b), F(1, a)).value == a * (b - 1)
+                assert gonality_bound(ci(a, b), F(1, a)).value == a * (b - 1)
         for a in range(2, 9):
-            assert gonality_bound(ci_geometry(a, a), F(1, a)).value == 0
+            assert gonality_bound(ci(a, a), F(1, a)).value == 0
 
         assert surface_restriction_checks("c2plus2", 2, b=4) is True
         assert surface_restriction_checks("barth", 2, a=5) is True
@@ -110,12 +111,7 @@ def test_pinned_values_match_the_catalog():
 def test_slope_identity_has_no_violations_on_the_grid():
     with verdict("2/6 slope identity exact on |x|, |y| <= 20 "
                  "(4 curves x 4 polarizations)"):
-        curves = [
-            ci_geometry(3, 2),
-            ci_geometry(5, 2),
-            CurveGeometry(d=3, g=0),
-            CurveGeometry(d=1, g=0),
-        ]
+        curves = [ci(3, 2), ci(5, 2), CUBIC, LINE]
         etas = [F(1, 5), F(1, 3), F(1, 2), F(1)]
         checked = 0
         violations = []
@@ -176,6 +172,35 @@ def test_replay_confirms_every_catalog_bound():
         assert c2_values == 12
 
 
+# a replay box above this many points is skipped, and counted: a faster
+# replay engine is to take those
+GENERATED_BOX_POINTS = 2_000
+
+
+def test_replay_confirms_both_bounds_on_every_small_system():
+    # one replay per family at k or c2 = value_ceiling - 1, margin 0: a
+    # larger k or c2 only loosens its row and widens the box, so
+    # emptiness there implies emptiness at every smaller parameter
+    with verdict("4/6 replay regions empty one below both bounds on every "
+                 "buildable system with d, q <= 16 (boxes above 2,000 points skipped)"):
+        systems = replays = skipped = 0
+        for curve, eta in systems_up_to(16, 16):
+            systems += 1
+            for bound, mode in ((gonality_bound, GonalityMode),
+                                (restriction_threshold, RestrictionMode)):
+                top = bound(curve, eta).value_ceiling - 1
+                if top < 0:
+                    continue
+                system = build_system(curve, eta, mode(top))
+                if replay._box_points(system.box, 0) > GENERATED_BOX_POINTS:
+                    skipped += 1
+                    continue
+                replays += 1
+                out = region_empty(system)
+                assert out.empty, (curve, eta, mode(top), out.witness)
+        assert (systems, replays, skipped) == (9_363, 4_250, 106)
+
+
 # -- 5: scalar order under fire ----------------------------------------------
 
 
@@ -223,13 +248,11 @@ def test_pencil_gap_surfaces_as_a_warning():
                  "never certified"):
         for a, b in [(5, 2), (7, 3)]:
             # the liaison curve at its liaison eta, as `gonality` reports it
-            c = CurveGeometry(d=a * b - 1, g=(a + b - 4) * (a * b - 2) // 2)
-            report = gonality_bound(c, F(1, a + b - 2))
+            report = gonality_bound(ll(a, b), F(1, a + b - 2))
             (gap,) = _with_liaison_gap(report, a, b).discrepancies
             assert gap.code == "linked-line-pencil-gap"
             assert gap.data["pencil_degree"] == (a - 1) * (b - 1)
             assert gap.data["bound_value"] == report.value
 
         # the certified value itself is never inflated to the claimed degree
-        ll73 = CurveGeometry(d=20, g=57)
-        assert gonality_bound(ll73, F(1, 8)).value == 8
+        assert gonality_bound(LL73, F(1, 8)).value == 8

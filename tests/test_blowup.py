@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import blowup_oracle as oracle
+from cases import CI52, CUBIC, LINE, LL52, ci, curves, etas, genus_cap
 from curvebounds import blowup
 from curvebounds.blowup import (
     E,
@@ -31,15 +32,6 @@ from curvebounds.scalar import MAX_CURVE_DIGITS, MAX_DIGITS
 
 F = Fraction
 
-LINE = CurveGeometry(d=1, g=0)
-CUBIC = CurveGeometry(d=3, g=0)
-CI52 = CurveGeometry(d=10, g=16)
-
-
-def ci(a, b):
-    return CurveGeometry(d=a * b, g=a * b * (a + b - 4) // 2 + 1)
-
-
 # -- geometry input ----------------------------------------------------------
 
 
@@ -54,7 +46,7 @@ def test_curve_validation():
     (LINE, 2),
     (CUBIC, 10),
     (CI52, 70),
-    (CurveGeometry(d=9, g=12), 58),
+    (LL52, 58),
     (CurveGeometry(d=8, g=5), 40),
     (CurveGeometry(d=7, g=2), 30),
     (CurveGeometry(d=2, g=0), 6),
@@ -104,8 +96,7 @@ def test_top_product_table():
                for cls in ([H, H, H], [H, E, E], [E, E, E]))
 
 
-@pytest.mark.parametrize("c", [LINE, CUBIC, CI52, CurveGeometry(d=8, g=5),
-                               CurveGeometry(d=9, g=12)],
+@pytest.mark.parametrize("c", [LINE, CUBIC, CI52, CurveGeometry(d=8, g=5), LL52],
                          ids=["line", "cubic", "ci52", "d8g5", "d9g12"])
 def test_top_product_table_on_p3(c):
     # H^3 = 1, H^2.E = 0, H.E^2 = -d, E^3 = -deg_N, in every order
@@ -135,17 +126,13 @@ def test_top_product_arity(count):
         top_product(CI52, [H] * count)
 
 
-curves = st.builds(
-    CurveGeometry,
-    d=st.integers(min_value=1, max_value=50),
-    g=st.integers(min_value=0, max_value=60),
-)
-etas = st.fractions(min_value=F(1, 40), max_value=3, max_denominator=40)
+CURVES = curves(st.integers(min_value=1, max_value=50), 60)
+ETAS = etas(40, 3)
 coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 classes = st.builds(DivisorClass, coeffs, coeffs)
 
 
-@given(curves, classes, classes, classes, coeffs, coeffs)
+@given(CURVES, classes, classes, classes, coeffs, coeffs)
 def test_top_product_multilinear_and_symmetric(c, A, B, C, s, t):
     combination = DivisorClass(s * A.x + t * B.x, s * A.y + t * B.y)
     left = top_product(c, [combination, C, A])
@@ -154,7 +141,7 @@ def test_top_product_multilinear_and_symmetric(c, A, B, C, s, t):
     assert top_product(c, [A, B, C]) == top_product(c, [C, B, A])
 
 
-@given(curves, st.lists(classes, min_size=3, max_size=3))
+@given(CURVES, st.lists(classes, min_size=3, max_size=3))
 @example(CurveGeometry(d=8, g=5), [H, E, E])
 @example(CurveGeometry(d=7, g=2), [E] * 3)
 def test_top_product_matches_the_expansion_oracle(c, cls):
@@ -202,12 +189,10 @@ def test_top_product_is_the_kernel_reduced(monkeypatch):
     assert (got.numerator, got.denominator) == (7, 2)
 
 
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=40),
-       etas)
-def test_top_product_polarization_closed_form(d, g, eta):
-    c = CurveGeometry(d=d, g=g)
+@given(CURVES, ETAS)
+def test_top_product_polarization_closed_form(c, eta):
     val = top_product(c, [h_eta(eta)] * 3)
-    assert val == 1 - 3 * eta ** 2 * d + eta ** 3 * c.deg_n
+    assert val == 1 - 3 * eta ** 2 * c.d + eta ** 3 * c.deg_n
 
 
 # Product grids for the polynomial identities below: an identity whose
@@ -265,7 +250,7 @@ def test_delta_and_lambda_on_ci_family(a):
         assert lambda_eta(c, F(1, a)) == 0
 
 
-@given(curves, etas)
+@given(CURVES, ETAS)
 def test_delta_is_an_intersection_number(c, eta):
     assert delta_eta(c, eta) == top_product(c, [E, E, h_eta(eta)])
 
@@ -282,7 +267,7 @@ def test_delta_is_an_intersection_number_on_a_grid():
         assert delta_eta(c, eta) == top_product(c, [E, E, h_eta(eta)])
 
 
-@given(curves, etas)
+@given(CURVES, ETAS)
 def test_lambda_is_halphen_at_eta_d(c, eta):
     assert lambda_eta(c, eta) == oracle.halphen_f(c, eta * c.d)
 
@@ -329,7 +314,7 @@ def test_discriminant_known_values():
     assert bogomolov_unstable(CI52, ChernData(H, -1, 2), F(1, 5))
 
 
-@given(curves, etas, st.integers(min_value=0, max_value=60))
+@given(CURVES, ETAS, st.integers(min_value=0, max_value=60))
 def test_pencil_kernel_discriminant_is_delta_minus_4_eta_k(c, eta, k):
     # the instability threshold that feeds the degree bound's delta term
     ch = chern_of_kernel(DivisorClass(0, 0), 0, k, "pencil")
@@ -372,9 +357,7 @@ def test_pencil_instability_flips_at_the_delta_term():
 def test_lambda_sign_is_the_genus_bound(d, g, eps):
     # lambda_eps >= 0, the gate combine puts on its lower end, against
     # the genus bound it is at eps > 0
-    c = CurveGeometry(d=d, g=g)
-    assert (lambda_eta(c, eps) >= 0) == (g <= F(d * d) * eps / 2
-                                         + d * (1 / (2 * eps) - 2) + 1)
+    assert (lambda_eta(CurveGeometry(d=d, g=g), eps) >= 0) == (g <= genus_cap(d, eps))
 
 
 # -- slope identity scan ---------------------------------------------------------

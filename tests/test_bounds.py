@@ -6,12 +6,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, find, given, settings
+from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
 import bounds_oracle as oracle
 import quad_model as model
 import seshadri_oracle
+from cases import (
+    CI22, CI32, CI52, CI63, CI85, CI504, CUBIC, LINE, LL52, LL73, REACH, ci, curves, degrees,
+    etas, ll,
+)
 from curvebounds import bounds
 from curvebounds.blowup import CurveGeometry
 from curvebounds.bounds import (
@@ -39,17 +43,6 @@ from curvebounds.scalar import MAX_RADICAND, QuadNumber
 from curvebounds.seshadri import Evidence, SeshadriInterval, combine
 
 F = Fraction
-
-LINE = CurveGeometry(d=1, g=0)
-CUBIC = CurveGeometry(d=3, g=0)
-CI22 = CurveGeometry(d=4, g=1)
-CI32 = CurveGeometry(d=6, g=4)
-CI52 = CurveGeometry(d=10, g=16)
-CI63 = CurveGeometry(d=18, g=46)
-CI85 = CurveGeometry(d=40, g=181)
-CI504 = CurveGeometry(d=200, g=5001)
-LL52 = CurveGeometry(d=9, g=12)
-LL73 = CurveGeometry(d=20, g=57)
 
 
 # -- gonality bound: frozen values -------------------------------------------
@@ -115,8 +108,7 @@ def test_gonality_matches_pencil_degree_for_spread_types(b):
     # alpha saturates at 1 once a >= b + 3, and the delta term never
     # undercuts a(b-1), so the bound is exactly the pencil degree
     for a in range(b + 3, 13):
-        c = CurveGeometry(d=a * b, g=a * b * (a + b - 4) // 2 + 1)
-        rep = gonality_bound(c, F(1, a))
+        rep = gonality_bound(ci(a, b), F(1, a))
         assert rep.value == a * (b - 1)
         assert rep.term_delta == F(a * b * b, 4)
         assert rep.term_delta >= a * (b - 1)
@@ -124,8 +116,7 @@ def test_gonality_matches_pencil_degree_for_spread_types(b):
 
 @pytest.mark.parametrize("a", range(2, 9))
 def test_gonality_vanishes_on_balanced_types(a):
-    c = CurveGeometry(d=a * a, g=a * a * (2 * a - 4) // 2 + 1)
-    rep = gonality_bound(c, F(1, a))
+    rep = gonality_bound(ci(a, a), F(1, a))
     assert rep.value == 0
     assert rep.alpha == 0
 
@@ -264,6 +255,14 @@ def test_gamma_lower_needs_a_stable_surface():
         gamma_lower(CI52, [(0, True)], iv)
 
 
+@pytest.mark.parametrize("interval", [None, (F(1, 5), F(1, 5)), "x", 0.2], ids=repr)
+def test_gamma_lower_takes_only_a_seshadri_interval(interval):
+    # refused before it is read: None and the tuple have no .lower, and
+    # "x" would compare a bound method with a Fraction
+    with pytest.raises(TypeError, match="eps_interval must be a SeshadriInterval, got "):
+        gamma_lower(CI52, [(5, True)], interval)
+
+
 @pytest.mark.parametrize("flag", ["no", "", 1, 0, 0.0, [0], None], ids=repr)
 def test_gamma_lower_takes_only_a_bool_stable_flag(flag):
     # read by truthiness, "no", 1 and [0] would certify gamma >= 1/5 and
@@ -314,8 +313,7 @@ def test_surface_restriction_dispatch():
 def liaison_gap(a, b):
     """The pencil gap of the gonality report on the curve linked to a
     line by type (a, b) surfaces, at its liaison eta, or None."""
-    c = CurveGeometry(d=a * b - 1, g=(a + b - 4) * (a * b - 2) // 2)
-    report = _with_liaison_gap(gonality_bound(c, F(1, a + b - 2)), a, b)
+    report = _with_liaison_gap(gonality_bound(ll(a, b), F(1, a + b - 2)), a, b)
     gaps = [d for d in report.discrepancies if d.code == "linked-line-pencil-gap"]
     assert len(gaps) <= 1
     return gaps[0] if gaps else None
@@ -353,13 +351,10 @@ def test_linked_line_gap_only_on_the_liaison_curve():
 # QuadNumber arithmetic.  Whole reports must agree: every value field,
 # and the trace the library renders from its steps.
 
-# d = k^2 makes sqrt(d) rational, d = 3k^2 makes sqrt(3d) rational
-DEGREES = st.one_of(st.integers(min_value=1, max_value=150),
-                    st.integers(min_value=1, max_value=12).map(lambda k: k * k),
-                    st.integers(min_value=1, max_value=7).map(lambda k: 3 * k * k))
-GENERA = st.integers(min_value=0, max_value=400)
+# the k^2 and 3k^2 degrees reach the rational branches of both bounds
+CURVES = curves(degrees(150, 12, 7), 400)
 # from far below 1/d (alpha = 1) to far above 1/sqrt(d) (alpha clamped)
-ETAS = st.fractions(min_value=F(1, 300), max_value=F(3, 2), max_denominator=300)
+ETAS = etas(300, F(3, 2))
 # the degree-default interval [1/k, 1/sqrt(k)] of some degree k: eta
 # falls on both sides of it and inside it
 INTERVALS = st.one_of(st.none(), st.integers(min_value=1, max_value=150).map(
@@ -373,7 +368,7 @@ def headline_args(draw):
     """(curve, eta, interval or None).  Half the etas put eta*d between
     sqrt(d) - 1 and sqrt(3d)/2 + 2, where the raw alpha of either bound
     lies in [0, 1]."""
-    c = draw(st.builds(CurveGeometry, d=DEGREES, g=GENERA))
+    c = draw(CURVES)
     near = st.fractions(min_value=max(math.isqrt(c.d) - 1, F(1, 12)),
                         max_value=math.isqrt(3 * c.d) // 2 + 2, max_denominator=12)
     return c, draw(st.one_of(ETAS, near.map(lambda x: x / c.d))), draw(INTERVALS)
@@ -441,15 +436,6 @@ def _kernel_cases(rep):
         "eta outside the interval": any(line.startswith("warning:")
                                         for line in rep.trace),
     }
-
-
-# a fixed draw without shrinking: the first example that hits the case.
-# Hypothesis mixes the literals of the loaded src/ modules into its draws,
-# so a new literal there changes the draw; 1,000 draws keep the rarest
-# case (a consistent residual pair, ~1 draw in 125) from being missed by
-# luck, where 100 missed it on 45 of 100 random draw sequences
-REACH = settings(database=None, derandomize=True, phases=[Phase.generate],
-                 max_examples=1_000)
 
 
 @pytest.mark.parametrize("case", sorted(_kernel_cases(
@@ -545,7 +531,7 @@ def certification_args(draw):
     an integral threshold is itself drawn as c2.  At gamma = (d - 4j)/deg_N
     the delta term is -j, below any alpha term when j >= 1: the threshold
     is then a negative integer."""
-    c = draw(st.builds(CurveGeometry, d=DEGREES, g=GENERA))
+    c = draw(CURVES)
     integral = [F(c.d - 4 * j, c.deg_n) for j in (1, 2, 3) if c.d > 4 * j]
     gamma = draw(st.one_of(ETAS, st.integers(min_value=1, max_value=40).map(
         lambda k: F(1, k)), *([st.sampled_from(integral)] if integral else [])))

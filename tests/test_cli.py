@@ -13,8 +13,9 @@ import pytest
 
 import bounds_oracle
 import quad_model as model
+from cases import ll
 from curvebounds import bounds, cli
-from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS, CurveGeometry
+from curvebounds.blowup import _SYSTEM_POINTS, MAX_POINTS
 from curvebounds.bounds import Discrepancy
 from curvebounds.cli import build_parser, main
 from curvebounds.scalar import MAX_DIGITS, QuadNumber, quad_from_json
@@ -167,8 +168,7 @@ SURFACE_TYPES = [(a, b) for a in range(1, 9) for b in range(1, 9) if a * b >= 2]
 def test_gonality_gap_matches_the_oracle(capsys, a, b):
     # the liaison curve at eta = 1/(a+b-2), its bound from the oracle
     desc = json.dumps({"kind": {"linked_line": {"a": a, "b": b}}})
-    c = CurveGeometry(d=a * b - 1, g=(a + b - 4) * (a * b - 2) // 2)
-    report = bounds_oracle.gonality_bound(c, Fraction(1, a + b - 2))
+    report = bounds_oracle.gonality_bound(ll(a, b), Fraction(1, a + b - 2))
     value, ceiling, pencil = report["value"], report["value_ceiling"], (a - 1) * (b - 1)
     gap = None
     if model.cmp(model.of(value), model.lift(pencil)) < 0:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import curvebounds
+from cases import CI52
 from curvebounds.blowup import (
     ChernData,
     CurveGeometry,
@@ -51,7 +52,6 @@ from curvebounds.seshadri import (
     combine,
 )
 
-CI52 = CurveGeometry(10, 16)
 IV52 = combine(CI52, [Evidence("complete_intersection", (5, 2))])
 
 RATIONAL_ENTRY_POINTS = {

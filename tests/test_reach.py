@@ -26,7 +26,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REACH = os.path.join(ROOT, "tools", "reach.py")
+TOOL = os.path.join(ROOT, "tools", "reach.py")
 
 ERROR_PATH = "error path"
 RECORD_PROTOCOL = "record protocol"
@@ -72,7 +72,7 @@ UNREACHED = {
 }
 REASONS = {ERROR_PATH, RECORD_PROTOCOL, LIBRARY, ITEM_4, ITEM_10}
 
-_spec = importlib.util.spec_from_file_location("reach", REACH)
+_spec = importlib.util.spec_from_file_location("reach", TOOL)
 reach = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reach)
 FUNCTIONS = set(reach.functions().values())
@@ -82,7 +82,7 @@ FUNCTIONS = set(reach.functions().values())
 def trace():
     """(unreached functions, float findings), as the tool prints them
     from a fresh interpreter."""
-    out = subprocess.run([sys.executable, REACH], cwd=ROOT, capture_output=True,
+    out = subprocess.run([sys.executable, TOOL], cwd=ROOT, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     unreached = {line.split(" ", 1)[1] for line in out if line.startswith("unreached ")}
     assert out[0] == f"entered {len(FUNCTIONS - unreached)} of {len(FUNCTIONS)} functions"

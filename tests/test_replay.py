@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 import exact
 import quad_model as model
 import replay_oracle as oracle
+from cases import (
+    CI32, CI52, CI63, CI85, CI504, CUBIC, LL52, LL73, curves, degrees, etas, systems,
+)
 from curvebounds import blowup, replay
 from curvebounds.blowup import MAX_POINTS, CurveGeometry, lambda_eta
 from curvebounds.catalog import standard_catalog
@@ -28,15 +31,6 @@ from curvebounds.replay import (
 from curvebounds.seshadri import combine
 
 F = Fraction
-
-CUBIC = CurveGeometry(d=3, g=0)
-CI32 = CurveGeometry(d=6, g=4)
-CI52 = CurveGeometry(d=10, g=16)
-CI63 = CurveGeometry(d=18, g=46)
-CI85 = CurveGeometry(d=40, g=181)
-CI504 = CurveGeometry(d=200, g=5001)
-LL52 = CurveGeometry(d=9, g=12)
-LL73 = CurveGeometry(d=20, g=57)
 
 
 # -- box derivation ------------------------------------------------------------
@@ -98,23 +92,16 @@ def corners(box):
     return box.x_min, box.x_max, box.y_min, box.y_max
 
 
-@st.composite
-def eta_below_critical(draw):
-    """(d, eta) with eta^2*d < 1, most draws within a few steps of 1."""
-    d = draw(st.one_of(st.integers(min_value=4, max_value=2000),
-                       st.integers(min_value=2, max_value=44).map(lambda k: k * k)))
-    r = draw(st.integers(min_value=math.isqrt(d) + 1, max_value=48))
-    # largest p with p^2*d < r^2, then a step or two down
-    p = math.isqrt((r * r - 1) // d) - draw(st.integers(min_value=0, max_value=2))
-    assume(p >= 1)
-    return d, F(p, r)
+# (curve, eta) with eta^2*d < 1 and d <= 2000, square d included, half
+# the draws or more with eta^2*d just below 1
+GONALITY_SYSTEMS = systems(degrees(2000, 44), 400)
 
 
-@given(eta_below_critical(), st.integers(min_value=0, max_value=10**4),
+@given(GONALITY_SYSTEMS, st.integers(min_value=0, max_value=10**4),
        st.integers(min_value=1, max_value=40))
-def test_box_matches_the_exact_replay_box(d_eta, c2, k):
-    d, eta = d_eta
-    curve = CurveGeometry(d=d, g=0)  # lambda_eta > 0 for g = 0, d >= 4
+def test_box_matches_the_exact_replay_box(case, c2, k):
+    curve, eta = case
+    d = curve.d
     ed = eta * d
 
     gon = build_system(curve, eta, GonalityMode(k=0)).box
@@ -129,20 +116,6 @@ def test_box_matches_the_exact_replay_box(d_eta, c2, k):
         assert corners(res) == exact.replay_box(d, eta, "restriction", c2)
 
 
-@st.composite
-def gonality_etas(draw):
-    """(d, eta) with eta^2*d < 1 and d <= 400, square d included, most
-    draws with eta^2*d just below 1."""
-    d = draw(st.one_of(st.integers(min_value=1, max_value=400),
-                       st.integers(min_value=1, max_value=20).map(lambda k: k * k)))
-    r = draw(st.integers(min_value=math.isqrt(d) + 1, max_value=400))
-    top = math.isqrt((r * r - 1) // d)  # largest p with p^2*d < r^2
-    p = draw(st.one_of(st.integers(min_value=top - 2, max_value=top),
-                       st.integers(min_value=1, max_value=max(top, 1))))
-    assume(p >= 1)
-    return d, F(p, r)
-
-
 def _saturation_meets_cap(t, d, eta):
     """t*sqrt(d) <= eta*d*(t + 1/2): a class with y = -t can meet both the
     saturation and the cap.  Decided in Q(sqrt(d)) by the Fraction-pair
@@ -150,34 +123,21 @@ def _saturation_meets_cap(t, d, eta):
     return model.cmp(model.mul(t, model.sqrt(d)), eta * d * (t + F(1, 2))) <= 0
 
 
-@given(gonality_etas())
+@given(GONALITY_SYSTEMS)
 # equality at t = 2: 2*sqrt(4) = (2/5)*4*(2 + 1/2)
-@example((4, F(2, 5)))
-@example((400, F(19, 400)))
-def test_gonality_t_max_is_the_last_t_the_saturation_allows(d_eta):
-    d, eta = d_eta
-    try:
-        box = build_system(CurveGeometry(d=d, g=0), eta, GonalityMode(k=0)).box
-    except LambdaNegative:
-        assume(False)
+@example((CurveGeometry(d=4, g=0), F(2, 5)))
+@example((CurveGeometry(d=400, g=0), F(19, 400)))
+def test_gonality_t_max_is_the_last_t_the_saturation_allows(case):
+    curve, eta = case
+    d = curve.d
+    box = build_system(curve, eta, GonalityMode(k=0)).box
     t_max = -box.y_min
     assert t_max >= 0
     assert _saturation_meets_cap(t_max, d, eta)
     assert not _saturation_meets_cap(t_max + 1, d, eta)
 
 
-@st.composite
-def gonality_systems(draw):
-    """(curve, eta) that build_system takes in gonality mode: a (d, eta)
-    of gonality_etas and a genus up to the largest with lambda_eta >= 0."""
-    d, eta = draw(gonality_etas())
-    # lambda_eta >= 0 iff 2*eta*g <= eta^2*d^2 + d - 4*eta*d + 2*eta
-    g_max = math.floor((eta * eta * d * d + d - 4 * eta * d + 2 * eta) / (2 * eta))
-    assume(g_max >= 0)
-    return CurveGeometry(d=d, g=draw(st.integers(min_value=0, max_value=g_max))), eta
-
-
-@given(gonality_systems())
+@given(GONALITY_SYSTEMS)
 @example((CurveGeometry(d=4, g=0), F(2, 5)))
 def test_gonality_box_matches_the_saturation_quadratic(case):
     # build_system solves the restriction row's quadratic at c2 = 0,
@@ -366,12 +326,9 @@ def test_negative_margin_is_rejected(margin):
             sweep(CI52, F(1, 5), family, range(0), margin=margin)
 
 
-curve_st = st.builds(
-    CurveGeometry,
-    d=st.integers(min_value=1, max_value=24),
-    g=st.integers(min_value=0, max_value=30),
-)
-eta_st = st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)
+# small curves and etas: larger boxes break hypothesis's deadline here
+curve_st = curves(st.integers(min_value=1, max_value=24), 30)
+eta_st = etas(16, 1)
 
 
 def _ring(box, margin):
@@ -452,19 +409,11 @@ def test_lambda_gate_matches_lambda_sign(c, eta):
 @st.composite
 def replay_cases(draw):
     """(curve, eta, mode, margin) with eta^2*d <= 3/4, so that |y| <= 3
-    in gonality mode and the box stays small, and lambda_eta >= 0.  Most
-    draws take eta within a few steps of that cap, and some take a square
-    d, where the saturation x >= |y|*sqrt(d) can hold with equality."""
-    d = draw(st.one_of(st.integers(min_value=1, max_value=60),
-                       st.integers(min_value=1, max_value=7).map(lambda k: k * k)))
-    q = draw(st.integers(min_value=2, max_value=40))
-    p = math.isqrt(3 * q * q // (4 * d)) - draw(st.integers(min_value=0, max_value=2))
-    assume(p >= 1)
-    eta = F(p, q)
-    # lambda_eta >= 0 iff 2*eta*g <= eta^2*d^2 + d - 4*eta*d + 2*eta
-    g_max = math.floor((eta * eta * d * d + d - 4 * eta * d + 2 * eta) / (2 * eta))
-    assume(g_max >= 0)
-    curve = CurveGeometry(d=d, g=draw(st.integers(min_value=0, max_value=g_max)))
+    in gonality mode and the box stays small, and lambda_eta >= 0.  Half
+    the draws or more take eta within two steps of that cap, and some
+    take a square d, where the saturation x >= |y|*sqrt(d) can hold with
+    equality."""
+    curve, eta = draw(systems(degrees(60, 7), 40, F(3, 4)))
     mode = draw(st.one_of(
         st.builds(GonalityMode, k=st.integers(min_value=0, max_value=60)),
         st.builds(RestrictionMode, c2=st.integers(min_value=0, max_value=30),
@@ -477,6 +426,9 @@ def replay_cases(draw):
 @example((CurveGeometry(d=4, g=0), F(2, 5), GonalityMode(k=2), 0))
 # (2, -1) passes the c2 constraint only without the eta*l_min term
 @example((CurveGeometry(d=4, g=0), F(2, 5), RestrictionMode(c2=1, l_min=2), 0))
+# empty over its 4 points: (1, -1) misses the saturation only by
+# x^2 = y^2*d - 1, so a row loosened by 1 admits it
+@example((CurveGeometry(d=2, g=0), F(1, 2), GonalityMode(k=0), 0))
 def test_region_empty_matches_the_per_mode_oracle(case):
     curve, eta, mode, margin = case
     sys = build_system(curve, eta, mode)

@@ -5,11 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, assume, find, given, settings
+from hypothesis import assume, find, given
 from hypothesis import strategies as st
 
 import quad_model as model
 import seshadri_oracle
+from cases import CI22, CI52, CUBIC, LINE, LL52, REACH, ci
 from seshadri_oracle import row_bound
 from curvebounds import _record
 from curvebounds.blowup import CurveGeometry
@@ -28,17 +29,7 @@ from curvebounds.seshadri import (
 )
 
 F = Fraction
-# a fixed draw without shrinking: the first example that hits the case.
-# Hypothesis mixes the literals of the loaded src/ modules into its draws,
-# so a new literal there changes the draw; 1,000 draws keep the rarest
-# case (a consistent residual pair, ~1 draw in 125) from being missed by
-# luck, where 100 missed it on 45 of 100 random draw sequences
-REACH = settings(database=None, derandomize=True, phases=[Phase.generate],
-                 max_examples=1_000)
 
-LINE = CurveGeometry(d=1, g=0)
-CUBIC = CurveGeometry(d=3, g=0)
-CI52 = CurveGeometry(d=10, g=16)      # deg_N = 70
 OCTIC = CurveGeometry(d=8, g=5)       # deg_N = 40
 
 
@@ -183,7 +174,7 @@ def test_complete_intersection_bound():
 
 
 def test_linked_line_bound():
-    c = CurveGeometry(d=9, g=12)
+    c = LL52
     eb = row_bound(c, Evidence("linked_line", (5, 2)))
     assert eb.lower == eb.upper == F(1, 5)
     with pytest.raises(EvidenceInconsistentWithDegree):
@@ -224,7 +215,7 @@ def test_assert_exact_bound():
 
 @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (5, 2), (6, 3), (8, 5), (50, 4)])
 def test_complete_intersections_pin_the_constant(a, b):
-    c = CurveGeometry(d=a * b, g=a * b * (a + b - 4) // 2 + 1)
+    c = ci(a, b)
     iv = combine(c, [Evidence("complete_intersection", (a, b))])
     assert iv.is_point
     assert iv.lower == F(1, a)
@@ -292,7 +283,7 @@ def test_assert_exact_combines():
 
 
 def test_conflicting_evidence_raises():
-    c = CurveGeometry(d=4, g=1)
+    c = CI22
     with pytest.raises(InconsistentEvidence):
         combine(c, [Evidence("global_generation", (2, 1))])
 

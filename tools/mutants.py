@@ -11,11 +11,14 @@ entry's line).  For each row, the tool copies ``src/``, ``tests/``,
 ``perfbench/exact.py`` (the tests' arithmetic that imports nothing from
 ``curvebounds``) and ``README.md`` (which some tests read, so that its
 absence kills no row) to a temporary directory, applies the row there
-and runs ``python -m pytest -x -q`` on the row's tests.  It prints one
-"<killed|survived|error> <seconds>s <name>" line per row and exits 1
-if any row survived or could not be run: a surviving row is a gap in
-the tests, to be reported, not deleted.  ``EQUIVALENT`` lists mutants
-that no test can kill, each with its reason; they are never run.
+and runs ``python -m pytest -x -q`` on the row's tests.  Rows run on a
+pool of at most ``os.cpu_count()`` workers, each with its own temporary
+tree and its own pytest process.  It prints one
+"<killed|survived|error> <seconds>s <name>" line per row, in table
+order, and exits 1 if any row survived or could not be run: a surviving
+row is a gap in the tests, to be reported, not deleted.  ``EQUIVALENT``
+lists mutants that no test can kill, each with its reason; they are
+never run.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -62,7 +66,9 @@ RECORDS = "- Cold-start CLI"
 RENDER_ON_READ = "- A `table` op pays only for arithmetic"
 ONE_PATH = "- Three duplicate paths go"
 ONE_GATE = "- One λ_η and one replay η gate"
+ONE_CASE_MODULE = "- One case module for the tests"
 UPPER_PICK = "_rational_cmp(v.numerator, v.denominator, upper) < 0"
+SATURATION = "x * x >= y * y * d)"
 
 
 class Equivalent(NamedTuple):
@@ -110,7 +116,13 @@ MUTANTS = [
     row("replay", "box lin d for d*d", ONE_QUADRATIC,
         ("lin = 4 * p * p * d * d", "lin = 4 * p * p * d")),
     row("replay", "strict saturation", CONSTRAINT_TABLE,
-        ("x * x >= y * y * d)", "x * x > y * y * d)")),
+        (SATURATION, "x * x > y * y * d)")),
+    # d = 2, g = 0, eta = 1/2, k = 0: (1, -1) passes 1 + 1 >= 2
+    row("replay", "loose saturation", ONE_CASE_MODULE,
+        (SATURATION, "x * x + 1 >= y * y * d)")),
+    # the generated guarantee 4 alone: the catalog replays miss it
+    row("replay", "loose saturation, generated guarantee", ONE_CASE_MODULE,
+        (SATURATION, "x * x + 1 >= y * y * d)"), tests=("tests/test_acceptance.py",)),
     row("replay", "box points one short", TABLE_IN_INTEGERS,
         ("box.x_max - box.x_min + 2 * margin + 1", "box.x_max - box.x_min + 2 * margin")),
     row("replay", "witness key signed", TABLE_IN_INTEGERS,
@@ -237,10 +249,10 @@ def run_row(m: Mutant) -> tuple[str, float]:
 
 def main() -> int:
     verdicts = []
-    for m in MUTANTS:
-        verdict, seconds = run_row(m)
-        verdicts.append(verdict)
-        print(f"{verdict:8s} {seconds:6.1f}s {m.name}", flush=True)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for m, (verdict, seconds) in zip(MUTANTS, pool.map(run_row, MUTANTS)):
+            verdicts.append(verdict)
+            print(f"{verdict:8s} {seconds:6.1f}s {m.name}", flush=True)
     print(f"{verdicts.count('killed')} of {len(MUTANTS)} killed")
     return 0 if verdicts.count("killed") == len(MUTANTS) else 1
 
